@@ -16,7 +16,7 @@ all: tier1
 # BENCH_pipeline.json baseline (see DESIGN.md, "Exact sub-linear
 # matching", for the save-baseline/compare workflow).
 help:
-	@echo "make tier1      - build + vet cmd/examples + full test suite (the PR gate)"
+	@echo "make tier1      - build + gofmt gate + vet cmd/examples + full test suite (the PR gate)"
 	@echo "make tier2      - fuzz burst, vet everything, race-detector run"
 	@echo "make fuzz       - FUZZTIME (default 10s) on each fuzz target"
 	@echo "make bench      - micro-benchmarks -> BENCH_pipeline.json"
@@ -26,7 +26,10 @@ help:
 build:
 	$(GO) build ./...
 
+# gofmt -l prints the files it would rewrite; any name fails the gate.
 tier1: build
+	@unformatted=$$(gofmt -l .); test -z "$$unformatted" || \
+	  { echo "gofmt: unformatted files (run gofmt -w):"; echo "$$unformatted"; exit 1; }
 	$(GO) vet ./cmd/... ./examples/...
 	$(GO) test ./...
 
@@ -59,6 +62,7 @@ fuzz:
 	$(GO) test ./internal/wal -run '^$$' -fuzz FuzzWALReplay -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzShardRoute -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzShardSync -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzShardQuery -fuzztime $(FUZZTIME)
 
 # Index + pipeline micro-benchmarks with allocation stats, written as
 # BENCH_pipeline.json. The raw `go test -bench` text is embedded under
@@ -87,8 +91,8 @@ bench:
 # Jaccard / Prepare / BatchGraph / QueryMax, plus the extraction and
 # codec hot path: Extract / DetectFAST / Encoded / Pipeline, plus the
 # delta-upload hot path: Block / Resume, plus the durability hot path:
-# WAL / Recovery, plus the cluster hot paths: Route / ShardSync) more
-# than 15% slower in ns/op fails the target.
+# WAL / Recovery, plus the cluster hot paths: Route / ShardSync /
+# ShardQuery / Router) more than 15% slower in ns/op fails the target.
 NEW ?= BENCH_pipeline.json
 benchdiff:
 	@test -n "$(OLD)" || { echo "usage: make benchdiff OLD=old.json [NEW=new.json]"; exit 2; }

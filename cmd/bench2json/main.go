@@ -60,8 +60,10 @@ type document struct {
 // plus, since the write-ahead log landed, the durability hot path —
 // append cost per sync policy and replay throughput (WAL / Recovery) —
 // plus, since the sharded cluster landed, the per-image routing and
-// replica-repair paths (Route / ShardSync).
-const defaultMatch = `Match|Jaccard|Prepare|BatchGraph|QueryMax|Extract|DetectFAST|Encoded|Pipeline|Block|Resume|WAL|Recovery|Route|ShardSync`
+// replica-repair paths (Route / ShardSync) and the cluster data path —
+// a node's vote-first shard query and the router's query and upload
+// fan-out (ShardQuery / Router).
+const defaultMatch = `Match|Jaccard|Prepare|BatchGraph|QueryMax|Extract|DetectFAST|Encoded|Pipeline|Block|Resume|WAL|Recovery|Route|ShardSync|ShardQuery|Router`
 
 func main() {
 	compare := flag.Bool("compare", false,

@@ -25,12 +25,12 @@ const chaosBlockSize = 4096
 // blocks (refcount exercise), and a final batch. Fixed nonces make the
 // crash-free and kill-anywhere runs comparable frame by frame.
 type chaosScript struct {
-	sets   []*features.BinarySet
-	blobs  [][]byte
-	blobA  []byte
-	blobB  []byte
-	manA   blockstore.Manifest
-	manB   blockstore.Manifest
+	sets    []*features.BinarySet
+	blobs   [][]byte
+	blobA   []byte
+	blobB   []byte
+	manA    blockstore.Manifest
+	manB    blockstore.Manifest
 	blocksA [][]byte
 	blocksB [][]byte
 }

@@ -8,7 +8,10 @@ import (
 	"sync"
 
 	"bees/internal/client"
+	"bees/internal/index"
+	"bees/internal/par"
 	"bees/internal/server"
+	"bees/internal/telemetry"
 	"bees/internal/wire"
 )
 
@@ -23,7 +26,9 @@ type NodeConfig struct {
 	Replication int
 	// Server is the per-shard server configuration (index parameters,
 	// telemetry, block size, filesystem). Every shard replica on the
-	// node gets its own full Server built from it.
+	// node gets its own full Server built from it, with a single index
+	// stripe: the cluster shard is the lock stripe, and query results do
+	// not depend on the stripe count.
 	Server server.Config
 	// Dial opens connections to peer nodes, for forwarding and shard
 	// sync. Nil means TCP to the node name.
@@ -40,6 +45,10 @@ func (c NodeConfig) withDefaults() NodeConfig {
 	if c.Replication > len(c.Table.nodes) {
 		c.Replication = len(c.Table.nodes)
 	}
+	if c.Server.Index == (index.Config{}) {
+		c.Server.Index = index.DefaultConfig()
+	}
+	c.Server.Index.Shards = 1
 	return c
 }
 
@@ -59,6 +68,12 @@ type Node struct {
 
 	peerMu sync.Mutex
 	peers  map[string]*client.Client
+
+	// querySets counts the sets of every answered ShardQuery,
+	// queryReranks the exact similarities computed for them: at most
+	// Limit per set, whatever the shard count.
+	querySets    *telemetry.Counter
+	queryReranks *telemetry.Counter
 }
 
 // NewNode builds the node and its per-shard servers (one fresh Server
@@ -82,6 +97,9 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		cfg:    cfg,
 		shards: make(map[uint32]*server.Server),
 		peers:  make(map[string]*client.Client),
+
+		querySets:    cfg.Server.Telemetry.Counter("cluster.node.query.sets"),
+		queryReranks: cfg.Server.Telemetry.Counter("cluster.node.query.reranks"),
 	}
 	for _, s := range cfg.Table.NodeShards(cfg.Self, cfg.Replication) {
 		n.shards[s] = server.NewWithConfig(cfg.Server)
@@ -190,23 +208,30 @@ func (n *Node) forwardRoute(m *wire.ShardRoute) (any, error) {
 
 // HandleShardQuery answers the CBRD candidate query for each set
 // against the union of the requested (owned) shards, plus per-shard
-// stats. Candidates are merged across the shards by (votes desc, ID
-// asc) and truncated to the request limit — the same ranking a single
-// combined index would produce over those shards.
+// stats. Per set, LSH votes are collected across all the shards, ranked
+// once by (votes desc, ID asc) and truncated to the request limit, and
+// only the survivors are scored exactly — the ranking a single combined
+// index would produce over those shards, at no more than Limit exact
+// similarities per set. The sets of a frame run across the host cores.
 func (n *Node) HandleShardQuery(m *wire.ShardQuery) (any, error) {
 	srvs := make([]*server.Server, len(m.Shards))
+	resp := &wire.ShardQueryResponse{Stats: make([]wire.ShardStat, len(m.Shards))}
+	seen := make(map[uint32]bool, len(m.Shards))
 	for i, s := range m.Shards {
 		srv := n.ShardServer(s)
 		if srv == nil {
 			return &wire.ErrorResponse{Message: fmt.Sprintf("cluster: node %s does not own shard %d", n.cfg.Self, s)}, nil
 		}
+		if seen[s] {
+			// A repeated shard would count its candidates twice and push
+			// real ones out of the top-Limit.
+			return &wire.ErrorResponse{Message: fmt.Sprintf("cluster: shard %d listed twice in a shard query", s)}, nil
+		}
+		seen[s] = true
 		srvs[i] = srv
-	}
-	resp := &wire.ShardQueryResponse{Stats: make([]wire.ShardStat, len(m.Shards))}
-	for i, srv := range srvs {
 		st := srv.Stats()
 		resp.Stats[i] = wire.ShardStat{
-			Shard:  m.Shards[i],
+			Shard:  s,
 			Images: int64(st.Images),
 			Bytes:  st.BytesReceived,
 			NextID: srv.NextID(),
@@ -214,27 +239,22 @@ func (n *Node) HandleShardQuery(m *wire.ShardQuery) (any, error) {
 	}
 	limit := int(m.Limit)
 	resp.PerSet = make([][]wire.ShardCandidate, len(m.Sets))
-	for si, set := range m.Sets {
-		var cands []wire.ShardCandidate
-		for _, srv := range srvs {
-			for _, c := range srv.QueryCandidates(set, limit) {
-				cands = append(cands, wire.ShardCandidate{
-					ID:    int64(c.ID),
-					Votes: uint32(c.Votes),
-					Sim:   c.Similarity,
-				})
+	par.Do(len(m.Sets), func(si int) {
+		cands := server.CandidatesAcross(srvs, m.Sets[si], limit)
+		out := make([]wire.ShardCandidate, len(cands))
+		for i, c := range cands {
+			out[i] = wire.ShardCandidate{
+				ID:    int64(c.ID),
+				Votes: uint32(c.Votes),
+				Sim:   c.Similarity,
 			}
 		}
-		sort.Slice(cands, func(i, j int) bool {
-			if cands[i].Votes != cands[j].Votes {
-				return cands[i].Votes > cands[j].Votes
-			}
-			return cands[i].ID < cands[j].ID
-		})
-		if len(cands) > limit {
-			cands = cands[:limit]
-		}
-		resp.PerSet[si] = cands
+		resp.PerSet[si] = out
+	})
+	n.querySets.Add(int64(len(m.Sets)))
+	for _, cands := range resp.PerSet {
+		// One exact similarity was computed per returned candidate.
+		n.queryReranks.Add(int64(len(cands)))
 	}
 	return resp, nil
 }

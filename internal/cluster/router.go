@@ -12,6 +12,7 @@ import (
 	"bees/internal/features"
 	"bees/internal/index"
 	"bees/internal/server"
+	"bees/internal/telemetry"
 	"bees/internal/wire"
 )
 
@@ -68,6 +69,13 @@ type Router struct {
 	// allocating fresh ones the replicas would refuse to reconcile.
 	nonceIDs   map[uint64][]int64
 	nonceOrder []uint64
+
+	// queryFailovers counts ShardQuery frames that failed and moved
+	// their shards to the next replica; uploadReplicaErrors counts
+	// (shard, replica) upload deliveries that failed (the replica is
+	// left to ShardSync).
+	queryFailovers      *telemetry.Counter
+	uploadReplicaErrors *telemetry.Counter
 }
 
 // NewRouter builds a router over the table.
@@ -97,6 +105,9 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 		clients:  make(map[string]*client.Client),
 		nonceRng: rand.New(rand.NewSource(seed)),
 		nonceIDs: make(map[uint64][]int64),
+
+		queryFailovers:      opts.Client.Telemetry.Counter("cluster.router.query.failovers"),
+		uploadReplicaErrors: opts.Client.Telemetry.Counter("cluster.router.upload.replica_errors"),
 	}, nil
 }
 
@@ -267,11 +278,12 @@ func (r *Router) UploadBatch(items []server.UploadItem) error {
 type shardSlice struct {
 	ids    []int64
 	wire   []wire.ManifestItem
-	hashes []blockstore.Hash            // unique, first-appearance order
-	data   map[blockstore.Hash][]byte   // block payloads by hash
+	hashes []blockstore.Hash          // unique, first-appearance order
+	data   map[blockstore.Hash][]byte // block payloads by hash
 }
 
-// fanOut delivers a batch: split by shard, then write-all per shard.
+// fanOut delivers a batch: split by shard, then write-all to every
+// shard's replicas.
 func (r *Router) fanOut(nonce uint64, ids []int64, items []server.UploadItem) error {
 	blockSize := r.opts.Client.BlockSize
 	if blockSize <= 0 {
@@ -306,47 +318,67 @@ func (r *Router) fanOut(nonce uint64, ids []int64, items []server.UploadItem) er
 			}
 		}
 	}
-	// Deterministic shard order keeps replays and differential runs
-	// byte-for-byte comparable.
 	order := make([]uint32, 0, len(slices))
 	for s := range slices {
 		order = append(order, s)
 	}
 	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
-	for _, shard := range order {
-		if err := r.uploadShard(nonce, shard, slices[shard]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
 
-// uploadShard writes one shard slice to all its replicas. Each replica
-// gets the full delta flow — query its store, send what it misses,
-// commit under the shard's IDs — so replicas converge to identical
-// refcounts no matter what each already held. At least one ack makes
-// the shard durable; replicas that failed are repaired later by
-// ShardSync, not by failing the upload.
-func (r *Router) uploadShard(nonce uint64, shard uint32, sl *shardSlice) error {
-	replicas := r.table.Replicas(shard, r.opts.Replication)
-	acked := 0
-	var firstIDs []int64
-	var lastErr error
-	for _, node := range replicas {
-		ids, err := r.uploadReplica(node, nonce, shard, sl)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		if firstIDs == nil {
-			firstIDs = ids
-		} else if !equalIDs(firstIDs, ids) {
-			return fmt.Errorf("cluster: shard %d replicas disagree on ids %v vs %v", shard, firstIDs, ids)
-		}
-		acked++
+	// Write-all: every replica of every touched shard gets the shard's
+	// full delta flow — query its store, send what it misses, commit
+	// under the shard's IDs — so replicas converge to identical refcounts
+	// no matter what each already held. The nodes are served
+	// concurrently; one node still receives its frames in ascending shard
+	// order over its one connection, so what a node sees does not depend
+	// on scheduling and replays stay byte-for-byte comparable.
+	type delivery struct {
+		shard uint32
+		ids   []int64
+		err   error
 	}
-	if acked == 0 {
-		return fmt.Errorf("cluster: shard %d: no replica reachable: %w", shard, lastErr)
+	perNode := make(map[string][]*delivery)
+	perShard := make(map[uint32][]*delivery, len(order))
+	for _, shard := range order {
+		for _, node := range r.table.Replicas(shard, r.opts.Replication) {
+			d := &delivery{shard: shard}
+			perNode[node] = append(perNode[node], d)
+			perShard[shard] = append(perShard[shard], d)
+		}
+	}
+	var wg sync.WaitGroup
+	for node, ds := range perNode {
+		wg.Add(1)
+		go func(node string, ds []*delivery) {
+			defer wg.Done()
+			for _, d := range ds {
+				d.ids, d.err = r.uploadReplica(node, nonce, d.shard, slices[d.shard])
+			}
+		}(node, ds)
+	}
+	wg.Wait()
+
+	// At least one ack makes a shard durable; replicas that failed are
+	// repaired later by ShardSync, not by failing the upload.
+	for _, shard := range order {
+		acked := 0
+		var firstIDs []int64
+		var lastErr error
+		for _, d := range perShard[shard] {
+			if d.err != nil {
+				r.uploadReplicaErrors.Inc()
+				lastErr = d.err
+				continue
+			}
+			if acked == 0 {
+				firstIDs = d.ids
+			} else if !equalIDs(firstIDs, d.ids) {
+				return fmt.Errorf("cluster: shard %d replicas disagree on ids %v vs %v", shard, firstIDs, d.ids)
+			}
+			acked++
+		}
+		if acked == 0 {
+			return fmt.Errorf("cluster: shard %d: no replica reachable: %w", shard, lastErr)
+		}
 	}
 	return nil
 }
@@ -418,23 +450,36 @@ func (r *Router) queryShards(sets []*features.BinarySet, limit int) ([]*wire.Sha
 			nodes = append(nodes, n)
 		}
 		sort.Strings(nodes)
+		// One frame per node, all in flight at once; answers and failures
+		// are then taken in sorted node order, so the merge input and the
+		// failover order do not depend on which node answered first.
+		resps := make([]*wire.ShardQueryResponse, len(nodes))
+		errs := make([]error, len(nodes))
+		var wg sync.WaitGroup
+		for i, node := range nodes {
+			wg.Add(1)
+			go func(i int, node string) {
+				defer wg.Done()
+				resps[i], errs[i] = r.client(node).ShardQuery(&wire.ShardQuery{
+					Shards: groups[node],
+					Limit:  uint32(limit),
+					Sets:   sets,
+				})
+			}(i, node)
+		}
+		wg.Wait()
 		pending = pending[:0]
-		for _, node := range nodes {
-			shards := groups[node]
-			resp, err := r.client(node).ShardQuery(&wire.ShardQuery{
-				Shards: shards,
-				Limit:  uint32(limit),
-				Sets:   sets,
-			})
-			if err != nil {
+		for i, node := range nodes {
+			if errs[i] != nil {
 				// Fail the whole group over to each shard's next replica.
-				for _, s := range shards {
+				r.queryFailovers.Inc()
+				for _, s := range groups[node] {
 					replicaIdx[s]++
 					pending = append(pending, s)
 				}
 				continue
 			}
-			out = append(out, resp)
+			out = append(out, resps[i])
 		}
 	}
 	return out, nil

@@ -76,10 +76,10 @@ func (osFS) Open(name string) (File, error)   { return os.Open(name) }
 func (osFS) ReadDir(name string) ([]os.DirEntry, error) {
 	return os.ReadDir(name)
 }
-func (osFS) Rename(oldpath, newpath string) error        { return os.Rename(oldpath, newpath) }
-func (osFS) Remove(name string) error                    { return os.Remove(name) }
+func (osFS) Rename(oldpath, newpath string) error         { return os.Rename(oldpath, newpath) }
+func (osFS) Remove(name string) error                     { return os.Remove(name) }
 func (osFS) MkdirAll(path string, perm os.FileMode) error { return os.MkdirAll(path, perm) }
-func (osFS) Stat(name string) (os.FileInfo, error)       { return os.Stat(name) }
+func (osFS) Stat(name string) (os.FileInfo, error)        { return os.Stat(name) }
 
 func (osFS) SyncDir(name string) error {
 	d, err := os.Open(filepath.Clean(name))

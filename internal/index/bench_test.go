@@ -2,6 +2,7 @@ package index
 
 import (
 	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"bees/internal/features"
@@ -90,6 +91,32 @@ func BenchmarkQueryMaxSharded(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				idx.QueryMax(queries[i%len(queries)])
 			}
+		})
+	}
+}
+
+// BenchmarkQueryMaxShardedReaders is BenchmarkQueryMaxSharded under
+// concurrent readers (b.RunParallel, one goroutine per core): a lone
+// query only shows the stripe fan-out's overhead, while striping exists
+// for load, so the two stripe counts are compared with every core
+// querying at once.
+func BenchmarkQueryMaxShardedReaders(b *testing.B) {
+	c := newCorpus(b, 8, 903)
+	queries := make([]*features.BinarySet, len(c.sets))
+	for i := range queries {
+		queries[i] = c.variantSet(i)
+	}
+	for _, shards := range []int{1, DefaultShards} {
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			idx := benchShardedIndex(c, shards)
+			var next atomic.Int64
+			b.ReportAllocs()
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				for pb.Next() {
+					idx.QueryMax(queries[int(next.Add(1))%len(queries)])
+				}
+			})
 		})
 	}
 }

@@ -249,33 +249,58 @@ type Candidate struct {
 // exactly, and dropping sim-0 entries before the global merge would
 // shift which candidates survive the global limit.
 func (x *Index) QueryCandidates(set *features.BinarySet, limit int) []Candidate {
+	return CandidatesAcross([]*Index{x}, set, limit)
+}
+
+// CandidatesAcross is QueryCandidates over the union of several indexes
+// that partition one ID space and share LSH parameters (a cluster
+// node's shard indexes): votes are collected from every stripe of every
+// index, ranked once by (votes desc, ID asc) and truncated to limit,
+// and only the survivors are scored exactly, each against its owning
+// index. The result equals QueryCandidates on one index holding all the
+// entries, at a cost of at most limit exact similarities however many
+// indexes there are.
+func CandidatesAcross(idxs []*Index, set *features.BinarySet, limit int) []Candidate {
 	if set.Len() == 0 || limit <= 0 {
 		return nil
 	}
-	perShard := make([]map[ImageID]int, len(x.shards))
-	if len(x.shards) == 1 {
-		perShard[0] = x.shards[0].votes(set, x.bitSel)
-	} else {
-		par.Do(len(x.shards), func(s int) {
-			perShard[s] = x.shards[s].votes(set, x.bitSel)
-		})
+	type stripe struct {
+		sh  *shard
+		src int32 // position of the owning index in idxs
 	}
-	votes := perShard[0]
-	for _, v := range perShard[1:] {
-		for id, n := range v {
-			votes[id] += n
+	nStripes := 0
+	for _, x := range idxs {
+		nStripes += len(x.shards)
+	}
+	stripes := make([]stripe, 0, nStripes)
+	for i, x := range idxs {
+		for _, sh := range x.shards {
+			stripes = append(stripes, stripe{sh, int32(i)})
 		}
 	}
-	if len(votes) == 0 {
+	perStripe := make([]map[ImageID]int, len(stripes))
+	par.Do(len(stripes), func(s int) {
+		perStripe[s] = stripes[s].sh.votes(set, idxs[stripes[s].src].bitSel)
+	})
+	// An image lives in exactly one stripe, so the per-stripe vote maps
+	// are disjoint and concatenate into the global vote list.
+	nCands := 0
+	for _, v := range perStripe {
+		nCands += len(v)
+	}
+	if nCands == 0 {
 		return nil
 	}
 	type cand struct {
 		id    ImageID
-		votes int
+		votes int32
+		src   int32
 	}
-	cands := make([]cand, 0, len(votes))
-	for id, v := range votes {
-		cands = append(cands, cand{id, v})
+	cands := make([]cand, 0, nCands)
+	for s, v := range perStripe {
+		for id, votes := range v {
+			cands = append(cands, cand{id, int32(votes), stripes[s].src})
+		}
 	}
 	sort.Slice(cands, func(i, j int) bool {
 		if cands[i].votes != cands[j].votes {
@@ -289,6 +314,7 @@ func (x *Index) QueryCandidates(set *features.BinarySet, limit int) []Candidate 
 	out := make([]Candidate, 0, len(cands))
 	prepQ := set.Prepare()
 	for _, c := range cands {
+		x := idxs[c.src]
 		e := x.Get(c.id)
 		if e == nil {
 			continue
@@ -296,7 +322,7 @@ func (x *Index) QueryCandidates(set *features.BinarySet, limit int) []Candidate 
 		out = append(out, Candidate{
 			ID:         e.ID,
 			GroupID:    e.GroupID,
-			Votes:      c.votes,
+			Votes:      int(c.votes),
 			Similarity: features.JaccardPrepared(prepQ, e.prepared(), x.cfg.HammingMax),
 		})
 	}

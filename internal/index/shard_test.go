@@ -1,9 +1,11 @@
 package index
 
 import (
+	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
+	"testing/quick"
 
 	"bees/internal/features"
 )
@@ -92,5 +94,53 @@ func TestConcurrentQueryUpload(t *testing.T) {
 		if _, sim := idx.QueryMax(c.variantSet(i)); sim <= 0 {
 			t.Fatalf("entry %d unretrievable after concurrent build", i)
 		}
+	}
+}
+
+// TestCandidatesAcrossPartitionMatchesCombined pins the multi-index
+// primitive: however the entries are partitioned over indexes (and
+// however each index is striped), CandidatesAcross returns exactly what
+// QueryCandidates returns on one index holding all of them — same
+// candidates, same order, same votes, same floats. Entries reuse a few
+// scenes under many IDs, so vote ties are the norm and the (votes desc,
+// ID asc) rule decides most truncations.
+func TestCandidatesAcrossPartitionMatchesCombined(t *testing.T) {
+	c := newCorpus(t, 6, 82)
+	const entries = 30
+	queries := make([]*features.BinarySet, 4)
+	for i := range queries {
+		queries[i] = c.variantSet(i)
+	}
+	queries = append(queries, &features.BinarySet{}) // no descriptors: no candidates
+	combined := New(DefaultConfig())
+	for id := 0; id < entries; id++ {
+		combined.Add(&Entry{ID: ImageID(id), Set: c.sets[id%len(c.sets)], GroupID: int64(id % 7)})
+	}
+	if n := len(combined.QueryCandidates(queries[0], entries)); n < 2*len(c.sets) {
+		t.Fatalf("query 0 has only %d candidates; truncation would never bite", n)
+	}
+	check := func(seed int64, parts, stripes uint8, limit uint16) bool {
+		rng := rand.New(rand.NewSource(seed))
+		idxs := make([]*Index, 1+int(parts)%9)
+		for i := range idxs {
+			cfg := DefaultConfig()
+			cfg.Shards = 1 + int(stripes)%4
+			idxs[i] = New(cfg)
+		}
+		for id := 0; id < entries; id++ {
+			idxs[rng.Intn(len(idxs))].Add(&Entry{ID: ImageID(id), Set: c.sets[id%len(c.sets)], GroupID: int64(id % 7)})
+		}
+		lim := int(limit) % (entries + 3) // 0, truncating, and past-the-end limits
+		for qi, q := range queries {
+			got, want := CandidatesAcross(idxs, q, lim), combined.QueryCandidates(q, lim)
+			if !reflect.DeepEqual(got, want) {
+				t.Logf("query %d, %d indexes, limit %d:\n got %+v\nwant %+v", qi, len(idxs), lim, got, want)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 40}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -9,9 +9,10 @@ package server
 //   - ApplyShardCommit: the replica apply path — like
 //     CommitManifestsNonce, but under router-assigned global IDs
 //     instead of locally sequential ones, logged as recShardCommit.
-//   - QueryCandidates: the raw LSH candidate list (votes + exact
-//     similarities, zero-sim entries included) the router's global
-//     re-rank needs to reproduce single-node query results.
+//   - CandidatesAcross: the raw LSH candidate list (votes + exact
+//     similarities, zero-sim entries included) over a node's shard
+//     servers, which the router's global re-rank needs to reproduce
+//     single-node query results.
 //   - DedupEntries/SeedDedup: export and reseed of the nonce retry
 //     window, so a replacement replica cloned via snapshot streaming
 //     still answers late replays with the original IDs.
@@ -111,14 +112,19 @@ func (s *Server) installRecordedUploadIDs(ids []int64, items []UploadItem) {
 	s.installUploadsAt(ids, items)
 }
 
-// QueryCandidates exposes the index's raw LSH candidate ranking — the
-// top-limit candidates by (votes desc, ID asc) with their exact
-// similarities, zero-sim collisions included. Votes depend only on the
-// query, the stored entry, and the seeded bit selectors, so candidate
-// lists from different shard servers merge into exactly the ranking a
+// CandidatesAcross exposes the raw LSH candidate ranking over the union
+// of several shard servers' indexes — the top-limit candidates by
+// (votes desc, ID asc) with their exact similarities, zero-sim
+// collisions included (see index.CandidatesAcross). Votes depend only
+// on the query, the stored entry, and the seeded bit selectors, so
+// candidate lists from different nodes merge into exactly the ranking a
 // single combined index would produce.
-func (s *Server) QueryCandidates(set *features.BinarySet, limit int) []index.Candidate {
-	return s.idx.QueryCandidates(set, limit)
+func CandidatesAcross(srvs []*Server, set *features.BinarySet, limit int) []index.Candidate {
+	idxs := make([]*index.Index, len(srvs))
+	for i, s := range srvs {
+		idxs[i] = s.idx
+	}
+	return index.CandidatesAcross(idxs, set, limit)
 }
 
 // NextID returns the server's ID horizon: one past the largest image ID

@@ -27,10 +27,10 @@ func FuzzWALReplay(f *testing.F) {
 		return b
 	}()
 	f.Add(valid)
-	f.Add(valid[:len(valid)-3])        // torn tail
-	f.Add(valid[:segHeaderSize])       // empty segment
-	f.Add(valid[:segHeaderSize-2])     // torn header
-	f.Add([]byte{})                    // empty file
+	f.Add(valid[:len(valid)-3])    // torn tail
+	f.Add(valid[:segHeaderSize])   // empty segment
+	f.Add(valid[:segHeaderSize-2]) // torn header
+	f.Add([]byte{})                // empty file
 	f.Add([]byte("not a wal segment at all, just prose"))
 	corrupt := append([]byte(nil), valid...)
 	corrupt[segHeaderSize+frameHeaderSize] ^= 0x01

@@ -25,10 +25,10 @@ package wire
 // UploadBatchRequest frames.
 
 import (
-	"encoding/binary"
-	"errors"
 	"bees/internal/blockstore"
 	"bees/internal/features"
+	"encoding/binary"
+	"errors"
 )
 
 // ProtocolVersion is the wire protocol revision announced in Hello.

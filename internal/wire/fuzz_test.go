@@ -252,6 +252,43 @@ func FuzzShardSync(f *testing.F) {
 	})
 }
 
+// FuzzShardQuery hammers the ShardQuery decoder — the one cluster
+// request whose two counts (shards, sets) are both attacker-chosen:
+// no panics, canonical re-encoding, and neither count may make the
+// decoder hold more than the payload could carry (a 4-byte id per
+// shard, a 4-byte header per set, 32 bytes per descriptor).
+func FuzzShardQuery(f *testing.F) {
+	rng := rand.New(rand.NewSource(43))
+	f.Add(encodePayload(f, &ShardQuery{Shards: []uint32{1, 4, 7}, Limit: 24,
+		Sets: []*features.BinarySet{randomSet(rng, 2), randomSet(rng, 0), randomSet(rng, 1)}}))
+	f.Add(encodePayload(f, &ShardQuery{Shards: []uint32{0}})) // stats-only probe
+	f.Add(encodePayload(f, &ShardQuery{}))
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff})                                      // 2^32-1 shards, none carried
+	f.Add([]byte{0, 0, 0, 0, 24, 0, 0, 0, 0xff, 0xff, 0xff, 0xff})             // 2^32-1 sets, none carried
+	f.Add([]byte{0, 0, 0, 0, 24, 0, 0, 0, 1, 0, 0, 0, 0xff, 0xff, 0xff, 0x07}) // one set of 2^27-1 descriptors
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		msg, err := DecodePayload(MsgShardQuery, payload)
+		if err != nil {
+			return
+		}
+		m, ok := msg.(*ShardQuery)
+		if !ok {
+			t.Fatalf("decoded %T", msg)
+		}
+		held := cap(m.Shards)*4 + cap(m.Sets)*4
+		for _, set := range m.Sets {
+			held += cap(set.Descriptors) * 32
+		}
+		if held > len(payload) {
+			t.Fatalf("decoder holds room for %d content bytes from a %d-byte payload", held, len(payload))
+		}
+		if re := encodeShardQuery(m); !bytes.Equal(re, payload) {
+			t.Fatalf("re-encode altered payload\n got %x\nwant %x", re, payload)
+		}
+	})
+}
+
 // encodePayload returns just the payload bytes of a message (no frame
 // header), for seeding the payload-level fuzzers.
 func encodePayload(tb testing.TB, msg any) []byte {
