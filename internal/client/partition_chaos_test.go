@@ -121,7 +121,7 @@ func TestChaosPartitionZeroImageLoss(t *testing.T) {
 		t.Fatal("outbox empty after partitioned run")
 	}
 	for i := 0; i < 2; i++ { // second replay = retry of a lost ack
-		if err := remote.UploadBatchWithNonce(first.Nonce, first.Items); err != nil {
+		if _, err := remote.UploadItems(first.Nonce, first.Items); err != nil {
 			t.Fatalf("healed replay %d failed: %v", i, err)
 		}
 	}
@@ -149,7 +149,8 @@ func TestChaosPartitionZeroImageLoss(t *testing.T) {
 
 	// --- Background drain through the healed link. ----------------------
 	drainer := outbox.NewDrainer(box, func(ch *outbox.Chunk) error {
-		return remote.UploadBatchWithNonce(ch.Nonce, ch.Items)
+		_, err := remote.UploadItems(ch.Nonce, ch.Items)
+		return err
 	})
 	drainer.Interval = 10 * time.Millisecond
 	drainer.Start()

@@ -149,14 +149,6 @@ func (r *RemoteServer) UploadItems(nonce uint64, items []server.UploadItem) ([]i
 	return ids, nil
 }
 
-// UploadBatchWithNonce is the pre-block-store upload entry point.
-//
-// Deprecated: use UploadItems, which also returns the assigned IDs.
-func (r *RemoteServer) UploadBatchWithNonce(nonce uint64, items []server.UploadItem) error {
-	_, err := r.UploadItems(nonce, items)
-	return err
-}
-
 // uploadBlocks runs one chunk through the delta path: manifest every
 // blob, ask the server which blocks it already holds (batch-wide dedup
 // — two identical images in one chunk cost one payload), upload the

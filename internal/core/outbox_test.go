@@ -31,7 +31,8 @@ func (f *flakyAPI) QueryMaxBatch(sets []*features.BinarySet) []float64 {
 }
 
 func (f *flakyAPI) UploadBatch(items []server.UploadItem) error {
-	return f.UploadBatchWithNonce(0, items)
+	_, err := f.UploadItems(0, items)
+	return err
 }
 
 func (f *flakyAPI) NewUploadNonce() uint64 {
@@ -53,11 +54,6 @@ func (f *flakyAPI) UploadItems(nonce uint64, items []server.UploadItem) ([]int64
 	}
 	f.applied += len(items)
 	return make([]int64, len(items)), nil
-}
-
-func (f *flakyAPI) UploadBatchWithNonce(nonce uint64, items []server.UploadItem) error {
-	_, err := f.UploadItems(nonce, items)
-	return err
 }
 
 // TestPipelineOutboxCapturesFailedChunks runs a batch through a dead
@@ -120,7 +116,8 @@ func TestPipelineOutboxCapturesFailedChunks(t *testing.T) {
 		if c.Utility <= 0 {
 			t.Errorf("queued chunk has utility %v", c.Utility)
 		}
-		return api.UploadBatchWithNonce(c.Nonce, c.Items)
+		_, err := api.UploadItems(c.Nonce, c.Items)
+		return err
 	})
 	n, err := drainer.DrainOnce()
 	if err != nil || n != wantChunks {

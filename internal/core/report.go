@@ -34,9 +34,8 @@ var _ ServerAPI = (*server.Server)(nil)
 // the in-process server and the TCP adapter implement: the caller draws
 // a nonce, stamps its outbox chunk with it, and every (re)send of that
 // chunk — whole-image frame or block-wise delta upload, the transport
-// decides — deduplicates server-side against the first delivery. This
-// replaces the UploadBatch/UploadBatchNonce/UploadBatchWithNonce split:
-// one entry point, exactly-once semantics, IDs returned in item order.
+// decides — deduplicates server-side against the first delivery: one
+// entry point, exactly-once semantics, IDs returned in item order.
 type Uploader interface {
 	// NewUploadNonce draws a fresh nonzero nonce.
 	NewUploadNonce() uint64
@@ -48,19 +47,6 @@ type Uploader interface {
 }
 
 var _ Uploader = (*server.Server)(nil)
-
-// NonceUploader is the pre-Uploader name for the same idea, minus the
-// returned IDs.
-//
-// Deprecated: implement Uploader instead; the pipeline prefers it and
-// only falls back to this shape through compatibility wrappers.
-type NonceUploader interface {
-	// NewUploadNonce draws a fresh nonzero nonce.
-	NewUploadNonce() uint64
-	// UploadBatchWithNonce stores the items in one frame under the
-	// caller's nonce. Same error semantics as ServerAPI.UploadBatch.
-	UploadBatchWithNonce(nonce uint64, items []server.UploadItem) error
-}
 
 // PerImageAPI is the legacy one-call-per-image server surface kept for
 // comparison and migration: the batched ServerAPI supersedes it on the

@@ -6,9 +6,9 @@ package server
 // for free. This file adds the entry points a shard replica needs
 // beyond the single-node API:
 //
-//   - ApplyShardCommit: the replica apply path — like
+//   - ApplyShardCommit: the replica apply path — the same commit as
 //     CommitManifestsNonce, but under router-assigned global IDs
-//     instead of locally sequential ones, logged as recShardCommit.
+//     instead of locally allocated ones.
 //   - CandidatesAcross: the raw LSH candidate list (votes + exact
 //     similarities, zero-sim entries included) over a node's shard
 //     servers, which the router's global re-rank needs to reproduce
@@ -20,10 +20,8 @@ package server
 import (
 	"fmt"
 
-	"bees/internal/blockstore"
 	"bees/internal/features"
 	"bees/internal/index"
-	"bees/internal/par"
 )
 
 // ApplyShardCommit applies one shard's slice of a cluster upload batch
@@ -36,80 +34,8 @@ func (s *Server) ApplyShardCommit(nonce uint64, ids []int64, ups []ManifestUploa
 	if len(ids) != len(ups) {
 		return nil, fmt.Errorf("server: shard commit: %d ids for %d uploads", len(ids), len(ups))
 	}
-	s.stateMu.RLock()
-	defer s.stateMu.RUnlock()
-	if err := s.durabilityErr(); err != nil {
-		return nil, err
-	}
-	if nonce != 0 {
-		if prev, ok := s.dedup.lookup(nonce); ok && len(prev) > 0 {
-			s.tel.Counter("server.upload.dedup_hits").Inc()
-			return prev, nil
-		}
-	}
-	if len(ups) == 0 {
-		return nil, nil
-	}
-	manifests := make([]blockstore.Manifest, len(ups))
-	items := make([]UploadItem, len(ups))
-	for i := range ups {
-		if err := ups[i].Manifest.Validate(); err != nil {
-			return nil, fmt.Errorf("server: shard manifest %d: %w", i, err)
-		}
-		if got, want := int64(ups[i].Meta.Bytes), ups[i].Manifest.TotalBytes; got != want {
-			return nil, fmt.Errorf("server: shard manifest %d: meta bytes %d != manifest total %d", i, got, want)
-		}
-		manifests[i] = ups[i].Manifest
-		items[i] = UploadItem{Set: ups[i].Set, Meta: ups[i].Meta}
-	}
-	if err := s.blocks.Commit(manifests...); err != nil {
-		return nil, err
-	}
-	s.installUploadsAt(ids, items)
-	if err := s.logRecord(encodeShardCommitRecord(nonce, ids, ups)); err != nil {
-		return nil, err
-	}
-	if nonce != 0 {
-		s.dedup.record(nonce, ids)
-	}
-	return ids, nil
-}
-
-// installUploadsAt applies an upload batch under explicit IDs: bytes
-// accounted, history appended in item order, nextID advanced past the
-// largest ID seen, and the feature sets indexed concurrently. Callers
-// hold stateMu for read.
-func (s *Server) installUploadsAt(ids []int64, items []UploadItem) {
-	s.mu.Lock()
-	for i := range items {
-		s.received += int64(items[i].Meta.Bytes)
-		s.uploads = append(s.uploads, index.ImageID(ids[i]))
-		s.metas = append(s.metas, items[i].Meta)
-		if next := index.ImageID(ids[i]) + 1; next > s.nextID {
-			s.nextID = next
-		}
-	}
-	s.mu.Unlock()
-	s.tel.Counter("server.index.uploads").Add(int64(len(items)))
-	par.Do(len(items), func(i int) {
-		it := items[i]
-		if it.Set == nil {
-			return
-		}
-		s.idx.Add(&index.Entry{
-			ID:      index.ImageID(ids[i]),
-			Set:     it.Set,
-			GroupID: it.Meta.GroupID,
-			Lat:     it.Meta.Lat,
-			Lon:     it.Meta.Lon,
-		})
-	})
-}
-
-// installRecordedUploadIDs reinstates a replayed shard commit under its
-// originally assigned (non-contiguous) IDs.
-func (s *Server) installRecordedUploadIDs(ids []int64, items []UploadItem) {
-	s.installUploadsAt(ids, items)
+	items, manifests := splitUploads(ups)
+	return s.countHit(s.commit(nonce, ids, items, manifests))
 }
 
 // CandidatesAcross exposes the raw LSH candidate ranking over the union
@@ -151,8 +77,5 @@ func (s *Server) DedupEntries() []DedupEntry {
 // SeedDedup installs one nonce-window entry, in the order called —
 // used when rebuilding a replica from a ShardSync stream.
 func (s *Server) SeedDedup(nonce uint64, ids []int64) {
-	if nonce == 0 {
-		return
-	}
 	s.dedup.record(nonce, ids)
 }

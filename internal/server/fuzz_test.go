@@ -53,7 +53,7 @@ func corpusSnapshots(tb testing.TB) [][]byte {
 			if _, err := s.Blocks().Put(blockstore.HashBlock(staged), staged); err != nil {
 				tb.Fatal(err)
 			}
-			if _, err := s.CommitManifests([]ManifestUpload{{
+			if _, err := s.CommitManifestsNonce(0, []ManifestUpload{{
 				Set:      sets[1],
 				Meta:     UploadMeta{GroupID: 2, Bytes: int(m.TotalBytes)},
 				Manifest: m,

@@ -46,7 +46,7 @@ const maxSnapshotDescriptors = 1 << 16
 // It holds the snapshot cut (stateMu) for the duration: no mutator is
 // mid-flight, so counters, index, upload history, and block store are
 // one consistent point in time — the property WAL replay's coverage
-// check (firstID < snapshot nextID) relies on.
+// check (a commit's IDs in the snapshot's upload history) relies on.
 func (s *Server) SaveSnapshot(w io.Writer) error {
 	s.stateMu.Lock()
 	defer s.stateMu.Unlock()
@@ -334,7 +334,7 @@ func (s *Server) SaveSnapshotFile(path string) error {
 // truncates the log. The order is rotate → snapshot → truncate: records
 // appended after the rotation survive in the retained segment, and a
 // crash between snapshot and truncate merely replays records the
-// snapshot already holds — replay is idempotent over covered ID ranges.
+// snapshot already holds — replay skips commits the snapshot covers.
 //
 // Truncation deliberately lags one checkpoint: only segments covered by
 // the PREVIOUS snapshot (now retained as path+".1") are deleted, so if

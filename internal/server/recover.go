@@ -91,22 +91,18 @@ func Recover(cfg RecoverConfig) (*Server, RecoverStats, error) {
 		}
 	}
 
-	// WAL replay on top of the snapshot. snapNextID is the snapshot's ID
-	// horizon: a record whose first ID lies below it is already inside
-	// the snapshot (the stateMu cut makes that exact) and only reseeds
-	// the nonce window; at or above it, the record is applied.
+	// WAL replay on top of the snapshot. A commit whose IDs are in the
+	// snapshot's upload history is already inside it (the stateMu cut
+	// makes that exact) and only reseeds the nonce window; any other
+	// commit is applied. Membership, not an ID horizon, decides, because
+	// router-assigned IDs need not arrive in ID order.
 	if cfg.WAL.Dir != "" {
-		snapNextID := s.nextID
-		// Shard-commit records carry router-assigned IDs that need not be
-		// applied in ID order, so the snapNextID horizon alone cannot tell
-		// "already in the snapshot" from "lost after the cut" for them; an
-		// exact membership set over the snapshot's upload history can.
 		snapIDs := make(map[index.ImageID]struct{}, len(s.uploads))
 		for _, id := range s.uploads {
 			snapIDs[id] = struct{}{}
 		}
 		rst, err := wal.Replay(cfg.WAL, func(p []byte) error {
-			if aerr := s.applyWALRecord(p, snapNextID, snapIDs); aerr != nil {
+			if aerr := s.applyWALRecord(p, snapIDs); aerr != nil {
 				stats.WALBadRecords++
 			}
 			return nil
@@ -144,17 +140,12 @@ func (s *Server) snapshotLoaded() bool {
 // apply failures are reported for counting and the record is skipped —
 // the framing checksum already passed, so this is version skew, not
 // disk corruption, and losing one record beats refusing to start.
-func (s *Server) applyWALRecord(p []byte, snapNextID index.ImageID, snapIDs map[index.ImageID]struct{}) error {
+func (s *Server) applyWALRecord(p []byte, snapIDs map[index.ImageID]struct{}) error {
 	rec, err := decodeWALRecord(p)
 	if err != nil {
 		return err
 	}
 	switch r := rec.(type) {
-	case *walUpload:
-		if r.firstID >= snapNextID {
-			s.installRecordedUpload(r.firstID, r.items)
-		}
-		s.seedDedup(r.nonce, r.firstID, len(r.items))
 	case *walBlockPut:
 		// Put re-verifies the hash, so a block corrupted on disk after its
 		// checksummed frame was written fails here rather than poisoning
@@ -163,81 +154,25 @@ func (s *Server) applyWALRecord(p []byte, snapNextID index.ImageID, snapIDs map[
 			return err
 		}
 	case *walCommit:
-		if r.firstID >= snapNextID {
-			items := make([]UploadItem, len(r.ups))
-			manifests := make([]blockstore.Manifest, len(r.ups))
-			for i := range r.ups {
-				manifests[i] = r.ups[i].Manifest
-				items[i] = UploadItem{Set: r.ups[i].Set, Meta: r.ups[i].Meta}
-			}
-			if err := s.blocks.Commit(manifests...); err != nil {
-				return err
-			}
-			s.installRecordedUpload(r.firstID, items)
-		}
-		s.seedDedup(r.nonce, r.firstID, len(r.ups))
-	case *walShardCommit:
-		// The record is applied atomically under the snapshot cut, so its
+		// A commit is applied atomically under the snapshot cut, so its
 		// IDs are either all in the snapshot's upload history or none are.
 		if _, inSnap := snapIDs[index.ImageID(r.ids[0])]; !inSnap {
-			items := make([]UploadItem, len(r.ups))
-			manifests := make([]blockstore.Manifest, len(r.ups))
-			for i := range r.ups {
-				manifests[i] = r.ups[i].Manifest
-				items[i] = UploadItem{Set: r.ups[i].Set, Meta: r.ups[i].Meta}
+			var pins []blockstore.Manifest
+			for _, m := range r.manifests {
+				if m.BlockSize != 0 {
+					pins = append(pins, m)
+				}
 			}
-			if err := s.blocks.Commit(manifests...); err != nil {
-				return err
+			if len(pins) > 0 {
+				if err := s.blocks.Commit(pins...); err != nil {
+					return err
+				}
 			}
-			s.installRecordedUploadIDs(r.ids, items)
+			s.install(r.ids, r.items)
 		}
-		if r.nonce != 0 {
-			s.dedup.record(r.nonce, r.ids)
-		}
+		// A client retrying this nonce after the crash gets the original
+		// IDs, not a second apply.
+		s.dedup.record(r.nonce, r.ids)
 	}
 	return nil
-}
-
-// installRecordedUpload reinstates an upload batch under its originally
-// assigned IDs. Records may replay out of ID order (concurrent handlers
-// append in completion order), so nextID advances to the max seen.
-func (s *Server) installRecordedUpload(firstID index.ImageID, items []UploadItem) {
-	s.mu.Lock()
-	for i := range items {
-		id := firstID + index.ImageID(i)
-		s.received += int64(items[i].Meta.Bytes)
-		s.uploads = append(s.uploads, id)
-		s.metas = append(s.metas, items[i].Meta)
-	}
-	if next := firstID + index.ImageID(len(items)); next > s.nextID {
-		s.nextID = next
-	}
-	s.mu.Unlock()
-	for i := range items {
-		it := items[i]
-		if it.Set == nil {
-			continue
-		}
-		s.idx.Add(&index.Entry{
-			ID:      firstID + index.ImageID(i),
-			Set:     it.Set,
-			GroupID: it.Meta.GroupID,
-			Lat:     it.Meta.Lat,
-			Lon:     it.Meta.Lon,
-		})
-	}
-}
-
-// seedDedup reinstates a nonce-window entry from a replayed record: a
-// client retrying this nonce after the crash gets the original IDs, not
-// a second apply.
-func (s *Server) seedDedup(nonce uint64, firstID index.ImageID, count int) {
-	if nonce == 0 || count == 0 {
-		return
-	}
-	ids := make([]int64, count)
-	for i := range ids {
-		ids[i] = int64(firstID) + int64(i)
-	}
-	s.dedup.record(nonce, ids)
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"bees/internal/blockstore"
@@ -39,24 +40,35 @@ func newWALServer(t *testing.T, dir string, blockSize int) *Server {
 
 func TestWALRecordRoundTrip(t *testing.T) {
 	items := []UploadItem{walItem(1, 100), {Meta: UploadMeta{GroupID: 2, Bytes: 50}}}
-	rec, err := decodeWALRecord(encodeUploadRecord(7, 42, items))
-	if err != nil {
-		t.Fatal(err)
-	}
-	up := rec.(*walUpload)
-	if up.nonce != 7 || up.firstID != 42 || len(up.items) != 2 {
-		t.Fatalf("upload round trip: %+v", up)
-	}
-	if up.items[0].Set.Len() != 2 || up.items[1].Set != nil {
-		t.Fatalf("set round trip: %v, %v", up.items[0].Set, up.items[1].Set)
-	}
-	if up.items[0].Meta != items[0].Meta {
-		t.Fatalf("meta round trip: %+v", up.items[0].Meta)
+	for _, p := range [][]byte{
+		encodeLegacyUploadRecord(7, 42, items),
+		encodeCommitRecord(7, []int64{42, 43}, items, nil),
+	} {
+		rec, err := decodeWALRecord(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		up := rec.(*walCommit)
+		if up.nonce != 7 || !reflect.DeepEqual(up.ids, []int64{42, 43}) || len(up.items) != 2 {
+			t.Fatalf("kind %d upload round trip: %+v", p[0], up)
+		}
+		if up.items[0].Set.Len() != 2 || up.items[1].Set != nil {
+			t.Fatalf("kind %d set round trip: %v, %v", p[0], up.items[0].Set, up.items[1].Set)
+		}
+		if up.items[0].Meta != items[0].Meta {
+			t.Fatalf("kind %d meta round trip: %+v", p[0], up.items[0].Meta)
+		}
+		// Inline items carry no pinnable manifest in either kind.
+		for _, m := range up.manifests {
+			if m.BlockSize != 0 {
+				t.Fatalf("kind %d inline item decoded a manifest: %+v", p[0], m)
+			}
+		}
 	}
 
 	data := []byte("block payload")
 	h := blockstore.HashBlock(data)
-	rec, err = decodeWALRecord(encodeBlockPutRecord(h, data))
+	rec, err := decodeWALRecord(encodeBlockPutRecord(h, data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,21 +84,27 @@ func TestWALRecordRoundTrip(t *testing.T) {
 			TotalBytes: int64(len(data)), BlockSize: 4096, Hashes: []blockstore.Hash{h},
 		},
 	}}
-	rec, err = decodeWALRecord(encodeCommitRecord(9, 50, ups))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cm := rec.(*walCommit)
-	if cm.nonce != 9 || cm.firstID != 50 || len(cm.ups) != 1 {
-		t.Fatalf("commit round trip: %+v", cm)
-	}
-	if cm.ups[0].Manifest.Hashes[0] != h || cm.ups[0].Manifest.BlockSize != 4096 {
-		t.Fatalf("manifest round trip: %+v", cm.ups[0].Manifest)
+	upItems, manifests := splitUploads(ups)
+	for _, p := range [][]byte{
+		encodeLegacyCommitRecord(9, 50, ups),
+		encodeCommitRecord(9, []int64{50}, upItems, manifests),
+	} {
+		rec, err := decodeWALRecord(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cm := rec.(*walCommit)
+		if cm.nonce != 9 || !reflect.DeepEqual(cm.ids, []int64{50}) || len(cm.items) != 1 {
+			t.Fatalf("kind %d commit round trip: %+v", p[0], cm)
+		}
+		if !reflect.DeepEqual(cm.manifests, manifests) {
+			t.Fatalf("kind %d manifest round trip: %+v", p[0], cm.manifests)
+		}
 	}
 }
 
 func TestWALRecordDecodeRejects(t *testing.T) {
-	good := encodeUploadRecord(1, 0, []UploadItem{walItem(1, 10)})
+	good := encodeCommitRecord(1, []int64{0}, []UploadItem{walItem(1, 10)}, nil)
 	cases := map[string][]byte{
 		"empty":        {},
 		"unknown type": {99},
@@ -351,13 +369,13 @@ func TestRecoverBadRecordSkipped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Append(encodeUploadRecord(51, 0, []UploadItem{walItem(1, 10)})); err != nil {
+	if err := l.Append(encodeLegacyUploadRecord(51, 0, []UploadItem{walItem(1, 10)})); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Append([]byte{250, 1, 2, 3}); err != nil { // unknown record type
 		t.Fatal(err)
 	}
-	if err := l.Append(encodeUploadRecord(52, 1, []UploadItem{walItem(2, 20)})); err != nil {
+	if err := l.Append(encodeCommitRecord(52, []int64{1}, []UploadItem{walItem(2, 20)}, nil)); err != nil {
 		t.Fatal(err)
 	}
 	l.Close()
@@ -403,7 +421,7 @@ func TestDurabilityPoison(t *testing.T) {
 		t.Fatalf("later commit err = %v, want ErrDurability", err)
 	}
 	// The failed frame's nonce must not dedup-hit: it was never acked.
-	if _, ok := s.dedup.lookup(62); ok {
+	if _, ok := s.dedup.ids[62]; ok {
 		t.Fatal("un-acked frame recorded in dedup window")
 	}
 }

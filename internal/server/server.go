@@ -200,45 +200,91 @@ func (s *Server) QueryMaxBatch(sets []*features.BinarySet) []float64 {
 	return s.idx.QueryMaxBatch(sets)
 }
 
-// UploadBatchIDs stores a batch of images, returning the assigned IDs in
-// item order. IDs are assigned sequentially under the server lock (so
-// arrival order and accounting stay deterministic), then the feature sets
-// are indexed concurrently — with a sharded index the inserts mostly land
-// on distinct stripes and proceed in parallel.
-func (s *Server) UploadBatchIDs(items []UploadItem) []index.ImageID {
-	if len(items) == 0 {
-		return nil
-	}
+// commit is the one write path: every upload and commit entry point —
+// in-process, TCP frame, cluster shard replica — lowers onto it, and WAL
+// replay reuses its install step. A nil ids asks the server to allocate
+// IDs; a nil manifests means the payload arrived inline. The steps run
+// in a fixed order under the snapshot cut: dedup gate, durability check,
+// empty-batch no-op, validate, pin, install, WAL append, record. hit
+// reports a nonce replay that returned the recorded IDs without applying
+// anything.
+//
+// The gate reserves a fresh nonce until the commit settles, so a retry
+// that overlaps a slow original (parked in an fsync, say) waits for it
+// and gets its IDs instead of applying twice; a failed original leaves
+// the nonce unrecorded for the retry to apply.
+func (s *Server) commit(nonce uint64, ids []int64, items []UploadItem, manifests []blockstore.Manifest) (out []int64, hit bool, err error) {
 	s.stateMu.RLock()
 	defer s.stateMu.RUnlock()
-	ids := s.applyUploads(items)
-	// Best-effort log under nonce 0: this path has no error return, so a
-	// WAL failure poisons the server instead of surfacing here.
-	_ = s.logRecord(encodeUploadRecord(0, ids[0], items))
-	return ids
+	var prev []int64
+	if nonce != 0 {
+		if prev, hit = s.dedup.claim(nonce); !hit {
+			defer func() { s.dedup.settle(nonce, out) }()
+		}
+	}
+	// Checked after the gate: a retry that waited on a failed original
+	// must not apply to a server that failure poisoned.
+	if err := s.durabilityErr(); err != nil {
+		return nil, false, err
+	}
+	if hit {
+		return prev, true, nil
+	}
+	// An empty batch never claims the nonce: recording an empty ID slice
+	// would poison it for a retry carrying real items.
+	if len(items) == 0 {
+		return nil, false, nil
+	}
+	if manifests != nil {
+		// Meta.Bytes must equal the manifest total, so an image uploaded by
+		// blocks is byte-identical in Stats to one uploaded whole.
+		for i := range manifests {
+			if got, want := int64(items[i].Meta.Bytes), manifests[i].TotalBytes; got != want {
+				return nil, false, fmt.Errorf("server: manifest %d: meta bytes %d != manifest total %d", i, got, want)
+			}
+		}
+		// All-or-nothing: on a missing block nothing is pinned or stored.
+		if err := s.blocks.Commit(manifests...); err != nil {
+			return nil, false, err
+		}
+	}
+	ids = s.install(ids, items)
+	s.tel.Counter("server.index.uploads").Add(int64(len(items)))
+	if err := s.logRecord(encodeCommitRecord(nonce, ids, items, manifests)); err != nil {
+		return nil, false, err
+	}
+	return ids, false, nil
 }
 
-// applyUploads is the shared apply: assign IDs under the server lock,
-// then index concurrently. Callers hold stateMu for read.
-func (s *Server) applyUploads(items []UploadItem) []index.ImageID {
-	ids := make([]index.ImageID, len(items))
+// install applies one commit to memory: IDs allocated from nextID when
+// ids is nil, bytes accounted and history appended in item order, nextID
+// advanced past the largest ID (replayed and router-assigned IDs need not
+// arrive in order), then the feature sets indexed concurrently. Callers
+// hold stateMu for read, or are recovery, which runs alone.
+func (s *Server) install(ids []int64, items []UploadItem) []int64 {
 	s.mu.Lock()
+	if ids == nil {
+		ids = make([]int64, len(items))
+		for i := range ids {
+			ids[i] = int64(s.nextID) + int64(i)
+		}
+	}
 	for i := range items {
-		ids[i] = s.nextID
-		s.nextID++
 		s.received += int64(items[i].Meta.Bytes)
-		s.uploads = append(s.uploads, ids[i])
+		s.uploads = append(s.uploads, index.ImageID(ids[i]))
 		s.metas = append(s.metas, items[i].Meta)
+		if next := index.ImageID(ids[i]) + 1; next > s.nextID {
+			s.nextID = next
+		}
 	}
 	s.mu.Unlock()
-	s.tel.Counter("server.index.uploads").Add(int64(len(items)))
 	par.Do(len(items), func(i int) {
 		it := items[i]
 		if it.Set == nil {
 			return
 		}
 		s.idx.Add(&index.Entry{
-			ID:      ids[i],
+			ID:      index.ImageID(ids[i]),
 			Set:     it.Set,
 			GroupID: it.Meta.GroupID,
 			Lat:     it.Meta.Lat,
@@ -248,21 +294,35 @@ func (s *Server) applyUploads(items []UploadItem) []index.ImageID {
 	return ids
 }
 
-// UploadBatch stores a batch of images. The in-process server cannot
-// fail; the error return exists so remote implementations of the same
-// batch API can surface link failures.
+// countHit charges a nonce replay to the server's registry and drops the
+// hit flag, for the exported wrappers over commit.
+func (s *Server) countHit(ids []int64, hit bool, err error) ([]int64, error) {
+	if hit {
+		s.tel.Counter("server.upload.dedup_hits").Inc()
+	}
+	return ids, err
+}
+
+// UploadBatch stores a batch of images without a nonce. The error is
+// ErrDurability once a WAL append has failed; remote implementations of
+// the same batch API also surface link failures through it.
 func (s *Server) UploadBatch(items []UploadItem) error {
-	s.UploadBatchIDs(items)
-	return nil
+	_, err := s.UploadItems(0, items)
+	return err
 }
 
 // Upload stores an image's features and accounts its bytes, returning the
-// assigned ID. The features become immediately queryable, which is what
-// makes previously-uploaded batches detectable as cross-batch redundancy.
-// A nil feature set (Direct Upload sends no features) stores the image
-// without indexing it.
+// assigned ID, or -1 when the commit is refused (ErrDurability). The
+// features become immediately queryable, which is what makes
+// previously-uploaded batches detectable as cross-batch redundancy. A nil
+// feature set (Direct Upload sends no features) stores the image without
+// indexing it.
 func (s *Server) Upload(set *features.BinarySet, meta UploadMeta) index.ImageID {
-	return s.UploadBatchIDs([]UploadItem{{Set: set, Meta: meta}})[0]
+	ids, err := s.UploadItems(0, []UploadItem{{Set: set, Meta: meta}})
+	if err != nil {
+		return -1
+	}
+	return index.ImageID(ids[0])
 }
 
 // SeedIndex inserts features without counting upload bytes — used by
@@ -345,7 +405,7 @@ func (s *Server) Stats() Stats {
 }
 
 // Blocks exposes the server's content-addressed block store: the TCP
-// layer stages incoming blocks here and CommitManifests pins them.
+// layer stages incoming blocks here and a manifest commit pins them.
 func (s *Server) Blocks() *blockstore.Store { return s.blocks }
 
 // NewUploadNonce returns a fresh non-zero nonce. Together with
@@ -354,42 +414,14 @@ func (s *Server) Blocks() *blockstore.Store { return s.blocks }
 func (s *Server) NewUploadNonce() uint64 { return s.nonceSeq.Add(1) }
 
 // UploadItems stores a batch exactly once per nonce: a retried nonce —
-// whether the original ack was lost on the wire or the original apply
+// whether the original ack was lost on the wire, is still in flight, or
 // was recovered from the WAL after a crash — replays the originally
-// assigned IDs instead of storing twice. The record is durable per the
-// WAL sync policy before the call returns; a WAL failure refuses the
-// upload (and all later ones) so memory never runs ahead of the disk.
+// assigned IDs instead of storing twice. A bare-nonce retry (no items)
+// replays too. The record is durable per the WAL sync policy before the
+// call returns; a WAL failure refuses the upload (and all later ones) so
+// memory never runs further ahead of the disk.
 func (s *Server) UploadItems(nonce uint64, items []UploadItem) ([]int64, error) {
-	s.stateMu.RLock()
-	defer s.stateMu.RUnlock()
-	if err := s.durabilityErr(); err != nil {
-		return nil, err
-	}
-	// Dedup before the empty-batch check: a bare-nonce retry (no items)
-	// still replays the recorded IDs.
-	if nonce != 0 {
-		if ids, ok := s.dedup.lookup(nonce); ok && len(ids) > 0 {
-			s.tel.Counter("server.upload.dedup_hits").Inc()
-			return ids, nil
-		}
-	}
-	// An empty batch is a no-op and never claims the nonce: recording an
-	// empty ID slice would poison it for a retry carrying real items.
-	if len(items) == 0 {
-		return nil, nil
-	}
-	raw := s.applyUploads(items)
-	if err := s.logRecord(encodeUploadRecord(nonce, raw[0], items)); err != nil {
-		return nil, err
-	}
-	ids := make([]int64, len(raw))
-	for i, id := range raw {
-		ids[i] = int64(id)
-	}
-	if nonce != 0 {
-		s.dedup.record(nonce, ids)
-	}
-	return ids, nil
+	return s.countHit(s.commit(nonce, nil, items, nil))
 }
 
 // StageBlock stages one content-addressed block through the WAL: the
@@ -421,75 +453,127 @@ type ManifestUpload struct {
 	Manifest blockstore.Manifest
 }
 
-// CommitManifests completes a delta upload: it verifies every named
-// block is present, pins the blocks (refcount +1 per manifest), then
-// stores the images through the exact accounting path whole-image
-// uploads take — Meta.Bytes must equal Manifest.TotalBytes, so a batch
-// uploaded by blocks is byte-identical in Stats to one uploaded whole.
-// On any missing block nothing is committed and nothing is stored.
-func (s *Server) CommitManifests(ups []ManifestUpload) ([]index.ImageID, error) {
-	s.stateMu.RLock()
-	defer s.stateMu.RUnlock()
-	return s.commitManifests(0, ups)
-}
-
-// CommitManifestsNonce is CommitManifests with retry dedup: a retried
-// nonce replays the original IDs without double-pinning blocks, even
-// when the original commit survives only in the WAL. Callers that speak
-// the wire protocol (TCP, recovery) use this entry point.
+// CommitManifestsNonce completes a delta upload exactly once per nonce:
+// it verifies every named block is present, pins the blocks (refcount +1
+// per manifest), then stores the images through the same commit
+// whole-image uploads take. On any missing block nothing is committed
+// and nothing is stored; a retried nonce replays the original IDs
+// without double-pinning blocks, even when the original commit survives
+// only in the WAL.
 func (s *Server) CommitManifestsNonce(nonce uint64, ups []ManifestUpload) ([]int64, error) {
-	s.stateMu.RLock()
-	defer s.stateMu.RUnlock()
-	if err := s.durabilityErr(); err != nil {
-		return nil, err
-	}
-	if nonce != 0 {
-		if ids, ok := s.dedup.lookup(nonce); ok {
-			s.tel.Counter("server.upload.dedup_hits").Inc()
-			return ids, nil
-		}
-	}
-	raw, err := s.commitManifests(nonce, ups)
-	if err != nil {
-		return nil, err
-	}
-	ids := make([]int64, len(raw))
-	for i, id := range raw {
-		ids[i] = int64(id)
-	}
-	if nonce != 0 && len(ids) > 0 {
-		s.dedup.record(nonce, ids)
-	}
-	return ids, nil
+	items, manifests := splitUploads(ups)
+	return s.countHit(s.commit(nonce, nil, items, manifests))
 }
 
-// commitManifests validates, pins, applies, and logs one commit.
-// Callers hold stateMu for read.
-func (s *Server) commitManifests(nonce uint64, ups []ManifestUpload) ([]index.ImageID, error) {
-	if len(ups) == 0 {
-		return nil, nil
-	}
-	if err := s.durabilityErr(); err != nil {
-		return nil, err
-	}
-	manifests := make([]blockstore.Manifest, len(ups))
+// splitUploads separates manifest uploads into the items and manifests
+// commit takes.
+func splitUploads(ups []ManifestUpload) ([]UploadItem, []blockstore.Manifest) {
 	items := make([]UploadItem, len(ups))
+	manifests := make([]blockstore.Manifest, len(ups))
 	for i := range ups {
-		if err := ups[i].Manifest.Validate(); err != nil {
-			return nil, fmt.Errorf("server: manifest %d: %w", i, err)
-		}
-		if got, want := int64(ups[i].Meta.Bytes), ups[i].Manifest.TotalBytes; got != want {
-			return nil, fmt.Errorf("server: manifest %d: meta bytes %d != manifest total %d", i, got, want)
-		}
-		manifests[i] = ups[i].Manifest
 		items[i] = UploadItem{Set: ups[i].Set, Meta: ups[i].Meta}
+		manifests[i] = ups[i].Manifest
 	}
-	if err := s.blocks.Commit(manifests...); err != nil {
-		return nil, err
+	return items, manifests
+}
+
+// uploadDedup remembers the IDs assigned to recent upload nonces — one
+// ID for a single upload, the full slice for a batch. The window is
+// bounded FIFO: old nonces fall out once the client's retry horizon has
+// long passed. Nonces whose commit is still in flight are reserved, so
+// concurrent arrivals of one nonce apply once.
+type uploadDedup struct {
+	mu       sync.Mutex
+	ids      map[uint64][]int64
+	order    []uint64
+	limit    int
+	inflight map[uint64]chan struct{}
+}
+
+func newUploadDedup(limit int) *uploadDedup {
+	return &uploadDedup{
+		ids:      make(map[uint64][]int64),
+		limit:    limit,
+		inflight: make(map[uint64]chan struct{}),
 	}
-	ids := s.applyUploads(items)
-	if err := s.logRecord(encodeCommitRecord(nonce, ids[0], ups)); err != nil {
-		return nil, err
+}
+
+// claim is the dedup gate: a recorded nonce returns its IDs (hit);
+// otherwise the caller reserves the nonce and must settle it. A second
+// arrival for a reserved nonce waits for the settle and looks again, so
+// it gets the first's IDs — or, if the first failed, the reservation.
+func (d *uploadDedup) claim(nonce uint64) (ids []int64, hit bool) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for {
+		if ids, ok := d.ids[nonce]; ok {
+			return ids, true
+		}
+		settled, busy := d.inflight[nonce]
+		if !busy {
+			d.inflight[nonce] = make(chan struct{})
+			return nil, false
+		}
+		d.mu.Unlock()
+		<-settled
+		d.mu.Lock()
 	}
-	return ids, nil
+}
+
+// settle releases a claimed reservation, first recording ids when the
+// commit applied them (nil leaves the nonce free for a retry).
+func (d *uploadDedup) settle(nonce uint64, ids []int64) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.recordLocked(nonce, ids)
+	close(d.inflight[nonce])
+	delete(d.inflight, nonce)
+}
+
+// setLimit resizes the window; existing entries are kept (they fall out
+// FIFO as new nonces arrive).
+func (d *uploadDedup) setLimit(limit int) {
+	d.mu.Lock()
+	d.limit = limit
+	d.mu.Unlock()
+}
+
+// entries returns the window in FIFO order (oldest first), copied so
+// replica sync can serialize it without holding the lock.
+func (d *uploadDedup) entries() []DedupEntry {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	out := make([]DedupEntry, 0, len(d.order))
+	for _, nonce := range d.order {
+		out = append(out, DedupEntry{
+			Nonce: nonce,
+			IDs:   append([]int64(nil), d.ids[nonce]...),
+		})
+	}
+	return out
+}
+
+// record installs a window entry outside the gate (WAL replay, replica
+// sync). Nonce 0 and empty ID lists are never recorded: an empty entry
+// would answer a retry that carries real items with no IDs.
+func (d *uploadDedup) record(nonce uint64, ids []int64) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.recordLocked(nonce, ids)
+}
+
+func (d *uploadDedup) recordLocked(nonce uint64, ids []int64) {
+	if nonce == 0 || len(ids) == 0 {
+		return
+	}
+	if _, ok := d.ids[nonce]; ok {
+		return
+	}
+	if len(d.order) >= d.limit {
+		oldest := d.order[0]
+		d.order = d.order[1:]
+		delete(d.ids, oldest)
+	}
+	d.ids[nonce] = ids
+	d.order = append(d.order, nonce)
 }

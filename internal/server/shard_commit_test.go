@@ -106,7 +106,7 @@ func TestDedupWindowExportReseed(t *testing.T) {
 	}
 }
 
-// recShardCommit records replay from the WAL: explicit IDs, block
+// Shard commits replay from the WAL: explicit IDs, block
 // refcounts, and the nonce window all survive a restart, including a
 // commit that is also covered by a snapshot (the exact-membership
 // check, not the ID horizon, decides replay — shard IDs can arrive out

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"bees/internal/features"
 	"bees/internal/telemetry"
 	"bees/internal/wire"
 )
@@ -496,35 +497,47 @@ func (t *TCPServer) DebugSnapshot() telemetry.Snapshot {
 
 // upload applies an upload exactly once per nonce: a retried request
 // whose original response was lost gets the originally assigned ID back
-// instead of storing (and counting) the image twice. The dedup window
-// and WAL append live in Server.UploadItems; the wire-facing byte
-// counters stay here, charged only on a fresh apply.
+// instead of storing (and counting) the image twice. The dedup gate and
+// WAL append live in Server.commit; the wire-facing byte counters stay
+// here, charged only on a fresh apply.
 func (t *TCPServer) upload(m *wire.UploadRequest) (int64, error) {
-	if m.Nonce != 0 {
-		// A nonce recorded by an empty batch maps to zero IDs; fall through
-		// to a fresh store rather than indexing into the empty slice.
-		if ids, ok := t.srv.dedup.lookup(m.Nonce); ok && len(ids) > 0 {
-			t.tel.Counter("server.upload.dedup_hits").Inc()
-			return ids[0], nil
-		}
-	}
-	t.tel.Counter("server.upload.bytes").Add(int64(len(m.Blob)))
-	t.tel.Histogram("server.upload.blob_bytes", telemetry.SizeBuckets()).Observe(int64(len(m.Blob)))
-	set := m.Set
-	if set.Len() == 0 {
-		set = nil
-	}
-	ids, err := t.srv.UploadItems(m.Nonce, []UploadItem{{Set: set, Meta: UploadMeta{
+	items := []UploadItem{{Set: nilIfEmpty(m.Set), Meta: UploadMeta{
 		GroupID: m.GroupID,
 		Lat:     m.Lat,
 		Lon:     m.Lon,
 		Bytes:   len(m.Blob),
 		Gain:    m.Gain,
-	}}})
+	}}}
+	ids, hit, err := t.srv.commit(m.Nonce, nil, items, nil)
 	if err != nil {
 		return 0, err
 	}
+	t.charge(hit, items)
 	return ids[0], nil
+}
+
+// charge accounts one inline upload frame on the wire counters: a nonce
+// replay counts as a dedup hit and moves no bytes.
+func (t *TCPServer) charge(hit bool, items []UploadItem) {
+	if hit {
+		t.tel.Counter("server.upload.dedup_hits").Inc()
+		return
+	}
+	blobs := t.tel.Histogram("server.upload.blob_bytes", telemetry.SizeBuckets())
+	var bytes int64
+	for i := range items {
+		bytes += int64(items[i].Meta.Bytes)
+		blobs.Observe(int64(items[i].Meta.Bytes))
+	}
+	t.tel.Counter("server.upload.bytes").Add(bytes)
+}
+
+// nilIfEmpty normalizes a decoded empty feature set to nil (not indexed).
+func nilIfEmpty(set *features.BinarySet) *features.BinarySet {
+	if set.Len() == 0 {
+		return nil
+	}
+	return set
 }
 
 // blockPut stages incoming blocks. A corrupt block (hash mismatch)
@@ -567,12 +580,8 @@ func (t *TCPServer) manifestCommit(m *wire.ManifestCommit) (any, error) {
 	ups := make([]ManifestUpload, len(m.Items))
 	for i := range m.Items {
 		it := &m.Items[i]
-		set := it.Set
-		if set.Len() == 0 {
-			set = nil
-		}
 		ups[i] = ManifestUpload{
-			Set: set,
+			Set: nilIfEmpty(it.Set),
 			Meta: UploadMeta{
 				GroupID: it.GroupID,
 				Lat:     it.Lat,
@@ -600,37 +609,28 @@ func (t *TCPServer) manifestCommit(m *wire.ManifestCommit) (any, error) {
 // is atomic on the wire (framing rejects truncated payloads), so one
 // nonce covers the whole batch and a retry replays the full ID slice.
 func (t *TCPServer) uploadBatch(m *wire.UploadBatchRequest) ([]int64, error) {
-	if m.Nonce != 0 {
-		if ids, ok := t.srv.dedup.lookup(m.Nonce); ok {
-			t.tel.Counter("server.upload.dedup_hits").Inc()
-			return ids, nil
-		}
-	}
 	items := make([]UploadItem, len(m.Items))
-	var bytes int64
 	for i := range m.Items {
 		it := &m.Items[i]
-		set := it.Set
-		if set.Len() == 0 {
-			set = nil
-		}
-		items[i] = UploadItem{Set: set, Meta: UploadMeta{
+		items[i] = UploadItem{Set: nilIfEmpty(it.Set), Meta: UploadMeta{
 			GroupID: it.GroupID,
 			Lat:     it.Lat,
 			Lon:     it.Lon,
 			Bytes:   len(it.Blob),
 			Gain:    it.Gain,
 		}}
-		bytes += int64(len(it.Blob))
-		t.tel.Histogram("server.upload.blob_bytes", telemetry.SizeBuckets()).Observe(int64(len(it.Blob)))
 	}
-	t.tel.Counter("server.upload.bytes").Add(bytes)
-	t.tel.Counter("server.upload.batch_items").Add(int64(len(items)))
-	// Zero-item batches are not worth a dedup slot: replaying one is a
-	// no-op, and recording an empty ID slice would poison the nonce for a
-	// single-upload retry that expects at least one ID. UploadItems
-	// enforces this (empty in, no record) and handles nonce + WAL.
-	return t.srv.UploadItems(m.Nonce, items)
+	// A zero-item batch is a no-op that never claims its nonce, so a later
+	// single upload reusing it still gets at least one ID.
+	ids, hit, err := t.srv.commit(m.Nonce, nil, items, nil)
+	if err != nil {
+		return nil, err
+	}
+	t.charge(hit, items)
+	if !hit {
+		t.tel.Counter("server.upload.batch_items").Add(int64(len(items)))
+	}
+	return ids, nil
 }
 
 // Close stops accepting, closes active connections, and waits for the
@@ -652,64 +652,4 @@ func (t *TCPServer) Close() error {
 	}
 	t.wg.Wait()
 	return err
-}
-
-// uploadDedup remembers the IDs assigned to recent upload nonces — one
-// ID for a single upload, the full slice for a batch. The window is
-// bounded FIFO: old nonces fall out once the client's retry horizon has
-// long passed.
-type uploadDedup struct {
-	mu    sync.Mutex
-	ids   map[uint64][]int64
-	order []uint64
-	limit int
-}
-
-func newUploadDedup(limit int) *uploadDedup {
-	return &uploadDedup{ids: make(map[uint64][]int64), limit: limit}
-}
-
-// setLimit resizes the window; existing entries are kept (they fall out
-// FIFO as new nonces arrive).
-func (d *uploadDedup) setLimit(limit int) {
-	d.mu.Lock()
-	d.limit = limit
-	d.mu.Unlock()
-}
-
-func (d *uploadDedup) lookup(nonce uint64) ([]int64, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	ids, ok := d.ids[nonce]
-	return ids, ok
-}
-
-// entries returns the window in FIFO order (oldest first), copied so
-// replica sync can serialize it without holding the lock.
-func (d *uploadDedup) entries() []DedupEntry {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	out := make([]DedupEntry, 0, len(d.order))
-	for _, nonce := range d.order {
-		out = append(out, DedupEntry{
-			Nonce: nonce,
-			IDs:   append([]int64(nil), d.ids[nonce]...),
-		})
-	}
-	return out
-}
-
-func (d *uploadDedup) record(nonce uint64, ids []int64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if _, ok := d.ids[nonce]; ok {
-		return
-	}
-	if len(d.order) >= d.limit {
-		oldest := d.order[0]
-		d.order = d.order[1:]
-		delete(d.ids, oldest)
-	}
-	d.ids[nonce] = ids
-	d.order = append(d.order, nonce)
 }

@@ -198,14 +198,14 @@ func TestDedupWindowBounded(t *testing.T) {
 	for n := uint64(1); n <= 5; n++ {
 		d.record(n, []int64{int64(n)})
 	}
-	if _, ok := d.lookup(1); ok {
+	if _, ok := d.ids[1]; ok {
 		t.Fatal("oldest nonce not evicted")
 	}
-	if _, ok := d.lookup(2); ok {
+	if _, ok := d.ids[2]; ok {
 		t.Fatal("second-oldest nonce not evicted")
 	}
 	for n := uint64(3); n <= 5; n++ {
-		if ids, ok := d.lookup(n); !ok || len(ids) != 1 || ids[0] != int64(n) {
+		if ids, ok := d.ids[n]; !ok || len(ids) != 1 || ids[0] != int64(n) {
 			t.Fatalf("nonce %d lost from the window", n)
 		}
 	}

@@ -8,7 +8,6 @@ import (
 
 	"bees/internal/blockstore"
 	"bees/internal/features"
-	"bees/internal/index"
 )
 
 // WAL record encoding: every state-mutating frame the server
@@ -16,28 +15,40 @@ import (
 // to the write-ahead log. The framing layer (internal/wal) owns length
 // and checksum; this file owns only the payload:
 //
-//	byte   type (recUpload | recBlockPut | recCommit)
+//	byte   type (recBlockPut | recCommit)
 //	...    type-specific body, little-endian like the snapshot format
 //
-// Upload and commit records carry the nonce and the assigned ID range,
-// so replay both reinstalls the state and reseeds the retry-dedup
-// window — a client retrying a nonce the WAL already holds gets the
-// original IDs back, never a second apply.
+// Every commit — whole-image or by manifest, server-allocated IDs or
+// router-assigned ones — is one recCommit record:
+//
+//	u64 nonce | u32 count | count × (u64 id | meta | set | manifest)
+//
+// An item that arrived inline carries a zero manifest (BlockSize 0,
+// which Manifest.Validate never accepts), so replay pins only the
+// non-zero ones. The record holds the nonce and the assigned IDs, so
+// replay both reinstalls the state and reseeds the retry-dedup window —
+// a client retrying a nonce the WAL already holds gets the original IDs
+// back, never a second apply.
+//
+// Kinds 1 (whole-image upload) and 3 (manifest commit) are no longer
+// written. They carry a firstID instead of per-item IDs and still
+// decode, into the same walCommit, so a log written by an older server
+// recovers.
 //
 // Gain and global descriptors are not persisted, matching the snapshot
 // format: they only steer admission and metadata queries of the live
 // process.
 
 const (
-	recUpload      = 1
-	recBlockPut    = 2
-	recCommit      = 3
-	recShardCommit = 4
+	recLegacyUpload = 1
+	recBlockPut     = 2
+	recLegacyCommit = 3
+	recCommit       = 4
 )
 
-// maxWALBatchItems bounds decode-time allocation against corrupt
-// records; wire batches are far smaller.
-const maxWALBatchItems = 1 << 20
+// walItemMinBytes is the smallest encoded commit item (meta plus an
+// empty set's count), the divisor that bounds a decoded item count.
+const walItemMinBytes = 4*8 + 4
 
 // errBadWALRecord reports a record that decodes to nonsense. Replay
 // counts and skips these (the framing checksum already passed, so this
@@ -45,46 +56,38 @@ const maxWALBatchItems = 1 << 20
 // record beats refusing to start).
 var errBadWALRecord = errors.New("server: bad wal record")
 
-// walUpload is a decoded recUpload: one acknowledged upload batch.
-type walUpload struct {
-	nonce   uint64
-	firstID index.ImageID
-	items   []UploadItem
-}
-
 // walBlockPut is a decoded recBlockPut: one staged block.
 type walBlockPut struct {
 	hash blockstore.Hash
 	data []byte
 }
 
-// walCommit is a decoded recCommit: one acknowledged manifest commit.
+// walCommit is a decoded commit record of any kind: one acknowledged
+// commit under its assigned IDs. manifests is nil for a legacy
+// whole-image record.
 type walCommit struct {
-	nonce   uint64
-	firstID index.ImageID
-	ups     []ManifestUpload
+	nonce     uint64
+	ids       []int64
+	items     []UploadItem
+	manifests []blockstore.Manifest
 }
 
-// walShardCommit is a decoded recShardCommit: one acknowledged cluster
-// shard commit. Unlike recUpload/recCommit, whose IDs are locally
-// assigned and therefore contiguous from firstID, a shard commit's IDs
-// are router-assigned out of a *global* sequence split across shards,
-// so the record carries the explicit ID list.
-type walShardCommit struct {
-	nonce uint64
-	ids   []int64
-	ups   []ManifestUpload
-}
-
-func encodeUploadRecord(nonce uint64, firstID index.ImageID, items []UploadItem) []byte {
-	b := make([]byte, 0, 64+64*len(items))
-	b = append(b, recUpload)
+// encodeCommitRecord serializes one commit; nil manifests writes a zero
+// manifest per item.
+func encodeCommitRecord(nonce uint64, ids []int64, items []UploadItem, manifests []blockstore.Manifest) []byte {
+	b := make([]byte, 0, 64+136*len(items))
+	b = append(b, recCommit)
 	b = binary.LittleEndian.AppendUint64(b, nonce)
-	b = binary.LittleEndian.AppendUint64(b, uint64(firstID))
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(items)))
 	for i := range items {
+		b = binary.LittleEndian.AppendUint64(b, uint64(ids[i]))
 		b = appendWALMeta(b, &items[i].Meta)
 		b = appendWALSet(b, items[i].Set)
+		var m blockstore.Manifest
+		if manifests != nil {
+			m = manifests[i]
+		}
+		b = appendWALManifest(b, &m)
 	}
 	return b
 }
@@ -95,46 +98,6 @@ func encodeBlockPutRecord(h blockstore.Hash, data []byte) []byte {
 	b = append(b, h[:]...)
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(data)))
 	return append(b, data...)
-}
-
-func encodeCommitRecord(nonce uint64, firstID index.ImageID, ups []ManifestUpload) []byte {
-	b := make([]byte, 0, 64+128*len(ups))
-	b = append(b, recCommit)
-	b = binary.LittleEndian.AppendUint64(b, nonce)
-	b = binary.LittleEndian.AppendUint64(b, uint64(firstID))
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(ups)))
-	for i := range ups {
-		u := &ups[i]
-		b = appendWALMeta(b, &u.Meta)
-		b = appendWALSet(b, u.Set)
-		b = binary.LittleEndian.AppendUint64(b, uint64(u.Manifest.TotalBytes))
-		b = binary.LittleEndian.AppendUint64(b, uint64(u.Manifest.BlockSize))
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(u.Manifest.Hashes)))
-		for _, h := range u.Manifest.Hashes {
-			b = append(b, h[:]...)
-		}
-	}
-	return b
-}
-
-func encodeShardCommitRecord(nonce uint64, ids []int64, ups []ManifestUpload) []byte {
-	b := make([]byte, 0, 64+136*len(ups))
-	b = append(b, recShardCommit)
-	b = binary.LittleEndian.AppendUint64(b, nonce)
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(ups)))
-	for i := range ups {
-		u := &ups[i]
-		b = binary.LittleEndian.AppendUint64(b, uint64(ids[i]))
-		b = appendWALMeta(b, &u.Meta)
-		b = appendWALSet(b, u.Set)
-		b = binary.LittleEndian.AppendUint64(b, uint64(u.Manifest.TotalBytes))
-		b = binary.LittleEndian.AppendUint64(b, uint64(u.Manifest.BlockSize))
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(u.Manifest.Hashes)))
-		for _, h := range u.Manifest.Hashes {
-			b = append(b, h[:]...)
-		}
-	}
-	return b
 }
 
 func appendWALMeta(b []byte, m *UploadMeta) []byte {
@@ -156,6 +119,16 @@ func appendWALSet(b []byte, set *features.BinarySet) []byte {
 		for _, w := range d {
 			b = binary.LittleEndian.AppendUint64(b, w)
 		}
+	}
+	return b
+}
+
+func appendWALManifest(b []byte, m *blockstore.Manifest) []byte {
+	b = binary.LittleEndian.AppendUint64(b, uint64(m.TotalBytes))
+	b = binary.LittleEndian.AppendUint64(b, uint64(m.BlockSize))
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(m.Hashes)))
+	for _, h := range m.Hashes {
+		b = append(b, h[:]...)
 	}
 	return b
 }
@@ -193,6 +166,20 @@ func (d *walDecoder) bytes(n int) ([]byte, error) {
 	return v, nil
 }
 
+// count reads an element count and rejects one the rest of the payload
+// cannot hold at unit bytes per element, so a hostile count never sizes
+// an allocation beyond what the record itself carries.
+func (d *walDecoder) count(unit int) (int, error) {
+	n, err := d.u32()
+	if err != nil {
+		return 0, err
+	}
+	if uint64(n) > uint64((len(d.buf)-d.pos)/unit) {
+		return 0, errBadWALRecord
+	}
+	return int(n), nil
+}
+
 func (d *walDecoder) meta() (UploadMeta, error) {
 	var m UploadMeta
 	group, err := d.u64()
@@ -219,7 +206,7 @@ func (d *walDecoder) meta() (UploadMeta, error) {
 }
 
 func (d *walDecoder) set() (*features.BinarySet, error) {
-	n, err := d.u32()
+	n, err := d.count(len(features.Descriptor{}) * 8)
 	if err != nil {
 		return nil, err
 	}
@@ -230,50 +217,96 @@ func (d *walDecoder) set() (*features.BinarySet, error) {
 		return nil, errBadWALRecord
 	}
 	set := &features.BinarySet{Descriptors: make([]features.Descriptor, n)}
-	for j := uint32(0); j < n; j++ {
-		for w := 0; w < 4; w++ {
-			word, err := d.u64()
-			if err != nil {
+	for j := range set.Descriptors {
+		for w := range set.Descriptors[j] {
+			if set.Descriptors[j][w], err = d.u64(); err != nil {
 				return nil, err
 			}
-			set.Descriptors[j][w] = word
 		}
 	}
 	return set, nil
 }
 
-// decodeWALRecord parses one record payload into *walUpload,
-// *walBlockPut, or *walCommit.
+func (d *walDecoder) manifest() (blockstore.Manifest, error) {
+	var m blockstore.Manifest
+	total, err := d.u64()
+	if err != nil {
+		return m, err
+	}
+	blockSize, err := d.u64()
+	if err != nil {
+		return m, err
+	}
+	n, err := d.count(len(blockstore.Hash{}))
+	if err != nil {
+		return m, err
+	}
+	m.TotalBytes = int64(total)
+	m.BlockSize = int(blockSize)
+	m.Hashes = make([]blockstore.Hash, n)
+	for j := range m.Hashes {
+		hb, err := d.bytes(len(blockstore.Hash{}))
+		if err != nil {
+			return m, err
+		}
+		copy(m.Hashes[j][:], hb)
+	}
+	return m, nil
+}
+
+// commit parses the body of a commit record of the given kind. The
+// legacy kinds carry a firstID, their IDs contiguous from it; recCommit
+// carries one ID per item. Only recLegacyUpload has no manifests.
+func (d *walDecoder) commit(kind byte) (*walCommit, error) {
+	nonce, err := d.u64()
+	if err != nil {
+		return nil, err
+	}
+	var firstID uint64
+	if kind != recCommit {
+		if firstID, err = d.u64(); err != nil {
+			return nil, err
+		}
+	}
+	count, err := d.count(walItemMinBytes)
+	if err != nil || count == 0 {
+		return nil, errBadWALRecord
+	}
+	rec := &walCommit{nonce: nonce, ids: make([]int64, count), items: make([]UploadItem, count)}
+	if kind != recLegacyUpload {
+		rec.manifests = make([]blockstore.Manifest, count)
+	}
+	for i := range rec.items {
+		id := firstID + uint64(i)
+		if kind == recCommit {
+			if id, err = d.u64(); err != nil {
+				return nil, err
+			}
+		}
+		rec.ids[i] = int64(id)
+		if rec.items[i].Meta, err = d.meta(); err != nil {
+			return nil, err
+		}
+		if rec.items[i].Set, err = d.set(); err != nil {
+			return nil, err
+		}
+		if rec.manifests != nil {
+			if rec.manifests[i], err = d.manifest(); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return rec, nil
+}
+
+// decodeWALRecord parses one record payload into *walBlockPut or
+// *walCommit.
 func decodeWALRecord(p []byte) (any, error) {
 	if len(p) == 0 {
 		return nil, errBadWALRecord
 	}
 	d := &walDecoder{buf: p, pos: 1}
 	switch p[0] {
-	case recUpload:
-		nonce, err := d.u64()
-		if err != nil {
-			return nil, err
-		}
-		firstID, err := d.u64()
-		if err != nil {
-			return nil, err
-		}
-		count, err := d.u32()
-		if err != nil || count == 0 || count > maxWALBatchItems {
-			return nil, errBadWALRecord
-		}
-		rec := &walUpload{nonce: nonce, firstID: index.ImageID(firstID)}
-		rec.items = make([]UploadItem, count)
-		for i := range rec.items {
-			if rec.items[i].Meta, err = d.meta(); err != nil {
-				return nil, err
-			}
-			if rec.items[i].Set, err = d.set(); err != nil {
-				return nil, err
-			}
-		}
-		return rec, trailing(d)
 	case recBlockPut:
 		h, err := d.bytes(len(blockstore.Hash{}))
 		if err != nil {
@@ -290,100 +323,10 @@ func decodeWALRecord(p []byte) (any, error) {
 		rec := &walBlockPut{data: append([]byte(nil), data...)}
 		copy(rec.hash[:], h)
 		return rec, trailing(d)
-	case recCommit:
-		nonce, err := d.u64()
+	case recLegacyUpload, recLegacyCommit, recCommit:
+		rec, err := d.commit(p[0])
 		if err != nil {
 			return nil, err
-		}
-		firstID, err := d.u64()
-		if err != nil {
-			return nil, err
-		}
-		count, err := d.u32()
-		if err != nil || count == 0 || count > maxWALBatchItems {
-			return nil, errBadWALRecord
-		}
-		rec := &walCommit{nonce: nonce, firstID: index.ImageID(firstID)}
-		rec.ups = make([]ManifestUpload, count)
-		for i := range rec.ups {
-			u := &rec.ups[i]
-			if u.Meta, err = d.meta(); err != nil {
-				return nil, err
-			}
-			if u.Set, err = d.set(); err != nil {
-				return nil, err
-			}
-			total, err := d.u64()
-			if err != nil {
-				return nil, err
-			}
-			blockSize, err := d.u64()
-			if err != nil {
-				return nil, err
-			}
-			nHashes, err := d.u32()
-			if err != nil || nHashes > maxWALBatchItems {
-				return nil, errBadWALRecord
-			}
-			u.Manifest.TotalBytes = int64(total)
-			u.Manifest.BlockSize = int(blockSize)
-			u.Manifest.Hashes = make([]blockstore.Hash, nHashes)
-			for j := range u.Manifest.Hashes {
-				hb, err := d.bytes(len(blockstore.Hash{}))
-				if err != nil {
-					return nil, err
-				}
-				copy(u.Manifest.Hashes[j][:], hb)
-			}
-		}
-		return rec, trailing(d)
-	case recShardCommit:
-		nonce, err := d.u64()
-		if err != nil {
-			return nil, err
-		}
-		count, err := d.u32()
-		if err != nil || count == 0 || count > maxWALBatchItems {
-			return nil, errBadWALRecord
-		}
-		rec := &walShardCommit{nonce: nonce}
-		rec.ids = make([]int64, count)
-		rec.ups = make([]ManifestUpload, count)
-		for i := range rec.ups {
-			id, err := d.u64()
-			if err != nil {
-				return nil, err
-			}
-			rec.ids[i] = int64(id)
-			u := &rec.ups[i]
-			if u.Meta, err = d.meta(); err != nil {
-				return nil, err
-			}
-			if u.Set, err = d.set(); err != nil {
-				return nil, err
-			}
-			total, err := d.u64()
-			if err != nil {
-				return nil, err
-			}
-			blockSize, err := d.u64()
-			if err != nil {
-				return nil, err
-			}
-			nHashes, err := d.u32()
-			if err != nil || nHashes > maxWALBatchItems {
-				return nil, errBadWALRecord
-			}
-			u.Manifest.TotalBytes = int64(total)
-			u.Manifest.BlockSize = int(blockSize)
-			u.Manifest.Hashes = make([]blockstore.Hash, nHashes)
-			for j := range u.Manifest.Hashes {
-				hb, err := d.bytes(len(blockstore.Hash{}))
-				if err != nil {
-					return nil, err
-				}
-				copy(u.Manifest.Hashes[j][:], hb)
-			}
 		}
 		return rec, trailing(d)
 	default:
