@@ -5,6 +5,8 @@ import (
 	"time"
 
 	"bees"
+	"bees/internal/client"
+	"bees/internal/server"
 )
 
 func TestPublicAPIRoundTrip(t *testing.T) {
@@ -83,7 +85,8 @@ func TestPublicAPITCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := c.Upload(nil, 1, 0, 0, []byte("blob")); err != nil {
+	item := bees.UploadItem{Meta: server.UploadMeta{GroupID: 1, Bytes: 4}}
+	if _, err := client.NewRemoteServer(c).UploadItems(c.NewNonce(), []bees.UploadItem{item}); err != nil {
 		t.Fatal(err)
 	}
 	images, bytes, err := c.Stats()

@@ -13,19 +13,20 @@ import (
 	"bees/internal/wire"
 )
 
-// blockPutSever counts outgoing wire frames by parsing the 5-byte
-// headers flowing through Write, and severs a netsim.Partition the
-// moment the Nth MsgBlockPut frame starts — before any of its bytes
-// reach the server. Round trips are strictly sequential on a client
-// connection, so everything before the Nth put (Hello, BlockQuery, the
-// first N−1 puts) has been acked by the time the cut lands: the test
-// knows exactly which blocks the server holds.
-type blockPutSever struct {
+// frameSever counts outgoing wire frames by parsing the 5-byte headers
+// flowing through Write, and severs a netsim.Partition the moment the
+// Nth frame of type typ starts — before any of its bytes reach the
+// server. Round trips are strictly sequential on a client connection,
+// so everything before that frame (for the Nth MsgBlockPut: Hello,
+// BlockQuery, the first N−1 puts) has been acked by the time the cut
+// lands: the test knows exactly what the server holds.
+type frameSever struct {
 	part  *netsim.Partition
+	typ   wire.MsgType
 	limit int
 
 	mu     sync.Mutex
-	puts   int // MsgBlockPut frames seen (completed headers)
+	seen   int // typ frames seen (completed headers)
 	skip   int // payload bytes still to pass through untouched
 	hdr    [5]byte
 	hdrLen int
@@ -36,7 +37,7 @@ type blockPutSever struct {
 // whether the write must be cut instead of forwarded. It trips exactly
 // once: after the cut, fresh connections write unobserved so the healed
 // replay can proceed.
-func (s *blockPutSever) observe(b []byte) (sever bool) {
+func (s *frameSever) observe(b []byte) (sever bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.done {
@@ -60,9 +61,9 @@ func (s *blockPutSever) observe(b []byte) (sever bool) {
 		}
 		s.hdrLen = 0
 		s.skip = int(binary.LittleEndian.Uint32(s.hdr[:4]))
-		if wire.MsgType(s.hdr[4]) == wire.MsgBlockPut {
-			s.puts++
-			if s.puts >= s.limit {
+		if wire.MsgType(s.hdr[4]) == s.typ {
+			s.seen++
+			if s.seen >= s.limit {
 				s.done = true
 				return true
 			}
@@ -72,8 +73,8 @@ func (s *blockPutSever) observe(b []byte) (sever bool) {
 }
 
 // Dialer returns a partition dialer whose connections sever the link on
-// the Nth block-put frame.
-func (s *blockPutSever) Dialer() func(addr string, timeout time.Duration) (net.Conn, error) {
+// the Nth typ frame.
+func (s *frameSever) Dialer() func(addr string, timeout time.Duration) (net.Conn, error) {
 	return s.part.Dialer(func(addr string, timeout time.Duration) (net.Conn, error) {
 		conn, err := net.DialTimeout("tcp", addr, timeout)
 		if err != nil {
@@ -85,7 +86,7 @@ func (s *blockPutSever) Dialer() func(addr string, timeout time.Duration) (net.C
 
 type severConn struct {
 	net.Conn
-	s *blockPutSever
+	s *frameSever
 }
 
 func (c *severConn) Write(b []byte) (int, error) {
@@ -179,7 +180,7 @@ func TestChaosBlockResume(t *testing.T) {
 
 	// --- The system under test: sever on the 4th block put. -------------
 	srv, addr := startServer(t)
-	sever := &blockPutSever{part: netsim.NewPartition(), limit: severAt}
+	sever := &frameSever{part: netsim.NewPartition(), typ: wire.MsgBlockPut, limit: severAt}
 	tel := telemetry.NewRegistry()
 	c, err := DialOptions(addr, blockChaosOptions(8, tel, sever.Dialer()))
 	if err != nil {

@@ -11,11 +11,12 @@ import (
 
 // TestBlockPathMatchesWholeImagePath is the differential proof behind
 // the transparent fallback: the same seeded chunk uploaded once through
-// the delta path (query → put → commit) and once through the legacy
-// whole-image batch frame must leave two servers with identical
-// accounting, identical upload metadata, and identical index answers.
-// If these diverge, negotiation isn't a transport detail anymore — it
-// changes what the server believes it received.
+// the delta path (query → put → commit) and once through the whole-image
+// batch frame — the path a server started without block transfer
+// (beesd -blocks=false) negotiates — must leave two servers with
+// identical accounting, identical upload metadata, and identical index
+// answers. If these diverge, negotiation isn't a transport detail
+// anymore — it changes what the server believes it received.
 func TestBlockPathMatchesWholeImagePath(t *testing.T) {
 	if testing.Short() {
 		t.Skip("renders feature sets")
@@ -34,11 +35,9 @@ func TestBlockPathMatchesWholeImagePath(t *testing.T) {
 	}
 	upload := func(disableBlocks bool, seed int64) result {
 		t.Helper()
-		srv, addr := startServer(t)
+		srv, addr := startServerConfig(t, server.TCPConfig{DisableBlocks: disableBlocks})
 		tel := telemetry.NewRegistry()
-		opts := blockChaosOptions(seed, tel, nil)
-		opts.DisableBlocks = disableBlocks
-		c, err := DialOptions(addr, opts)
+		c, err := DialOptions(addr, blockChaosOptions(seed, tel, nil))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,7 +61,7 @@ func TestBlockPathMatchesWholeImagePath(t *testing.T) {
 		t.Fatal("block path moved no blocks — the differential compares nothing")
 	}
 	if legacy.blocksSent != 0 {
-		t.Fatalf("legacy path sent %d blocks with negotiation disabled", legacy.blocksSent)
+		t.Fatalf("whole-image path sent %d blocks to a server without block transfer", legacy.blocksSent)
 	}
 	if blocks.stats != legacy.stats {
 		t.Fatalf("server accounting diverged: blocks=%+v legacy=%+v", blocks.stats, legacy.stats)

@@ -20,9 +20,6 @@ import (
 // surfaces here as an exhausted-retries error, and the caller falls
 // back to whole-image frames for that call only.
 func (c *Client) NegotiateBlocks() (bool, error) {
-	if c.opts.DisableBlocks {
-		return false, nil
-	}
 	c.featMu.Lock()
 	if c.featNegotiated {
 		feats := c.serverFeatures
@@ -49,9 +46,9 @@ func (c *Client) NegotiateBlocks() (bool, error) {
 	return h.Features&wire.FeatureBlocks != 0, nil
 }
 
-// QueryBlocks asks which of the given blocks the server already holds,
+// queryBlocks asks which of the given blocks the server already holds,
 // one bool per hash in order.
-func (c *Client) QueryBlocks(hashes []blockstore.Hash) ([]bool, error) {
+func (c *Client) queryBlocks(hashes []blockstore.Hash) ([]bool, error) {
 	resp, err := c.roundTrip(&wire.BlockQuery{Hashes: hashes})
 	if err != nil {
 		return nil, err
@@ -67,26 +64,25 @@ func (c *Client) QueryBlocks(hashes []blockstore.Hash) ([]bool, error) {
 	return qr.Have, nil
 }
 
-// PutBlocks uploads blocks for staging on the server. Blocks are
+// putBlocks uploads blocks for staging on the server. Blocks are
 // idempotent by content address, so a retried frame costs bandwidth but
 // can never corrupt state — the server just reports them as duplicates.
-func (c *Client) PutBlocks(blocks []wire.Block) (stored, dup uint32, err error) {
+func (c *Client) putBlocks(blocks []wire.Block) error {
 	resp, err := c.roundTrip(&wire.BlockPut{Blocks: blocks})
 	if err != nil {
-		return 0, 0, err
+		return err
 	}
-	pr, ok := resp.(*wire.BlockPutResponse)
-	if !ok {
-		return 0, 0, fmt.Errorf("client: unexpected response %T", resp)
+	if _, ok := resp.(*wire.BlockPutResponse); !ok {
+		return fmt.Errorf("client: unexpected response %T", resp)
 	}
-	return pr.Stored, pr.Dup, nil
+	return nil
 }
 
-// CommitManifests finalizes a delta upload under the caller's nonce
-// (see UploadBatchNonce for the replay semantics — commits join the
+// commitManifests finalizes a delta upload under the caller's nonce
+// (see uploadBatchNonce for the replay semantics — commits join the
 // same server-side dedup window as whole-image batches). It returns the
 // server-assigned IDs in item order.
-func (c *Client) CommitManifests(nonce uint64, items []wire.ManifestItem) ([]int64, error) {
+func (c *Client) commitManifests(nonce uint64, items []wire.ManifestItem) ([]int64, error) {
 	resp, err := c.roundTrip(&wire.ManifestCommit{Nonce: nonce, Items: items})
 	if err != nil {
 		return nil, err

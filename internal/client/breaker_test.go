@@ -58,7 +58,7 @@ func TestBusyHoldDoesNotConsumeRetryBudget(t *testing.T) {
 			busyLeft--
 			return &wire.BusyResponse{RetryAfterMs: 30}
 		}
-		return &wire.UploadResponse{ID: 7}
+		return &wire.UploadBatchResponse{IDs: []int64{7}}
 	})
 	c, err := DialOptions(addr, Options{MaxRetries: 0, Seed: 3})
 	if err != nil {
@@ -66,10 +66,10 @@ func TestBusyHoldDoesNotConsumeRetryBudget(t *testing.T) {
 	}
 	defer c.Close()
 	start := time.Now()
-	id, err := c.Upload(nil, 1, 0, 0, []byte("x"))
+	ids, err := c.uploadBatchNonce(1, []wire.UploadBatchItem{{GroupID: 1, Blob: []byte("x")}})
 	elapsed := time.Since(start)
-	if err != nil || id != 7 {
-		t.Fatalf("upload after busy holds: id=%d err=%v", id, err)
+	if err != nil || len(ids) != 1 || ids[0] != 7 {
+		t.Fatalf("upload after busy holds: ids=%v err=%v", ids, err)
 	}
 	// Three 30ms holds must actually pace the client.
 	if elapsed < 80*time.Millisecond {
@@ -99,7 +99,7 @@ func TestBusyWaitsBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	_, err = c.Upload(nil, 1, 0, 0, []byte("x"))
+	_, err = c.uploadBatchNonce(1, []wire.UploadBatchItem{{GroupID: 1, Blob: []byte("x")}})
 	if err == nil || !strings.Contains(err.Error(), "busy") {
 		t.Fatalf("err = %v, want busy exhaustion", err)
 	}

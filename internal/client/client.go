@@ -52,10 +52,6 @@ type Options struct {
 	// and 2s.
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
-	// UploadWindow caps how many images one batched-upload frame carries;
-	// UploadBatch splits larger batches into successive frames so a single
-	// frame never approaches wire.MaxFrameBytes. Default 32.
-	UploadWindow int
 	// BreakerThreshold is how many consecutive transport failures open
 	// the circuit breaker; while open, the next attempt is *held* (not
 	// rejected) until a cooldown passes, so a dead link is probed gently
@@ -95,10 +91,6 @@ type Options struct {
 	// smaller frames ack more often, which is what makes a severed
 	// transfer resumable mid-image. Default 4 MiB.
 	BlockPutBytes int
-	// DisableBlocks skips Hello negotiation entirely and forces the
-	// whole-image upload path, as if the server never advertised the
-	// feature.
-	DisableBlocks bool
 }
 
 func (o Options) withDefaults() Options {
@@ -116,9 +108,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.BackoffMax <= 0 {
 		o.BackoffMax = 2 * time.Second
-	}
-	if o.UploadWindow <= 0 {
-		o.UploadWindow = 32
 	}
 	if o.BreakerThreshold <= 0 {
 		o.BreakerThreshold = 8
@@ -474,79 +463,13 @@ func (c *Client) QueryMax(sets []*features.BinarySet) ([]float64, error) {
 	return qr.MaxSims, nil
 }
 
-// Upload sends one image (features + payload) and returns the assigned
-// server-side image ID. The request carries a fresh nonce, reused across
-// retries, so a response lost to the network cannot make the server
-// store (or count) the image twice.
-func (c *Client) Upload(set *features.BinarySet, groupID int64, lat, lon float64, blob []byte) (int64, error) {
-	resp, err := c.roundTrip(&wire.UploadRequest{
-		Nonce:   c.newNonce(),
-		Set:     set,
-		GroupID: groupID,
-		Lat:     lat,
-		Lon:     lon,
-		Blob:    blob,
-	})
-	if err != nil {
-		return 0, err
-	}
-	ur, ok := resp.(*wire.UploadResponse)
-	if !ok {
-		return 0, fmt.Errorf("client: unexpected response %T", resp)
-	}
-	return ur.ID, nil
-}
-
-// maxBatchFrameBytes caps the approximate payload of one batched-upload
-// frame so even Direct-upload-sized blobs stay far below the protocol's
-// wire.MaxFrameBytes limit.
-const maxBatchFrameBytes = 16 << 20
-
-// UploadBatch sends a batch of images in as few round trips as the frame
-// budget allows: up to Options.UploadWindow images (and roughly
-// maxBatchFrameBytes of payload) per frame. Each frame carries one fresh
-// nonce covering all its items, so a retried frame can never store or
-// count any of them twice. It returns the server-assigned IDs in item
-// order; on error the IDs of the chunks that did complete are returned
-// alongside it.
-func (c *Client) UploadBatch(items []wire.UploadBatchItem) ([]int64, error) {
-	ids := make([]int64, 0, len(items))
-	for start := 0; start < len(items); {
-		end, bytes := start, 0
-		for end < len(items) && end-start < c.opts.UploadWindow {
-			sz := len(items[end].Blob)
-			if set := items[end].Set; set != nil {
-				sz += len(set.Descriptors) * 32
-			}
-			if end > start && bytes+sz > maxBatchFrameBytes {
-				break
-			}
-			bytes += sz
-			end++
-		}
-		chunk, err := c.uploadBatchChunk(items[start:end])
-		if err != nil {
-			return ids, err
-		}
-		ids = append(ids, chunk...)
-		start = end
-	}
-	return ids, nil
-}
-
-func (c *Client) uploadBatchChunk(items []wire.UploadBatchItem) ([]int64, error) {
-	return c.UploadBatchNonce(c.newNonce(), items)
-}
-
-// UploadBatchNonce sends items in one batched-upload frame carrying the
-// caller's nonce rather than a fresh one. This is the outbox replay
-// path: re-sending a chunk under its original nonce makes the replay
-// idempotent — if the chunk actually landed before the partition ate the
-// response, the server's dedup window returns the original IDs instead
-// of storing the images twice. Unlike UploadBatch, the items are NOT
-// split across frames (a chunk shares one nonce, and the pipeline
-// already sizes chunks to its upload window).
-func (c *Client) UploadBatchNonce(nonce uint64, items []wire.UploadBatchItem) ([]int64, error) {
+// uploadBatchNonce sends items in one whole-image batched-upload frame
+// under the caller's nonce: RemoteServer.UploadItems' fallback when the
+// server does not advertise block transfer. Re-sending a chunk under its
+// original nonce makes the replay idempotent — if the chunk landed before
+// the partition ate the response, the server's dedup window returns the
+// original IDs instead of storing the images twice.
+func (c *Client) uploadBatchNonce(nonce uint64, items []wire.UploadBatchItem) ([]int64, error) {
 	resp, err := c.roundTrip(&wire.UploadBatchRequest{Nonce: nonce, Items: items})
 	if err != nil {
 		return nil, err
@@ -563,12 +486,9 @@ func (c *Client) UploadBatchNonce(nonce uint64, items []wire.UploadBatchItem) ([
 
 // NewNonce draws a nonzero upload nonce for a caller that manages its
 // own replay (core.Pipeline stamps outbox chunks with it before the
-// first attempt, so replays dedup against that attempt).
-func (c *Client) NewNonce() uint64 { return c.newNonce() }
-
-// newNonce draws a nonzero upload nonce. Called before roundTrip takes
-// reqMu, so it synchronizes on it explicitly.
-func (c *Client) newNonce() uint64 {
+// first attempt, so replays dedup against that attempt). The rng is
+// guarded by reqMu, so a draw waits out any round trip in flight.
+func (c *Client) NewNonce() uint64 {
 	c.reqMu.Lock()
 	defer c.reqMu.Unlock()
 	for {

@@ -14,8 +14,14 @@ import (
 // startServer spins up a TCP server on a loopback port for the test.
 func startServer(t *testing.T) (*server.Server, string) {
 	t.Helper()
+	return startServerConfig(t, server.TCPConfig{})
+}
+
+// startServerConfig is startServer with explicit TCP settings.
+func startServerConfig(t *testing.T, cfg server.TCPConfig) (*server.Server, string) {
+	t.Helper()
 	srv := server.NewDefault()
-	tcp := server.NewTCP(srv)
+	tcp := server.NewTCPConfig(srv, cfg)
 	addr, err := tcp.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("listen: %v", err)
@@ -32,6 +38,16 @@ func dial(t *testing.T, addr string) *Client {
 	}
 	t.Cleanup(func() { c.Close() })
 	return c
+}
+
+// uploadOne sends one image through the device upload path
+// (RemoteServer.UploadItems) and returns its server-assigned ID.
+func uploadOne(c *Client, set *features.BinarySet, meta server.UploadMeta) (int64, error) {
+	ids, err := NewRemoteServer(c).UploadItems(c.NewNonce(), []server.UploadItem{{Set: set, Meta: meta}})
+	if err != nil {
+		return 0, err
+	}
+	return ids[0], nil
 }
 
 func testSets(t *testing.T, n int) []*features.BinarySet {
@@ -66,7 +82,7 @@ func TestUploadAndQueryOverTCP(t *testing.T) {
 		t.Fatalf("empty server sims: %v", sims)
 	}
 
-	id, err := c.Upload(sets[0], 77, 48.85, 2.35, []byte("payload-bytes"))
+	id, err := uploadOne(c, sets[0], server.UploadMeta{GroupID: 77, Lat: 48.85, Lon: 2.35, Bytes: 13})
 	if err != nil {
 		t.Fatalf("upload: %v", err)
 	}
@@ -90,7 +106,7 @@ func TestStatsOverTCP(t *testing.T) {
 	_, addr := startServer(t)
 	c := dial(t, addr)
 	sets := testSets(t, 1)
-	if _, err := c.Upload(sets[0], 1, 0, 0, make([]byte, 1234)); err != nil {
+	if _, err := uploadOne(c, sets[0], server.UploadMeta{GroupID: 1, Bytes: 1234}); err != nil {
 		t.Fatal(err)
 	}
 	images, bytes, err := c.Stats()
@@ -117,7 +133,7 @@ func TestConcurrentClients(t *testing.T) {
 				return
 			}
 			defer c.Close()
-			if _, err := c.Upload(sets[i], int64(i), 0, 0, []byte{1}); err != nil {
+			if _, err := uploadOne(c, sets[i], server.UploadMeta{GroupID: int64(i), Bytes: 1}); err != nil {
 				errs <- err
 			}
 		}(i)
@@ -142,7 +158,7 @@ func TestConcurrentRequestsOneClient(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if _, err := c.Upload(sets[i], int64(i), 0, 0, []byte{1}); err != nil {
+			if _, err := uploadOne(c, sets[i], server.UploadMeta{GroupID: int64(i), Bytes: 1}); err != nil {
 				errs <- err
 			}
 			if _, err := c.QueryMax(sets[i : i+1]); err != nil {
@@ -195,7 +211,7 @@ func TestServerSurvivesGarbageFrames(t *testing.T) {
 	// A well-behaved client must still work.
 	c := dial(t, addr)
 	sets := testSets(t, 1)
-	if _, err := c.Upload(sets[0], 1, 0, 0, []byte{1}); err != nil {
+	if _, err := uploadOne(c, sets[0], server.UploadMeta{GroupID: 1, Bytes: 1}); err != nil {
 		t.Fatalf("server died after garbage: %v", err)
 	}
 }

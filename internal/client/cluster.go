@@ -3,7 +3,6 @@ package client
 import (
 	"fmt"
 
-	"bees/internal/server"
 	"bees/internal/wire"
 )
 
@@ -65,21 +64,4 @@ func (c *Client) ShardSync(shard uint32) (*wire.ShardSyncResponse, error) {
 		return nil, fmt.Errorf("client: unexpected response %T", resp)
 	}
 	return sr, nil
-}
-
-// WireItems converts server upload items to their wire form, each blob
-// synthesized deterministically from the item's identity (see
-// wireItems). Exported for the cluster router, which splits a batch by
-// shard and needs the exact blobs — and therefore block hashes — a
-// direct client upload of the same items would produce.
-func WireItems(items []server.UploadItem) []wire.UploadBatchItem {
-	return wireItems(items)
-}
-
-// ItemKey folds an item's identity into a stable 64-bit key: the same
-// descriptor/metadata hash that seeds blob synthesis. The cluster
-// router shards on it, so an item lands on the same shard no matter
-// which router (or replay) routes it.
-func ItemKey(it *server.UploadItem) uint64 {
-	return itemSeed(it)
 }

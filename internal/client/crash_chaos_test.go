@@ -93,7 +93,7 @@ func (sc *chaosScript) manifestItem(idx int, m blockstore.Manifest) wire.Manifes
 // only what the server lacks. Both frames are idempotent, so a retry
 // after a crash can never double-store.
 func putMissing(c *Client, hashes []blockstore.Hash, blocks [][]byte) error {
-	have, err := c.QueryBlocks(hashes)
+	have, err := c.queryBlocks(hashes)
 	if err != nil {
 		return err
 	}
@@ -106,8 +106,7 @@ func putMissing(c *Client, hashes []blockstore.Hash, blocks [][]byte) error {
 	if len(put) == 0 {
 		return nil
 	}
-	_, _, err = c.PutBlocks(put)
-	return err
+	return c.putBlocks(put)
 }
 
 // chaosStep is one retryable unit of the script. images/bytes are what
@@ -131,7 +130,7 @@ func chaosSteps(sc *chaosScript) []chaosStep {
 	return []chaosStep{
 		{name: "batch1", nonce: 0xBEE50001, images: 3, bytes: blobBytes(0, 3),
 			run: func(c *Client, _ *server.Server, _ string, got map[string][]int64) error {
-				ids, err := c.UploadBatchNonce(0xBEE50001, sc.batchItems(0, 3))
+				ids, err := c.uploadBatchNonce(0xBEE50001, sc.batchItems(0, 3))
 				if err == nil {
 					got["batch1"] = ids
 				}
@@ -139,7 +138,7 @@ func chaosSteps(sc *chaosScript) []chaosStep {
 			}},
 		{name: "batch2", nonce: 0xBEE50002, images: 2, bytes: blobBytes(3, 5),
 			run: func(c *Client, _ *server.Server, _ string, got map[string][]int64) error {
-				ids, err := c.UploadBatchNonce(0xBEE50002, sc.batchItems(3, 5))
+				ids, err := c.uploadBatchNonce(0xBEE50002, sc.batchItems(3, 5))
 				if err == nil {
 					got["batch2"] = ids
 				}
@@ -151,7 +150,7 @@ func chaosSteps(sc *chaosScript) []chaosStep {
 			}},
 		{name: "commitA", nonce: 0xBEE50003, images: 1, bytes: sc.manA.TotalBytes,
 			run: func(c *Client, _ *server.Server, _ string, got map[string][]int64) error {
-				ids, err := c.CommitManifests(0xBEE50003, []wire.ManifestItem{sc.manifestItem(5, sc.manA)})
+				ids, err := c.commitManifests(0xBEE50003, []wire.ManifestItem{sc.manifestItem(5, sc.manA)})
 				if err == nil {
 					got["commitA"] = ids
 				}
@@ -167,7 +166,7 @@ func chaosSteps(sc *chaosScript) []chaosStep {
 			}},
 		{name: "commitB", nonce: 0xBEE50004, images: 1, bytes: sc.manB.TotalBytes,
 			run: func(c *Client, _ *server.Server, _ string, got map[string][]int64) error {
-				ids, err := c.CommitManifests(0xBEE50004, []wire.ManifestItem{sc.manifestItem(6, sc.manB)})
+				ids, err := c.commitManifests(0xBEE50004, []wire.ManifestItem{sc.manifestItem(6, sc.manB)})
 				if err == nil {
 					got["commitB"] = ids
 				}
@@ -175,7 +174,7 @@ func chaosSteps(sc *chaosScript) []chaosStep {
 			}},
 		{name: "batch3", nonce: 0xBEE50005, images: 2, bytes: blobBytes(7, 9),
 			run: func(c *Client, _ *server.Server, _ string, got map[string][]int64) error {
-				ids, err := c.UploadBatchNonce(0xBEE50005, sc.batchItems(7, 9))
+				ids, err := c.uploadBatchNonce(0xBEE50005, sc.batchItems(7, 9))
 				if err == nil {
 					got["batch3"] = ids
 				}
@@ -249,15 +248,15 @@ func replayAllNonces(t *testing.T, c *Client, sc *chaosScript, srv *server.Serve
 		name string
 		run  func() ([]int64, error)
 	}{
-		{"batch1", func() ([]int64, error) { return c.UploadBatchNonce(0xBEE50001, sc.batchItems(0, 3)) }},
-		{"batch2", func() ([]int64, error) { return c.UploadBatchNonce(0xBEE50002, sc.batchItems(3, 5)) }},
+		{"batch1", func() ([]int64, error) { return c.uploadBatchNonce(0xBEE50001, sc.batchItems(0, 3)) }},
+		{"batch2", func() ([]int64, error) { return c.uploadBatchNonce(0xBEE50002, sc.batchItems(3, 5)) }},
 		{"commitA", func() ([]int64, error) {
-			return c.CommitManifests(0xBEE50003, []wire.ManifestItem{sc.manifestItem(5, sc.manA)})
+			return c.commitManifests(0xBEE50003, []wire.ManifestItem{sc.manifestItem(5, sc.manA)})
 		}},
 		{"commitB", func() ([]int64, error) {
-			return c.CommitManifests(0xBEE50004, []wire.ManifestItem{sc.manifestItem(6, sc.manB)})
+			return c.commitManifests(0xBEE50004, []wire.ManifestItem{sc.manifestItem(6, sc.manB)})
 		}},
-		{"batch3", func() ([]int64, error) { return c.UploadBatchNonce(0xBEE50005, sc.batchItems(7, 9)) }},
+		{"batch3", func() ([]int64, error) { return c.uploadBatchNonce(0xBEE50005, sc.batchItems(7, 9)) }},
 	}
 	for _, r := range replays {
 		ids, err := r.run()

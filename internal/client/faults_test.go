@@ -162,8 +162,8 @@ func TestNoRetryOnServerError(t *testing.T) {
 	_, addr := startServer(t)
 	c := dial(t, addr)
 	// The server answers frames it cannot handle with MsgError; an
-	// UploadResponse is a valid frame no server expects.
-	if _, err := c.roundTrip(&wire.UploadResponse{ID: 1}); err == nil {
+	// UploadBatchResponse is a valid frame no server expects.
+	if _, err := c.roundTrip(&wire.UploadBatchResponse{IDs: []int64{1}}); err == nil {
 		t.Fatal("server accepted a bogus message")
 	}
 	if _, err := c.roundTrip(&struct{}{}); !errors.Is(err, wire.ErrUnencodable) {
@@ -208,8 +208,8 @@ func TestRemoteServerErrRace(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			remote.QueryMax(sets[0])
-			remote.Upload(sets[0], server.UploadMeta{Bytes: 4})
+			remote.QueryMaxBatch(sets)
+			remote.UploadItems(remote.NewUploadNonce(), []server.UploadItem{{Set: sets[0], Meta: server.UploadMeta{Bytes: 4}}})
 			remote.Err()
 		}()
 	}

@@ -9,7 +9,6 @@ import (
 
 	"bees/internal/blockstore"
 	"bees/internal/features"
-	"bees/internal/index"
 	"bees/internal/server"
 	"bees/internal/wire"
 )
@@ -20,9 +19,14 @@ import (
 // transient failures internally; only a request whose retry budget is
 // exhausted reaches this layer, and in a disaster scenario that is
 // survivable, so it degrades rather than aborts: failed queries report
-// similarity 0 (image treated as unique) and failed uploads return -1.
-// Err exposes the last failure and TakeDegraded the degradation count,
-// which core.BatchAccounting folds into BatchReport.Degraded.
+// similarity 0 (image treated as unique) and failed uploads count their
+// items as degraded. Err exposes the last failure and TakeDegraded the
+// degradation count, which core.BatchAccounting folds into
+// BatchReport.Degraded.
+//
+// Every upload — UploadItems and UploadBatch alike — reaches the server
+// through one path, upload: the delta flow when the server advertises
+// block transfer, one whole-image frame otherwise.
 type RemoteServer struct {
 	c *Client
 
@@ -48,31 +52,129 @@ func (r *RemoteServer) QueryMaxBatch(sets []*features.BinarySet) []float64 {
 	return sims
 }
 
-// UploadBatch implements core.ServerAPI over the wire. Each item's blob
-// is a payload of exactly Meta.Bytes bytes so the transport carries the
-// real (compressed) image size. On failure only the items of the frames
-// that never completed count as degraded.
+// maxBatchFrameBytes caps the approximate payload (blobs plus
+// descriptors) of one UploadBatch chunk, so even a Direct-upload-sized
+// batch sent whole stays far below the protocol's wire.MaxFrameBytes.
+const maxBatchFrameBytes = 16 << 20
+
+// UploadBatch implements core.ServerAPI over the wire: the items go in
+// chunks of at most maxBatchFrameBytes, each through the one upload path
+// under a fresh nonce. On failure the items of every chunk that did not
+// complete count as degraded.
 func (r *RemoteServer) UploadBatch(items []server.UploadItem) error {
-	ids, err := r.c.UploadBatch(wireItems(items))
-	if err != nil {
-		r.degradeN(err, len(items)-len(ids))
-		log.Printf("beesctl: batch upload failed after %d of %d items: %v", len(ids), len(items), err)
-		return err
+	for start := 0; start < len(items); {
+		end, bytes := start, 0
+		for end < len(items) {
+			sz := items[end].Meta.Bytes + items[end].Set.Len()*32
+			if end > start && bytes+sz > maxBatchFrameBytes {
+				break
+			}
+			bytes += sz
+			end++
+		}
+		if _, err := r.upload(r.NewUploadNonce(), items[start:end]); err != nil {
+			r.degradeN(err, len(items)-start)
+			log.Printf("beesctl: batch upload failed after %d of %d items: %v", start, len(items), err)
+			return err
+		}
+		start = end
 	}
 	return nil
 }
 
-// wireItems converts server upload items to their wire form; each item's
+// NewUploadNonce implements core.Uploader: the pipeline stamps each
+// upload chunk with a nonce before the first attempt so a later outbox
+// replay of the same chunk dedups against it.
+func (r *RemoteServer) NewUploadNonce() uint64 { return r.c.NewNonce() }
+
+// UploadItems implements core.Uploader: one upload chunk under the
+// caller's nonce. The nonce makes replays idempotent, so an outbox
+// replay of a chunk that half-landed resumes from the blocks the server
+// acked instead of resending the image. Failures degrade the whole chunk
+// (commits and batch frames are atomic).
+func (r *RemoteServer) UploadItems(nonce uint64, items []server.UploadItem) ([]int64, error) {
+	ids, err := r.upload(nonce, items)
+	if err != nil {
+		r.degradeN(err, len(items))
+		log.Printf("beesctl: nonce upload of %d items failed: %v", len(items), err)
+		return nil, err
+	}
+	return ids, nil
+}
+
+// upload is the one way a device's images reach a server. When Hello
+// negotiation says both ends speak block transfer, the chunk goes as a
+// delta upload: manifest every blob, ask the server which blocks it
+// already holds, put the missing ones in frames bounded by
+// Options.BlockPutBytes, then commit the manifests under the chunk's
+// nonce. Otherwise — a server started without block transfer, or the
+// Hello itself failed in transit — it falls back to one whole-image
+// batch frame.
+func (r *RemoteServer) upload(nonce uint64, items []server.UploadItem) ([]int64, error) {
+	blocks, err := r.c.NegotiateBlocks()
+	if err != nil {
+		log.Printf("beesctl: feature negotiation failed, using whole-image upload: %v", err)
+	}
+	if !blocks {
+		return r.c.uploadBatchNonce(nonce, WireItems(items))
+	}
+	manifests, distinct := Manifests(items, r.c.opts.BlockSize)
+	if len(distinct) > 0 {
+		hashes := make([]blockstore.Hash, len(distinct))
+		for i := range distinct {
+			hashes[i] = distinct[i].Hash
+		}
+		have, err := r.c.queryBlocks(hashes)
+		if err != nil {
+			return nil, err
+		}
+		var put []wire.Block
+		putBytes := 0
+		flush := func() error {
+			if len(put) == 0 {
+				return nil
+			}
+			if err := r.c.putBlocks(put); err != nil {
+				return err
+			}
+			r.c.blocksSent.Add(int64(len(put)))
+			r.c.blocksSentBytes.Add(int64(putBytes))
+			put, putBytes = put[:0], 0
+			return nil
+		}
+		for i, b := range distinct {
+			if have[i] {
+				r.c.blocksSkipped.Inc()
+				r.c.blocksSkippedBytes.Add(int64(len(b.Data)))
+				continue
+			}
+			if len(put) > 0 && putBytes+len(b.Data) > r.c.opts.BlockPutBytes {
+				if err := flush(); err != nil {
+					return nil, err
+				}
+			}
+			put = append(put, b)
+			putBytes += len(b.Data)
+		}
+		if err := flush(); err != nil {
+			return nil, err
+		}
+	}
+	return r.c.commitManifests(nonce, manifests)
+}
+
+// WireItems converts server upload items to their wire form; each item's
 // blob is a payload of exactly Meta.Bytes bytes so the transport carries
 // the real (compressed) image size. The bytes are synthesized
-// deterministically from the item's identity (descriptors + metadata),
-// which is what makes delta upload testable end to end: the same image
-// produces the same blob — and therefore the same block hashes — on
-// every client and every outbox replay, while distinct images produce
-// distinct payloads that cannot cross-dedup.
-func wireItems(items []server.UploadItem) []wire.UploadBatchItem {
+// deterministically from the item's identity (ItemKey), which is what
+// makes delta upload testable end to end: the same image produces the
+// same blob — and therefore the same block hashes — on every client,
+// every outbox replay and every cluster router, while distinct images
+// produce distinct payloads that cannot cross-dedup.
+func WireItems(items []server.UploadItem) []wire.UploadBatchItem {
 	out := make([]wire.UploadBatchItem, len(items))
-	for i, it := range items {
+	for i := range items {
+		it := &items[i]
 		set := it.Set
 		if set == nil {
 			set = &features.BinarySet{}
@@ -83,17 +185,52 @@ func wireItems(items []server.UploadItem) []wire.UploadBatchItem {
 			Lat:     it.Meta.Lat,
 			Lon:     it.Meta.Lon,
 			Gain:    it.Meta.Gain,
-			Blob:    blockstore.SynthPayload(itemSeed(&it), it.Meta.Bytes),
+			Blob:    blockstore.SynthPayload(ItemKey(it), it.Meta.Bytes),
 		}
 	}
 	return out
 }
 
-// itemSeed folds an item's identity — feature descriptors plus the
-// metadata that defines "the same image" — into the synthesis seed.
-// Gain is deliberately excluded: it is a per-run ranking artifact, not
-// part of the image.
-func itemSeed(it *server.UploadItem) uint64 {
+// Manifests is the device → wire conversion of a delta upload, shared
+// by RemoteServer and the cluster router: each item's blob (see
+// WireItems) split into blockSize blocks and described by a manifest,
+// plus the items' distinct blocks in first-appearance order — two
+// identical images in one chunk cost one payload. blockSize 0 selects
+// blockstore.DefaultBlockSize.
+func Manifests(items []server.UploadItem, blockSize int) ([]wire.ManifestItem, []wire.Block) {
+	manifests := make([]wire.ManifestItem, len(items))
+	var distinct []wire.Block
+	seen := make(map[blockstore.Hash]bool)
+	for i, it := range WireItems(items) {
+		m := blockstore.ManifestOf(it.Blob, blockSize)
+		manifests[i] = wire.ManifestItem{
+			Set:        it.Set,
+			GroupID:    it.GroupID,
+			Lat:        it.Lat,
+			Lon:        it.Lon,
+			Gain:       it.Gain,
+			TotalBytes: m.TotalBytes,
+			BlockSize:  uint32(m.BlockSize),
+			Hashes:     m.Hashes,
+		}
+		parts := blockstore.Split(it.Blob, m.BlockSize)
+		for j, h := range m.Hashes {
+			if !seen[h] {
+				seen[h] = true
+				distinct = append(distinct, wire.Block{Hash: h, Data: parts[j]})
+			}
+		}
+	}
+	return manifests, distinct
+}
+
+// ItemKey folds an item's identity — feature descriptors plus the
+// metadata that defines "the same image" — into a stable 64-bit key: the
+// blob synthesis seed, and the key the cluster router shards on, so an
+// item lands on the same shard no matter which router (or replay) routes
+// it. Gain is deliberately excluded: it is a per-run ranking artifact,
+// not part of the image.
+func ItemKey(it *server.UploadItem) uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
 	w := func(v uint64) {
@@ -112,137 +249,6 @@ func itemSeed(it *server.UploadItem) uint64 {
 		}
 	}
 	return h.Sum64()
-}
-
-// NewUploadNonce implements core.Uploader: the pipeline stamps each
-// upload chunk with a nonce before the first attempt so a later outbox
-// replay of the same chunk dedups against it.
-func (r *RemoteServer) NewUploadNonce() uint64 { return r.c.NewNonce() }
-
-// UploadItems implements core.Uploader: one upload chunk under the
-// caller's nonce. When Hello negotiation says both ends speak block
-// transfer, the chunk goes as a delta upload (query → put missing →
-// commit); otherwise — old server, negotiation disabled, or the Hello
-// itself failed in transit — it falls back to a single whole-image
-// batch frame. Either way the nonce makes replays idempotent, so an
-// outbox replay of a chunk that half-landed resumes from the blocks the
-// server acked instead of resending the image. Failures degrade the
-// whole chunk (commits and batch frames are atomic).
-func (r *RemoteServer) UploadItems(nonce uint64, items []server.UploadItem) ([]int64, error) {
-	wi := wireItems(items)
-	blocks, err := r.c.NegotiateBlocks()
-	if err != nil {
-		log.Printf("beesctl: feature negotiation failed, using whole-image upload: %v", err)
-		blocks = false
-	}
-	var ids []int64
-	if blocks {
-		ids, err = r.uploadBlocks(nonce, wi)
-	} else {
-		ids, err = r.c.UploadBatchNonce(nonce, wi)
-	}
-	if err != nil {
-		r.degradeN(err, len(items))
-		log.Printf("beesctl: nonce upload of %d items failed: %v", len(items), err)
-		return nil, err
-	}
-	return ids, nil
-}
-
-// uploadBlocks runs one chunk through the delta path: manifest every
-// blob, ask the server which blocks it already holds (batch-wide dedup
-// — two identical images in one chunk cost one payload), upload the
-// missing ones in put frames bounded by Options.BlockPutBytes, then
-// commit the manifests under the chunk's nonce.
-func (r *RemoteServer) uploadBlocks(nonce uint64, items []wire.UploadBatchItem) ([]int64, error) {
-	blockSize := r.c.opts.BlockSize
-	manifests := make([]wire.ManifestItem, len(items))
-	var hashes []blockstore.Hash
-	blockData := make(map[blockstore.Hash][]byte)
-	for i := range items {
-		it := &items[i]
-		m := blockstore.ManifestOf(it.Blob, blockSize)
-		manifests[i] = wire.ManifestItem{
-			Set:        it.Set,
-			GroupID:    it.GroupID,
-			Lat:        it.Lat,
-			Lon:        it.Lon,
-			Gain:       it.Gain,
-			TotalBytes: m.TotalBytes,
-			BlockSize:  uint32(m.BlockSize),
-			Hashes:     m.Hashes,
-		}
-		parts := blockstore.Split(it.Blob, blockSize)
-		for j, h := range m.Hashes {
-			if _, ok := blockData[h]; !ok {
-				blockData[h] = parts[j]
-				hashes = append(hashes, h)
-			}
-		}
-	}
-	if len(hashes) > 0 {
-		have, err := r.c.QueryBlocks(hashes)
-		if err != nil {
-			return nil, err
-		}
-		var put []wire.Block
-		putBytes := 0
-		flush := func() error {
-			if len(put) == 0 {
-				return nil
-			}
-			if _, _, err := r.c.PutBlocks(put); err != nil {
-				return err
-			}
-			r.c.blocksSent.Add(int64(len(put)))
-			r.c.blocksSentBytes.Add(int64(putBytes))
-			put, putBytes = put[:0], 0
-			return nil
-		}
-		for i, h := range hashes {
-			data := blockData[h]
-			if have[i] {
-				r.c.blocksSkipped.Inc()
-				r.c.blocksSkippedBytes.Add(int64(len(data)))
-				continue
-			}
-			if len(put) > 0 && putBytes+len(data) > r.c.opts.BlockPutBytes {
-				if err := flush(); err != nil {
-					return nil, err
-				}
-			}
-			put = append(put, wire.Block{Hash: h, Data: data})
-			putBytes += len(data)
-		}
-		if err := flush(); err != nil {
-			return nil, err
-		}
-	}
-	return r.c.CommitManifests(nonce, manifests)
-}
-
-// QueryMax is the legacy per-image query, kept for per-image callers
-// (core.PerImage wraps it for the batched-vs-legacy equivalence tests).
-func (r *RemoteServer) QueryMax(set *features.BinarySet) float64 {
-	sims, err := r.c.QueryMax([]*features.BinarySet{set})
-	if err != nil {
-		r.degradeN(err, 1)
-		log.Printf("beesctl: query failed, treating image as unique: %v", err)
-		return 0
-	}
-	return sims[0]
-}
-
-// Upload is the legacy per-image upload; see QueryMax.
-func (r *RemoteServer) Upload(set *features.BinarySet, meta server.UploadMeta) index.ImageID {
-	blob := make([]byte, meta.Bytes)
-	id, err := r.c.Upload(set, meta.GroupID, meta.Lat, meta.Lon, blob)
-	if err != nil {
-		r.degradeN(err, 1)
-		log.Printf("beesctl: upload failed: %v", err)
-		return -1
-	}
-	return index.ImageID(id)
 }
 
 func (r *RemoteServer) degradeN(err error, n int) {

@@ -1,6 +1,7 @@
 package client
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -10,6 +11,8 @@ import (
 	"bees/internal/energy"
 	"bees/internal/netsim"
 	"bees/internal/server"
+	"bees/internal/telemetry"
+	"bees/internal/wire"
 )
 
 // TestPipelineOverTCP runs the complete BEES pipeline against a real TCP
@@ -74,8 +77,8 @@ func TestSecondBatchCrossBatchOverTCP(t *testing.T) {
 }
 
 // TestRemoteServerDegradesOnFailure verifies the disaster-mode behaviour:
-// a dead connection yields similarity 0 and upload ID -1 instead of a
-// crash.
+// a dead connection yields similarity 0 and a failed, degraded upload
+// instead of a crash.
 func TestRemoteServerDegradesOnFailure(t *testing.T) {
 	srv := server.NewDefault()
 	tcp := server.NewTCP(srv)
@@ -90,13 +93,110 @@ func TestRemoteServerDegradesOnFailure(t *testing.T) {
 	tcp.Close()
 	remote := NewRemoteServer(c)
 	sets := testSets(t, 1)
-	if sim := remote.QueryMax(sets[0]); sim != 0 {
-		t.Fatalf("failed query returned %v", sim)
+	if sims := remote.QueryMaxBatch(sets); len(sims) != 1 || sims[0] != 0 {
+		t.Fatalf("failed query returned %v", sims)
 	}
-	if id := remote.Upload(sets[0], server.UploadMeta{Bytes: 10}); id != -1 {
-		t.Fatalf("failed upload returned %v", id)
+	items := []server.UploadItem{{Set: sets[0], Meta: server.UploadMeta{Bytes: 10}}}
+	if ids, err := remote.UploadItems(remote.NewUploadNonce(), items); err == nil || ids != nil {
+		t.Fatalf("failed upload returned %v, %v", ids, err)
 	}
 	if remote.Err() == nil {
 		t.Fatal("Err should report the failure")
+	}
+	if d := remote.TakeDegraded(); d != 2 {
+		t.Fatalf("degraded %d requests, want 2 (one query set, one upload item)", d)
+	}
+}
+
+// TestUploadBatchIsUploadItems pins that RemoteServer.UploadBatch is the
+// one upload path, not a second one: against a block-capable server it
+// moves blocks, a repeat of the same items moves none, the server ends
+// up exactly where UploadItems leaves it, and a link severed between
+// chunks degrades exactly the items outside the completed chunks.
+func TestUploadBatchIsUploadItems(t *testing.T) {
+	if testing.Short() {
+		t.Skip("renders feature sets and moves a 17 MiB batch")
+	}
+	items := blockChaosItems(t)
+
+	batchSrv, addr := startServer(t)
+	tel := telemetry.NewRegistry()
+	c, err := DialOptions(addr, blockChaosOptions(21, tel, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	remote := NewRemoteServer(c)
+	if err := remote.UploadBatch(items); err != nil {
+		t.Fatalf("UploadBatch: %v", err)
+	}
+	first := readBlockCounters(tel)
+	if first.sent == 0 {
+		t.Fatal("UploadBatch sent no blocks to a block-capable server")
+	}
+
+	itemsSrv, addr2 := startServer(t)
+	c2, err := DialOptions(addr2, blockChaosOptions(22, telemetry.NewRegistry(), nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Close()
+	if _, err := NewRemoteServer(c2).UploadItems(c2.NewNonce(), items); err != nil {
+		t.Fatalf("UploadItems: %v", err)
+	}
+	if got, want := batchSrv.Stats(), itemsSrv.Stats(); got != want {
+		t.Fatalf("UploadBatch left stats %+v, UploadItems %+v", got, want)
+	}
+	if got, want := batchSrv.UploadedMetas(), itemsSrv.UploadedMetas(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("UploadBatch left metas %+v, UploadItems %+v", got, want)
+	}
+	if got, want := batchSrv.Blocks().Stats(), itemsSrv.Blocks().Stats(); got != want {
+		t.Fatalf("UploadBatch left block store %+v, UploadItems %+v", got, want)
+	}
+
+	// The same items again: a fresh upload (ServerAPI batches carry no
+	// nonce of their own), but every block is already on the server.
+	if err := remote.UploadBatch(items); err != nil {
+		t.Fatalf("second UploadBatch: %v", err)
+	}
+	second := readBlockCounters(tel)
+	if second.sent != first.sent {
+		t.Fatalf("second UploadBatch sent %d blocks, want 0", second.sent-first.sent)
+	}
+	if d := second.skipped - first.skipped; d != first.sent+first.skipped {
+		t.Fatalf("second UploadBatch skipped %d blocks, want all %d", d, first.sent+first.skipped)
+	}
+	if got := batchSrv.Stats().Images; got != 2*len(items) {
+		t.Fatalf("server holds %d images after two batches, want %d", got, 2*len(items))
+	}
+
+	// Three images in two chunks — [0] and [1, 2] — with the link severed
+	// as the second chunk's block query starts.
+	big := []server.UploadItem{
+		{Meta: server.UploadMeta{GroupID: 1, Bytes: maxBatchFrameBytes * 3 / 4}},
+		{Meta: server.UploadMeta{GroupID: 2, Bytes: maxBatchFrameBytes/4 + 1}},
+		{Meta: server.UploadMeta{GroupID: 3, Bytes: 1 << 10}},
+	}
+	severSrv, addr3 := startServer(t)
+	sever := &frameSever{part: netsim.NewPartition(), typ: wire.MsgBlockQuery, limit: 2}
+	opts := blockChaosOptions(23, telemetry.NewRegistry(), sever.Dialer())
+	opts.BlockSize, opts.BlockPutBytes = 0, 0 // defaults: 128 KiB blocks, 4 MiB puts
+	c3, err := DialOptions(addr3, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c3.Close()
+	remote3 := NewRemoteServer(c3)
+	if err := remote3.UploadBatch(big); err == nil {
+		t.Fatal("UploadBatch through a severed link succeeded")
+	}
+	if !sever.part.Down() {
+		t.Fatal("the link was never severed — the batch did not reach a second chunk")
+	}
+	if d := remote3.TakeDegraded(); d != 2 {
+		t.Fatalf("degraded %d items, want the 2 outside the completed chunk", d)
+	}
+	if st := severSrv.Stats(); st.Images != 1 || st.BytesReceived != int64(big[0].Meta.Bytes) {
+		t.Fatalf("server holds %+v, want exactly the first chunk", st)
 	}
 }

@@ -426,3 +426,113 @@ func TestClusterLoneShardLoss(t *testing.T) {
 		t.Fatal("restart of an unreplicated node claimed to catch up from nowhere")
 	}
 }
+
+// TestRouterReplayAfterPartialFailure cuts every replica of one shard
+// while another shard of the same batch acks on the remaining node, then
+// heals and replays the batch under its nonce. The acked shard dedups
+// the replay and keeps the IDs of the first attempt, so the router must
+// re-send exactly those: the returned IDs are the ones every shard
+// server holds, and the sequence stays dense for the next batch.
+func TestRouterReplayAfterPartialFailure(t *testing.T) {
+	const replication = 2
+	tc, err := testcluster.Start(clusterConfig(replication))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tc.Close()
+	oracle := server.NewWithConfig(server.Config{BlockSize: clusterBlockSize})
+	batches, queries := clusterWorkload()
+	// The first batch bootstraps the router's ID sequence with every node up.
+	uploadBoth(t, oracle, tc, 1, batches[0])
+
+	batch := batches[1]
+	shardOf := func(i int) uint32 { return tc.Table().ShardOf(client.ItemKey(&batch[i])) }
+	var touched []uint32
+	for i := range batch {
+		if s := shardOf(i); !containsShard(touched, s) {
+			touched = append(touched, s)
+		}
+	}
+	// Find a touched shard to cut whose complement node also replicates
+	// another touched shard: that shard acks while the cut one fails.
+	var cut []string
+	var live string
+	var acked uint32
+	for _, s := range touched {
+		reps := tc.Table().Replicas(s, replication)
+		for _, n := range []string{"n1", "n2", "n3"} {
+			if n == reps[0] || n == reps[1] {
+				continue
+			}
+			for _, s2 := range touched {
+				if s2 != s && containsNode(tc.Table().Replicas(s2, replication), n) {
+					cut, live, acked = reps, n, s2
+				}
+			}
+		}
+		if live != "" {
+			break
+		}
+	}
+	if live == "" {
+		t.Fatal("workload has no shard pair to split across the cut")
+	}
+	for _, n := range cut {
+		tc.Partition(n).Sever()
+	}
+	if _, err := tc.Router.UploadItems(2, batch); err == nil {
+		t.Fatalf("upload succeeded with both replicas of a shard (%v) cut", cut)
+	}
+	if tc.Node(live).ShardServer(acked).Stats().Images == 0 {
+		t.Fatalf("shard %d on %s never acked — the partial failure was not partial", acked, live)
+	}
+	for _, n := range cut {
+		tc.Partition(n).Heal()
+	}
+
+	ids, err := tc.Router.UploadItems(2, batch)
+	if err != nil {
+		t.Fatalf("healed replay: %v", err)
+	}
+	want, err := oracle.UploadItems(2, batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(ids, want) {
+		t.Fatalf("replay returned %v, oracle assigned %v", ids, want)
+	}
+	for i, id := range ids {
+		for _, n := range tc.Table().Replicas(shardOf(i), replication) {
+			held := tc.Node(n).ShardServer(shardOf(i)).Uploads()
+			found := false
+			for _, h := range held {
+				found = found || int64(h) == id
+			}
+			if !found {
+				t.Fatalf("item %d: router returned id %d, shard %d on %s holds %v", i, id, shardOf(i), n, held)
+			}
+		}
+	}
+	// Dense: the next batch continues right where the oracle does.
+	uploadBoth(t, oracle, tc, 3, batches[2])
+	compareToOracle(t, oracle, tc, queries)
+	checkReplicaConvergence(t, tc, replication)
+}
+
+func containsShard(shards []uint32, s uint32) bool {
+	for _, x := range shards {
+		if x == s {
+			return true
+		}
+	}
+	return false
+}
+
+func containsNode(nodes []string, n string) bool {
+	for _, x := range nodes {
+		if x == n {
+			return true
+		}
+	}
+	return false
+}

@@ -277,3 +277,52 @@ func TestQueryWaveFailsOverSeveredNode(t *testing.T) {
 		})
 	}
 }
+
+// TestRouterSameNonceConcurrentCalls races two uploads of one batch
+// under one nonce through one router, batch after batch. Both calls must
+// return identical IDs — one allocation per nonce, no gap left in the
+// dense sequence — and the cluster must equal a single-node oracle fed
+// each batch once.
+func TestRouterSameNonceConcurrentCalls(t *testing.T) {
+	tc, err := testcluster.Start(clusterConfig(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tc.Close()
+	oracle := server.NewWithConfig(server.Config{BlockSize: clusterBlockSize})
+	batches, queries := clusterWorkload()
+	for bi, batch := range batches {
+		nonce := uint64(100 + bi)
+		var ids [2][]int64
+		var errs [2]error
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := range ids {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				<-start
+				ids[g], errs[g] = tc.Router.UploadItems(nonce, batch)
+			}(g)
+		}
+		close(start)
+		wg.Wait()
+		for g, err := range errs {
+			if err != nil {
+				t.Fatalf("batch %d call %d: %v", bi, g, err)
+			}
+		}
+		if !reflect.DeepEqual(ids[0], ids[1]) {
+			t.Fatalf("batch %d: one nonce answered %v and %v", bi, ids[0], ids[1])
+		}
+		want, err := oracle.UploadItems(nonce, batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(ids[0], want) {
+			t.Fatalf("batch %d: cluster assigned %v, oracle %v", bi, ids[0], want)
+		}
+	}
+	compareToOracle(t, oracle, tc, queries)
+	checkReplicaConvergence(t, tc, 2)
+}

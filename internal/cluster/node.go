@@ -149,27 +149,8 @@ func (n *Node) HandleShardRoute(m *wire.ShardRoute) (any, error) {
 	}
 	var ids []int64
 	if len(m.Items) > 0 {
-		ups := make([]server.ManifestUpload, len(m.Items))
-		for i := range m.Items {
-			it := &m.Items[i]
-			set := it.Set
-			if set.Len() == 0 {
-				set = nil
-			}
-			ups[i] = server.ManifestUpload{
-				Set: set,
-				Meta: server.UploadMeta{
-					GroupID: it.GroupID,
-					Lat:     it.Lat,
-					Lon:     it.Lon,
-					Bytes:   int(it.TotalBytes),
-					Gain:    it.Gain,
-				},
-				Manifest: it.Manifest(),
-			}
-		}
 		var err error
-		ids, err = srv.ApplyShardCommit(m.Nonce, m.IDs, ups)
+		ids, err = srv.ApplyShardCommit(m.Nonce, m.IDs, server.ManifestUploads(m.Items))
 		if errors.Is(err, server.ErrDurability) {
 			return nil, err
 		}

@@ -64,9 +64,10 @@ type Router struct {
 	mu       sync.Mutex
 	nextID   int64
 	idsReady bool
-	// nonceIDs remembers recent nonce → ID allocations (bounded FIFO)
-	// so a replayed batch re-sends the original IDs instead of
-	// allocating fresh ones the replicas would refuse to reconcile.
+	// nonceIDs remembers recent nonce → ID allocations (bounded FIFO),
+	// recorded before the batch's first frame leaves, so a concurrent or
+	// replayed batch re-sends the original IDs instead of allocating
+	// fresh ones the replicas would refuse to reconcile.
 	nonceIDs   map[uint64][]int64
 	nonceOrder []uint64
 
@@ -218,51 +219,53 @@ func (r *Router) ensureNextID() error {
 // assign), and each shard's slice fans out write-all to its replicas —
 // at least one replica must ack each shard or the whole batch fails
 // (and can be replayed under the same nonce; both the router's nonce
-// cache and the replicas' dedup windows make the replay idempotent).
+// window and the replicas' dedup windows make the replay idempotent).
 func (r *Router) UploadItems(nonce uint64, items []server.UploadItem) ([]int64, error) {
 	if len(items) == 0 {
 		return nil, nil
 	}
-	r.mu.Lock()
-	if nonce != 0 {
-		if prev, ok := r.nonceIDs[nonce]; ok {
-			ids := append([]int64(nil), prev...)
-			r.mu.Unlock()
-			// Still re-send: a replayed batch means the previous attempt
-			// failed somewhere — the replicas that already applied it will
-			// dedup, the ones that missed it apply now.
-			if err := r.fanOut(nonce, ids, items); err != nil {
-				return nil, err
-			}
-			return ids, nil
-		}
-	}
-	if err := r.ensureNextID(); err != nil {
-		r.mu.Unlock()
+	ids, err := r.reserveIDs(nonce, len(items))
+	if err != nil {
 		return nil, err
 	}
-	ids := make([]int64, len(items))
+	if err := r.fanOut(nonce, ids, items); err != nil {
+		return nil, err
+	}
+	return ids, nil
+}
+
+// reserveIDs returns the IDs a nonce's batch is sent under. A nonce in
+// the window gets its recorded IDs back: the replay is re-sent in full,
+// so the replicas that already applied it dedup and the ones that missed
+// it apply now. Otherwise a fresh range comes off the global sequence and
+// is recorded before any frame leaves. Lookup, allocation and record are
+// one critical section, so concurrent same-nonce calls, and a replay of a
+// batch that failed after some shards acked, all send the same IDs.
+func (r *Router) reserveIDs(nonce uint64, n int) ([]int64, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if prev, ok := r.nonceIDs[nonce]; ok {
+		if len(prev) != n {
+			return nil, fmt.Errorf("cluster: nonce %d replayed with %d items, first sent with %d", nonce, n, len(prev))
+		}
+		return append([]int64(nil), prev...), nil
+	}
+	if err := r.ensureNextID(); err != nil {
+		return nil, err
+	}
+	ids := make([]int64, n)
 	for i := range ids {
 		ids[i] = r.nextID
 		r.nextID++
 	}
-	r.mu.Unlock()
-
-	if err := r.fanOut(nonce, ids, items); err != nil {
-		return nil, err
-	}
 	if nonce != 0 {
-		r.mu.Lock()
-		if _, ok := r.nonceIDs[nonce]; !ok {
-			if len(r.nonceOrder) >= r.opts.NonceWindow {
-				oldest := r.nonceOrder[0]
-				r.nonceOrder = r.nonceOrder[1:]
-				delete(r.nonceIDs, oldest)
-			}
-			r.nonceIDs[nonce] = append([]int64(nil), ids...)
-			r.nonceOrder = append(r.nonceOrder, nonce)
+		if len(r.nonceOrder) >= r.opts.NonceWindow {
+			oldest := r.nonceOrder[0]
+			r.nonceOrder = r.nonceOrder[1:]
+			delete(r.nonceIDs, oldest)
 		}
-		r.mu.Unlock()
+		r.nonceIDs[nonce] = append([]int64(nil), ids...)
+		r.nonceOrder = append(r.nonceOrder, nonce)
 	}
 	return ids, nil
 }
@@ -277,52 +280,39 @@ func (r *Router) UploadBatch(items []server.UploadItem) error {
 // shardSlice is one shard's portion of an upload batch.
 type shardSlice struct {
 	ids    []int64
+	items  []server.UploadItem
 	wire   []wire.ManifestItem
-	hashes []blockstore.Hash          // unique, first-appearance order
-	data   map[blockstore.Hash][]byte // block payloads by hash
+	blocks []wire.Block      // distinct, first-appearance order
+	hashes []blockstore.Hash // blocks' hashes, the shard's block query
 }
 
 // fanOut delivers a batch: split by shard, then write-all to every
-// shard's replicas.
+// shard's replicas. Every replica that acks must hold exactly the IDs it
+// was sent; one answering others (it applied the nonce earlier under IDs
+// the router no longer remembers) fails the batch rather than let the
+// router return IDs the shard does not hold.
 func (r *Router) fanOut(nonce uint64, ids []int64, items []server.UploadItem) error {
-	blockSize := r.opts.Client.BlockSize
-	if blockSize <= 0 {
-		blockSize = blockstore.DefaultBlockSize
-	}
-	wi := client.WireItems(items)
 	slices := make(map[uint32]*shardSlice)
+	var order []uint32
 	for i := range items {
 		shard := r.table.ShardOf(client.ItemKey(&items[i]))
 		sl := slices[shard]
 		if sl == nil {
-			sl = &shardSlice{data: make(map[blockstore.Hash][]byte)}
+			sl = &shardSlice{}
 			slices[shard] = sl
+			order = append(order, shard)
 		}
-		m := blockstore.ManifestOf(wi[i].Blob, blockSize)
 		sl.ids = append(sl.ids, ids[i])
-		sl.wire = append(sl.wire, wire.ManifestItem{
-			Set:        wi[i].Set,
-			GroupID:    wi[i].GroupID,
-			Lat:        wi[i].Lat,
-			Lon:        wi[i].Lon,
-			Gain:       wi[i].Gain,
-			TotalBytes: m.TotalBytes,
-			BlockSize:  uint32(m.BlockSize),
-			Hashes:     m.Hashes,
-		})
-		parts := blockstore.Split(wi[i].Blob, blockSize)
-		for j, h := range m.Hashes {
-			if _, ok := sl.data[h]; !ok {
-				sl.data[h] = parts[j]
-				sl.hashes = append(sl.hashes, h)
-			}
-		}
-	}
-	order := make([]uint32, 0, len(slices))
-	for s := range slices {
-		order = append(order, s)
+		sl.items = append(sl.items, items[i])
 	}
 	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
+	for _, sl := range slices {
+		sl.wire, sl.blocks = client.Manifests(sl.items, r.opts.Client.BlockSize)
+		sl.hashes = make([]blockstore.Hash, len(sl.blocks))
+		for i := range sl.blocks {
+			sl.hashes[i] = sl.blocks[i].Hash
+		}
+	}
 
 	// Write-all: every replica of every touched shard gets the shard's
 	// full delta flow — query its store, send what it misses, commit
@@ -333,6 +323,7 @@ func (r *Router) fanOut(nonce uint64, ids []int64, items []server.UploadItem) er
 	// on scheduling and replays stay byte-for-byte comparable.
 	type delivery struct {
 		shard uint32
+		node  string
 		ids   []int64
 		err   error
 	}
@@ -340,7 +331,7 @@ func (r *Router) fanOut(nonce uint64, ids []int64, items []server.UploadItem) er
 	perShard := make(map[uint32][]*delivery, len(order))
 	for _, shard := range order {
 		for _, node := range r.table.Replicas(shard, r.opts.Replication) {
-			d := &delivery{shard: shard}
+			d := &delivery{shard: shard, node: node}
 			perNode[node] = append(perNode[node], d)
 			perShard[shard] = append(perShard[shard], d)
 		}
@@ -361,7 +352,6 @@ func (r *Router) fanOut(nonce uint64, ids []int64, items []server.UploadItem) er
 	// repaired later by ShardSync, not by failing the upload.
 	for _, shard := range order {
 		acked := 0
-		var firstIDs []int64
 		var lastErr error
 		for _, d := range perShard[shard] {
 			if d.err != nil {
@@ -369,10 +359,9 @@ func (r *Router) fanOut(nonce uint64, ids []int64, items []server.UploadItem) er
 				lastErr = d.err
 				continue
 			}
-			if acked == 0 {
-				firstIDs = d.ids
-			} else if !equalIDs(firstIDs, d.ids) {
-				return fmt.Errorf("cluster: shard %d replicas disagree on ids %v vs %v", shard, firstIDs, d.ids)
+			if sent := slices[shard].ids; !equalIDs(d.ids, sent) {
+				return fmt.Errorf("cluster: shard %d replica %s holds ids %v for nonce %d, router sent %v",
+					shard, d.node, d.ids, nonce, sent)
 			}
 			acked++
 		}
@@ -391,9 +380,9 @@ func (r *Router) uploadReplica(node string, nonce uint64, shard uint32, sl *shar
 		return nil, err
 	}
 	var missing []wire.Block
-	for i, h := range sl.hashes {
+	for i, b := range sl.blocks {
 		if !q.Have[i] {
-			missing = append(missing, wire.Block{Hash: h, Data: sl.data[h]})
+			missing = append(missing, b)
 		}
 	}
 	resp, err := c.ShardRoute(&wire.ShardRoute{

@@ -1,6 +1,8 @@
 package cluster_test
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 
 	"bees/internal/blockstore"
@@ -72,9 +74,12 @@ func TestRouterSmallSurface(t *testing.T) {
 	}
 }
 
-// The router's nonce window is bounded: old entries are evicted FIFO,
-// after which a very late replay allocates fresh IDs (the replicas'
-// own dedup windows still answer it idempotently).
+// The router's nonce window is bounded: old entries are evicted FIFO.
+// A replay inside the window re-sends the original IDs; one from beyond
+// it gets fresh IDs from the router, but the shard replicas still hold
+// the nonce under the original ones — the router refuses to return IDs
+// the shards do not hold, so the late replay fails loudly and changes
+// nothing.
 func TestRouterNonceWindowEviction(t *testing.T) {
 	tc, err := testcluster.Start(clusterConfig(2))
 	if err != nil {
@@ -94,21 +99,25 @@ func TestRouterNonceWindowEviction(t *testing.T) {
 	}
 	defer r.Close()
 	batches, _ := clusterWorkload()
-	ids1, err := r.UploadItems(1, batches[0])
+	if _, err := r.UploadItems(1, batches[0]); err != nil {
+		t.Fatal(err)
+	}
+	ids2, err := r.UploadItems(2, batches[1]) // evicts nonce 1 from the router's window
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.UploadItems(2, batches[1]); err != nil {
-		t.Fatal(err) // evicts nonce 1 from the router's window
+	if again, err := r.UploadItems(2, batches[1]); err != nil || !reflect.DeepEqual(again, ids2) {
+		t.Fatalf("in-window replay: %v, %v; want the original %v", again, err, ids2)
 	}
-	// The replay misses the router cache but the shard replicas still
-	// remember nonce 1 and answer with the original IDs.
-	ids1b, err := r.UploadItems(1, batches[0])
+	before, err := r.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ids1b) != len(ids1) {
-		t.Fatalf("replay returned %d ids, want %d", len(ids1b), len(ids1))
+	if ids, err := r.UploadItems(1, batches[0]); err == nil || !strings.Contains(err.Error(), "router sent") {
+		t.Fatalf("replay past the window returned %v, %v; want a replica-ID mismatch error", ids, err)
+	}
+	if after, err := r.Stats(); err != nil || after != before {
+		t.Fatalf("late replay changed the cluster: %+v -> %+v (%v)", before, after, err)
 	}
 }
 

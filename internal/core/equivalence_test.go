@@ -6,13 +6,42 @@ import (
 
 	"bees/internal/dataset"
 	"bees/internal/energy"
+	"bees/internal/features"
+	"bees/internal/index"
 	"bees/internal/netsim"
 	"bees/internal/server"
 )
 
+// perImageAPI is the one-call-per-image server surface the batched
+// ServerAPI replaced; *server.Server still offers it in-process.
+type perImageAPI interface {
+	QueryMax(set *features.BinarySet) float64
+	Upload(set *features.BinarySet, meta server.UploadMeta) index.ImageID
+}
+
+// perImage is the test oracle for the batched API: it adapts a
+// perImageAPI to ServerAPI by looping, one call per image. It is not an
+// Uploader, so the pipeline drives it through UploadBatch.
+type perImage struct{ api perImageAPI }
+
+func (p perImage) QueryMaxBatch(sets []*features.BinarySet) []float64 {
+	sims := make([]float64, len(sets))
+	for i, s := range sets {
+		sims[i] = p.api.QueryMax(s)
+	}
+	return sims
+}
+
+func (p perImage) UploadBatch(items []server.UploadItem) error {
+	for _, it := range items {
+		p.api.Upload(it.Set, it.Meta)
+	}
+	return nil
+}
+
 // TestBatchedMatchesPerImage pins the API-redesign contract: the batched
 // server path must produce byte-identical BatchReports to the legacy
-// one-call-per-image path (core.PerImage adapter) for every scheme. The
+// one-call-per-image path (the perImage oracle) for every scheme. The
 // batching changes how many calls cross the server boundary, never what
 // a batch costs or eliminates.
 func TestBatchedMatchesPerImage(t *testing.T) {
@@ -41,7 +70,7 @@ func TestBatchedMatchesPerImage(t *testing.T) {
 				return r, srv.Stats()
 			}
 			batched, bst := run(func(s *server.Server) ServerAPI { return s })
-			legacy, lst := run(func(s *server.Server) ServerAPI { return PerImage{API: s} })
+			legacy, lst := run(func(s *server.Server) ServerAPI { return perImage{api: s} })
 			if !reflect.DeepEqual(batched, legacy) {
 				t.Errorf("reports diverge:\nbatched: %+v\nlegacy:  %+v", batched, legacy)
 			}

@@ -6,7 +6,6 @@ import (
 	"bees/internal/dataset"
 	"bees/internal/energy"
 	"bees/internal/features"
-	"bees/internal/index"
 	"bees/internal/server"
 )
 
@@ -47,48 +46,6 @@ type Uploader interface {
 }
 
 var _ Uploader = (*server.Server)(nil)
-
-// PerImageAPI is the legacy one-call-per-image server surface kept for
-// comparison and migration: the batched ServerAPI supersedes it on the
-// hot path.
-type PerImageAPI interface {
-	QueryMax(set *features.BinarySet) float64
-	Upload(set *features.BinarySet, meta server.UploadMeta) index.ImageID
-}
-
-// PerImage adapts a PerImageAPI to the batch ServerAPI by looping — one
-// call (and over a transport, one round trip) per image. It exists for
-// the batched-vs-legacy equivalence tests and as a migration shim for
-// external per-image server implementations.
-type PerImage struct{ API PerImageAPI }
-
-var _ ServerAPI = PerImage{}
-
-// QueryMaxBatch implements ServerAPI with one QueryMax per set.
-func (p PerImage) QueryMaxBatch(sets []*features.BinarySet) []float64 {
-	sims := make([]float64, len(sets))
-	for i, s := range sets {
-		sims[i] = p.API.QueryMax(s)
-	}
-	return sims
-}
-
-// UploadBatch implements ServerAPI with one Upload per item.
-func (p PerImage) UploadBatch(items []server.UploadItem) error {
-	for _, it := range items {
-		p.API.Upload(it.Set, it.Meta)
-	}
-	return nil
-}
-
-// TakeDegraded passes the wrapped API's degradation count through, so
-// accounting matches the batched path when wrapping client.RemoteServer.
-func (p PerImage) TakeDegraded() int {
-	if dc, ok := p.API.(DegradationCounter); ok {
-		return dc.TakeDegraded()
-	}
-	return 0
-}
 
 // BatchReport is what every scheme returns for one processed batch: the
 // elimination counts, the bytes that crossed the network, the energy

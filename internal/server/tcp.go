@@ -276,8 +276,6 @@ func (t *TCPServer) admitUtility(conn net.Conn, typ wire.MsgType, payloadLen int
 	}
 	gain := 0.0
 	switch m := msg.(type) {
-	case *wire.UploadRequest:
-		gain = m.Gain
 	case *wire.UploadBatchRequest:
 		gain = m.MaxGain()
 	case *wire.ManifestCommit:
@@ -297,8 +295,8 @@ func (t *TCPServer) admitUtility(conn net.Conn, typ wire.MsgType, payloadLen int
 
 // uploadFrame reports whether a sheddable frame carries upload gains.
 func uploadFrame(typ wire.MsgType) bool {
-	return typ == wire.MsgUploadRequest || typ == wire.MsgUploadBatchRequest ||
-		typ == wire.MsgManifestCommit || typ == wire.MsgShardRoute
+	return typ == wire.MsgUploadBatchRequest || typ == wire.MsgManifestCommit ||
+		typ == wire.MsgShardRoute
 }
 
 // sheddable reports whether a frame type participates in load shedding.
@@ -311,9 +309,8 @@ func uploadFrame(typ wire.MsgType) bool {
 // when the cluster most needs its capacity back.
 func sheddable(typ wire.MsgType) bool {
 	switch typ {
-	case wire.MsgQueryRequest, wire.MsgUploadRequest, wire.MsgUploadBatchRequest,
-		wire.MsgBlockQuery, wire.MsgBlockPut, wire.MsgManifestCommit,
-		wire.MsgShardRoute, wire.MsgShardQuery:
+	case wire.MsgQueryRequest, wire.MsgUploadBatchRequest, wire.MsgBlockQuery,
+		wire.MsgBlockPut, wire.MsgManifestCommit, wire.MsgShardRoute, wire.MsgShardQuery:
 		return true
 	}
 	return false
@@ -372,15 +369,6 @@ func (t *TCPServer) handle(conn net.Conn, msg any) error {
 		t.tel.Counter("server.frames.query").Inc()
 		t.tel.Counter("server.query.sets").Add(int64(len(m.Sets)))
 		return wire.WriteFrame(conn, resp)
-	case *wire.UploadRequest:
-		span := t.tel.StartSpan("server.upload")
-		id, err := t.upload(m)
-		span.End()
-		if err != nil {
-			return err // durability failure: drop the connection, no ack
-		}
-		t.tel.Counter("server.frames.upload").Inc()
-		return wire.WriteFrame(conn, &wire.UploadResponse{ID: id})
 	case *wire.UploadBatchRequest:
 		span := t.tel.StartSpan("server.upload_batch")
 		ids, err := t.uploadBatch(m)
@@ -495,43 +483,6 @@ func (t *TCPServer) DebugSnapshot() telemetry.Snapshot {
 	return s
 }
 
-// upload applies an upload exactly once per nonce: a retried request
-// whose original response was lost gets the originally assigned ID back
-// instead of storing (and counting) the image twice. The dedup gate and
-// WAL append live in Server.commit; the wire-facing byte counters stay
-// here, charged only on a fresh apply.
-func (t *TCPServer) upload(m *wire.UploadRequest) (int64, error) {
-	items := []UploadItem{{Set: nilIfEmpty(m.Set), Meta: UploadMeta{
-		GroupID: m.GroupID,
-		Lat:     m.Lat,
-		Lon:     m.Lon,
-		Bytes:   len(m.Blob),
-		Gain:    m.Gain,
-	}}}
-	ids, hit, err := t.srv.commit(m.Nonce, nil, items, nil)
-	if err != nil {
-		return 0, err
-	}
-	t.charge(hit, items)
-	return ids[0], nil
-}
-
-// charge accounts one inline upload frame on the wire counters: a nonce
-// replay counts as a dedup hit and moves no bytes.
-func (t *TCPServer) charge(hit bool, items []UploadItem) {
-	if hit {
-		t.tel.Counter("server.upload.dedup_hits").Inc()
-		return
-	}
-	blobs := t.tel.Histogram("server.upload.blob_bytes", telemetry.SizeBuckets())
-	var bytes int64
-	for i := range items {
-		bytes += int64(items[i].Meta.Bytes)
-		blobs.Observe(int64(items[i].Meta.Bytes))
-	}
-	t.tel.Counter("server.upload.bytes").Add(bytes)
-}
-
 // nilIfEmpty normalizes a decoded empty feature set to nil (not indexed).
 func nilIfEmpty(set *features.BinarySet) *features.BinarySet {
 	if set.Len() == 0 {
@@ -577,22 +528,7 @@ func (t *TCPServer) blockPut(conn net.Conn, m *wire.BlockPut) error {
 // client re-queries, fills the gap, and retries the commit under the
 // same nonce.
 func (t *TCPServer) manifestCommit(m *wire.ManifestCommit) (any, error) {
-	ups := make([]ManifestUpload, len(m.Items))
-	for i := range m.Items {
-		it := &m.Items[i]
-		ups[i] = ManifestUpload{
-			Set: nilIfEmpty(it.Set),
-			Meta: UploadMeta{
-				GroupID: it.GroupID,
-				Lat:     it.Lat,
-				Lon:     it.Lon,
-				Bytes:   int(it.TotalBytes),
-				Gain:    it.Gain,
-			},
-			Manifest: it.Manifest(),
-		}
-	}
-	ids, err := t.srv.CommitManifestsNonce(m.Nonce, ups)
+	ids, err := t.srv.CommitManifestsNonce(m.Nonce, ManifestUploads(m.Items))
 	if errors.Is(err, ErrDurability) {
 		return nil, err // drop the connection, no ack
 	}
@@ -621,16 +557,49 @@ func (t *TCPServer) uploadBatch(m *wire.UploadBatchRequest) ([]int64, error) {
 		}}
 	}
 	// A zero-item batch is a no-op that never claims its nonce, so a later
-	// single upload reusing it still gets at least one ID.
+	// upload reusing it still applies and gets its IDs.
 	ids, hit, err := t.srv.commit(m.Nonce, nil, items, nil)
 	if err != nil {
 		return nil, err
 	}
-	t.charge(hit, items)
-	if !hit {
-		t.tel.Counter("server.upload.batch_items").Add(int64(len(items)))
+	// A nonce replay counts as a dedup hit and moves no bytes.
+	if hit {
+		t.tel.Counter("server.upload.dedup_hits").Inc()
+		return ids, nil
 	}
+	blobs := t.tel.Histogram("server.upload.blob_bytes", telemetry.SizeBuckets())
+	var bytes int64
+	for i := range items {
+		bytes += int64(items[i].Meta.Bytes)
+		blobs.Observe(int64(items[i].Meta.Bytes))
+	}
+	t.tel.Counter("server.upload.bytes").Add(bytes)
+	t.tel.Counter("server.upload.batch_items").Add(int64(len(items)))
 	return ids, nil
+}
+
+// ManifestUploads converts manifest-committed wire items to the server's
+// upload form: the one wire → server conversion, shared by the
+// ManifestCommit handler and the cluster's ShardRoute handler. An empty
+// feature set becomes nil (not indexed), and Meta.Bytes is the manifest
+// total, which commit checks against the manifest itself.
+func ManifestUploads(items []wire.ManifestItem) []ManifestUpload {
+	ups := make([]ManifestUpload, len(items))
+	for i := range items {
+		it := &items[i]
+		ups[i] = ManifestUpload{
+			Set: nilIfEmpty(it.Set),
+			Meta: UploadMeta{
+				GroupID: it.GroupID,
+				Lat:     it.Lat,
+				Lon:     it.Lon,
+				Bytes:   int(it.TotalBytes),
+				Gain:    it.Gain,
+			},
+			Manifest: it.Manifest(),
+		}
+	}
+	return ups
 }
 
 // Close stops accepting, closes active connections, and waits for the

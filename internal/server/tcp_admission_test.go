@@ -63,10 +63,10 @@ func TestUtilityAdmissionShedsLowGainFirst(t *testing.T) {
 	// recent-gain window.
 	connA := dialRaw(t, addr)
 	for i, gain := range []float64{5, 6} {
-		resp := request(t, connA, &wire.UploadRequest{
-			Nonce: uint64(100 + i), GroupID: int64(i), Gain: gain, Blob: []byte("img"),
-		})
-		if _, ok := resp.(*wire.UploadResponse); !ok {
+		resp := request(t, connA, uploadOne(uint64(100+i), wire.UploadBatchItem{
+			GroupID: int64(i), Gain: gain, Blob: []byte("img"),
+		}))
+		if _, ok := resp.(*wire.UploadBatchResponse); !ok {
 			t.Fatalf("idle-server upload %d got %T", i, resp)
 		}
 	}
@@ -86,23 +86,23 @@ func TestUtilityAdmissionShedsLowGainFirst(t *testing.T) {
 
 	connB := dialRaw(t, addr)
 	// Low gain sheds: the window {5, 6, 1} puts the threshold at 5.
-	if resp := request(t, connB, &wire.UploadRequest{
-		Nonce: 200, Gain: 1, Blob: []byte("low"),
-	}); func() bool { _, ok := resp.(*wire.BusyResponse); return !ok }() {
+	if resp := request(t, connB, uploadOne(200, wire.UploadBatchItem{
+		Gain: 1, Blob: []byte("low"),
+	})); func() bool { _, ok := resp.(*wire.BusyResponse); return !ok }() {
 		t.Fatalf("low-gain upload got %T, want BusyResponse", resp)
 	}
 	// Unranked (legacy, gain 0) falls back to the FIFO rule: 3 < 4
 	// admits, so a fleet that never stamps gains is unaffected.
-	if resp := request(t, connB, &wire.UploadRequest{
-		Nonce: 201, Blob: []byte("legacy"),
-	}); func() bool { _, ok := resp.(*wire.UploadResponse); return !ok }() {
-		t.Fatalf("unranked upload got %T, want UploadResponse", resp)
+	if resp := request(t, connB, uploadOne(201, wire.UploadBatchItem{
+		Blob: []byte("legacy"),
+	})); func() bool { _, ok := resp.(*wire.UploadBatchResponse); return !ok }() {
+		t.Fatalf("unranked upload got %T, want UploadBatchResponse", resp)
 	}
 	// High gain clears the threshold and is admitted.
-	if resp := request(t, connB, &wire.UploadRequest{
-		Nonce: 202, Gain: 9, Blob: []byte("high"),
-	}); func() bool { _, ok := resp.(*wire.UploadResponse); return !ok }() {
-		t.Fatalf("high-gain upload got %T, want UploadResponse", resp)
+	if resp := request(t, connB, uploadOne(202, wire.UploadBatchItem{
+		Gain: 9, Blob: []byte("high"),
+	})); func() bool { _, ok := resp.(*wire.UploadBatchResponse); return !ok }() {
+		t.Fatalf("high-gain upload got %T, want UploadBatchResponse", resp)
 	}
 
 	// A fourth stalled frame reaches the high-water mark: now nothing is
@@ -110,9 +110,9 @@ func TestUtilityAdmissionShedsLowGainFirst(t *testing.T) {
 	conn4, payload4 := stallFrame(t, addr)
 	stalls = append(stalls, stalled{conn4, payload4})
 	waitInflight(t, tcp, 4)
-	if resp := request(t, connB, &wire.UploadRequest{
-		Nonce: 203, Gain: 99, Blob: []byte("over"),
-	}); func() bool { _, ok := resp.(*wire.BusyResponse); return !ok }() {
+	if resp := request(t, connB, uploadOne(203, wire.UploadBatchItem{
+		Gain: 99, Blob: []byte("over"),
+	})); func() bool { _, ok := resp.(*wire.BusyResponse); return !ok }() {
 		t.Fatalf("over-high-water upload got %T, want BusyResponse", resp)
 	}
 
@@ -167,12 +167,11 @@ func TestUtilityAdmissionConcurrentClients(t *testing.T) {
 			}
 			defer conn.Close()
 			for i := 0; i < perClient; i++ {
-				req := &wire.UploadRequest{
-					Nonce:   uint64(1 + c*perClient + i),
+				req := uploadOne(uint64(1+c*perClient+i), wire.UploadBatchItem{
 					GroupID: int64(c),
 					Gain:    float64(1 + (c*7+i*13)%20),
 					Blob:    []byte(fmt.Sprintf("c%d-i%d", c, i)),
-				}
+				})
 				if err := wire.WriteFrame(conn, req); err != nil {
 					t.Errorf("client %d write: %v", c, err)
 					return
@@ -185,7 +184,7 @@ func TestUtilityAdmissionConcurrentClients(t *testing.T) {
 				}
 				mu.Lock()
 				switch resp.(type) {
-				case *wire.UploadResponse:
+				case *wire.UploadBatchResponse:
 					accepted++
 				case *wire.BusyResponse:
 					shed++

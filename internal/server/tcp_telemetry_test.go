@@ -32,7 +32,7 @@ func TestServerTelemetryCounters(t *testing.T) {
 
 	set := &features.BinarySet{Descriptors: []features.Descriptor{{1, 2, 3, 4}}}
 	request(t, conn, &wire.QueryRequest{Sets: []*features.BinarySet{set}})
-	up := &wire.UploadRequest{Nonce: 77, Set: set, Blob: make([]byte, 2048)}
+	up := uploadOne(77, wire.UploadBatchItem{Set: set, Blob: make([]byte, 2048)})
 	request(t, conn, up)
 	request(t, conn, up) // retry replay: dedup hit, not a second store
 	request(t, conn, &wire.StatsRequest{})
@@ -43,15 +43,15 @@ func TestServerTelemetryCounters(t *testing.T) {
 
 	s := reg.Snapshot()
 	want := map[string]int64{
-		"server.frames.total":      5,
-		"server.frames.query":      1,
-		"server.frames.upload":     2,
-		"server.frames.stats":      1,
-		"server.frames.unknown":    1,
-		"server.query.sets":        1,
-		"server.upload.dedup_hits": 1,
-		"server.upload.bytes":      2048, // deduped retry adds nothing
-		"server.conns.accepted":    1,
+		"server.frames.total":        5,
+		"server.frames.query":        1,
+		"server.frames.upload_batch": 2,
+		"server.frames.stats":        1,
+		"server.frames.unknown":      1,
+		"server.query.sets":          1,
+		"server.upload.dedup_hits":   1,
+		"server.upload.bytes":        2048, // deduped retry adds nothing
+		"server.conns.accepted":      1,
 	}
 	for name, v := range want {
 		if got := s.Counters[name]; got != v {

@@ -105,26 +105,35 @@ func TestConnectionLimit(t *testing.T) {
 	}
 }
 
+// uploadOne is a one-image whole-image upload frame.
+func uploadOne(nonce uint64, it wire.UploadBatchItem) *wire.UploadBatchRequest {
+	return &wire.UploadBatchRequest{Nonce: nonce, Items: []wire.UploadBatchItem{it}}
+}
+
+// uploadID performs one upload exchange and returns the single ID.
+func uploadID(t *testing.T, conn net.Conn, up *wire.UploadBatchRequest) int64 {
+	t.Helper()
+	resp, ok := request(t, conn, up).(*wire.UploadBatchResponse)
+	if !ok || len(resp.IDs) != 1 {
+		t.Fatalf("no one-ID upload response: %+v", resp)
+	}
+	return resp.IDs[0]
+}
+
 // TestUploadNonceDedup checks a retried upload (same nonce) is applied
 // once: the replay gets the original ID and the counters move once.
 func TestUploadNonceDedup(t *testing.T) {
 	srv, _, addr := listenTCP(t, TCPConfig{})
 	conn := dialRaw(t, addr)
-	up := &wire.UploadRequest{Nonce: 424242, GroupID: 7, Blob: make([]byte, 100)}
+	up := uploadOne(424242, wire.UploadBatchItem{GroupID: 7, Blob: make([]byte, 100)})
 
-	first, ok := request(t, conn, up).(*wire.UploadResponse)
-	if !ok {
-		t.Fatal("no upload response")
-	}
+	first := uploadID(t, conn, up)
 	// Same nonce again — as a client whose response was lost would send,
 	// here even over a second connection.
 	conn2 := dialRaw(t, addr)
-	second, ok := request(t, conn2, up).(*wire.UploadResponse)
-	if !ok {
-		t.Fatal("no response to retried upload")
-	}
-	if first.ID != second.ID {
-		t.Fatalf("retry got ID %d, original got %d", second.ID, first.ID)
+	second := uploadID(t, conn2, up)
+	if first != second {
+		t.Fatalf("retry got ID %d, original got %d", second, first)
 	}
 	if st := srv.Stats(); st.Images != 1 || st.BytesReceived != 100 {
 		t.Fatalf("retry double-counted: %+v", st)
@@ -132,8 +141,7 @@ func TestUploadNonceDedup(t *testing.T) {
 
 	// A different nonce is a different upload.
 	up.Nonce = 555
-	third := request(t, conn, up).(*wire.UploadResponse)
-	if third.ID == first.ID {
+	if third := uploadID(t, conn, up); third == first {
 		t.Fatal("distinct nonce deduplicated")
 	}
 	if st := srv.Stats(); st.Images != 2 {
@@ -146,10 +154,8 @@ func TestUploadNonceDedup(t *testing.T) {
 func TestUploadNoNonceNotDeduped(t *testing.T) {
 	srv, _, addr := listenTCP(t, TCPConfig{})
 	conn := dialRaw(t, addr)
-	up := &wire.UploadRequest{Blob: make([]byte, 10)}
-	a := request(t, conn, up).(*wire.UploadResponse)
-	b := request(t, conn, up).(*wire.UploadResponse)
-	if a.ID == b.ID {
+	up := uploadOne(0, wire.UploadBatchItem{Blob: make([]byte, 10)})
+	if uploadID(t, conn, up) == uploadID(t, conn, up) {
 		t.Fatal("nonce-less uploads were deduplicated")
 	}
 	if st := srv.Stats(); st.Images != 2 {
@@ -159,9 +165,9 @@ func TestUploadNoNonceNotDeduped(t *testing.T) {
 
 // TestEmptyBatchNonceDoesNotPoisonUpload is a regression test for a
 // remote crash: an empty UploadBatchRequest used to record a zero-ID
-// slice under its nonce, and a later single UploadRequest reusing that
-// nonce indexed ids[0] and panicked the whole server. The empty batch
-// must not claim the nonce, and the follow-up upload must store fresh.
+// slice under its nonce, and a later one-image upload reusing that nonce
+// indexed ids[0] and panicked the whole server. The empty batch must not
+// claim the nonce, and the follow-up upload must store fresh.
 func TestEmptyBatchNonceDoesNotPoisonUpload(t *testing.T) {
 	srv, _, addr := listenTCP(t, TCPConfig{})
 	conn := dialRaw(t, addr)
@@ -174,17 +180,14 @@ func TestEmptyBatchNonceDoesNotPoisonUpload(t *testing.T) {
 		t.Fatalf("empty batch assigned IDs: %v", batch.IDs)
 	}
 
-	up, ok := request(t, conn, &wire.UploadRequest{Nonce: 99, Blob: make([]byte, 10)}).(*wire.UploadResponse)
-	if !ok {
-		t.Fatal("upload reusing the batch nonce got no response (server likely panicked)")
-	}
+	up := uploadOne(99, wire.UploadBatchItem{Blob: make([]byte, 10)})
+	id := uploadID(t, conn, up)
 	if st := srv.Stats(); st.Images != 1 || st.BytesReceived != 10 {
 		t.Fatalf("upload after empty batch not applied: %+v", st)
 	}
 	// The upload's own retry semantics must still work on that nonce.
-	retry := request(t, conn, &wire.UploadRequest{Nonce: 99, Blob: make([]byte, 10)}).(*wire.UploadResponse)
-	if retry.ID != up.ID {
-		t.Fatalf("retry got ID %d, original got %d", retry.ID, up.ID)
+	if retry := uploadID(t, conn, up); retry != id {
+		t.Fatalf("retry got ID %d, original got %d", retry, id)
 	}
 	if st := srv.Stats(); st.Images != 1 {
 		t.Fatalf("retry double-counted: %+v", st)
@@ -240,7 +243,7 @@ func TestLoadSheddingBusy(t *testing.T) {
 	// Connection A announces a large upload but stalls after the header:
 	// its announced bytes are now in flight, holding the server above the
 	// 1 KiB high-water mark.
-	big := &wire.UploadRequest{Nonce: 1, GroupID: 1, Blob: make([]byte, 4096)}
+	big := uploadOne(1, wire.UploadBatchItem{GroupID: 1, Blob: make([]byte, 4096)})
 	header, payload := splitFrame(t, big)
 	connA := dialRaw(t, addr)
 	if _, err := connA.Write(header); err != nil {
@@ -251,7 +254,7 @@ func TestLoadSheddingBusy(t *testing.T) {
 	connB := dialRaw(t, addr)
 	var busy *wire.BusyResponse
 	for {
-		resp := request(t, connB, &wire.UploadRequest{Nonce: 2, GroupID: 2, Blob: []byte("x")})
+		resp := request(t, connB, uploadOne(2, wire.UploadBatchItem{GroupID: 2, Blob: []byte("x")}))
 		if b, ok := resp.(*wire.BusyResponse); ok {
 			busy = b
 			break
@@ -285,8 +288,8 @@ func TestLoadSheddingBusy(t *testing.T) {
 
 	// Load cleared: the shed client retries the identical frame (same
 	// nonce) and is applied exactly once.
-	resp := request(t, connB, &wire.UploadRequest{Nonce: 2, GroupID: 2, Blob: []byte("x")})
-	if _, ok := resp.(*wire.UploadResponse); !ok {
+	resp := request(t, connB, uploadOne(2, wire.UploadBatchItem{GroupID: 2, Blob: []byte("x")}))
+	if _, ok := resp.(*wire.UploadBatchResponse); !ok {
 		t.Fatalf("retry after busy got %T", resp)
 	}
 	if got := srv.Stats().Images; got != 2 {
@@ -311,7 +314,7 @@ func TestLoadSheddingFrameCount(t *testing.T) {
 	connB := dialRaw(t, addr)
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		resp := request(t, connB, &wire.UploadRequest{Nonce: 9, Blob: []byte("y")})
+		resp := request(t, connB, uploadOne(9, wire.UploadBatchItem{Blob: []byte("y")}))
 		if _, ok := resp.(*wire.BusyResponse); ok {
 			break
 		}
@@ -327,5 +330,37 @@ func TestLoadSheddingFrameCount(t *testing.T) {
 	connA.SetReadDeadline(time.Now().Add(2 * time.Second))
 	if _, err := wire.ReadFrame(connA); err != nil {
 		t.Fatalf("stalled query did not complete: %v", err)
+	}
+}
+
+// TestRetiredUploadFrameDropsConnection sends a frame of the retired
+// per-image upload type (message number 3, now reserved): the server
+// must treat it like any undecodable frame — drop the connection
+// without answering — and apply nothing.
+func TestRetiredUploadFrameDropsConnection(t *testing.T) {
+	srv, _, addr := listenTCP(t, TCPConfig{IdleTimeout: 5 * time.Second})
+	conn := dialRaw(t, addr)
+	if id := uploadID(t, conn, uploadOne(1, wire.UploadBatchItem{Blob: make([]byte, 10)})); id != 0 {
+		t.Fatalf("first upload got ID %d", id)
+	}
+	before := srv.Stats()
+
+	// The retired layout: nonce, group, lat, lon, gain, an empty set and
+	// a 3-byte blob — a frame a server once applied.
+	payload := append(make([]byte, 40+4), 3, 0, 0, 0, 'o', 'l', 'd')
+	frame := append([]byte{byte(len(payload)), 0, 0, 0, 3}, payload...)
+	if _, err := conn.Write(frame); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+	if n, err := conn.Read(make([]byte, 1)); err == nil {
+		t.Fatalf("server answered a retired frame (%d bytes) instead of dropping the connection", n)
+	}
+	if st := srv.Stats(); st != before {
+		t.Fatalf("retired frame changed stats: %+v -> %+v", before, st)
+	}
+	// The server keeps serving other connections.
+	if _, ok := request(t, dialRaw(t, addr), &wire.StatsRequest{}).(*wire.StatsResponse); !ok {
+		t.Fatal("server stopped serving after a retired frame")
 	}
 }

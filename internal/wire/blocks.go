@@ -94,7 +94,8 @@ type ManifestItem struct {
 	GroupID int64
 	Lat     float64
 	Lon     float64
-	// Gain is the item's submodular marginal gain (see UploadRequest.Gain).
+	// Gain is the item's submodular marginal gain (see
+	// UploadBatchItem.Gain).
 	Gain float64
 	// TotalBytes and BlockSize describe the payload the Hashes reassemble
 	// to; TotalBytes is what server accounting charges as received.

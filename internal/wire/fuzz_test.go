@@ -21,15 +21,14 @@ func encodeFrame(tb testing.TB, msg any) []byte {
 }
 
 // FuzzReadFrame feeds arbitrary bytes to the frame decoder, seeded with
-// a valid encoding of every message type. The decoder must never panic,
+// a valid encoding of every message type and with frames of the two
+// reserved type numbers. The decoder must never panic,
 // and anything it accepts must re-encode cleanly.
 func FuzzReadFrame(f *testing.F) {
 	rng := rand.New(rand.NewSource(42))
 	seeds := []any{
 		&QueryRequest{Sets: []*features.BinarySet{randomSet(rng, 3), randomSet(rng, 0)}},
 		&QueryResponse{MaxSims: []float64{0, 0.25, 1}},
-		&UploadRequest{Nonce: 7, Set: randomSet(rng, 2), GroupID: -1, Lat: 1.5, Lon: -2.5, Blob: []byte("blob")},
-		&UploadResponse{ID: 99},
 		&StatsRequest{},
 		&StatsResponse{Images: 3, BytesReceived: 12345},
 		&ErrorResponse{Message: "boom"},
@@ -59,6 +58,10 @@ func FuzzReadFrame(f *testing.F) {
 	}
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, byte(MsgQueryRequest)})
 	f.Add([]byte{4, 0, 0, 0, byte(MsgQueryRequest), 0xff, 0xff, 0xff, 0xff})
+	// The reserved numbers of the retired per-image upload frame: never
+	// decodable, whatever follows.
+	f.Add([]byte{8, 0, 0, 0, 3, 7, 0, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{8, 0, 0, 0, 4, 99, 0, 0, 0, 0, 0, 0, 0})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		msg, err := ReadFrame(bytes.NewReader(data))

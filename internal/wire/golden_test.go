@@ -38,16 +38,6 @@ func goldenFrames() []struct {
 	}{
 		{"query_request", &QueryRequest{Sets: []*features.BinarySet{set, {}}}},
 		{"query_response", &QueryResponse{MaxSims: []float64{0, 0.013, 1}}},
-		{"upload_request", &UploadRequest{
-			Nonce:   0xdeadbeefcafebabe,
-			Set:     set,
-			GroupID: -7,
-			Lat:     35.6812,
-			Lon:     139.7671,
-			Gain:    0.625,
-			Blob:    []byte("blob-bytes"),
-		}},
-		{"upload_response", &UploadResponse{ID: 42}},
 		{"stats_request", &StatsRequest{}},
 		{"stats_response", &StatsResponse{Images: 7, BytesReceived: 9000}},
 		{"error_response", &ErrorResponse{Message: "boom"}},

@@ -15,11 +15,12 @@
 //
 // Retry semantics: the protocol itself is a strict one-request/
 // one-response alternation per connection. Queries and stats requests
-// are read-only and naturally idempotent. UploadRequest carries a
+// are read-only and naturally idempotent. Every upload frame
+// (UploadBatchRequest, ManifestCommit, ShardRoute) carries a
 // client-chosen Nonce so a retried upload (the client saw no response,
 // the server may or may not have applied it) can be deduplicated
-// server-side: the server replays the original UploadResponse instead of
-// storing the image twice. Nonce 0 means "no retry protection".
+// server-side: the server replays the originally assigned IDs instead of
+// storing the images twice. Nonce 0 means "no retry protection".
 //
 // Overload: a server past its high-water mark may answer any query or
 // upload with BusyResponse instead of processing it. Busy carries a
@@ -28,12 +29,14 @@
 // load on purpose). A request answered Busy was not applied, so resending
 // it (same nonce) later is safe.
 //
-// Batch-first path: QueryRequest has always carried a whole batch of
-// feature sets (one CBRD round trip per batch); UploadBatchRequest is
-// the AIU counterpart, carrying a window of images under a single nonce
-// so the whole window is applied exactly once and a replay is answered
-// with the originally assigned IDs. The per-image UploadRequest remains
-// for legacy clients and single-image tools.
+// Batch-first path: QueryRequest carries a whole batch of feature sets
+// (one CBRD round trip per batch), and a device uploads a whole chunk of
+// images under one nonce, so the chunk is applied exactly once and a
+// replay is answered with the originally assigned IDs. The chunk travels
+// as the block-transfer flow (blocks.go) when the server advertises it in
+// Hello, and as one whole-image UploadBatchRequest otherwise. Message
+// numbers 3 and 4 belonged to a retired per-image upload frame; they stay
+// reserved and decode as unknown types.
 package wire
 
 import (
@@ -53,8 +56,8 @@ type MsgType uint8
 const (
 	MsgQueryRequest MsgType = iota + 1
 	MsgQueryResponse
-	MsgUploadRequest
-	MsgUploadResponse
+	_ // 3: retired per-image upload request; reserved, never reused
+	_ // 4: retired per-image upload response; reserved, never reused
 	MsgStatsRequest
 	MsgStatsResponse
 	MsgError
@@ -99,42 +102,16 @@ type QueryResponse struct {
 	MaxSims []float64
 }
 
-// UploadRequest stores one image: its features, metadata, and payload.
-type UploadRequest struct {
-	// Nonce identifies this logical upload across retries. A client that
-	// resends an upload after a transport failure reuses the nonce; the
-	// server answers a duplicate with the originally assigned ID instead
-	// of storing the image again. Zero disables deduplication.
-	Nonce   uint64
-	Set     *features.BinarySet
-	GroupID int64
-	Lat     float64
-	Lon     float64
-	// Gain is the image's submodular marginal gain from SSMM selection.
-	// A utility-aware server sheds lowest-gain uploads first under
-	// overload; 0 means unranked, which always falls back to the FIFO
-	// shedding rule (so legacy clients are unaffected by the policy).
-	Gain float64
-	// Blob is the (compressed) image payload. Only its bytes matter to
-	// the server's accounting; the prototype ships the real payload to
-	// exercise the transport.
-	Blob []byte
-}
-
-// UploadResponse acknowledges an upload with the assigned image ID.
-type UploadResponse struct {
-	ID int64
-}
-
 // UploadBatchItem is one image of an UploadBatchRequest.
 type UploadBatchItem struct {
 	Set     *features.BinarySet
 	GroupID int64
 	Lat     float64
 	Lon     float64
-	// Gain is the item's submodular marginal gain (see
-	// UploadRequest.Gain); a utility-aware server ranks the whole frame
-	// by its highest item gain.
+	// Gain is the item's submodular marginal gain from SSMM selection
+	// (0 = unranked). A utility-aware server ranks the whole frame by its
+	// highest item gain and sheds lowest-gain frames first under overload;
+	// an unranked frame falls back to the FIFO shedding rule.
 	Gain float64
 	// Blob is the (compressed) image payload; only its length matters to
 	// the server's accounting.
@@ -221,10 +198,6 @@ func WriteFrame(w io.Writer, msg any) error {
 		typ, payload = MsgQueryRequest, encodeQueryRequest(m)
 	case *QueryResponse:
 		typ, payload = MsgQueryResponse, encodeQueryResponse(m)
-	case *UploadRequest:
-		typ, payload = MsgUploadRequest, encodeUploadRequest(m)
-	case *UploadResponse:
-		typ, payload = MsgUploadResponse, encodeU64(uint64(m.ID))
 	case *StatsRequest:
 		typ, payload = MsgStatsRequest, nil
 	case *StatsResponse:
@@ -322,13 +295,6 @@ func DecodePayload(typ MsgType, payload []byte) (any, error) {
 		return decodeQueryRequest(payload)
 	case MsgQueryResponse:
 		return decodeQueryResponse(payload)
-	case MsgUploadRequest:
-		return decodeUploadRequest(payload)
-	case MsgUploadResponse:
-		if len(payload) != 8 {
-			return nil, errors.New("wire: bad upload response")
-		}
-		return &UploadResponse{ID: int64(binary.LittleEndian.Uint64(payload))}, nil
 	case MsgStatsRequest:
 		return &StatsRequest{}, nil
 	case MsgStatsResponse:
@@ -479,21 +445,6 @@ func decodeQueryResponse(payload []byte) (*QueryResponse, error) {
 	return resp, nil
 }
 
-func encodeUploadRequest(m *UploadRequest) []byte {
-	buf := encodeU64(m.Nonce)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(m.GroupID))
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(m.Lat))
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(m.Lon))
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(m.Gain))
-	set := m.Set
-	if set == nil {
-		set = &features.BinarySet{}
-	}
-	buf = encodeSet(buf, set)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(m.Blob)))
-	return append(buf, m.Blob...)
-}
-
 func encodeUploadBatchRequest(m *UploadBatchRequest) []byte {
 	buf := encodeU64(m.Nonce)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(m.Items)))
@@ -586,32 +537,4 @@ func decodeUploadBatchResponse(payload []byte) (*UploadBatchResponse, error) {
 		resp.IDs[i] = int64(binary.LittleEndian.Uint64(payload[4+8*i:]))
 	}
 	return resp, nil
-}
-
-func decodeUploadRequest(payload []byte) (*UploadRequest, error) {
-	if len(payload) < 40 {
-		return nil, errors.New("wire: truncated upload request")
-	}
-	req := &UploadRequest{
-		Nonce:   binary.LittleEndian.Uint64(payload),
-		GroupID: int64(binary.LittleEndian.Uint64(payload[8:])),
-		Lat:     math.Float64frombits(binary.LittleEndian.Uint64(payload[16:])),
-		Lon:     math.Float64frombits(binary.LittleEndian.Uint64(payload[24:])),
-		Gain:    math.Float64frombits(binary.LittleEndian.Uint64(payload[32:])),
-	}
-	set, rest, err := decodeSet(payload[40:])
-	if err != nil {
-		return nil, err
-	}
-	req.Set = set
-	if len(rest) < 4 {
-		return nil, errors.New("wire: truncated blob header")
-	}
-	blobLen := int(binary.LittleEndian.Uint32(rest))
-	rest = rest[4:]
-	if len(rest) != blobLen {
-		return nil, errors.New("wire: blob length mismatch")
-	}
-	req.Blob = rest
-	return req, nil
 }

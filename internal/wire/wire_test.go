@@ -68,40 +68,68 @@ func TestQueryResponseRoundTrip(t *testing.T) {
 
 func TestUploadRequestRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	req := &UploadRequest{
+	req := &UploadBatchRequest{Items: []UploadBatchItem{{
 		Set:     randomSet(rng, 5),
 		GroupID: -42,
 		Lat:     48.8566,
 		Lon:     2.3522,
+		Gain:    0.75,
 		Blob:    []byte("compressed image payload"),
+	}}}
+	got := roundTrip(t, req).(*UploadBatchRequest)
+	if len(got.Items) != 1 {
+		t.Fatalf("got %d items", len(got.Items))
 	}
-	got := roundTrip(t, req).(*UploadRequest)
-	if got.GroupID != -42 || got.Lat != 48.8566 || got.Lon != 2.3522 {
-		t.Fatalf("metadata corrupted: %+v", got)
+	it := got.Items[0]
+	if it.GroupID != -42 || it.Lat != 48.8566 || it.Lon != 2.3522 || it.Gain != 0.75 {
+		t.Fatalf("metadata corrupted: %+v", it)
 	}
-	if !bytes.Equal(got.Blob, req.Blob) {
+	if !bytes.Equal(it.Blob, req.Items[0].Blob) {
 		t.Fatal("blob corrupted")
 	}
-	if got.Set.Len() != 5 {
+	if it.Set.Len() != 5 {
 		t.Fatal("set corrupted")
 	}
 }
 
 func TestUploadRequestNilSet(t *testing.T) {
-	req := &UploadRequest{GroupID: 1, Blob: []byte{1, 2, 3}}
-	got := roundTrip(t, req).(*UploadRequest)
-	if got.Set.Len() != 0 {
+	req := &UploadBatchRequest{Items: []UploadBatchItem{{GroupID: 1, Blob: []byte{1, 2, 3}}}}
+	got := roundTrip(t, req).(*UploadBatchRequest)
+	if got.Items[0].Set.Len() != 0 {
 		t.Fatal("nil set should decode empty")
 	}
-	if len(got.Blob) != 3 {
+	if len(got.Items[0].Blob) != 3 {
 		t.Fatal("blob lost")
 	}
 }
 
 func TestUploadResponseRoundTrip(t *testing.T) {
-	got := roundTrip(t, &UploadResponse{ID: 123456789}).(*UploadResponse)
-	if got.ID != 123456789 {
-		t.Fatalf("ID = %d", got.ID)
+	got := roundTrip(t, &UploadBatchResponse{IDs: []int64{123456789, -1}}).(*UploadBatchResponse)
+	if len(got.IDs) != 2 || got.IDs[0] != 123456789 || got.IDs[1] != -1 {
+		t.Fatalf("IDs = %v", got.IDs)
+	}
+}
+
+// TestRetiredMessageTypesRejected pins the reservation of message
+// numbers 3 and 4 (the retired per-image upload frame and its answer):
+// they decode as unknown types, whatever their payload, so a peer still
+// speaking the old frame is dropped instead of misread.
+func TestRetiredMessageTypesRejected(t *testing.T) {
+	// The retired request's layout: nonce, group, lat, lon, gain, an
+	// empty set, a one-byte blob; the response was a single u64 ID.
+	legacy := map[MsgType][]byte{
+		3: append(make([]byte, 40+4), 1, 0, 0, 0, 0xAB),
+		4: make([]byte, 8),
+	}
+	for typ, payload := range legacy {
+		if msg, err := DecodePayload(typ, payload); err == nil {
+			t.Fatalf("type %d decoded as %T", typ, msg)
+		}
+		frame := append([]byte{byte(len(payload)), 0, 0, 0, byte(typ)}, payload...)
+		if _, err := ReadFrame(bytes.NewReader(frame)); err == nil ||
+			!strings.Contains(err.Error(), "unknown message type") {
+			t.Fatalf("type %d frame: err = %v, want unknown message type", typ, err)
+		}
 	}
 }
 
@@ -196,9 +224,9 @@ func TestOversizedCountSmallFrame(t *testing.T) {
 
 // TestUploadNonceRoundTrip pins the nonce field's place on the wire.
 func TestUploadNonceRoundTrip(t *testing.T) {
-	req := &UploadRequest{Nonce: 0xdeadbeefcafe, GroupID: 9, Blob: []byte{1}}
-	got := roundTrip(t, req).(*UploadRequest)
-	if got.Nonce != req.Nonce || got.GroupID != 9 {
+	req := &UploadBatchRequest{Nonce: 0xdeadbeefcafe, Items: []UploadBatchItem{{GroupID: 9, Blob: []byte{1}}}}
+	got := roundTrip(t, req).(*UploadBatchRequest)
+	if got.Nonce != req.Nonce || got.Items[0].GroupID != 9 {
 		t.Fatalf("nonce/group corrupted: %+v", got)
 	}
 }
@@ -251,11 +279,11 @@ func TestReadFrameNeverPanicsOnRandomBytes(t *testing.T) {
 func TestDecodeTruncatedAtEveryByte(t *testing.T) {
 	rng := rand.New(rand.NewSource(100))
 	var buf bytes.Buffer
-	req := &UploadRequest{
+	req := &UploadBatchRequest{Nonce: 5, Items: []UploadBatchItem{{
 		Set:     randomSet(rng, 3),
 		GroupID: 7,
 		Blob:    []byte("payload"),
-	}
+	}}}
 	if err := WriteFrame(&buf, req); err != nil {
 		t.Fatal(err)
 	}
