@@ -26,13 +26,15 @@
 // crash (as opposed to a clean shutdown) can lose.
 //
 // With -wal-dir, the server additionally appends every state-mutating
-// frame (uploads, block staging, manifest commits, nonce-window
-// insertions) to a checksummed write-ahead log before acknowledging it,
-// and recovery replays the log tail on top of the last good snapshot —
-// a crash then loses nothing that was acknowledged (see DESIGN.md,
-// "Crash consistency & the WAL"). -wal-sync picks the durability/
-// throughput point: "record" fsyncs every append, a duration like "2ms"
-// group-commits on that interval, "none" leaves flushing to the OS.
+// frame (block staging, commits with their nonces) to a checksummed
+// write-ahead log, and a commit is durable before it is acknowledged;
+// recovery replays the log tail on top of the last good snapshot — a
+// crash then loses no acknowledged commit (see DESIGN.md, "Crash
+// consistency & the WAL"). A block put is acknowledged as staged: the
+// fsync of the commit that names it makes it durable. -wal-sync picks
+// the durability/throughput point: "record" fsyncs once per
+// acknowledged commit, a duration like "2ms" group-commits on that
+// interval, "none" leaves flushing to the OS.
 // -wal-segment-bytes sizes the log segments rotation seals.
 //
 // -max-inflight-frames and -max-inflight-bytes bound the work the
@@ -105,7 +107,7 @@ func run() error {
 	debugAddr := flag.String("debug-addr", "", "serve /debug/vars (JSON telemetry snapshot) and /debug/pprof on this address")
 	blocks := flag.Bool("blocks", true, "advertise content-addressed block transfer in Hello negotiation (-blocks=false forces clients onto whole-image uploads)")
 	walDir := flag.String("wal-dir", "", "write-ahead log directory: mutations are durable before they are acknowledged, and recovery replays the log tail over the last good snapshot")
-	walSync := flag.String("wal-sync", "record", "WAL sync policy: record (fsync per append), a group-commit interval like 2ms, or none")
+	walSync := flag.String("wal-sync", "record", "WAL sync policy: record (fsync per acknowledged commit; staged blocks ride on it), a group-commit interval like 2ms, or none")
 	walSegBytes := flag.Int64("wal-segment-bytes", 0, "rotate WAL segments at this size (0 = default 4 MiB)")
 	clusterSelf := flag.String("cluster-self", "", "this node's name in -cluster-peers (cluster mode; usually its advertised host:port)")
 	clusterPeers := flag.String("cluster-peers", "", "comma-separated cluster membership, every node's dialable address including this one (enables cluster mode)")

@@ -15,13 +15,14 @@
 // once (CARE-style cross-user redundancy elimination, complementing
 // BEES's feature-level dedup).
 //
-// Lifecycle: blocks arrive via Put in a staged state (refcount 0). A
-// manifest commit (Commit) verifies every referenced block is present
-// and then takes one reference per occurrence, all-or-nothing; Release
-// undoes a commit's references. Staged blocks are retained — they are
-// the resume window for a mid-image transfer — and blocks are never
-// evicted by the store itself, so a snapshot round trip preserves both
-// data and refcounts exactly.
+// Lifecycle: blocks arrive via Put — or Stage, which lets the caller log
+// a block between verifying and publishing it — in a staged state
+// (refcount 0). A manifest commit (Commit) verifies every referenced
+// block is present and then takes one reference per occurrence,
+// all-or-nothing; Release undoes a commit's references. Staged blocks
+// are retained — they are the resume window for a mid-image transfer —
+// and blocks are never evicted by the store itself, so a snapshot round
+// trip preserves both data and refcounts exactly.
 package blockstore
 
 import (
@@ -242,17 +243,39 @@ func (s *Store) HaveBitmap(hashes []Hash) []bool {
 // dedup hit: nothing is stored and stored=false. Staged blocks carry
 // refcount 0 until a manifest commits them.
 func (s *Store) Put(h Hash, data []byte) (stored bool, err error) {
+	return s.Stage(h, data, nil)
+}
+
+// Stage is Put with a step between verifying and publishing: the data
+// is checked against h once, a block the store already holds returns
+// stored=false without calling log, and otherwise log (when non-nil)
+// runs before the block becomes visible to Has, HaveBitmap and Commit.
+// If log fails nothing is stored and its error is returned. A server
+// logs the block there, so no commit can name a block whose record is
+// not already in the log ahead of it.
+func (s *Store) Stage(h Hash, data []byte, log func() error) (stored bool, err error) {
 	if len(data) == 0 || len(data) > MaxBlockSize {
 		return false, fmt.Errorf("blockstore: bad block length %d", len(data))
 	}
 	if HashBlock(data) != h {
 		return false, fmt.Errorf("%w: %s", ErrHashMismatch, h.Short())
 	}
+	if s.Has(h) {
+		s.countDup(len(data))
+		return false, nil
+	}
+	if log != nil {
+		if err := log(); err != nil {
+			return false, err
+		}
+	}
+	// A concurrent Stage of the same block may have won since the check
+	// above; its record and this one are both in the log, and replay
+	// dedups them like any other duplicate.
 	s.mu.Lock()
 	if _, ok := s.blocks[h]; ok {
 		s.mu.Unlock()
-		s.dupPuts.Inc()
-		s.dedupBytes.Add(int64(len(data)))
+		s.countDup(len(data))
 		return false, nil
 	}
 	owned := append([]byte(nil), data...)
@@ -262,6 +285,12 @@ func (s *Store) Put(h Hash, data []byte) (stored bool, err error) {
 	s.puts.Inc()
 	s.putBytes.Add(int64(len(data)))
 	return true, nil
+}
+
+// countDup charges one dedup hit of n bytes.
+func (s *Store) countDup(n int) {
+	s.dupPuts.Inc()
+	s.dedupBytes.Add(int64(n))
 }
 
 // Get returns a copy of a stored block.

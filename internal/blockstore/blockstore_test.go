@@ -157,6 +157,47 @@ func TestStorePutRejectsBadBlocks(t *testing.T) {
 	}
 }
 
+// TestStageLogsBeforePublishing: Stage runs its log step only for a
+// verified new block, before the block is visible; a failed log stores
+// nothing.
+func TestStageLogsBeforePublishing(t *testing.T) {
+	s := NewStore(Config{})
+	data := []byte("staged block")
+	h := HashBlock(data)
+	calls := 0
+	visibleDuringLog := false
+	log := func() error {
+		calls++
+		visibleDuringLog = s.Has(h)
+		return nil
+	}
+	if _, err := s.Stage(HashBlock([]byte("other")), data, log); !errors.Is(err, ErrHashMismatch) || calls != 0 {
+		t.Fatalf("mismatched block: err %v, %d log calls", err, calls)
+	}
+	boom := errors.New("log failed")
+	if stored, err := s.Stage(h, data, func() error { return boom }); !errors.Is(err, boom) || stored || s.Has(h) {
+		t.Fatalf("failed log: stored=%v err=%v has=%v", stored, err, s.Has(h))
+	}
+	if stored, err := s.Stage(h, data, log); err != nil || !stored || calls != 1 || visibleDuringLog {
+		t.Fatalf("new block: stored=%v err=%v calls=%d visible during log=%v", stored, err, calls, visibleDuringLog)
+	}
+	if stored, err := s.Stage(h, data, log); err != nil || stored || calls != 1 {
+		t.Fatalf("duplicate: stored=%v err=%v calls=%d", stored, err, calls)
+	}
+
+	// A concurrent stager that publishes the block while this one logs
+	// wins: this Stage reports a duplicate and stores nothing twice.
+	other := []byte("raced block")
+	hOther := HashBlock(other)
+	race := func() error { _, err := s.Put(hOther, other); return err }
+	if stored, err := s.Stage(hOther, other, race); err != nil || stored {
+		t.Fatalf("lost race: stored=%v err=%v", stored, err)
+	}
+	if st := s.Stats(); st.Blocks != 2 || st.Bytes != int64(len(data)+len(other)) {
+		t.Fatalf("stats after race: %+v", st)
+	}
+}
+
 func TestStoreHaveBitmapAndGet(t *testing.T) {
 	s := NewStore(Config{})
 	blob := SynthPayload(3, 500)

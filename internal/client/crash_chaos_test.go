@@ -22,7 +22,9 @@ const chaosBlockSize = 4096
 // chaosScript is the deterministic client workload the crash sweep runs:
 // two whole-image batches, a three-block delta upload, a mid-script
 // checkpoint, a second delta upload sharing two of the first one's
-// blocks (refcount exercise), and a final batch. Fixed nonces make the
+// blocks (refcount exercise), and a final batch. Each delta upload is
+// one retryable step — query, put what is missing, commit — as
+// RemoteServer.UploadItems runs it. Fixed nonces make the
 // crash-free and kill-anywhere runs comparable frame by frame.
 type chaosScript struct {
 	sets    []*features.BinarySet
@@ -90,12 +92,13 @@ func (sc *chaosScript) manifestItem(idx int, m blockstore.Manifest) wire.Manifes
 }
 
 // putMissing is the client half of the delta protocol: query, then put
-// only what the server lacks. Both frames are idempotent, so a retry
-// after a crash can never double-store.
-func putMissing(c *Client, hashes []blockstore.Hash, blocks [][]byte) error {
+// only what the server lacks, returning the hashes the server acked as
+// staged. Both frames are idempotent, so a retry after a crash can never
+// double-store.
+func putMissing(c *Client, hashes []blockstore.Hash, blocks [][]byte) ([]blockstore.Hash, error) {
 	have, err := c.queryBlocks(hashes)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	var put []wire.Block
 	for i := range hashes {
@@ -104,9 +107,16 @@ func putMissing(c *Client, hashes []blockstore.Hash, blocks [][]byte) error {
 		}
 	}
 	if len(put) == 0 {
-		return nil
+		return nil, nil
 	}
-	return c.putBlocks(put)
+	if err := c.putBlocks(put); err != nil {
+		return nil, err
+	}
+	staged := make([]blockstore.Hash, len(put))
+	for i := range put {
+		staged[i] = put[i].Hash
+	}
+	return staged, nil
 }
 
 // chaosStep is one retryable unit of the script. images/bytes are what
@@ -120,12 +130,27 @@ type chaosStep struct {
 	run    func(c *Client, srv *server.Server, snap string, got map[string][]int64) error
 }
 
-func chaosSteps(sc *chaosScript) []chaosStep {
+// chaosSteps builds the script. onStaged hears the hashes a delta
+// step's BlockPut acked before the step goes on to commit them.
+func chaosSteps(sc *chaosScript, onStaged func([]blockstore.Hash)) []chaosStep {
 	blobBytes := func(lo, hi int) (n int64) {
 		for i := lo; i < hi; i++ {
 			n += int64(len(sc.blobs[i]))
 		}
 		return
+	}
+	// delta is one delta upload under nonce, its IDs recorded as key.
+	delta := func(c *Client, key string, nonce uint64, idx int, m blockstore.Manifest, blocks [][]byte, got map[string][]int64) error {
+		staged, err := putMissing(c, m.Hashes, blocks)
+		if err != nil {
+			return err
+		}
+		onStaged(staged)
+		ids, err := c.commitManifests(nonce, []wire.ManifestItem{sc.manifestItem(idx, m)})
+		if err == nil {
+			got[key] = ids
+		}
+		return err
 	}
 	return []chaosStep{
 		{name: "batch1", nonce: 0xBEE50001, images: 3, bytes: blobBytes(0, 3),
@@ -144,33 +169,17 @@ func chaosSteps(sc *chaosScript) []chaosStep {
 				}
 				return err
 			}},
-		{name: "putA",
-			run: func(c *Client, _ *server.Server, _ string, _ map[string][]int64) error {
-				return putMissing(c, sc.manA.Hashes, sc.blocksA)
-			}},
-		{name: "commitA", nonce: 0xBEE50003, images: 1, bytes: sc.manA.TotalBytes,
+		{name: "deltaA", nonce: 0xBEE50003, images: 1, bytes: sc.manA.TotalBytes,
 			run: func(c *Client, _ *server.Server, _ string, got map[string][]int64) error {
-				ids, err := c.commitManifests(0xBEE50003, []wire.ManifestItem{sc.manifestItem(5, sc.manA)})
-				if err == nil {
-					got["commitA"] = ids
-				}
-				return err
+				return delta(c, "commitA", 0xBEE50003, 5, sc.manA, sc.blocksA, got)
 			}},
 		{name: "checkpoint",
 			run: func(_ *Client, srv *server.Server, snap string, _ map[string][]int64) error {
 				return srv.Checkpoint(snap)
 			}},
-		{name: "putB",
-			run: func(c *Client, _ *server.Server, _ string, _ map[string][]int64) error {
-				return putMissing(c, sc.manB.Hashes, sc.blocksB)
-			}},
-		{name: "commitB", nonce: 0xBEE50004, images: 1, bytes: sc.manB.TotalBytes,
+		{name: "deltaB", nonce: 0xBEE50004, images: 1, bytes: sc.manB.TotalBytes,
 			run: func(c *Client, _ *server.Server, _ string, got map[string][]int64) error {
-				ids, err := c.commitManifests(0xBEE50004, []wire.ManifestItem{sc.manifestItem(6, sc.manB)})
-				if err == nil {
-					got["commitB"] = ids
-				}
-				return err
+				return delta(c, "commitB", 0xBEE50004, 6, sc.manB, sc.blocksB, got)
 			}},
 		{name: "batch3", nonce: 0xBEE50005, images: 2, bytes: blobBytes(7, 9),
 			run: func(c *Client, _ *server.Server, _ string, got map[string][]int64) error {
@@ -272,22 +281,25 @@ func replayAllNonces(t *testing.T, c *Client, sc *chaosScript, srv *server.Serve
 	}
 }
 
-// TestChaosCrashRecoveryZeroLoss is the PR's end-to-end proof: beesd is
-// killed at EVERY mutating filesystem operation of a full client
+// TestChaosCrashRecoveryZeroLoss is the end-to-end proof: beesd loses
+// power at EVERY mutating filesystem operation of a full client
 // workload — mid WAL append, mid snapshot rename, mid checkpoint
-// truncation — restarted over the surviving files, and the client
-// retries the failed frame with its original nonce. After every crash
+// truncation — restarts over the surviving files, and the client
+// retries the failed step with its original nonce. After every crash
 // point the final state (Stats, block refcounts, assigned upload IDs)
 // must be byte-identical to a run that never crashed: torn WAL tails
-// are truncated, acknowledged frames are never lost, and un-acked
+// are truncated, acknowledged commits are never lost, and un-acked
 // frames are never answered from the dedup window as if they had been
-// applied.
+// applied. A staged block is not acknowledged as durable, so some crash
+// points must forget one; the step's retry re-sends it.
 func TestChaosCrashRecoveryZeroLoss(t *testing.T) {
 	if testing.Short() {
 		t.Skip("kill-anywhere sweep restarts the server dozens of times")
 	}
 	sc := newChaosScript()
-	steps := chaosSteps(sc)
+	var staged []blockstore.Hash // put-acked by the step in flight
+	steps := chaosSteps(sc, func(hs []blockstore.Hash) { staged = hs })
+	lostStaged := 0 // crash points whose recovery forgot a put-acked block
 
 	// --- Baseline: the same script with no faults. ----------------------
 	baseDir := t.TempDir()
@@ -331,6 +343,7 @@ func TestChaosCrashRecoveryZeroLoss(t *testing.T) {
 		gotIDs := map[string][]int64{}
 		ackedImages, ackedBytes := 0, int64(0)
 		for i := 0; i < len(steps); {
+			staged = nil
 			err := steps[i].run(c, srv, snap, gotIDs)
 			if err == nil {
 				ackedImages += steps[i].images
@@ -366,6 +379,12 @@ func TestChaosCrashRecoveryZeroLoss(t *testing.T) {
 				t.Fatalf("k=%d: recovered server holds %+v after step %s, acked prefix was %d images / %d bytes",
 					k, st, steps[i].name, ackedImages, ackedBytes)
 			}
+			for _, h := range staged {
+				if !srv.Blocks().Has(h) {
+					lostStaged++
+					break
+				}
+			}
 			// Retry the failed step with the same nonce (i unchanged).
 		}
 
@@ -373,7 +392,10 @@ func TestChaosCrashRecoveryZeroLoss(t *testing.T) {
 			// Crash point beyond a full clean pass: every op is covered.
 			c.Close()
 			tcp.Close()
-			t.Logf("sweep covered %d crash points", k-1)
+			t.Logf("sweep covered %d crash points, %d of them forgot a put-acked block", k-1, lostStaged)
+			if lostStaged == 0 {
+				t.Fatal("no crash point forgot a put-acked block: the sweep never crashed between a put and its commit")
+			}
 			break
 		}
 

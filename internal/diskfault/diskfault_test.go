@@ -2,9 +2,12 @@ package diskfault
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 )
 
@@ -64,17 +67,20 @@ func TestOSRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCrashFreezesDisk proves the kill-anywhere model: the crash-point
-// write persists exactly a prefix, and nothing after the crash reaches
+// TestCrashFreezesDisk proves the crash stops the disk: the crash-point
+// write persists at most a prefix, and nothing after the crash reaches
 // the backing directory.
 func TestCrashFreezesDisk(t *testing.T) {
 	dir := t.TempDir()
-	fs := New(Config{CrashAfterOps: 3}) // create(1), write(2), write(3) = crash
+	fs := New(Config{CrashAfterOps: 4}) // create(1), write(2), sync(3), write(4) = crash
 	f, err := fs.Create(filepath.Join(dir, "f"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := f.Write([]byte("aaaa")); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := f.Write([]byte("bbbb")); !errors.Is(err, ErrCrashed) {
@@ -116,10 +122,132 @@ func TestCrashFreezesDisk(t *testing.T) {
 	}
 	f.Close() // allowed: defers run in the dying process
 
-	// A clean FS over the same directory sees the torn state: the full
-	// first write plus half of the crash-point write.
-	if got := readAll(t, filepath.Join(dir, "f")); string(got) != "aaaabb" {
-		t.Fatalf("disk frozen at %q, want %q", got, "aaaabb")
+	// A clean FS over the same directory sees the torn state: the synced
+	// first write plus at most half of the crash-point write.
+	if got := string(readAll(t, filepath.Join(dir, "f"))); !strings.HasPrefix("aaaabb", got) || len(got) < 4 {
+		t.Fatalf("disk frozen at %q, want %q plus a prefix of %q", got, "aaaa", "bb")
+	}
+}
+
+// powerLossRun writes a synced head and an unsynced tail to a fresh
+// file, cuts the power at the next op, and returns what survived.
+func powerLossRun(t *testing.T, seed int64, head, tail string) string {
+	t.Helper()
+	dir := t.TempDir()
+	path := filepath.Join(dir, "f")
+	fs := New(Config{Seed: seed, CrashAfterOps: 5}) // create, write, sync, write, crash
+	f, err := fs.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write([]byte(head)); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write([]byte(tail)); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.SyncDir(dir); !errors.Is(err, ErrCrashed) {
+		t.Fatalf("crash-point op err = %v, want ErrCrashed", err)
+	}
+	f.Close()
+	return string(readAll(t, path))
+}
+
+// TestPowerLossDropsUnsyncedTail: across seeds, a crash keeps the
+// synced head every time, keeps some prefix of the unsynced tail, and
+// sometimes drops that tail entirely.
+func TestPowerLossDropsUnsyncedTail(t *testing.T) {
+	const head, tail = "synced-head|", "unsynced-tail-bytes"
+	lostAll, keptSome := false, false
+	for seed := int64(1); seed <= 64; seed++ {
+		got := powerLossRun(t, seed, head, tail)
+		if !strings.HasPrefix(got, head) {
+			t.Fatalf("seed %d: synced head lost: %q", seed, got)
+		}
+		if !strings.HasPrefix(head+tail, got) {
+			t.Fatalf("seed %d: survivor %q is not a prefix of what was written", seed, got)
+		}
+		lostAll = lostAll || got == head
+		keptSome = keptSome || len(got) > len(head)
+	}
+	if !lostAll || !keptSome {
+		t.Fatalf("64 seeds never lost the whole tail (%v) or never kept part of it (%v)", lostAll, keptSome)
+	}
+}
+
+// TestPowerLossDeterministic: the same seed keeps the same bytes.
+func TestPowerLossDeterministic(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		a := powerLossRun(t, seed, "h", "0123456789abcdef0123456789abcdef")
+		b := powerLossRun(t, seed, "h", "0123456789abcdef0123456789abcdef")
+		if a != b {
+			t.Fatalf("seed %d: crash kept %q, then %q", seed, a, b)
+		}
+	}
+}
+
+// TestPowerLossFollowsRenameAndClose: renaming or closing a file does
+// not make its data durable, a synced file is untouched by the cut, and
+// a removed file is forgotten.
+func TestPowerLossFollowsRenameAndClose(t *testing.T) {
+	dir := t.TempDir()
+	join := func(name string) string { return filepath.Join(dir, name) }
+	write := func(fs *Faulty, name, data string, sync bool) {
+		f, err := fs.Create(join(name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Write([]byte(data)); err != nil {
+			t.Fatal(err)
+		}
+		if sync {
+			if err := f.Sync(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Find a seed whose cut drops the renamed file's whole tail: the
+	// classic "renamed before fsync" empty file.
+	for seed := int64(1); ; seed++ {
+		if seed > 64 {
+			t.Fatal("no seed in 64 dropped an unsynced renamed file")
+		}
+		for _, name := range []string{"moved", "kept", "gone"} {
+			os.Remove(join(name))
+		}
+		fs := New(Config{Seed: seed})
+		write(fs, "tmp", "never-synced", false)
+		if err := fs.Rename(join("tmp"), join("moved")); err != nil {
+			t.Fatal(err)
+		}
+		write(fs, "kept", "synced", true)
+		write(fs, "gone", "unsynced", false)
+		if err := fs.Remove(join("gone")); err != nil {
+			t.Fatal(err)
+		}
+		fs.cfg.CrashAfterOps = fs.Ops() + 1
+		if err := fs.SyncDir(dir); !errors.Is(err, ErrCrashed) {
+			t.Fatalf("crash-point op err = %v", err)
+		}
+		if got := string(readAll(t, join("kept"))); got != "synced" {
+			t.Fatalf("seed %d: synced file became %q", seed, got)
+		}
+		if _, err := os.Stat(join("gone")); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("seed %d: removed file resurfaced: %v", seed, err)
+		}
+		got := string(readAll(t, join("moved")))
+		if !strings.HasPrefix("never-synced", got) {
+			t.Fatalf("seed %d: renamed file holds %q", seed, got)
+		}
+		if got == "" {
+			return
+		}
 	}
 }
 
@@ -254,6 +382,60 @@ func TestDeterministicSchedule(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("schedules diverge at op %d", i)
+		}
+	}
+}
+
+// TestPowerLossConcurrentWriters: writers on several goroutines race
+// the crash. Whatever interleaving the scheduler picks, each file ends
+// as a prefix of what its writer wrote that holds everything the writer
+// saw synced — no write lands after the cut.
+func TestPowerLossConcurrentWriters(t *testing.T) {
+	dir := t.TempDir()
+	fs := New(Config{Seed: 5, CrashAfterOps: 60})
+	const writers = 4
+	var wg sync.WaitGroup
+	wrote := make([]string, writers)
+	synced := make([]int, writers)
+	for g := 0; g < writers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			f, err := fs.Create(filepath.Join(dir, fmt.Sprint(g)))
+			if err != nil {
+				return
+			}
+			defer f.Close()
+			for i := 0; ; i++ {
+				chunk := fmt.Sprintf("%d-%d;", g, i)
+				n, err := f.Write([]byte(chunk))
+				wrote[g] += chunk[:n]
+				if err != nil {
+					return
+				}
+				if i%3 == 2 {
+					if f.Sync() != nil {
+						return
+					}
+					synced[g] = len(wrote[g])
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if !fs.Crashed() {
+		t.Fatal("writers stopped without a crash")
+	}
+	for g := 0; g < writers; g++ {
+		got, err := os.ReadFile(filepath.Join(dir, fmt.Sprint(g)))
+		if errors.Is(err, os.ErrNotExist) && wrote[g] == "" {
+			continue // its Create came after the crash
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.HasPrefix(wrote[g], string(got)) || len(got) < synced[g] {
+			t.Fatalf("writer %d: file holds %q; wrote %q, synced %d bytes", g, got, wrote[g], synced[g])
 		}
 	}
 }

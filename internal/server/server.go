@@ -164,12 +164,18 @@ func (s *Server) failDurability(err error) {
 }
 
 // logRecord appends an encoded record to the WAL, if one is attached,
-// and poisons the server on failure.
-func (s *Server) logRecord(rec []byte) error {
+// and poisons the server on failure. sync waits until the record is
+// durable per the log's policy; a staged block passes false and is made
+// durable by the fsync of the commit that names it.
+func (s *Server) logRecord(rec []byte, sync bool) error {
 	if s.wal == nil {
 		return nil
 	}
-	if err := s.wal.Append(rec); err != nil {
+	appendRec := s.wal.Append
+	if !sync {
+		appendRec = s.wal.AppendNoSync
+	}
+	if err := appendRec(rec); err != nil {
 		s.failDurability(err)
 		return s.durabilityErr()
 	}
@@ -250,7 +256,7 @@ func (s *Server) commit(nonce uint64, ids []int64, items []UploadItem, manifests
 	}
 	ids = s.install(ids, items)
 	s.tel.Counter("server.index.uploads").Add(int64(len(items)))
-	if err := s.logRecord(encodeCommitRecord(nonce, ids, items, manifests)); err != nil {
+	if err := s.logRecord(encodeCommitRecord(nonce, ids, items, manifests), true); err != nil {
 		return nil, false, err
 	}
 	return ids, false, nil
@@ -424,24 +430,27 @@ func (s *Server) UploadItems(nonce uint64, items []UploadItem) ([]int64, error) 
 	return s.countHit(s.commit(nonce, nil, items, nil))
 }
 
-// StageBlock stages one content-addressed block through the WAL: the
-// block is durable before the put is acknowledged, so a commit that
-// refers to it can never outlive it across a crash. Duplicate blocks
-// are not re-logged (stored == false).
+// StageBlock stages one content-addressed block: verify, log, publish.
+// The data is checked against h once; a block the store already holds
+// is a dedup hit (stored == false) and is not logged. Otherwise the
+// block's record is appended to the WAL without waiting for an fsync,
+// and only then is the block inserted where HaveBitmap and commit can
+// see it. So every commit that names the block sits after its record in
+// the log, and the commit's fsync makes both durable: a commit never
+// outlives a block it names. The ack therefore means staged, not
+// durable — a crash may forget the block, and the client's retry
+// re-queries and re-sends it before committing again.
 func (s *Server) StageBlock(h blockstore.Hash, data []byte) (stored bool, err error) {
 	s.stateMu.RLock()
 	defer s.stateMu.RUnlock()
 	if err := s.durabilityErr(); err != nil {
 		return false, err
 	}
-	stored, err = s.blocks.Put(h, data)
-	if err != nil || !stored {
-		return stored, err
+	var log func() error
+	if s.wal != nil {
+		log = func() error { return s.logRecord(encodeBlockPutRecord(h, data), false) }
 	}
-	if err := s.logRecord(encodeBlockPutRecord(h, data)); err != nil {
-		return false, err
-	}
-	return true, nil
+	return s.blocks.Stage(h, data, log)
 }
 
 // ManifestUpload is one image arriving by manifest rather than by blob:

@@ -1,8 +1,12 @@
 // Package wal implements the checksummed, segmented write-ahead log
 // that makes beesd crash-consistent: the server appends a record for
-// every state-mutating frame (uploads, block staging, manifest commits —
-// each carrying its dedup nonce) *before* acknowledging it, so recovery
-// is "load the last durable snapshot, replay the WAL tail".
+// every state-mutating frame (block staging, commits — each commit
+// carrying its dedup nonce), and a commit's record is durable before
+// the commit is acknowledged, so recovery is "load the last durable
+// snapshot, replay the WAL tail". Block records go in with
+// AppendNoSync: their ack promises nothing, and the fsync of the first
+// commit that names them, which sits later in the same log, makes them
+// durable too.
 //
 // Layout: the log is a directory of segment files wal-<seq>.seg, each
 // headed by magic|version|seq and holding length-prefixed records
@@ -20,7 +24,7 @@
 // (and therefore never acknowledged) can never resurface.
 //
 // Durability is configurable per Config.Policy: SyncEachRecord fsyncs
-// before Append returns (every acknowledged frame survives power loss),
+// before Append returns (every acknowledged commit survives power loss),
 // SyncInterval group-commits — appenders block until the background
 // flusher's next fsync covers their record, amortizing one fsync over
 // every record in the window — and SyncNone leaves flushing to the OS.
@@ -390,7 +394,21 @@ func (l *Log) openSegmentLocked(seq uint64) error {
 // call returns; the caller may reuse it. A log that has seen an I/O
 // error refuses every later append with that error — memory state and
 // log contents must not diverge silently.
-func (l *Log) Append(payload []byte) error {
+func (l *Log) Append(payload []byte) error { return l.append(payload, true) }
+
+// AppendNoSync writes one record like Append but returns without
+// waiting for an fsync, under every policy. The record is durable once
+// any later Append, Sync, Rotate or Close returns (under SyncNone, as
+// durable as that Append's own record): each of them syncs every record
+// before it, because records sit in append order in one segment file
+// and a segment is synced before it is sealed. It is for records whose
+// ack promises nothing until a later synced record names them. A closed
+// or poisoned log refuses it with the error it gives Append.
+func (l *Log) AppendNoSync(payload []byte) error { return l.append(payload, false) }
+
+// append writes one frame; wait makes the caller wait for durability
+// per the policy.
+func (l *Log) append(payload []byte, wait bool) error {
 	if len(payload) == 0 {
 		return errors.New("wal: empty record")
 	}
@@ -433,6 +451,10 @@ func (l *Log) Append(payload []byte) error {
 	lsn := l.appended
 	l.recs.Inc()
 	l.bytes.Add(int64(len(frame)))
+	if !wait {
+		l.mu.Unlock()
+		return nil
+	}
 
 	switch l.cfg.Policy {
 	case SyncEachRecord:

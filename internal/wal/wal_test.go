@@ -734,3 +734,197 @@ func TestKillAnywhereRepair(t *testing.T) {
 		}
 	}
 }
+
+// crashAfter runs script against a counting FS to learn its op count,
+// then again in a fresh directory under an FS that cuts the power at
+// the first op after the script, and returns that directory.
+func crashAfter(t *testing.T, seed int64, script func(dir string, fs diskfault.FS)) string {
+	t.Helper()
+	counting := diskfault.New(diskfault.Config{})
+	script(t.TempDir(), counting)
+	dir := t.TempDir()
+	fs := diskfault.New(diskfault.Config{Seed: seed, CrashAfterOps: counting.Ops() + 1})
+	script(dir, fs)
+	if err := fs.SyncDir(dir); !errors.Is(err, diskfault.ErrCrashed) {
+		t.Fatalf("crash trigger err = %v, want ErrCrashed", err)
+	}
+	return dir
+}
+
+// TestAppendNoSyncDurableWithNext: a record appended without a sync is
+// made durable by the next Append (one fsync for both), Sync, Rotate
+// or Close — and, as the control shows, by nothing else.
+func TestAppendNoSyncDurableWithNext(t *testing.T) {
+	ops := map[string]func(l *Log) error{
+		"append": func(l *Log) error { return l.Append([]byte("commit")) },
+		"sync":   func(l *Log) error { return l.Sync() },
+		"rotate": func(l *Log) error { _, err := l.Rotate(); return err },
+		"close":  func(l *Log) error { return l.Close() },
+		"none":   func(*Log) error { return nil },
+	}
+	for name, op := range ops {
+		t.Run(name, func(t *testing.T) {
+			lost := false
+			for seed := int64(1); seed <= 16; seed++ {
+				var syncs int64
+				dir := crashAfter(t, seed, func(dir string, fs diskfault.FS) {
+					reg := telemetry.NewRegistry()
+					l, err := Open(Config{Dir: dir, FS: fs, Policy: SyncEachRecord, Telemetry: reg})
+					if err != nil {
+						t.Fatal(err)
+					}
+					t.Cleanup(func() { l.Close() })
+					if err := l.AppendNoSync([]byte("staged")); err != nil {
+						t.Fatal(err)
+					}
+					before := reg.Counter("wal.syncs").Value()
+					if err := op(l); err != nil {
+						t.Fatal(err)
+					}
+					syncs = reg.Counter("wal.syncs").Value() - before
+				})
+				if name == "append" && syncs != 1 {
+					t.Fatalf("staged record + Append cost %d fsyncs, want 1", syncs)
+				}
+				got, _ := replayAll(t, Config{Dir: dir})
+				kept := len(got) > 0 && string(got[0]) == "staged"
+				if name != "none" && !kept {
+					t.Fatalf("seed %d: staged record lost after %s returned: %q", seed, name, got)
+				}
+				lost = lost || !kept
+			}
+			if name == "none" && !lost {
+				t.Fatal("control: 16 power cuts never lost an unsynced record")
+			}
+		})
+	}
+}
+
+// TestAppendNoSyncSkipsFlusher: under group commit an unsynced append
+// returns at once — it never waits for the flusher — and is counted
+// like any other record.
+func TestAppendNoSyncSkipsFlusher(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	cfg := Config{Dir: t.TempDir(), Policy: SyncInterval, Interval: time.Hour, Telemetry: reg}
+	l, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- l.AppendNoSync([]byte("staged")) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("AppendNoSync blocked on the group-commit flusher")
+	}
+	if got := reg.Counter("wal.syncs").Value(); got != 0 {
+		t.Fatalf("wal.syncs = %d, want 0", got)
+	}
+	if got := reg.Counter("wal.append.records").Value(); got != 1 {
+		t.Fatalf("wal.append.records = %d, want 1", got)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := replayAll(t, cfg); len(got) != 1 {
+		t.Fatalf("replayed %d records, want 1", len(got))
+	}
+}
+
+// TestAppendNoSyncRefusals: a closed or poisoned log refuses an
+// unsynced append with the error it gives Append.
+func TestAppendNoSyncRefusals(t *testing.T) {
+	l, err := Open(Config{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	if err := l.AppendNoSync([]byte("x")); !errors.Is(err, ErrClosed) {
+		t.Fatalf("closed log: err = %v, want ErrClosed", err)
+	}
+
+	// Open costs 4 ops, so the first record write (op 5) dies.
+	fs := diskfault.New(diskfault.Config{CrashAfterOps: 5})
+	l, err = Open(Config{Dir: t.TempDir(), FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	sticky := l.Append([]byte("doomed"))
+	if !errors.Is(sticky, diskfault.ErrCrashed) {
+		t.Fatalf("append err = %v, want ErrCrashed", sticky)
+	}
+	if err := l.AppendNoSync([]byte("after")); err != sticky {
+		t.Fatalf("poisoned log: err = %v, want the sticky %v", err, sticky)
+	}
+	if err := l.AppendNoSync(nil); err == nil {
+		t.Fatal("empty unsynced record accepted")
+	}
+}
+
+// TestKillAnywhereMixedAppends sweeps a power cut across every op of a
+// workload that stages records with AppendNoSync and seals each group
+// with a synced Append, over segment rotations. Replay must return a
+// prefix of what was written that holds every record up to the last
+// acknowledged Append — and some crash point must lose an unsynced
+// record, or the sweep never exercised the cheap path.
+func TestKillAnywhereMixedAppends(t *testing.T) {
+	var all []string
+	for i := 0; i < 5; i++ {
+		all = append(all, fmt.Sprintf("stage-%d-a", i), fmt.Sprintf("stage-%d-b", i), fmt.Sprintf("commit-%d", i))
+	}
+	// script returns how many records were written and how many of them a
+	// synced Append acknowledged.
+	script := func(dir string, fs diskfault.FS) (written, acked int, err error) {
+		l, err := Open(Config{Dir: dir, FS: fs, Policy: SyncEachRecord, SegmentBytes: 96})
+		if err != nil {
+			return 0, 0, err
+		}
+		defer l.Close()
+		for i, rec := range all {
+			if i%3 == 2 {
+				err = l.Append([]byte(rec))
+			} else {
+				err = l.AppendNoSync([]byte(rec))
+			}
+			if err != nil {
+				return written, acked, err
+			}
+			written++
+			if i%3 == 2 {
+				acked = written
+			}
+		}
+		return written, acked, l.Close()
+	}
+	counting := diskfault.New(diskfault.Config{})
+	if _, _, err := script(t.TempDir(), counting); err != nil {
+		t.Fatalf("fault-free script: %v", err)
+	}
+	lostStaged := false
+	for k := int64(1); k <= counting.Ops(); k++ {
+		dir := t.TempDir()
+		fs := diskfault.New(diskfault.Config{Seed: k, CrashAfterOps: k})
+		written, acked, err := script(dir, fs)
+		if err == nil {
+			t.Fatalf("crash at op %d surfaced no error", k)
+		}
+		got, _ := replayAll(t, Config{Dir: dir})
+		if len(got) < acked {
+			t.Fatalf("crash at op %d: replayed %d records, %d were acknowledged", k, len(got), acked)
+		}
+		for i, p := range got {
+			if i >= len(all) || string(p) != all[i] {
+				t.Fatalf("crash at op %d: record %d = %q, not a prefix of the script", k, i, p)
+			}
+		}
+		lostStaged = lostStaged || len(got) < written
+	}
+	if !lostStaged {
+		t.Fatal("no crash point lost an unsynced record")
+	}
+	t.Logf("mixed-append sweep covered %d crash points", counting.Ops())
+}
