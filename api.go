@@ -51,7 +51,7 @@ type (
 	// CoverageResult reports a coverage simulation.
 	CoverageResult = sim.CoverageResult
 	// IndexConfig parameterizes the server's similarity index (LSH
-	// tables, candidate limits, lock-stripe shard count).
+	// tables, bits per key, candidate limit, re-rank radius, seed).
 	IndexConfig = index.Config
 	// Telemetry is the metrics registry servers, clients and pipelines
 	// report into; share one instance to scrape everything at once.
@@ -127,13 +127,6 @@ type ServerOption func(*serverConfig)
 // WithIndexConfig replaces the similarity-index configuration.
 func WithIndexConfig(cfg IndexConfig) ServerOption {
 	return func(c *serverConfig) { c.idx = cfg }
-}
-
-// WithShards sets the index lock-stripe count: more shards means less
-// write contention under concurrent uploads, at a small per-query
-// fan-out cost. Results are identical for every shard count.
-func WithShards(n int) ServerOption {
-	return func(c *serverConfig) { c.idx.Shards = n }
 }
 
 // WithServerTelemetry attaches a metrics registry to the server, which

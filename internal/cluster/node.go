@@ -48,7 +48,6 @@ func (c NodeConfig) withDefaults() NodeConfig {
 	if c.Server.Index == (index.Config{}) {
 		c.Server.Index = index.DefaultConfig()
 	}
-	c.Server.Index.Shards = 1
 	return c
 }
 

@@ -1,8 +1,6 @@
 package index
 
 import (
-	"fmt"
-	"sync/atomic"
 	"testing"
 
 	"bees/internal/features"
@@ -40,12 +38,11 @@ func BenchmarkQueryMaxExhaustiveRef(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var best *Entry
 		bestSim := 0.0
-		for _, id := range idx.sortedIDs() {
-			e := idx.Get(id)
+		idx.ForEach(func(e *Entry) {
 			if sim := features.JaccardBinaryRef(q, e.Set, idx.cfg.HammingMax); sim > bestSim {
 				bestSim, best = sim, e
 			}
-		}
+		})
 		_ = best
 	}
 }
@@ -62,74 +59,35 @@ func BenchmarkAdd(b *testing.B) {
 	}
 }
 
-// benchShardedIndex builds an index with the given stripe count holding
-// 64 entries (the corpus sets reused under distinct IDs, as shard load).
-func benchShardedIndex(c *testCorpus, shards int) *Index {
-	cfg := DefaultConfig()
-	cfg.Shards = shards
-	idx := New(cfg)
-	for i := 0; i < 64; i++ {
-		idx.Add(&Entry{ID: ImageID(i), Set: c.sets[i%len(c.sets)], GroupID: int64(i)})
-	}
-	return idx
-}
-
-// BenchmarkQueryMaxSharded compares the per-query cost of the shard
-// fan-out against a single stripe; results are identical by construction
-// (TestShardedMatchesSingleShard), only the locking granularity differs.
-func BenchmarkQueryMaxSharded(b *testing.B) {
-	c := newCorpus(b, 8, 903)
-	queries := make([]*features.BinarySet, len(c.sets))
-	for i := range queries {
-		queries[i] = c.variantSet(i)
-	}
-	for _, shards := range []int{1, DefaultShards} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			idx := benchShardedIndex(c, shards)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				idx.QueryMax(queries[i%len(queries)])
-			}
-		})
-	}
-}
-
-// BenchmarkQueryMaxShardedReaders is BenchmarkQueryMaxSharded under
-// concurrent readers (b.RunParallel, one goroutine per core): a lone
-// query only shows the stripe fan-out's overhead, while striping exists
-// for load, so the two stripe counts are compared with every core
-// querying at once.
-func BenchmarkQueryMaxShardedReaders(b *testing.B) {
-	c := newCorpus(b, 8, 903)
-	queries := make([]*features.BinarySet, len(c.sets))
-	for i := range queries {
-		queries[i] = c.variantSet(i)
-	}
-	for _, shards := range []int{1, DefaultShards} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			idx := benchShardedIndex(c, shards)
-			var next atomic.Int64
-			b.ReportAllocs()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					idx.QueryMax(queries[int(next.Add(1))%len(queries)])
-				}
-			})
-		})
+// BenchmarkAddBatch measures one commit's insert: the corpus as one
+// batch, prepared and hashed in parallel, linked under one lock hold.
+func BenchmarkAddBatch(b *testing.B) {
+	c := newCorpus(b, 8, 902)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		idx := New(DefaultConfig())
+		batch := make([]*Entry, len(c.sets))
+		for j, s := range c.sets {
+			batch[j] = &Entry{ID: ImageID(j), Set: s}
+		}
+		idx.AddBatch(batch)
 	}
 }
 
 // BenchmarkQueryMaxBatch measures the batched CBRD query: 16 sets per
-// operation, fanned across host cores and index shards.
+// operation, fanned across host cores, over 64 entries (the corpus sets
+// reused under distinct IDs).
 func BenchmarkQueryMaxBatch(b *testing.B) {
 	c := newCorpus(b, 8, 904)
 	batch := make([]*features.BinarySet, 16)
 	for i := range batch {
 		batch[i] = c.variantSet(i % len(c.sets))
 	}
-	idx := benchShardedIndex(c, DefaultShards)
+	idx := New(DefaultConfig())
+	for i := 0; i < 64; i++ {
+		idx.Add(&Entry{ID: ImageID(i), Set: c.sets[i%len(c.sets)], GroupID: int64(i)})
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

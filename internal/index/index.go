@@ -3,17 +3,20 @@
 // LSH over 256-bit ORB descriptors generates candidates, which are then
 // re-ranked with the exact Jaccard similarity of Equation 2.
 //
-// The index is lock-striped: entries and their hash buckets are spread
-// over Config.Shards independent shards, each behind its own RWMutex, so
-// a write (Add) locks 1/S of the index instead of all of it and queries
-// fan out over the shards concurrently. Results are byte-identical to a
-// single-shard index: an image lives in exactly one shard, so per-shard
-// LSH votes merge losslessly before the global candidate ranking.
+// The index is one flat structure behind one RWMutex. Each table has a
+// dense bucket directory of 2^BitsPerKey list heads, and every table's
+// postings share one append-only arena of (slot, next) cells that grows
+// in fixed-size chunks, so growth never copies under the lock. Entries
+// sit in a slot-ordered slice; a query hashes its set once and counts
+// votes in a dense per-slot array. AddBatch links a whole batch in one
+// write-lock section, so a query sees all of a commit's images or none.
 package index
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 
@@ -39,15 +42,6 @@ type Entry struct {
 	prep *features.PreparedBinarySet
 }
 
-// prepared returns the entry's accelerated set, building it on the spot
-// for entries that never passed through Add (hand-built in tests).
-func (e *Entry) prepared() *features.PreparedBinarySet {
-	if e.prep != nil {
-		return e.prep
-	}
-	return e.Set.Prepare()
-}
-
 // Result is one ranked query answer.
 type Result struct {
 	ID         ImageID
@@ -59,7 +53,8 @@ type Result struct {
 type Config struct {
 	// Tables is the number of independent hash tables.
 	Tables int
-	// BitsPerKey is the number of sampled descriptor bits per key (≤ 32).
+	// BitsPerKey is the number of sampled descriptor bits per key
+	// (≤ 20: each table's bucket directory is dense, 4·2^BitsPerKey bytes).
 	BitsPerKey int
 	// HammingMax is the exact-match radius used for re-ranking.
 	HammingMax int
@@ -67,16 +62,7 @@ type Config struct {
 	CandidateLimit int
 	// Seed drives the bit sampling.
 	Seed int64
-	// Shards is the number of lock stripes the index is split into.
-	// Zero or negative selects DefaultShards. Shard assignment is a pure
-	// function of the image ID, so results do not depend on the count.
-	Shards int
 }
-
-// DefaultShards is the lock-stripe count used when Config.Shards is not
-// set: enough stripes that concurrent uploads rarely contend, few enough
-// that per-query fan-out stays cheap.
-const DefaultShards = 8
 
 // DefaultConfig returns LSH parameters tuned for 256-bit descriptors with
 // a match radius around DefaultHammingMax: similar descriptors collide in
@@ -88,28 +74,36 @@ func DefaultConfig() Config {
 		HammingMax:     features.DefaultHammingMax,
 		CandidateLimit: 24,
 		Seed:           0x1d5,
-		Shards:         DefaultShards,
 	}
 }
 
-// shard is one lock stripe: a slice of the entry map plus the matching
-// slice of every hash table.
-type shard struct {
-	mu      sync.RWMutex
-	entries map[ImageID]*Entry
-	tables  []map[uint32][]ImageID
-}
+// posting is one arena cell: an entry slot on one bucket's list and the
+// next older posting (0 ends it). int32 links cap the arena at 2^31 cells.
+type posting struct{ slot, next int32 }
+
+// chunkBits sizes an arena chunk: 2^14 postings, 128 KiB.
+const chunkBits = 14
 
 // Index is a thread-safe similarity index over descriptor sets.
 type Index struct {
 	cfg    Config
-	shards []*shard
 	bitSel [][]int // read-only after New
+
+	mu      sync.RWMutex
+	entries []*Entry          // by slot, in first-Add order
+	slots   map[ImageID]int32 // ID → slot
+	// heads holds every table's directory back to back: bucket k of
+	// table t heads the list at t<<BitsPerKey | k. Posting p lives at
+	// arena[p>>chunkBits][p&(1<<chunkBits-1)]; p = 0 is never used, so a
+	// zero head is an empty bucket.
+	heads []int32
+	arena [][]posting
+	used  int32 // next free posting
 }
 
 // New creates an empty index with the given configuration.
 func New(cfg Config) *Index {
-	if cfg.Tables <= 0 || cfg.BitsPerKey <= 0 || cfg.BitsPerKey > 32 {
+	if cfg.Tables <= 0 || cfg.BitsPerKey <= 0 || cfg.BitsPerKey > 20 {
 		panic(fmt.Sprintf("index: invalid config %+v", cfg))
 	}
 	if cfg.CandidateLimit <= 0 {
@@ -118,23 +112,12 @@ func New(cfg Config) *Index {
 	if cfg.HammingMax <= 0 {
 		cfg.HammingMax = features.DefaultHammingMax
 	}
-	if cfg.Shards <= 0 {
-		cfg.Shards = DefaultShards
-	}
 	idx := &Index{
 		cfg:    cfg,
-		shards: make([]*shard, cfg.Shards),
 		bitSel: make([][]int, cfg.Tables),
-	}
-	for s := range idx.shards {
-		sh := &shard{
-			entries: make(map[ImageID]*Entry),
-			tables:  make([]map[uint32][]ImageID, cfg.Tables),
-		}
-		for t := range sh.tables {
-			sh.tables[t] = make(map[uint32][]ImageID)
-		}
-		idx.shards[s] = sh
+		slots:  make(map[ImageID]int32),
+		heads:  make([]int32, cfg.Tables<<cfg.BitsPerKey),
+		used:   1,
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	for t := 0; t < cfg.Tables; t++ {
@@ -145,58 +128,97 @@ func New(cfg Config) *Index {
 	return idx
 }
 
-// shardFor maps an image ID to its owning stripe.
-func (x *Index) shardFor(id ImageID) *shard {
-	n := uint64(len(x.shards))
-	return x.shards[uint64(id)%n]
+// at returns posting p's arena cell.
+func (x *Index) at(p int32) *posting {
+	return &x.arena[p>>chunkBits][p&(1<<chunkBits-1)]
 }
 
 // Len returns the number of indexed images.
 func (x *Index) Len() int {
-	n := 0
-	for _, sh := range x.shards {
-		sh.mu.RLock()
-		n += len(sh.entries)
-		sh.mu.RUnlock()
-	}
-	return n
+	x.mu.RLock()
+	defer x.mu.RUnlock()
+	return len(x.entries)
 }
 
-// Add inserts an image, locking only the entry's own shard — concurrent
-// uploads to different shards do not serialize. Re-adding an existing ID
+// Add inserts an image. Re-adding an existing ID keeps its slot and
 // replaces its metadata but keeps old hash buckets pointing at it, so
 // callers should use fresh IDs (the server layer guarantees this).
 func (x *Index) Add(e *Entry) {
 	if e == nil || e.Set == nil {
 		return
 	}
-	e.prep = e.Set.Prepare()
-	sh := x.shardFor(e.ID)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sh.entries[e.ID] = e
-	for t := range sh.tables {
-		table := sh.tables[t]
-		sel := x.bitSel[t]
-		for _, d := range e.Set.Descriptors {
-			key := hashKey(d, sel)
-			bucket := table[key]
-			// The same image often hashes many descriptors into one
-			// bucket; store it once per bucket.
-			if n := len(bucket); n > 0 && bucket[n-1] == e.ID {
-				continue
-			}
-			table[key] = append(bucket, e.ID)
+	buckets := x.prepare(e)
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	x.link(e, buckets)
+}
+
+// AddBatch inserts entries as one unit: their sets are prepared and
+// hashed in parallel outside the lock, then every posting is linked in
+// one write-lock section, so a concurrent query sees all of the batch or
+// none of it. The result equals Adding the entries one by one in order;
+// nil entries and entries without a set are skipped. The entries must
+// be distinct values.
+func (x *Index) AddBatch(entries []*Entry) {
+	buckets := make([][]uint32, len(entries))
+	par.Do(len(entries), func(i int) {
+		if e := entries[i]; e != nil && e.Set != nil {
+			buckets[i] = x.prepare(e)
 		}
+	})
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	for i, e := range entries {
+		if e != nil && e.Set != nil {
+			x.link(e, buckets[i])
+		}
+	}
+}
+
+// prepare is the lock-free half of an insert: it builds e's accelerated
+// set and returns e's distinct buckets in ascending order. An image often
+// hashes many descriptors into one bucket; it is stored there once.
+func (x *Index) prepare(e *Entry) []uint32 {
+	e.prep = e.Set.Prepare()
+	b := x.hash(e.Set, make([]uint32, 0, x.cfg.Tables*e.Set.Len()))
+	slices.Sort(b)
+	return slices.Compact(b)
+}
+
+// link gives e its slot and pushes one posting per bucket. A re-added ID
+// skips a bucket whose newest posting is already its own, as a single
+// bucket list appended in Add order would. Callers hold x.mu for writing.
+func (x *Index) link(e *Entry, buckets []uint32) {
+	slot, readd := x.slots[e.ID]
+	if readd {
+		x.entries[slot] = e
+	} else {
+		slot = int32(len(x.entries))
+		x.slots[e.ID] = slot
+		x.entries = append(x.entries, e)
+	}
+	for _, b := range buckets {
+		head := x.heads[b]
+		if readd && head != 0 && x.at(head).slot == slot {
+			continue
+		}
+		if int(x.used>>chunkBits) == len(x.arena) {
+			x.arena = append(x.arena, make([]posting, 1<<chunkBits))
+		}
+		*x.at(x.used) = posting{slot: slot, next: head}
+		x.heads[b] = x.used
+		x.used++
 	}
 }
 
 // Get returns the entry for id, or nil.
 func (x *Index) Get(id ImageID) *Entry {
-	sh := x.shardFor(id)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return sh.entries[id]
+	x.mu.RLock()
+	defer x.mu.RUnlock()
+	if slot, ok := x.slots[id]; ok {
+		return x.entries[slot]
+	}
+	return nil
 }
 
 // QueryMax returns the indexed image with the highest Equation-2
@@ -210,26 +232,8 @@ func (x *Index) QueryMax(set *features.BinarySet) (*Entry, float64) {
 	return x.Get(res[0].ID), res[0].Similarity
 }
 
-// votes collects this shard's LSH bucket hits for the query set. Holding
-// only the shard's read lock, it is safe to run one goroutine per shard.
-func (sh *shard) votes(set *features.BinarySet, bitSel [][]int) map[ImageID]int {
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	v := make(map[ImageID]int)
-	for t := range sh.tables {
-		table := sh.tables[t]
-		sel := bitSel[t]
-		for _, d := range set.Descriptors {
-			for _, id := range table[hashKey(d, sel)] {
-				v[id]++
-			}
-		}
-	}
-	return v
-}
-
-// Candidate is one LSH candidate surviving the vote ranking: its merged
-// vote count across the hash tables plus the exact Equation-2 similarity
+// Candidate is one LSH candidate surviving the vote ranking: its vote
+// count across the hash tables plus the exact Equation-2 similarity
 // (which may be 0 — a hash collision with no surviving exact match).
 // Candidates are what a cluster router merges across index partitions:
 // votes depend only on the query, the entry, and the seeded bit
@@ -252,97 +256,99 @@ func (x *Index) QueryCandidates(set *features.BinarySet, limit int) []Candidate 
 	return CandidatesAcross([]*Index{x}, set, limit)
 }
 
+// cand is one voted entry and the position of its index in a query.
+type cand struct {
+	e     *Entry
+	votes int32
+	src   int32
+}
+
+// scratch is one query's reusable working set: the set's buckets, the
+// per-slot vote counts (all zero between uses), the slots voted for, and
+// the gathered candidates.
+type scratch struct {
+	keys    []uint32
+	votes   []int32
+	touched []int32
+	cands   []cand
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
 // CandidatesAcross is QueryCandidates over the union of several indexes
-// that partition one ID space and share LSH parameters (a cluster
-// node's shard indexes): votes are collected from every stripe of every
-// index, ranked once by (votes desc, ID asc) and truncated to limit,
-// and only the survivors are scored exactly, each against its owning
-// index. The result equals QueryCandidates on one index holding all the
-// entries, at a cost of at most limit exact similarities however many
-// indexes there are.
+// that partition one ID space (a cluster node's shard indexes). The set
+// is hashed once, so every index must share Tables, BitsPerKey and Seed;
+// a mismatch panics rather than return wrong votes. Votes are ranked once
+// by (votes desc, ID asc) and truncated to limit, and only the survivors
+// are scored exactly, each against its owning index. The result equals
+// QueryCandidates on one index holding all the entries, at a cost of at
+// most limit exact similarities however many indexes there are.
 func CandidatesAcross(idxs []*Index, set *features.BinarySet, limit int) []Candidate {
-	if set.Len() == 0 || limit <= 0 {
+	if len(idxs) == 0 || set.Len() == 0 || limit <= 0 {
 		return nil
 	}
-	type stripe struct {
-		sh  *shard
-		src int32 // position of the owning index in idxs
+	lsh := idxs[0].cfg
+	for _, x := range idxs[1:] {
+		if c := x.cfg; c.Tables != lsh.Tables || c.BitsPerKey != lsh.BitsPerKey || c.Seed != lsh.Seed {
+			panic(fmt.Sprintf("index: CandidatesAcross over mismatched LSH parameters %+v and %+v", lsh, c))
+		}
 	}
-	nStripes := 0
-	for _, x := range idxs {
-		nStripes += len(x.shards)
-	}
-	stripes := make([]stripe, 0, nStripes)
+	s := scratchPool.Get().(*scratch)
+	s.keys = idxs[0].hash(set, s.keys[:0])
 	for i, x := range idxs {
-		for _, sh := range x.shards {
-			stripes = append(stripes, stripe{sh, int32(i)})
-		}
+		x.mu.RLock()
+		x.vote(s, int32(i))
+		x.mu.RUnlock()
 	}
-	perStripe := make([]map[ImageID]int, len(stripes))
-	par.Do(len(stripes), func(s int) {
-		perStripe[s] = stripes[s].sh.votes(set, idxs[stripes[s].src].bitSel)
+	slices.SortFunc(s.cands, func(a, b cand) int {
+		return cmp.Or(cmp.Compare(b.votes, a.votes), cmp.Compare(a.e.ID, b.e.ID))
 	})
-	// An image lives in exactly one stripe, so the per-stripe vote maps
-	// are disjoint and concatenate into the global vote list.
-	nCands := 0
-	for _, v := range perStripe {
-		nCands += len(v)
-	}
-	if nCands == 0 {
-		return nil
-	}
-	type cand struct {
-		id    ImageID
-		votes int32
-		src   int32
-	}
-	cands := make([]cand, 0, nCands)
-	for s, v := range perStripe {
-		for id, votes := range v {
-			cands = append(cands, cand{id, int32(votes), stripes[s].src})
+	var out []Candidate
+	if n := min(limit, len(s.cands)); n > 0 {
+		out = make([]Candidate, n)
+		prepQ := set.Prepare()
+		for i, c := range s.cands[:n] {
+			sim := features.JaccardPrepared(prepQ, c.e.prep, idxs[c.src].cfg.HammingMax)
+			out[i] = Candidate{ID: c.e.ID, GroupID: c.e.GroupID, Votes: int(c.votes), Similarity: sim}
 		}
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].votes != cands[j].votes {
-			return cands[i].votes > cands[j].votes
-		}
-		return cands[i].id < cands[j].id
-	})
-	if len(cands) > limit {
-		cands = cands[:limit]
-	}
-	out := make([]Candidate, 0, len(cands))
-	prepQ := set.Prepare()
-	for _, c := range cands {
-		x := idxs[c.src]
-		e := x.Get(c.id)
-		if e == nil {
-			continue
-		}
-		out = append(out, Candidate{
-			ID:         e.ID,
-			GroupID:    e.GroupID,
-			Votes:      int(c.votes),
-			Similarity: features.JaccardPrepared(prepQ, e.prepared(), x.cfg.HammingMax),
-		})
-	}
+	clear(s.cands) // drop the entry pointers the pool would keep alive
+	s.cands = s.cands[:0]
+	scratchPool.Put(s)
 	return out
 }
 
+// vote counts x's bucket hits for s.keys and appends one candidate per
+// slot voted for, leaving s.votes zero again. Callers hold x.mu for
+// reading.
+func (x *Index) vote(s *scratch, src int32) {
+	if len(s.votes) < len(x.entries) {
+		s.votes = make([]int32, 2*len(x.entries))
+	}
+	for _, b := range s.keys {
+		for p := x.heads[b]; p != 0; {
+			c := x.at(p)
+			if s.votes[c.slot] == 0 {
+				s.touched = append(s.touched, c.slot)
+			}
+			s.votes[c.slot]++
+			p = c.next
+		}
+	}
+	for _, slot := range s.touched {
+		s.cands = append(s.cands, cand{x.entries[slot], s.votes[slot], src})
+		s.votes[slot] = 0
+	}
+	s.touched = s.touched[:0]
+}
+
 // QueryTopK returns the k most similar indexed images, ranked by exact
-// Jaccard similarity over the LSH candidate set. Candidate generation
-// fans out over the shards concurrently; because each image lives in
-// exactly one shard, merging the per-shard votes reproduces the global
-// vote counts, so the ranking is identical to a single-shard index.
+// Jaccard similarity over the LSH candidate set.
 func (x *Index) QueryTopK(set *features.BinarySet, k int) []Result {
 	if set.Len() == 0 || k <= 0 {
 		return nil
 	}
-	limit := x.cfg.CandidateLimit
-	if k > limit {
-		limit = k
-	}
-	cands := x.QueryCandidates(set, limit)
+	cands := x.QueryCandidates(set, max(x.cfg.CandidateLimit, k))
 	if len(cands) == 0 {
 		return nil
 	}
@@ -355,11 +361,8 @@ func (x *Index) QueryTopK(set *features.BinarySet, k int) []Result {
 		}
 		results = append(results, Result{ID: c.ID, GroupID: c.GroupID, Similarity: c.Similarity})
 	}
-	sort.Slice(results, func(i, j int) bool {
-		if results[i].Similarity != results[j].Similarity {
-			return results[i].Similarity > results[j].Similarity
-		}
-		return results[i].ID < results[j].ID
+	slices.SortFunc(results, func(a, b Result) int {
+		return cmp.Or(cmp.Compare(b.Similarity, a.Similarity), cmp.Compare(a.ID, b.ID))
 	})
 	if len(results) > k {
 		results = results[:k]
@@ -381,20 +384,6 @@ func (x *Index) QueryMaxBatch(sets []*features.BinarySet) []float64 {
 	return sims
 }
 
-// sortedIDs returns every indexed ID in ascending order.
-func (x *Index) sortedIDs() []ImageID {
-	ids := make([]ImageID, 0, x.Len())
-	for _, sh := range x.shards {
-		sh.mu.RLock()
-		for id := range sh.entries {
-			ids = append(ids, id)
-		}
-		sh.mu.RUnlock()
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}
-
 // ExhaustiveMax scans every indexed image with the exact similarity and
 // returns the best match. It is the brute-force baseline the ablation
 // bench compares the LSH path against.
@@ -402,16 +391,24 @@ func (x *Index) ExhaustiveMax(set *features.BinarySet) (*Entry, float64) {
 	var best *Entry
 	bestSim := 0.0
 	prepQ := set.Prepare()
-	for _, id := range x.sortedIDs() {
-		e := x.Get(id)
-		if e == nil {
-			continue
-		}
-		if sim := features.JaccardPrepared(prepQ, e.prepared(), x.cfg.HammingMax); sim > bestSim {
+	x.ForEach(func(e *Entry) {
+		if sim := features.JaccardPrepared(prepQ, e.prep, x.cfg.HammingMax); sim > bestSim {
 			bestSim, best = sim, e
 		}
-	}
+	})
 	return best, bestSim
+}
+
+// hash appends the set's bucket numbers to dst, table-major: descriptor
+// j's bucket in table t is t<<BitsPerKey | its key in that table.
+func (x *Index) hash(set *features.BinarySet, dst []uint32) []uint32 {
+	for t, sel := range x.bitSel {
+		base := uint32(t) << uint(x.cfg.BitsPerKey)
+		for _, d := range set.Descriptors {
+			dst = append(dst, base|hashKey(d, sel))
+		}
+	}
+	return dst
 }
 
 // hashKey samples the selected bits of d into a bucket key.
@@ -423,12 +420,14 @@ func hashKey(d features.Descriptor, sel []int) uint32 {
 	return key
 }
 
-// ForEach calls fn for every entry in ascending ID order. The entries
-// are shared; callers must not mutate them.
+// ForEach calls fn for every entry in ascending ID order, outside the
+// lock. The entries are shared; callers must not mutate them.
 func (x *Index) ForEach(fn func(*Entry)) {
-	for _, id := range x.sortedIDs() {
-		if e := x.Get(id); e != nil {
-			fn(e)
-		}
+	x.mu.RLock()
+	es := slices.Clone(x.entries)
+	x.mu.RUnlock()
+	slices.SortFunc(es, func(a, b *Entry) int { return cmp.Compare(a.ID, b.ID) })
+	for _, e := range es {
+		fn(e)
 	}
 }

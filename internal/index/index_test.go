@@ -50,6 +50,7 @@ func TestNewPanicsOnBadConfig(t *testing.T) {
 	for _, cfg := range []Config{
 		{Tables: 0, BitsPerKey: 16},
 		{Tables: 4, BitsPerKey: 0},
+		{Tables: 4, BitsPerKey: 21}, // the dense directory stops at 20 bits
 		{Tables: 4, BitsPerKey: 40},
 	} {
 		func() {
@@ -270,20 +271,24 @@ func TestForEachOrderedAndComplete(t *testing.T) {
 }
 
 func TestBucketKeysBounded(t *testing.T) {
-	// Keys must fit in BitsPerKey bits.
+	// Keys must fit in BitsPerKey bits: descriptor j's bucket in table t
+	// lies inside table t's slice of the dense directory.
 	cfg := DefaultConfig()
 	idx := New(cfg)
+	if got, want := len(idx.heads), cfg.Tables<<cfg.BitsPerKey; got != want {
+		t.Fatalf("directory holds %d heads, want %d", got, want)
+	}
 	c := newCorpus(t, 3, 71)
 	for i, s := range c.sets {
 		idx.Add(&Entry{ID: ImageID(i), Set: s})
-	}
-	limit := uint32(1) << uint(cfg.BitsPerKey)
-	for _, sh := range idx.shards {
-		for t2 := range sh.tables {
-			for key := range sh.tables[t2] {
-				if key >= limit {
-					t.Fatalf("bucket key %d exceeds %d bits", key, cfg.BitsPerKey)
-				}
+		buckets := idx.hash(s, nil)
+		n := s.Len()
+		for j, b := range buckets {
+			if tbl := j / n; int(b>>uint(cfg.BitsPerKey)) != tbl {
+				t.Fatalf("descriptor %d: bucket %d outside table %d's %d-bit range", j%n, b, tbl, cfg.BitsPerKey)
+			}
+			if key := b & (1<<uint(cfg.BitsPerKey) - 1); key != hashKey(s.Descriptors[j%n], idx.bitSel[j/n]) {
+				t.Fatalf("descriptor %d: bucket %d does not carry its table-%d key", j%n, b, j/n)
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"errors"
+	"math/rand"
 	"net"
 	"reflect"
 	"runtime"
@@ -14,6 +15,7 @@ import (
 	"bees/internal/blockstore"
 	"bees/internal/diskfault"
 	"bees/internal/features"
+	"bees/internal/index"
 	"bees/internal/wal"
 	"bees/internal/wire"
 )
@@ -340,4 +342,55 @@ func listenOn(t *testing.T, s *Server) string {
 	}
 	t.Cleanup(func() { tcp.Close() })
 	return addr.String()
+}
+
+// TestCommitVisibleWhole: a query running beside a commit sees all of
+// the commit's images or none of them. Each round commits an 8-image
+// chunk of copies of a fresh random set while a reader keeps asking for
+// that set's candidates; every answer must equal the list before the
+// chunk or the list after it, never a chunk applied in part. A fresh
+// server per round keeps earlier chunks out of the 24-candidate window.
+func TestCommitVisibleWhole(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	const rounds, chunk = 100, 8
+	for r := 0; r < rounds; r++ {
+		s := NewDefault()
+		q := &features.BinarySet{Descriptors: make([]features.Descriptor, 64)}
+		for i := range q.Descriptors {
+			q.Descriptors[i] = features.Descriptor{rng.Uint64(), rng.Uint64(), rng.Uint64(), rng.Uint64()}
+		}
+		items := make([]UploadItem, chunk)
+		for i := range items {
+			cp := &features.BinarySet{Descriptors: append([]features.Descriptor(nil), q.Descriptors...)}
+			items[i] = UploadItem{Set: cp, Meta: UploadMeta{GroupID: int64(r), Bytes: 1}}
+		}
+		query := func() []index.Candidate { return CandidatesAcross([]*Server{s}, q, 24) }
+		before := query()
+		var stop atomic.Bool
+		var seen [][]index.Candidate
+		started, done := make(chan struct{}), make(chan struct{})
+		go func() {
+			defer close(done)
+			seen = append(seen, query())
+			close(started)
+			for !stop.Load() {
+				seen = append(seen, query())
+			}
+		}()
+		<-started
+		if _, err := s.UploadItems(uint64(r+1), items); err != nil {
+			t.Fatal(err)
+		}
+		stop.Store(true)
+		<-done
+		after := query()
+		if len(after) != len(before)+chunk {
+			t.Fatalf("round %d: %d candidates after the chunk, want %d", r, len(after), len(before)+chunk)
+		}
+		for _, got := range seen {
+			if !reflect.DeepEqual(got, before) && !reflect.DeepEqual(got, after) {
+				t.Fatalf("round %d: a query saw %d of the chunk's %d images", r, len(got)-len(before), chunk)
+			}
+		}
+	}
 }

@@ -14,7 +14,6 @@ import (
 	"bees/internal/diskfault"
 	"bees/internal/features"
 	"bees/internal/index"
-	"bees/internal/par"
 	"bees/internal/telemetry"
 	"bees/internal/wal"
 )
@@ -200,7 +199,7 @@ func (s *Server) QueryTopK(set *features.BinarySet, k int) []index.Result {
 
 // QueryMaxBatch answers the CBRD query for a whole batch at once: one
 // maximum similarity per set, in order. The per-set queries run across
-// all host cores, each fanning out over the index shards.
+// all host cores.
 func (s *Server) QueryMaxBatch(sets []*features.BinarySet) []float64 {
 	s.tel.Counter("server.index.queries").Add(int64(len(sets)))
 	return s.idx.QueryMaxBatch(sets)
@@ -265,8 +264,10 @@ func (s *Server) commit(nonce uint64, ids []int64, items []UploadItem, manifests
 // install applies one commit to memory: IDs allocated from nextID when
 // ids is nil, bytes accounted and history appended in item order, nextID
 // advanced past the largest ID (replayed and router-assigned IDs need not
-// arrive in order), then the feature sets indexed concurrently. Callers
-// hold stateMu for read, or are recovery, which runs alone.
+// arrive in order), then the feature sets indexed as one batch, so a query
+// sees all of the commit's images or none of them (items without a set
+// are stored unindexed). Callers hold stateMu for read, or are recovery,
+// which runs alone.
 func (s *Server) install(ids []int64, items []UploadItem) []int64 {
 	s.mu.Lock()
 	if ids == nil {
@@ -284,19 +285,17 @@ func (s *Server) install(ids []int64, items []UploadItem) []int64 {
 		}
 	}
 	s.mu.Unlock()
-	par.Do(len(items), func(i int) {
-		it := items[i]
-		if it.Set == nil {
-			return
-		}
-		s.idx.Add(&index.Entry{
+	entries := make([]*index.Entry, len(items))
+	for i, it := range items {
+		entries[i] = &index.Entry{
 			ID:      index.ImageID(ids[i]),
 			Set:     it.Set,
 			GroupID: it.Meta.GroupID,
 			Lat:     it.Meta.Lat,
 			Lon:     it.Meta.Lon,
-		})
-	})
+		}
+	}
+	s.idx.AddBatch(entries)
 	return ids
 }
 
