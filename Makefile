@@ -1,8 +1,8 @@
 # BEES build/verify entry points.
 #
-# tier1 is the seed gate every PR must keep green; tier2 adds vet and the
-# race detector over the whole tree (the wire path's chaos tests rely on
-# it to prove the client/server are race-clean).
+# tier1 is the seed gate every PR must keep green, vet over the whole
+# tree included; tier2 adds the race detector (the wire path's chaos
+# tests rely on it to prove the client/server are race-clean).
 
 GO ?= go
 
@@ -16,7 +16,7 @@ all: tier1
 # BENCH_pipeline.json baseline (see DESIGN.md, "Exact sub-linear
 # matching", for the save-baseline/compare workflow).
 help:
-	@echo "make tier1      - build + gofmt gate + vet cmd/examples + full test suite (the PR gate)"
+	@echo "make tier1      - build + gofmt gate + vet everything + full test suite (the PR gate)"
 	@echo "make tier2      - fuzz burst, vet everything, race-detector run"
 	@echo "make fuzz       - FUZZTIME (default 10s) on each fuzz target"
 	@echo "make bench      - micro-benchmarks -> BENCH_pipeline.json"
@@ -30,7 +30,7 @@ build:
 tier1: build
 	@unformatted=$$(gofmt -l .); test -z "$$unformatted" || \
 	  { echo "gofmt: unformatted files (run gofmt -w):"; echo "$$unformatted"; exit 1; }
-	$(GO) vet ./cmd/... ./examples/...
+	$(GO) vet ./...
 	$(GO) test ./...
 
 # tier2's race run covers the telemetry registry's concurrency tests
@@ -114,8 +114,8 @@ benchdiff:
 # forwarding, failover, and catch-up branches likewise only run during
 # faults; internal/server holds the one commit path every upload and
 # manifest commit lowers onto, with its dedup gate and WAL replay;
-# internal/client holds the one device upload path (delta flow or
-# whole-image fallback) with its retry, breaker and degradation logic;
+# internal/client holds the one device upload path (the delta flow)
+# with its retry, breaker and degradation logic;
 # internal/wire holds every frame codec, whose truncation and
 # hostile-count branches only run on malformed input; internal/diskfault
 # holds the power-loss crash model every kill-anywhere sweep trusts to
@@ -124,7 +124,7 @@ benchdiff:
 # its re-add and partition branches checked against the striped
 # reference index. Each floor sits a few points under its measured line
 # (features 94.6%, imagelib 94.3%, sim 97.1%, blockstore 95.6%, wal
-# 95.5%, cluster 93.7%, server 87.2%, client 86.9%, wire 89.4%,
+# 95.5%, cluster 93.7%, server 87.7%, client 86.8%, wire 90.6%,
 # diskfault 86.4%, index 99.3%) to absorb counting drift without letting
 # real erosion through.
 COVER_FLOOR_FEATURES ?= 91

@@ -121,9 +121,9 @@ func run() error {
 	remote := client.NewRemoteServer(c)
 	if box != nil && box.Len() > 0 {
 		// Replay the previous run's backlog before generating new load.
-		// UploadItems resumes block-wise when the server speaks blocks:
-		// blocks that landed before the partition are skipped, only the
-		// rest are resent, and the commit dedups under the chunk's nonce.
+		// UploadItems resumes block-wise: blocks that landed before the
+		// partition are skipped, only the rest are resent, and the commit
+		// dedups under the chunk's nonce.
 		drainer := outbox.NewDrainer(box, func(ch *outbox.Chunk) error {
 			_, err := remote.UploadItems(ch.Nonce, ch.Items)
 			return err

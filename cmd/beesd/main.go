@@ -8,16 +8,14 @@
 //	      [-snapshot-interval 0] [-idle-timeout 2m] [-max-conns 256]
 //	      [-max-inflight-frames 256] [-max-inflight-bytes 67108864]
 //	      [-admit-policy fifo] [-admit-low-water 0.5]
-//	      [-debug-addr 127.0.0.1:7701] [-blocks=true]
+//	      [-debug-addr 127.0.0.1:7701]
 //	      [-wal-dir /path/to/wal] [-wal-sync record] [-wal-segment-bytes 4194304]
 //	      [-cluster-self host:port -cluster-peers host1:p1,host2:p2,...]
 //	      [-cluster-shards 64] [-replication 2] [-cluster-catch-up]
 //
-// -blocks controls Hello feature negotiation for content-addressed
-// block transfer (delta uploads; see DESIGN.md, "Content-addressed
-// block store"). With -blocks=false the server stops advertising the
-// feature and block-aware clients transparently fall back to
-// whole-image frames.
+// Images arrive only as delta uploads over content-addressed block
+// transfer (see DESIGN.md, "Content-addressed block store"); the server
+// refuses the retired whole-image upload frame.
 //
 // With -state, the server restores its index from the snapshot at
 // startup and writes it back on shutdown, so redundancy detection
@@ -105,7 +103,6 @@ func run() error {
 	admitPolicy := flag.String("admit-policy", "fifo", "overload shedding policy: fifo (first-come) or utility (lowest-submodular-gain uploads shed first)")
 	admitLowWater := flag.Float64("admit-low-water", 0, "occupancy fraction where the utility policy starts early-shedding low-gain uploads (0 = default 0.5)")
 	debugAddr := flag.String("debug-addr", "", "serve /debug/vars (JSON telemetry snapshot) and /debug/pprof on this address")
-	blocks := flag.Bool("blocks", true, "advertise content-addressed block transfer in Hello negotiation (-blocks=false forces clients onto whole-image uploads)")
 	walDir := flag.String("wal-dir", "", "write-ahead log directory: mutations are durable before they are acknowledged, and recovery replays the log tail over the last good snapshot")
 	walSync := flag.String("wal-sync", "record", "WAL sync policy: record (fsync per acknowledged commit; staged blocks ride on it), a group-commit interval like 2ms, or none")
 	walSegBytes := flag.Int64("wal-segment-bytes", 0, "rotate WAL segments at this size (0 = default 4 MiB)")
@@ -189,7 +186,6 @@ func run() error {
 		AdmitPolicy:       policy,
 		AdmitLowWater:     *admitLowWater,
 		Telemetry:         reg,
-		DisableBlocks:     !*blocks,
 	}
 	if clusterNode != nil {
 		// Assigned only when non-nil: a typed-nil *cluster.Node in the

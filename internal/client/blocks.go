@@ -8,26 +8,14 @@ import (
 )
 
 // Block-transfer RPCs: the client side of the delta-upload protocol
-// (see internal/wire/blocks.go for the frame flow). NegotiateBlocks
-// gates everything — a server that never answers Hello, or answers
-// without the feature bit, keeps the client on whole-image frames.
+// (see internal/wire/blocks.go for the frame flow), the one way images
+// reach a server.
 
-// NegotiateBlocks performs (or recalls) the Hello feature exchange and
-// reports whether both ends speak block transfer. A successful exchange
-// is cached for the client's lifetime — server capabilities don't
-// change mid-connection — while a transport failure is NOT cached: an
-// old server drops the connection on the unknown Hello frame, which
-// surfaces here as an exhausted-retries error, and the caller falls
-// back to whole-image frames for that call only.
+// NegotiateBlocks performs the Hello feature exchange and reports
+// whether the server advertises block transfer. Uploads never call it —
+// every server speaks block transfer — but it is a cheap round trip that
+// dials the connection and proves the server is a BEES endpoint.
 func (c *Client) NegotiateBlocks() (bool, error) {
-	c.featMu.Lock()
-	if c.featNegotiated {
-		feats := c.serverFeatures
-		c.featMu.Unlock()
-		return feats&wire.FeatureBlocks != 0, nil
-	}
-	c.featMu.Unlock()
-
 	resp, err := c.roundTrip(&wire.Hello{
 		Version:  wire.ProtocolVersion,
 		Features: wire.FeatureBlocks,
@@ -39,10 +27,6 @@ func (c *Client) NegotiateBlocks() (bool, error) {
 	if !ok {
 		return false, fmt.Errorf("client: unexpected response %T", resp)
 	}
-	c.featMu.Lock()
-	c.featNegotiated = true
-	c.serverFeatures = h.Features
-	c.featMu.Unlock()
 	return h.Features&wire.FeatureBlocks != 0, nil
 }
 
@@ -78,10 +62,11 @@ func (c *Client) putBlocks(blocks []wire.Block) error {
 	return nil
 }
 
-// commitManifests finalizes a delta upload under the caller's nonce
-// (see uploadBatchNonce for the replay semantics — commits join the
-// same server-side dedup window as whole-image batches). It returns the
-// server-assigned IDs in item order.
+// commitManifests finalizes a delta upload under the caller's nonce and
+// returns the server-assigned IDs in item order. Re-sending a chunk under
+// its original nonce makes the replay idempotent — if the chunk landed
+// before a partition ate the response, the server's dedup window returns
+// the original IDs instead of storing the images twice.
 func (c *Client) commitManifests(nonce uint64, items []wire.ManifestItem) ([]int64, error) {
 	resp, err := c.roundTrip(&wire.ManifestCommit{Nonce: nonce, Items: items})
 	if err != nil {

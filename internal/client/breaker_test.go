@@ -58,7 +58,7 @@ func TestBusyHoldDoesNotConsumeRetryBudget(t *testing.T) {
 			busyLeft--
 			return &wire.BusyResponse{RetryAfterMs: 30}
 		}
-		return &wire.UploadBatchResponse{IDs: []int64{7}}
+		return &wire.ManifestCommitResponse{IDs: []int64{7}}
 	})
 	c, err := DialOptions(addr, Options{MaxRetries: 0, Seed: 3})
 	if err != nil {
@@ -66,7 +66,7 @@ func TestBusyHoldDoesNotConsumeRetryBudget(t *testing.T) {
 	}
 	defer c.Close()
 	start := time.Now()
-	ids, err := c.uploadBatchNonce(1, []wire.UploadBatchItem{{GroupID: 1, Blob: []byte("x")}})
+	ids, err := c.commitManifests(1, []wire.ManifestItem{{GroupID: 1}})
 	elapsed := time.Since(start)
 	if err != nil || len(ids) != 1 || ids[0] != 7 {
 		t.Fatalf("upload after busy holds: ids=%v err=%v", ids, err)
@@ -99,7 +99,7 @@ func TestBusyWaitsBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	_, err = c.uploadBatchNonce(1, []wire.UploadBatchItem{{GroupID: 1, Blob: []byte("x")}})
+	_, err = c.commitManifests(1, []wire.ManifestItem{{GroupID: 1}})
 	if err == nil || !strings.Contains(err.Error(), "busy") {
 		t.Fatalf("err = %v, want busy exhaustion", err)
 	}

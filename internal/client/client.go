@@ -199,13 +199,6 @@ type Client struct {
 	// through it.
 	breaker *breaker
 
-	// featMu guards the cached Hello negotiation result. A successful
-	// exchange is cached for the client's lifetime; a transport failure
-	// leaves it unset so the next upload re-probes.
-	featMu         sync.Mutex
-	featNegotiated bool
-	serverFeatures uint64
-
 	// Block-transfer counters (see blocks.go), resolved once like the
 	// transport counters above.
 	blocksQueried      *telemetry.Counter
@@ -461,27 +454,6 @@ func (c *Client) QueryMax(sets []*features.BinarySet) ([]float64, error) {
 		return nil, fmt.Errorf("client: got %d similarities for %d sets", len(qr.MaxSims), len(sets))
 	}
 	return qr.MaxSims, nil
-}
-
-// uploadBatchNonce sends items in one whole-image batched-upload frame
-// under the caller's nonce: RemoteServer.UploadItems' fallback when the
-// server does not advertise block transfer. Re-sending a chunk under its
-// original nonce makes the replay idempotent — if the chunk landed before
-// the partition ate the response, the server's dedup window returns the
-// original IDs instead of storing the images twice.
-func (c *Client) uploadBatchNonce(nonce uint64, items []wire.UploadBatchItem) ([]int64, error) {
-	resp, err := c.roundTrip(&wire.UploadBatchRequest{Nonce: nonce, Items: items})
-	if err != nil {
-		return nil, err
-	}
-	br, ok := resp.(*wire.UploadBatchResponse)
-	if !ok {
-		return nil, fmt.Errorf("client: unexpected response %T", resp)
-	}
-	if len(br.IDs) != len(items) {
-		return nil, fmt.Errorf("client: got %d ids for %d uploaded items", len(br.IDs), len(items))
-	}
-	return br.IDs, nil
 }
 
 // NewNonce draws a nonzero upload nonce for a caller that manages its

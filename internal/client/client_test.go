@@ -9,19 +9,14 @@ import (
 	"bees/internal/dataset"
 	"bees/internal/features"
 	"bees/internal/server"
+	"bees/internal/wire"
 )
 
 // startServer spins up a TCP server on a loopback port for the test.
 func startServer(t *testing.T) (*server.Server, string) {
 	t.Helper()
-	return startServerConfig(t, server.TCPConfig{})
-}
-
-// startServerConfig is startServer with explicit TCP settings.
-func startServerConfig(t *testing.T, cfg server.TCPConfig) (*server.Server, string) {
-	t.Helper()
 	srv := server.NewDefault()
-	tcp := server.NewTCPConfig(srv, cfg)
+	tcp := server.NewTCP(srv)
 	addr, err := tcp.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("listen: %v", err)
@@ -99,6 +94,30 @@ func TestUploadAndQueryOverTCP(t *testing.T) {
 	}
 	if sims[1] > 0.1 {
 		t.Fatalf("unrelated image matched: sim=%v", sims[1])
+	}
+}
+
+// TestNegotiateBlocks: every server advertises block transfer, a reply
+// without the bit reads false, and a reply that is not a Hello is an
+// error.
+func TestNegotiateBlocks(t *testing.T) {
+	_, addr := startServer(t)
+	if ok, err := dial(t, addr).NegotiateBlocks(); err != nil || !ok {
+		t.Fatalf("real server: ok=%v err=%v, want true", ok, err)
+	}
+	for _, tc := range []struct {
+		reply   any
+		wantOK  bool
+		wantErr bool
+	}{
+		{reply: &wire.Hello{Version: wire.ProtocolVersion}},
+		{reply: &wire.StatsResponse{}, wantErr: true},
+	} {
+		addr := scriptedServer(t, func(any) any { return tc.reply })
+		ok, err := dial(t, addr).NegotiateBlocks()
+		if ok != tc.wantOK || (err != nil) != tc.wantErr {
+			t.Fatalf("reply %T: ok=%v err=%v", tc.reply, ok, err)
+		}
 	}
 }
 

@@ -20,15 +20,16 @@ import (
 const chaosBlockSize = 4096
 
 // chaosScript is the deterministic client workload the crash sweep runs:
-// two whole-image batches, a three-block delta upload, a mid-script
+// two upload chunks, a three-block delta upload, a mid-script
 // checkpoint, a second delta upload sharing two of the first one's
-// blocks (refcount exercise), and a final batch. Each delta upload is
-// one retryable step — query, put what is missing, commit — as
-// RemoteServer.UploadItems runs it. Fixed nonces make the
-// crash-free and kill-anywhere runs comparable frame by frame.
+// blocks (refcount exercise), and a final chunk. Each chunk goes through
+// RemoteServer.UploadItems; each delta upload is the same retryable step
+// — query, put what is missing, commit — spelled out frame by frame.
+// Fixed nonces make the crash-free and kill-anywhere runs comparable
+// frame by frame.
 type chaosScript struct {
 	sets    []*features.BinarySet
-	blobs   [][]byte
+	sizes   []int
 	blobA   []byte
 	blobB   []byte
 	manA    blockstore.Manifest
@@ -48,9 +49,7 @@ func newChaosScript() *chaosScript {
 			}
 		}
 		sc.sets = append(sc.sets, set)
-		blob := make([]byte, 600+rng.Intn(800))
-		rng.Read(blob)
-		sc.blobs = append(sc.blobs, blob)
+		sc.sizes = append(sc.sizes, 600+rng.Intn(800))
 	}
 	sc.blobA = make([]byte, 2*chaosBlockSize+1800) // three blocks
 	rng.Read(sc.blobA)
@@ -65,18 +64,22 @@ func newChaosScript() *chaosScript {
 	return sc
 }
 
-func (sc *chaosScript) batchItems(lo, hi int) []wire.UploadBatchItem {
-	items := make([]wire.UploadBatchItem, 0, hi-lo)
+func (sc *chaosScript) batchItems(lo, hi int) []server.UploadItem {
+	items := make([]server.UploadItem, 0, hi-lo)
 	for i := lo; i < hi; i++ {
-		items = append(items, wire.UploadBatchItem{
-			Set:     sc.sets[i],
+		items = append(items, server.UploadItem{Set: sc.sets[i], Meta: server.UploadMeta{
 			GroupID: int64(i),
 			Lat:     float64(i),
 			Lon:     -float64(i),
-			Blob:    sc.blobs[i],
-		})
+			Bytes:   sc.sizes[i],
+		}})
 	}
 	return items
+}
+
+// uploadChunk uploads images lo..hi-1 as one chunk under nonce.
+func (sc *chaosScript) uploadChunk(c *Client, nonce uint64, lo, hi int) ([]int64, error) {
+	return NewRemoteServer(c).UploadItems(nonce, sc.batchItems(lo, hi))
 }
 
 func (sc *chaosScript) manifestItem(idx int, m blockstore.Manifest) wire.ManifestItem {
@@ -135,7 +138,7 @@ type chaosStep struct {
 func chaosSteps(sc *chaosScript, onStaged func([]blockstore.Hash)) []chaosStep {
 	blobBytes := func(lo, hi int) (n int64) {
 		for i := lo; i < hi; i++ {
-			n += int64(len(sc.blobs[i]))
+			n += int64(sc.sizes[i])
 		}
 		return
 	}
@@ -155,7 +158,7 @@ func chaosSteps(sc *chaosScript, onStaged func([]blockstore.Hash)) []chaosStep {
 	return []chaosStep{
 		{name: "batch1", nonce: 0xBEE50001, images: 3, bytes: blobBytes(0, 3),
 			run: func(c *Client, _ *server.Server, _ string, got map[string][]int64) error {
-				ids, err := c.uploadBatchNonce(0xBEE50001, sc.batchItems(0, 3))
+				ids, err := sc.uploadChunk(c, 0xBEE50001, 0, 3)
 				if err == nil {
 					got["batch1"] = ids
 				}
@@ -163,7 +166,7 @@ func chaosSteps(sc *chaosScript, onStaged func([]blockstore.Hash)) []chaosStep {
 			}},
 		{name: "batch2", nonce: 0xBEE50002, images: 2, bytes: blobBytes(3, 5),
 			run: func(c *Client, _ *server.Server, _ string, got map[string][]int64) error {
-				ids, err := c.uploadBatchNonce(0xBEE50002, sc.batchItems(3, 5))
+				ids, err := sc.uploadChunk(c, 0xBEE50002, 3, 5)
 				if err == nil {
 					got["batch2"] = ids
 				}
@@ -183,7 +186,7 @@ func chaosSteps(sc *chaosScript, onStaged func([]blockstore.Hash)) []chaosStep {
 			}},
 		{name: "batch3", nonce: 0xBEE50005, images: 2, bytes: blobBytes(7, 9),
 			run: func(c *Client, _ *server.Server, _ string, got map[string][]int64) error {
-				ids, err := c.uploadBatchNonce(0xBEE50005, sc.batchItems(7, 9))
+				ids, err := sc.uploadChunk(c, 0xBEE50005, 7, 9)
 				if err == nil {
 					got["batch3"] = ids
 				}
@@ -257,15 +260,15 @@ func replayAllNonces(t *testing.T, c *Client, sc *chaosScript, srv *server.Serve
 		name string
 		run  func() ([]int64, error)
 	}{
-		{"batch1", func() ([]int64, error) { return c.uploadBatchNonce(0xBEE50001, sc.batchItems(0, 3)) }},
-		{"batch2", func() ([]int64, error) { return c.uploadBatchNonce(0xBEE50002, sc.batchItems(3, 5)) }},
+		{"batch1", func() ([]int64, error) { return sc.uploadChunk(c, 0xBEE50001, 0, 3) }},
+		{"batch2", func() ([]int64, error) { return sc.uploadChunk(c, 0xBEE50002, 3, 5) }},
 		{"commitA", func() ([]int64, error) {
 			return c.commitManifests(0xBEE50003, []wire.ManifestItem{sc.manifestItem(5, sc.manA)})
 		}},
 		{"commitB", func() ([]int64, error) {
 			return c.commitManifests(0xBEE50004, []wire.ManifestItem{sc.manifestItem(6, sc.manB)})
 		}},
-		{"batch3", func() ([]int64, error) { return c.uploadBatchNonce(0xBEE50005, sc.batchItems(7, 9)) }},
+		{"batch3", func() ([]int64, error) { return sc.uploadChunk(c, 0xBEE50005, 7, 9) }},
 	}
 	for _, r := range replays {
 		ids, err := r.run()
@@ -318,7 +321,8 @@ func TestChaosCrashRecoveryZeroLoss(t *testing.T) {
 	if err := baseTCP.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if wantStats.Images == 0 || len(wantRefs) != 4 {
+	// Four delta blocks (A's three plus B's tail), one per chunk image.
+	if wantStats.Images == 0 || len(wantRefs) != 4+7 {
 		t.Fatalf("baseline unhealthy: %+v, %d blocks", wantStats, len(wantRefs))
 	}
 

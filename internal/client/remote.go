@@ -25,8 +25,7 @@ import (
 // BatchReport.Degraded.
 //
 // Every upload — UploadItems and UploadBatch alike — reaches the server
-// through one path, upload: the delta flow when the server advertises
-// block transfer, one whole-image frame otherwise.
+// through one path, upload: the delta flow.
 type RemoteServer struct {
 	c *Client
 
@@ -91,7 +90,7 @@ func (r *RemoteServer) NewUploadNonce() uint64 { return r.c.NewNonce() }
 // caller's nonce. The nonce makes replays idempotent, so an outbox
 // replay of a chunk that half-landed resumes from the blocks the server
 // acked instead of resending the image. Failures degrade the whole chunk
-// (commits and batch frames are atomic).
+// (commits are atomic).
 func (r *RemoteServer) UploadItems(nonce uint64, items []server.UploadItem) ([]int64, error) {
 	ids, err := r.upload(nonce, items)
 	if err != nil {
@@ -102,22 +101,11 @@ func (r *RemoteServer) UploadItems(nonce uint64, items []server.UploadItem) ([]i
 	return ids, nil
 }
 
-// upload is the one way a device's images reach a server. When Hello
-// negotiation says both ends speak block transfer, the chunk goes as a
-// delta upload: manifest every blob, ask the server which blocks it
-// already holds, put the missing ones in frames bounded by
-// Options.BlockPutBytes, then commit the manifests under the chunk's
-// nonce. Otherwise — a server started without block transfer, or the
-// Hello itself failed in transit — it falls back to one whole-image
-// batch frame.
+// upload is the one way a device's images reach a server, as a delta
+// upload: manifest every blob, ask the server which blocks it already
+// holds, put the missing ones in frames bounded by Options.BlockPutBytes,
+// then commit the manifests under the chunk's nonce.
 func (r *RemoteServer) upload(nonce uint64, items []server.UploadItem) ([]int64, error) {
-	blocks, err := r.c.NegotiateBlocks()
-	if err != nil {
-		log.Printf("beesctl: feature negotiation failed, using whole-image upload: %v", err)
-	}
-	if !blocks {
-		return r.c.uploadBatchNonce(nonce, WireItems(items))
-	}
 	manifests, distinct := Manifests(items, r.c.opts.BlockSize)
 	if len(distinct) > 0 {
 		hashes := make([]blockstore.Hash, len(distinct))
@@ -163,9 +151,11 @@ func (r *RemoteServer) upload(nonce uint64, items []server.UploadItem) ([]int64,
 	return r.c.commitManifests(nonce, manifests)
 }
 
-// WireItems converts server upload items to their wire form; each item's
-// blob is a payload of exactly Meta.Bytes bytes so the transport carries
-// the real (compressed) image size. The bytes are synthesized
+// WireItems converts server upload items to their wire form, the source
+// Manifests splits into blocks (the benchmark also encodes them as the
+// retired whole-image frame). Each item's blob is a payload of exactly
+// Meta.Bytes bytes so the transport carries the real (compressed) image
+// size. The bytes are synthesized
 // deterministically from the item's identity (ItemKey), which is what
 // makes delta upload testable end to end: the same image produces the
 // same blob — and therefore the same block hashes — on every client,

@@ -56,9 +56,6 @@ type AdmissionConfig struct {
 	// utility policy starts early-shedding low-gain uploads. Below it
 	// both policies admit everything. Default 0.5.
 	LowWater float64
-	// GainWindow is how many recently offered upload gains the utility
-	// policy remembers when placing its drop threshold. Default 256.
-	GainWindow int
 	// Telemetry counts admissions and sheds (server.admit.*). Nil
 	// disables instrumentation.
 	Telemetry *telemetry.Registry
@@ -77,11 +74,12 @@ func (c AdmissionConfig) withDefaults() AdmissionConfig {
 	if c.LowWater <= 0 || c.LowWater >= 1 {
 		c.LowWater = 0.5
 	}
-	if c.GainWindow <= 0 {
-		c.GainWindow = 256
-	}
 	return c
 }
+
+// gainWindow is how many recently offered upload gains the utility
+// policy remembers when placing its drop threshold.
+const gainWindow = 256
 
 // Admission is the load-shedding controller shared by the TCP server
 // and the scenario harness: callers Charge each sheddable unit of work
@@ -110,8 +108,8 @@ func NewAdmission(cfg AdmissionConfig) *Admission {
 	return &Admission{
 		cfg:    cfg,
 		tel:    cfg.Telemetry, // nil is a valid no-op sink
-		gains:  make([]float64, cfg.GainWindow),
-		sorted: make([]float64, 0, cfg.GainWindow),
+		gains:  make([]float64, gainWindow),
+		sorted: make([]float64, 0, gainWindow),
 	}
 }
 

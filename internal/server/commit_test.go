@@ -131,15 +131,16 @@ func await(t *testing.T, ch <-chan any) any {
 	}
 }
 
-// stagedManifestItems stages n synthetic blobs over conn and returns
-// their manifest items plus the hashes staged.
-func stagedManifestItems(t *testing.T, conn net.Conn, n int) ([]wire.ManifestItem, []blockstore.Hash) {
+// stagedManifestItems stages one synthetic blob of each size over conn,
+// in 512-byte blocks, and returns their manifest items (item i has group
+// i) plus the hashes staged.
+func stagedManifestItems(t *testing.T, conn net.Conn, sizes ...int) ([]wire.ManifestItem, []blockstore.Hash) {
 	t.Helper()
 	put := &wire.BlockPut{}
 	var items []wire.ManifestItem
 	var hashes []blockstore.Hash
-	for i := 0; i < n; i++ {
-		blob := blockstore.SynthPayload(uint64(100+i), 1200)
+	for i, size := range sizes {
+		blob := blockstore.SynthPayload(uint64(100+i), size)
 		m := blockstore.ManifestOf(blob, 512)
 		for j, part := range blockstore.Split(blob, 512) {
 			put.Blocks = append(put.Blocks, wire.Block{Hash: m.Hashes[j], Data: part})
@@ -161,79 +162,46 @@ func stagedManifestItems(t *testing.T, conn net.Conn, n int) ([]wire.ManifestIte
 // with the original's IDs: one ID range, Stats counted once, blocks
 // pinned once.
 func TestSameNonceRetryOverlappingSlowOriginal(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		frame  func(items []wire.ManifestItem) any
-		idsOf  func(resp any) []int64
-		pinned bool
-	}{
-		{
-			name:  "manifest_commit",
-			frame: func(items []wire.ManifestItem) any { return &wire.ManifestCommit{Nonce: 0xC0FFEE, Items: items} },
-			idsOf: func(resp any) []int64 {
-				if r, ok := resp.(*wire.ManifestCommitResponse); ok {
-					return r.IDs
-				}
-				return nil
-			},
-			pinned: true,
-		},
-		{
-			name: "upload_batch",
-			frame: func(items []wire.ManifestItem) any {
-				m := &wire.UploadBatchRequest{Nonce: 0xC0FFEE}
-				for _, it := range items {
-					m.Items = append(m.Items, wire.UploadBatchItem{Set: it.Set, GroupID: it.GroupID, Blob: make([]byte, it.TotalBytes)})
-				}
-				return m
-			},
-			idsOf: func(resp any) []int64 {
-				if r, ok := resp.(*wire.UploadBatchResponse); ok {
-					return r.IDs
-				}
-				return nil
-			},
-		},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			s, fs := hookedWALServer(t)
-			addr := listenOn(t, s)
-			items, hashes := stagedManifestItems(t, dialRaw(t, addr), 2)
+	t.Run("manifest_commit", func(t *testing.T) {
+		s, fs := hookedWALServer(t)
+		addr := listenOn(t, s)
+		items, hashes := stagedManifestItems(t, dialRaw(t, addr), 1200, 1200)
 
-			parked, release := make(chan struct{}), make(chan struct{})
-			var once sync.Once
-			fs.onSync(func() error {
-				once.Do(func() { close(parked); <-release })
-				return nil
-			})
-			frame := tc.frame(items)
-			first := exchange(addr, frame)
-			<-parked
-			second := exchange(addr, frame)
-			awaitGateWaiter(t)
-			close(release)
-
-			ids1, ids2 := tc.idsOf(await(t, first)), tc.idsOf(await(t, second))
-			if len(ids1) != 2 || !reflect.DeepEqual(ids1, ids2) {
-				t.Fatalf("original got %v, overlapping retry got %v", ids1, ids2)
-			}
-			if st := s.Stats(); st.Images != 2 || st.BytesReceived != 2400 {
-				t.Fatalf("Stats %+v, want the batch counted once", st)
-			}
-			if got := s.Uploads(); len(got) != 2 {
-				t.Fatalf("upload history %v, want one ID range", got)
-			}
-			for _, h := range hashes {
-				want := int64(0)
-				if tc.pinned {
-					want = 1
-				}
-				if refs := s.Blocks().RefCount(h); refs != want {
-					t.Fatalf("block %s holds %d refs, want %d", h.Short(), refs, want)
-				}
-			}
+		parked, release := make(chan struct{}), make(chan struct{})
+		var once sync.Once
+		fs.onSync(func() error {
+			once.Do(func() { close(parked); <-release })
+			return nil
 		})
-	}
+		frame := &wire.ManifestCommit{Nonce: 0xC0FFEE, Items: items}
+		first := exchange(addr, frame)
+		<-parked
+		second := exchange(addr, frame)
+		awaitGateWaiter(t)
+		close(release)
+
+		idsOf := func(resp any) []int64 {
+			if r, ok := resp.(*wire.ManifestCommitResponse); ok {
+				return r.IDs
+			}
+			return nil
+		}
+		ids1, ids2 := idsOf(await(t, first)), idsOf(await(t, second))
+		if len(ids1) != 2 || !reflect.DeepEqual(ids1, ids2) {
+			t.Fatalf("original got %v, overlapping retry got %v", ids1, ids2)
+		}
+		if st := s.Stats(); st.Images != 2 || st.BytesReceived != 2400 {
+			t.Fatalf("Stats %+v, want the batch counted once", st)
+		}
+		if got := s.Uploads(); len(got) != 2 {
+			t.Fatalf("upload history %v, want one ID range", got)
+		}
+		for _, h := range hashes {
+			if refs := s.Blocks().RefCount(h); refs != 1 {
+				t.Fatalf("block %s holds %d refs, want 1", h.Short(), refs)
+			}
+		}
+	})
 }
 
 // A failed original releases its reservation. A validation failure (a
@@ -245,7 +213,7 @@ func TestSameNonceRetryAfterFailedOriginal(t *testing.T) {
 		s, _ := hookedWALServer(t)
 		addr := listenOn(t, s)
 		conn := dialRaw(t, addr)
-		items, _ := stagedManifestItems(t, conn, 1)
+		items, _ := stagedManifestItems(t, conn, 1200)
 		blob := blockstore.SynthPayload(999, 700)
 		m := blockstore.ManifestOf(blob, 512)
 		items = append(items, wire.ManifestItem{
@@ -287,7 +255,8 @@ func TestSameNonceRetryAfterFailedOriginal(t *testing.T) {
 	t.Run("wal_failure", func(t *testing.T) {
 		s, fs := hookedWALServer(t)
 		addr := listenOn(t, s)
-		frame := &wire.UploadBatchRequest{Nonce: 0xDEAD, Items: []wire.UploadBatchItem{{Blob: make([]byte, 10)}}}
+		items, _ := stagedManifestItems(t, dialRaw(t, addr), 10)
+		frame := &wire.ManifestCommit{Nonce: 0xDEAD, Items: items}
 		parked, release := make(chan struct{}), make(chan struct{})
 		var once sync.Once
 		fs.onSync(func() error {

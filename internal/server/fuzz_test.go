@@ -128,7 +128,7 @@ func FuzzLoadSnapshot(f *testing.F) {
 	f.Add([]byte("BEES"))
 	// Valid header announcing 2^64-1 index entries.
 	f.Add(append([]byte("BEES"),
-		1, 0, 0, 0, 0, 0, 0, 0, // version
+		2, 0, 0, 0, 0, 0, 0, 0, // version
 		0, 0, 0, 0, 0, 0, 0, 0, // received
 		0, 0, 0, 0, 0, 0, 0, 0, // nextID
 		0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, // count

@@ -19,12 +19,11 @@ import (
 
 // Snapshot persistence: beesd survives restarts by writing the feature
 // index and upload counters to disk. The format is a versioned binary
-// stream: header, counters, then one record per indexed entry
-// (id, group, geotag, optional global histogram, descriptors).
-// Version 2 appends the content-addressed block store — one record per
-// block (hash, refcount, length, data), hash-sorted — so delta uploads
-// keep deduplicating across a restart. Version-1 snapshots still load
-// (empty block store).
+// stream: header, counters, one record per indexed entry (id, group,
+// geotag, optional global histogram, descriptors), the upload history,
+// then the content-addressed block store — one record per block (hash,
+// refcount, length, data), hash-sorted — so delta uploads keep
+// deduplicating across a restart. Only the current version loads.
 
 var snapshotMagic = [4]byte{'B', 'E', 'E', 'S'}
 
@@ -106,7 +105,7 @@ func (s *Server) SaveSnapshot(w io.Writer) error {
 		writeU64(math.Float64bits(m.Lon))
 		writeU64(uint64(m.Bytes))
 	}
-	// Block store section (v2): hash-sorted for deterministic bytes, so
+	// Block store section: hash-sorted for deterministic bytes, so
 	// identical state always snapshots identically.
 	nBlocks := uint64(0)
 	s.blocks.ForEachSorted(func(blockstore.Hash, int64, []byte) { nBlocks++ })
@@ -161,7 +160,7 @@ func (s *Server) LoadSnapshot(r io.Reader) error {
 		return v, err
 	}
 	version, err := readU64()
-	if err != nil || version < 1 || version > snapshotVersion {
+	if err != nil || version != snapshotVersion {
 		return errBadSnapshot
 	}
 	received, err := readU64()
@@ -251,9 +250,6 @@ func (s *Server) LoadSnapshot(r io.Reader) error {
 			Lon:     math.Float64frombits(lonBits),
 			Bytes:   int(bytes),
 		})
-	}
-	if version < 2 {
-		return nil
 	}
 	nBlocks, err := readU64()
 	if err != nil {

@@ -9,6 +9,8 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"bees/internal/wal"
 )
 
 func TestSnapshotRoundTrip(t *testing.T) {
@@ -166,10 +168,18 @@ func TestSaveSnapshotPropagatesWriteError(t *testing.T) {
 // check used to miss.
 func handcraftedSnapshot(t *testing.T) []byte {
 	t.Helper()
+	return handcraftedVersion(t, snapshotVersion)
+}
+
+// handcraftedVersion writes handcraftedSnapshot's state in the layout of
+// the given version: version 1 ended after the upload history, version 2
+// appends the block store section.
+func handcraftedVersion(t *testing.T, version uint64) []byte {
+	t.Helper()
 	var buf bytes.Buffer
 	buf.Write([]byte("BEES"))
 	w := func(v uint64) { binary.Write(&buf, binary.LittleEndian, v) }
-	w(1) // version
+	w(version)
 	w(0) // received
 	w(0) // nextID
 	w(1) // one index entry
@@ -182,7 +192,48 @@ func handcraftedSnapshot(t *testing.T) []byte {
 		w(uint64(i))
 	}
 	w(0) // no uploads
+	if version >= 2 {
+		w(0) // no blocks
+	}
 	return buf.Bytes()
+}
+
+// TestSnapshotVersion1Rejected: only the current snapshot version loads.
+// A version-1 stream fails with errBadSnapshot, and as the primary
+// snapshot it sends Recover to the retained ".1" generation.
+func TestSnapshotVersion1Rejected(t *testing.T) {
+	if err := NewDefault().LoadSnapshot(bytes.NewReader(handcraftedVersion(t, 1))); !errors.Is(err, errBadSnapshot) {
+		t.Fatalf("version-1 snapshot: err = %v, want errBadSnapshot", err)
+	}
+
+	dir := t.TempDir()
+	walDir := filepath.Join(dir, "wal")
+	snap := filepath.Join(dir, "state.snap")
+	s := newWALServer(t, walDir, 0)
+	for n := uint64(1); n <= 2; n++ {
+		if _, err := s.UploadItems(n, []UploadItem{walItem(n, 100)}); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Checkpoint(snap); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := s.Stats()
+	s.WAL().Close()
+	if err := os.WriteFile(snap, handcraftedVersion(t, 1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r, st, err := Recover(RecoverConfig{SnapshotPath: snap, WAL: wal.Config{Dir: walDir}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.WAL().Close()
+	if st.SnapshotGeneration != 2 {
+		t.Fatalf("generation = %d, want 2 (the .1 fallback)", st.SnapshotGeneration)
+	}
+	if got := r.Stats(); got != want {
+		t.Fatalf("recovered %+v, want %+v", got, want)
+	}
 }
 
 // TestLoadSnapshotFreshnessIncludesIndex is the regression test for the

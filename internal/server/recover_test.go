@@ -40,35 +40,30 @@ func newWALServer(t *testing.T, dir string, blockSize int) *Server {
 
 func TestWALRecordRoundTrip(t *testing.T) {
 	items := []UploadItem{walItem(1, 100), {Meta: UploadMeta{GroupID: 2, Bytes: 50}}}
-	for _, p := range [][]byte{
-		encodeLegacyUploadRecord(7, 42, items),
-		encodeCommitRecord(7, []int64{42, 43}, items, nil),
-	} {
-		rec, err := decodeWALRecord(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		up := rec.(*walCommit)
-		if up.nonce != 7 || !reflect.DeepEqual(up.ids, []int64{42, 43}) || len(up.items) != 2 {
-			t.Fatalf("kind %d upload round trip: %+v", p[0], up)
-		}
-		if up.items[0].Set.Len() != 2 || up.items[1].Set != nil {
-			t.Fatalf("kind %d set round trip: %v, %v", p[0], up.items[0].Set, up.items[1].Set)
-		}
-		if up.items[0].Meta != items[0].Meta {
-			t.Fatalf("kind %d meta round trip: %+v", p[0], up.items[0].Meta)
-		}
-		// Inline items carry no pinnable manifest in either kind.
-		for _, m := range up.manifests {
-			if m.BlockSize != 0 {
-				t.Fatalf("kind %d inline item decoded a manifest: %+v", p[0], m)
-			}
+	rec, err := decodeWALRecord(encodeCommitRecord(7, []int64{42, 43}, items, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	up := rec.(*walCommit)
+	if up.nonce != 7 || !reflect.DeepEqual(up.ids, []int64{42, 43}) || len(up.items) != 2 {
+		t.Fatalf("inline commit round trip: %+v", up)
+	}
+	if up.items[0].Set.Len() != 2 || up.items[1].Set != nil {
+		t.Fatalf("inline commit set round trip: %v, %v", up.items[0].Set, up.items[1].Set)
+	}
+	if up.items[0].Meta != items[0].Meta {
+		t.Fatalf("inline commit meta round trip: %+v", up.items[0].Meta)
+	}
+	// Inline items carry no pinnable manifest.
+	for _, m := range up.manifests {
+		if m.BlockSize != 0 {
+			t.Fatalf("inline item decoded a manifest: %+v", m)
 		}
 	}
 
 	data := []byte("block payload")
 	h := blockstore.HashBlock(data)
-	rec, err := decodeWALRecord(encodeBlockPutRecord(h, data))
+	rec, err = decodeWALRecord(encodeBlockPutRecord(h, data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,21 +80,16 @@ func TestWALRecordRoundTrip(t *testing.T) {
 		},
 	}}
 	upItems, manifests := splitUploads(ups)
-	for _, p := range [][]byte{
-		encodeLegacyCommitRecord(9, 50, ups),
-		encodeCommitRecord(9, []int64{50}, upItems, manifests),
-	} {
-		rec, err := decodeWALRecord(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cm := rec.(*walCommit)
-		if cm.nonce != 9 || !reflect.DeepEqual(cm.ids, []int64{50}) || len(cm.items) != 1 {
-			t.Fatalf("kind %d commit round trip: %+v", p[0], cm)
-		}
-		if !reflect.DeepEqual(cm.manifests, manifests) {
-			t.Fatalf("kind %d manifest round trip: %+v", p[0], cm.manifests)
-		}
+	rec, err = decodeWALRecord(encodeCommitRecord(9, []int64{50}, upItems, manifests))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cm := rec.(*walCommit)
+	if cm.nonce != 9 || !reflect.DeepEqual(cm.ids, []int64{50}) || len(cm.items) != 1 {
+		t.Fatalf("manifest commit round trip: %+v", cm)
+	}
+	if !reflect.DeepEqual(cm.manifests, manifests) {
+		t.Fatalf("manifest round trip: %+v", cm.manifests)
 	}
 }
 
@@ -369,7 +359,7 @@ func TestRecoverBadRecordSkipped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Append(encodeLegacyUploadRecord(51, 0, []UploadItem{walItem(1, 10)})); err != nil {
+	if err := l.Append(encodeCommitRecord(51, []int64{0}, []UploadItem{walItem(1, 10)}, nil)); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Append([]byte{250, 1, 2, 3}); err != nil { // unknown record type
@@ -391,6 +381,59 @@ func TestRecoverBadRecordSkipped(t *testing.T) {
 		t.Fatalf("recovered %+v", got)
 	}
 	r.WAL().Close()
+}
+
+// TestRecoverRetiredKindsCountedBad: well-formed records of the retired
+// kinds 1 (whole-image upload) and 3 (manifest commit) are counted as bad
+// records and applied to nothing — no image, no pin, no dedup entry —
+// while the kind-4 commit beside them recovers.
+func TestRecoverRetiredKindsCountedBad(t *testing.T) {
+	walDir := filepath.Join(t.TempDir(), "wal")
+	l, err := wal.Open(wal.Config{Dir: walDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob := blockstore.SynthPayload(61, 700)
+	m := blockstore.ManifestOf(blob, 512)
+	for j, part := range blockstore.Split(blob, 512) {
+		if err := l.Append(encodeBlockPutRecord(m.Hashes[j], part)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ups := []ManifestUpload{{Set: walSet(3), Meta: UploadMeta{GroupID: 3, Bytes: 700}, Manifest: m}}
+	for _, p := range [][]byte{
+		retiredUploadRecord(61, 0, []UploadItem{walItem(1, 10)}),
+		retiredCommitRecord(62, 1, ups),
+		encodeCommitRecord(63, []int64{0}, []UploadItem{walItem(2, 20)}, nil),
+	} {
+		if _, err := decodeWALRecord(p); (p[0] == recCommit) != (err == nil) {
+			t.Fatalf("kind %d: decode err = %v", p[0], err)
+		}
+		if err := l.Append(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l.Close()
+
+	r, st, err := Recover(RecoverConfig{WAL: wal.Config{Dir: walDir}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.WAL().Close()
+	if st.WALRecords != len(m.Hashes)+3 || st.WALBadRecords != 2 {
+		t.Fatalf("stats: %+v", st)
+	}
+	if got := r.Stats(); got.Images != 1 || got.BytesReceived != 20 {
+		t.Fatalf("recovered %+v, want only the kind-4 commit", got)
+	}
+	for _, h := range m.Hashes {
+		if refs := r.Blocks().RefCount(h); refs != 0 {
+			t.Fatalf("retired commit pinned block %s (%d refs)", h.Short(), refs)
+		}
+	}
+	if got := r.DedupEntries(); len(got) != 1 || got[0].Nonce != 63 {
+		t.Fatalf("dedup window %+v, want only nonce 63", got)
+	}
 }
 
 // TestDurabilityPoison: a WAL append failure refuses the frame and all

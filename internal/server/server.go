@@ -131,13 +131,6 @@ func NewWithConfig(cfg Config) *Server {
 	}
 }
 
-// SetDedupWindow resizes the nonce retry window (default 4096).
-func (s *Server) SetDedupWindow(n int) {
-	if n > 0 {
-		s.dedup.setLimit(n)
-	}
-}
-
 // AttachWAL makes the server append every acknowledged mutation to l.
 // Attach before serving traffic; Recover does this for beesd.
 func (s *Server) AttachWAL(l *wal.Log) { s.wal = l }
@@ -464,10 +457,10 @@ type ManifestUpload struct {
 // CommitManifestsNonce completes a delta upload exactly once per nonce:
 // it verifies every named block is present, pins the blocks (refcount +1
 // per manifest), then stores the images through the same commit
-// whole-image uploads take. On any missing block nothing is committed
-// and nothing is stored; a retried nonce replays the original IDs
-// without double-pinning blocks, even when the original commit survives
-// only in the WAL.
+// in-process inline uploads take. On any missing block nothing is
+// committed and nothing is stored; a retried nonce replays the original
+// IDs without double-pinning blocks, even when the original commit
+// survives only in the WAL.
 func (s *Server) CommitManifestsNonce(nonce uint64, ups []ManifestUpload) ([]int64, error) {
 	items, manifests := splitUploads(ups)
 	return s.countHit(s.commit(nonce, nil, items, manifests))
@@ -536,14 +529,6 @@ func (d *uploadDedup) settle(nonce uint64, ids []int64) {
 	d.recordLocked(nonce, ids)
 	close(d.inflight[nonce])
 	delete(d.inflight, nonce)
-}
-
-// setLimit resizes the window; existing entries are kept (they fall out
-// FIFO as new nonces arrive).
-func (d *uploadDedup) setLimit(limit int) {
-	d.mu.Lock()
-	d.limit = limit
-	d.mu.Unlock()
 }
 
 // entries returns the window in FIFO order (oldest first), copied so

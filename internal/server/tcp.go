@@ -22,15 +22,9 @@ type TCPConfig struct {
 	// the server drops it — a client stalled mid-frame on the paper's
 	// 0–512 Kbps link cannot pin a handler goroutine forever. Default 2m.
 	IdleTimeout time.Duration
-	// WriteTimeout bounds each response write so a peer that stops
-	// reading cannot wedge a handler. Default 30s.
-	WriteTimeout time.Duration
 	// MaxConns caps simultaneous connections; beyond it new connections
 	// are closed immediately. Default 256.
 	MaxConns int
-	// DedupWindow is how many recent upload nonces are remembered for
-	// retry deduplication. Default 4096.
-	DedupWindow int
 	// MaxInflightFrames is the load-shedding high-water mark: when at
 	// least this many query/upload frames are already being processed,
 	// a newly arriving one is answered with wire.BusyResponse instead of
@@ -53,20 +47,11 @@ type TCPConfig struct {
 	// AdmitLowWater is the occupancy fraction at which the utility
 	// policy starts early-shedding low-gain uploads. Default 0.5.
 	AdmitLowWater float64
-	// GainWindow sizes the utility policy's recent-gain reservoir.
-	// Default 256.
-	GainWindow int
 	// Telemetry receives the server's wire counters (frames by type,
 	// dedup hits, accepted/rejected connections, upload bytes). Nil
 	// disables instrumentation; beesd passes the registry its
 	// -debug-addr endpoint serves.
 	Telemetry *telemetry.Registry
-	// DisableBlocks withholds the block-transfer feature from Hello
-	// negotiation: clients fall back to whole-image frames. Block frames
-	// arriving anyway (a client skipping negotiation) are still served —
-	// the flag gates advertisement, not capability — so operators can
-	// stage a rollback without stranding mid-transfer clients.
-	DisableBlocks bool
 	// Cluster, when set, makes this endpoint a cluster node: the shard
 	// frames (ShardRoute/ShardQuery/ShardSync) are dispatched to it and
 	// FeatureCluster is advertised in Hello. Nil answers shard frames
@@ -90,14 +75,8 @@ func (c TCPConfig) withDefaults() TCPConfig {
 	if c.IdleTimeout <= 0 {
 		c.IdleTimeout = 2 * time.Minute
 	}
-	if c.WriteTimeout <= 0 {
-		c.WriteTimeout = 30 * time.Second
-	}
 	if c.MaxConns <= 0 {
 		c.MaxConns = 256
-	}
-	if c.DedupWindow <= 0 {
-		c.DedupWindow = 4096
 	}
 	if c.MaxInflightFrames <= 0 {
 		c.MaxInflightFrames = 256
@@ -110,6 +89,10 @@ func (c TCPConfig) withDefaults() TCPConfig {
 	}
 	return c
 }
+
+// writeTimeout bounds each response write so a peer that stops reading
+// cannot wedge a handler.
+const writeTimeout = 30 * time.Second
 
 // TCPServer exposes a Server over the wire protocol. One goroutine per
 // connection; requests on a connection are handled sequentially.
@@ -145,21 +128,17 @@ func NewTCP(srv *Server) *TCPServer { return NewTCPConfig(srv, TCPConfig{}) }
 // NewTCPConfig wraps a Server with explicit deadline/limit settings.
 func NewTCPConfig(srv *Server, cfg TCPConfig) *TCPServer {
 	cfg = cfg.withDefaults()
-	// The nonce retry window lives on the Server (so WAL recovery can
-	// reseed it); the TCP config still sizes it.
-	srv.SetDedupWindow(cfg.DedupWindow)
 	return &TCPServer{
 		srv:   srv,
 		cfg:   cfg,
 		conns: make(map[net.Conn]struct{}),
 		tel:   cfg.Telemetry, // nil is a valid no-op sink
 		adm: NewAdmission(AdmissionConfig{
-			Policy:     cfg.AdmitPolicy,
-			MaxFrames:  cfg.MaxInflightFrames,
-			MaxBytes:   cfg.MaxInflightBytes,
-			LowWater:   cfg.AdmitLowWater,
-			GainWindow: cfg.GainWindow,
-			Telemetry:  cfg.Telemetry,
+			Policy:    cfg.AdmitPolicy,
+			MaxFrames: cfg.MaxInflightFrames,
+			MaxBytes:  cfg.MaxInflightBytes,
+			LowWater:  cfg.AdmitLowWater,
+			Telemetry: cfg.Telemetry,
 		}),
 	}
 }
@@ -276,8 +255,6 @@ func (t *TCPServer) admitUtility(conn net.Conn, typ wire.MsgType, payloadLen int
 	}
 	gain := 0.0
 	switch m := msg.(type) {
-	case *wire.UploadBatchRequest:
-		gain = m.MaxGain()
 	case *wire.ManifestCommit:
 		gain = m.MaxGain()
 	case *wire.ShardRoute:
@@ -295,22 +272,21 @@ func (t *TCPServer) admitUtility(conn net.Conn, typ wire.MsgType, payloadLen int
 
 // uploadFrame reports whether a sheddable frame carries upload gains.
 func uploadFrame(typ wire.MsgType) bool {
-	return typ == wire.MsgUploadBatchRequest || typ == wire.MsgManifestCommit ||
-		typ == wire.MsgShardRoute
+	return typ == wire.MsgManifestCommit || typ == wire.MsgShardRoute
 }
 
 // sheddable reports whether a frame type participates in load shedding.
 // Only the work-carrying requests do: stats, telemetry pushes, and
 // responses stay cheap and must keep flowing so operators can observe an
-// overloaded server. Hello is deliberately exempt — refusing negotiation
-// would push clients onto the *more* expensive whole-image path exactly
-// when the server is overloaded. ShardSync is exempt too: it is repair
-// traffic — shedding it would keep a healing replica degraded exactly
-// when the cluster most needs its capacity back.
+// overloaded server. Hello is a handshake, not work. ShardSync is exempt
+// too: it is repair traffic — shedding it would keep a healing replica
+// degraded exactly when the cluster most needs its capacity back. The
+// retired whole-image upload frame is not work either: it is answered
+// with an error and applies nothing.
 func sheddable(typ wire.MsgType) bool {
 	switch typ {
-	case wire.MsgQueryRequest, wire.MsgUploadBatchRequest, wire.MsgBlockQuery,
-		wire.MsgBlockPut, wire.MsgManifestCommit, wire.MsgShardRoute, wire.MsgShardQuery:
+	case wire.MsgQueryRequest, wire.MsgBlockQuery, wire.MsgBlockPut,
+		wire.MsgManifestCommit, wire.MsgShardRoute, wire.MsgShardQuery:
 		return true
 	}
 	return false
@@ -330,7 +306,7 @@ func (t *TCPServer) shed(conn net.Conn, payloadLen int) error {
 // busy answers a refused frame whose payload has already been consumed.
 func (t *TCPServer) busy(conn net.Conn) error {
 	t.tel.Counter("server.frames.busy").Inc()
-	if err := conn.SetWriteDeadline(time.Now().Add(t.cfg.WriteTimeout)); err != nil {
+	if err := conn.SetWriteDeadline(time.Now().Add(writeTimeout)); err != nil {
 		return err
 	}
 	return wire.WriteFrame(conn, &wire.BusyResponse{
@@ -357,7 +333,7 @@ func (t *TCPServer) readAndHandle(conn net.Conn, typ wire.MsgType, payloadLen in
 }
 
 func (t *TCPServer) handle(conn net.Conn, msg any) error {
-	if err := conn.SetWriteDeadline(time.Now().Add(t.cfg.WriteTimeout)); err != nil {
+	if err := conn.SetWriteDeadline(time.Now().Add(writeTimeout)); err != nil {
 		return err
 	}
 	t.tel.Counter("server.frames.total").Inc()
@@ -369,15 +345,6 @@ func (t *TCPServer) handle(conn net.Conn, msg any) error {
 		t.tel.Counter("server.frames.query").Inc()
 		t.tel.Counter("server.query.sets").Add(int64(len(m.Sets)))
 		return wire.WriteFrame(conn, resp)
-	case *wire.UploadBatchRequest:
-		span := t.tel.StartSpan("server.upload_batch")
-		ids, err := t.uploadBatch(m)
-		span.End()
-		if err != nil {
-			return err // durability failure: drop the connection, no ack
-		}
-		t.tel.Counter("server.frames.upload_batch").Inc()
-		return wire.WriteFrame(conn, &wire.UploadBatchResponse{IDs: ids})
 	case *wire.StatsRequest:
 		t.tel.Counter("server.frames.stats").Inc()
 		st := t.srv.Stats()
@@ -387,10 +354,7 @@ func (t *TCPServer) handle(conn net.Conn, msg any) error {
 		})
 	case *wire.Hello:
 		t.tel.Counter("server.frames.hello").Inc()
-		feats := uint64(wire.FeatureBlocks)
-		if t.cfg.DisableBlocks {
-			feats = 0
-		}
+		feats := wire.FeatureBlocks
 		if t.cfg.Cluster != nil {
 			feats |= wire.FeatureCluster
 		}
@@ -521,7 +485,7 @@ func (t *TCPServer) blockPut(conn net.Conn, m *wire.BlockPut) error {
 }
 
 // manifestCommit finalizes a delta upload exactly once per nonce,
-// through the same dedup window the whole-image paths use: a retried
+// through the server's one dedup window: a retried
 // commit whose response was lost replays the original IDs without
 // double-pinning blocks or double-counting bytes. A missing block (the
 // client raced a query, or a put was shed) answers with an error; the
@@ -539,43 +503,6 @@ func (t *TCPServer) manifestCommit(m *wire.ManifestCommit) (any, error) {
 	}
 	t.tel.Counter("server.upload.batch_items").Add(int64(len(ids)))
 	return &wire.ManifestCommitResponse{IDs: ids}, nil
-}
-
-// uploadBatch applies a batched upload exactly once per nonce. The frame
-// is atomic on the wire (framing rejects truncated payloads), so one
-// nonce covers the whole batch and a retry replays the full ID slice.
-func (t *TCPServer) uploadBatch(m *wire.UploadBatchRequest) ([]int64, error) {
-	items := make([]UploadItem, len(m.Items))
-	for i := range m.Items {
-		it := &m.Items[i]
-		items[i] = UploadItem{Set: nilIfEmpty(it.Set), Meta: UploadMeta{
-			GroupID: it.GroupID,
-			Lat:     it.Lat,
-			Lon:     it.Lon,
-			Bytes:   len(it.Blob),
-			Gain:    it.Gain,
-		}}
-	}
-	// A zero-item batch is a no-op that never claims its nonce, so a later
-	// upload reusing it still applies and gets its IDs.
-	ids, hit, err := t.srv.commit(m.Nonce, nil, items, nil)
-	if err != nil {
-		return nil, err
-	}
-	// A nonce replay counts as a dedup hit and moves no bytes.
-	if hit {
-		t.tel.Counter("server.upload.dedup_hits").Inc()
-		return ids, nil
-	}
-	blobs := t.tel.Histogram("server.upload.blob_bytes", telemetry.SizeBuckets())
-	var bytes int64
-	for i := range items {
-		bytes += int64(items[i].Meta.Bytes)
-		blobs.Observe(int64(items[i].Meta.Bytes))
-	}
-	t.tel.Counter("server.upload.bytes").Add(bytes)
-	t.tel.Counter("server.upload.batch_items").Add(int64(len(items)))
-	return ids, nil
 }
 
 // ManifestUploads converts manifest-committed wire items to the server's

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"fmt"
 	"net"
 	"sync"
 	"testing"
@@ -59,14 +58,18 @@ func TestUtilityAdmissionShedsLowGainFirst(t *testing.T) {
 		Telemetry:         tel,
 	})
 
-	// Idle server: uploads with gains 5 and 6 are admitted and seed the
+	// Idle server: every probe's blocks are staged (block puts carry no
+	// gain), then uploads with gains 5 and 6 are admitted and seed the
 	// recent-gain window.
 	connA := dialRaw(t, addr)
-	for i, gain := range []float64{5, 6} {
-		resp := request(t, connA, uploadOne(uint64(100+i), wire.UploadBatchItem{
-			GroupID: int64(i), Gain: gain, Blob: []byte("img"),
-		}))
-		if _, ok := resp.(*wire.UploadBatchResponse); !ok {
+	gains := []float64{5, 6, 1, 0, 9, 99}
+	items, _ := stagedManifestItems(t, connA, 3, 3, 3, 6, 4, 4)
+	for i := range items {
+		items[i].Gain = gains[i]
+	}
+	for i := range gains[:2] {
+		resp := request(t, connA, uploadOne(uint64(100+i), items[i]))
+		if _, ok := resp.(*wire.ManifestCommitResponse); !ok {
 			t.Fatalf("idle-server upload %d got %T", i, resp)
 		}
 	}
@@ -86,23 +89,17 @@ func TestUtilityAdmissionShedsLowGainFirst(t *testing.T) {
 
 	connB := dialRaw(t, addr)
 	// Low gain sheds: the window {5, 6, 1} puts the threshold at 5.
-	if resp := request(t, connB, uploadOne(200, wire.UploadBatchItem{
-		Gain: 1, Blob: []byte("low"),
-	})); func() bool { _, ok := resp.(*wire.BusyResponse); return !ok }() {
+	if resp := request(t, connB, uploadOne(200, items[2])); func() bool { _, ok := resp.(*wire.BusyResponse); return !ok }() {
 		t.Fatalf("low-gain upload got %T, want BusyResponse", resp)
 	}
-	// Unranked (legacy, gain 0) falls back to the FIFO rule: 3 < 4
-	// admits, so a fleet that never stamps gains is unaffected.
-	if resp := request(t, connB, uploadOne(201, wire.UploadBatchItem{
-		Blob: []byte("legacy"),
-	})); func() bool { _, ok := resp.(*wire.UploadBatchResponse); return !ok }() {
-		t.Fatalf("unranked upload got %T, want UploadBatchResponse", resp)
+	// Unranked (gain 0) falls back to the FIFO rule: 3 < 4 admits, so a
+	// fleet that never stamps gains is unaffected.
+	if resp := request(t, connB, uploadOne(201, items[3])); func() bool { _, ok := resp.(*wire.ManifestCommitResponse); return !ok }() {
+		t.Fatalf("unranked upload got %T, want ManifestCommitResponse", resp)
 	}
 	// High gain clears the threshold and is admitted.
-	if resp := request(t, connB, uploadOne(202, wire.UploadBatchItem{
-		Gain: 9, Blob: []byte("high"),
-	})); func() bool { _, ok := resp.(*wire.UploadBatchResponse); return !ok }() {
-		t.Fatalf("high-gain upload got %T, want UploadBatchResponse", resp)
+	if resp := request(t, connB, uploadOne(202, items[4])); func() bool { _, ok := resp.(*wire.ManifestCommitResponse); return !ok }() {
+		t.Fatalf("high-gain upload got %T, want ManifestCommitResponse", resp)
 	}
 
 	// A fourth stalled frame reaches the high-water mark: now nothing is
@@ -110,9 +107,7 @@ func TestUtilityAdmissionShedsLowGainFirst(t *testing.T) {
 	conn4, payload4 := stallFrame(t, addr)
 	stalls = append(stalls, stalled{conn4, payload4})
 	waitInflight(t, tcp, 4)
-	if resp := request(t, connB, uploadOne(203, wire.UploadBatchItem{
-		Gain: 99, Blob: []byte("over"),
-	})); func() bool { _, ok := resp.(*wire.BusyResponse); return !ok }() {
+	if resp := request(t, connB, uploadOne(203, items[5])); func() bool { _, ok := resp.(*wire.BusyResponse); return !ok }() {
 		t.Fatalf("over-high-water upload got %T, want BusyResponse", resp)
 	}
 
@@ -153,6 +148,13 @@ func TestUtilityAdmissionConcurrentClients(t *testing.T) {
 		Telemetry:         telemetry.NewRegistry(),
 	})
 	const clients, perClient = 24, 8
+	// Every upload's block is staged up front, on the idle server, so
+	// the race below is between commits alone.
+	sizes := make([]int, clients*perClient)
+	for i := range sizes {
+		sizes[i] = 5 + i%7
+	}
+	items, _ := stagedManifestItems(t, dialRaw(t, addr), sizes...)
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	accepted, shed := 0, 0
@@ -167,11 +169,10 @@ func TestUtilityAdmissionConcurrentClients(t *testing.T) {
 			}
 			defer conn.Close()
 			for i := 0; i < perClient; i++ {
-				req := uploadOne(uint64(1+c*perClient+i), wire.UploadBatchItem{
-					GroupID: int64(c),
-					Gain:    float64(1 + (c*7+i*13)%20),
-					Blob:    []byte(fmt.Sprintf("c%d-i%d", c, i)),
-				})
+				it := items[c*perClient+i]
+				it.GroupID = int64(c)
+				it.Gain = float64(1 + (c*7+i*13)%20)
+				req := uploadOne(uint64(1+c*perClient+i), it)
 				if err := wire.WriteFrame(conn, req); err != nil {
 					t.Errorf("client %d write: %v", c, err)
 					return
@@ -184,7 +185,7 @@ func TestUtilityAdmissionConcurrentClients(t *testing.T) {
 				}
 				mu.Lock()
 				switch resp.(type) {
-				case *wire.UploadBatchResponse:
+				case *wire.ManifestCommitResponse:
 					accepted++
 				case *wire.BusyResponse:
 					shed++

@@ -3,11 +3,13 @@ package server
 import (
 	"bytes"
 	"net"
+	"reflect"
 	"testing"
 	"time"
 
 	"bees/internal/features"
 	"bees/internal/telemetry"
+	"bees/internal/wal"
 	"bees/internal/wire"
 )
 
@@ -105,15 +107,23 @@ func TestConnectionLimit(t *testing.T) {
 	}
 }
 
-// uploadOne is a one-image whole-image upload frame.
-func uploadOne(nonce uint64, it wire.UploadBatchItem) *wire.UploadBatchRequest {
-	return &wire.UploadBatchRequest{Nonce: nonce, Items: []wire.UploadBatchItem{it}}
+// stagedOne stages one synthetic blob of size bytes over conn and
+// returns its manifest item (see stagedManifestItems).
+func stagedOne(t *testing.T, conn net.Conn, size int) wire.ManifestItem {
+	t.Helper()
+	items, _ := stagedManifestItems(t, conn, size)
+	return items[0]
+}
+
+// uploadOne is a one-image upload frame for an already staged item.
+func uploadOne(nonce uint64, it wire.ManifestItem) *wire.ManifestCommit {
+	return &wire.ManifestCommit{Nonce: nonce, Items: []wire.ManifestItem{it}}
 }
 
 // uploadID performs one upload exchange and returns the single ID.
-func uploadID(t *testing.T, conn net.Conn, up *wire.UploadBatchRequest) int64 {
+func uploadID(t *testing.T, conn net.Conn, up *wire.ManifestCommit) int64 {
 	t.Helper()
-	resp, ok := request(t, conn, up).(*wire.UploadBatchResponse)
+	resp, ok := request(t, conn, up).(*wire.ManifestCommitResponse)
 	if !ok || len(resp.IDs) != 1 {
 		t.Fatalf("no one-ID upload response: %+v", resp)
 	}
@@ -125,7 +135,7 @@ func uploadID(t *testing.T, conn net.Conn, up *wire.UploadBatchRequest) int64 {
 func TestUploadNonceDedup(t *testing.T) {
 	srv, _, addr := listenTCP(t, TCPConfig{})
 	conn := dialRaw(t, addr)
-	up := uploadOne(424242, wire.UploadBatchItem{GroupID: 7, Blob: make([]byte, 100)})
+	up := uploadOne(424242, stagedOne(t, conn, 100))
 
 	first := uploadID(t, conn, up)
 	// Same nonce again — as a client whose response was lost would send,
@@ -154,7 +164,7 @@ func TestUploadNonceDedup(t *testing.T) {
 func TestUploadNoNonceNotDeduped(t *testing.T) {
 	srv, _, addr := listenTCP(t, TCPConfig{})
 	conn := dialRaw(t, addr)
-	up := uploadOne(0, wire.UploadBatchItem{Blob: make([]byte, 10)})
+	up := uploadOne(0, stagedOne(t, conn, 10))
 	if uploadID(t, conn, up) == uploadID(t, conn, up) {
 		t.Fatal("nonce-less uploads were deduplicated")
 	}
@@ -164,7 +174,7 @@ func TestUploadNoNonceNotDeduped(t *testing.T) {
 }
 
 // TestEmptyBatchNonceDoesNotPoisonUpload is a regression test for a
-// remote crash: an empty UploadBatchRequest used to record a zero-ID
+// remote crash: an empty upload frame used to record a zero-ID
 // slice under its nonce, and a later one-image upload reusing that nonce
 // indexed ids[0] and panicked the whole server. The empty batch must not
 // claim the nonce, and the follow-up upload must store fresh.
@@ -172,7 +182,7 @@ func TestEmptyBatchNonceDoesNotPoisonUpload(t *testing.T) {
 	srv, _, addr := listenTCP(t, TCPConfig{})
 	conn := dialRaw(t, addr)
 
-	batch, ok := request(t, conn, &wire.UploadBatchRequest{Nonce: 99}).(*wire.UploadBatchResponse)
+	batch, ok := request(t, conn, &wire.ManifestCommit{Nonce: 99}).(*wire.ManifestCommitResponse)
 	if !ok {
 		t.Fatal("no response to empty batch")
 	}
@@ -180,7 +190,7 @@ func TestEmptyBatchNonceDoesNotPoisonUpload(t *testing.T) {
 		t.Fatalf("empty batch assigned IDs: %v", batch.IDs)
 	}
 
-	up := uploadOne(99, wire.UploadBatchItem{Blob: make([]byte, 10)})
+	up := uploadOne(99, stagedOne(t, conn, 10))
 	id := uploadID(t, conn, up)
 	if st := srv.Stats(); st.Images != 1 || st.BytesReceived != 10 {
 		t.Fatalf("upload after empty batch not applied: %+v", st)
@@ -240,21 +250,28 @@ func TestLoadSheddingBusy(t *testing.T) {
 		Telemetry:        tel,
 	})
 
+	// Both uploads' blocks are staged while the server is idle. A's blob
+	// is large enough (64 blocks) that its commit frame's manifest alone
+	// announces over 2 KiB.
+	connA, connB := dialRaw(t, addr), dialRaw(t, addr)
+	items, _ := stagedManifestItems(t, connA, 64*512, 1)
+	small := uploadOne(2, items[1])
+
 	// Connection A announces a large upload but stalls after the header:
 	// its announced bytes are now in flight, holding the server above the
 	// 1 KiB high-water mark.
-	big := uploadOne(1, wire.UploadBatchItem{GroupID: 1, Blob: make([]byte, 4096)})
-	header, payload := splitFrame(t, big)
-	connA := dialRaw(t, addr)
+	header, payload := splitFrame(t, uploadOne(1, items[0]))
+	if len(payload) <= 2048 {
+		t.Fatalf("stalled frame announces only %d bytes", len(payload))
+	}
 	if _, err := connA.Write(header); err != nil {
 		t.Fatal(err)
 	}
 	// Give the server a moment to charge A's header.
 	deadline := time.Now().Add(2 * time.Second)
-	connB := dialRaw(t, addr)
 	var busy *wire.BusyResponse
 	for {
-		resp := request(t, connB, uploadOne(2, wire.UploadBatchItem{GroupID: 2, Blob: []byte("x")}))
+		resp := request(t, connB, small)
 		if b, ok := resp.(*wire.BusyResponse); ok {
 			busy = b
 			break
@@ -262,7 +279,7 @@ func TestLoadSheddingBusy(t *testing.T) {
 		// A's header may not have landed yet; the request was applied, so
 		// retry with the same nonce until shedding kicks in.
 		if time.Now().After(deadline) {
-			t.Fatal("server never shed load while 4 KiB was in flight")
+			t.Fatal("server never shed load while 2 KiB was in flight")
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -288,8 +305,8 @@ func TestLoadSheddingBusy(t *testing.T) {
 
 	// Load cleared: the shed client retries the identical frame (same
 	// nonce) and is applied exactly once.
-	resp := request(t, connB, uploadOne(2, wire.UploadBatchItem{GroupID: 2, Blob: []byte("x")}))
-	if _, ok := resp.(*wire.UploadBatchResponse); !ok {
+	resp := request(t, connB, small)
+	if _, ok := resp.(*wire.ManifestCommitResponse); !ok {
 		t.Fatalf("retry after busy got %T", resp)
 	}
 	if got := srv.Stats().Images; got != 2 {
@@ -307,14 +324,14 @@ func TestLoadSheddingFrameCount(t *testing.T) {
 	header, payload := splitFrame(t, &wire.QueryRequest{Sets: []*features.BinarySet{{
 		Descriptors: make([]features.Descriptor, 4),
 	}}})
-	connA := dialRaw(t, addr)
+	connA, connB := dialRaw(t, addr), dialRaw(t, addr)
+	up := uploadOne(9, stagedOne(t, connB, 1))
 	if _, err := connA.Write(header); err != nil {
 		t.Fatal(err)
 	}
-	connB := dialRaw(t, addr)
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		resp := request(t, connB, uploadOne(9, wire.UploadBatchItem{Blob: []byte("y")}))
+		resp := request(t, connB, up)
 		if _, ok := resp.(*wire.BusyResponse); ok {
 			break
 		}
@@ -340,7 +357,7 @@ func TestLoadSheddingFrameCount(t *testing.T) {
 func TestRetiredUploadFrameDropsConnection(t *testing.T) {
 	srv, _, addr := listenTCP(t, TCPConfig{IdleTimeout: 5 * time.Second})
 	conn := dialRaw(t, addr)
-	if id := uploadID(t, conn, uploadOne(1, wire.UploadBatchItem{Blob: make([]byte, 10)})); id != 0 {
+	if id := uploadID(t, conn, uploadOne(1, stagedOne(t, conn, 10))); id != 0 {
 		t.Fatalf("first upload got ID %d", id)
 	}
 	before := srv.Stats()
@@ -362,5 +379,43 @@ func TestRetiredUploadFrameDropsConnection(t *testing.T) {
 	// The server keeps serving other connections.
 	if _, ok := request(t, dialRaw(t, addr), &wire.StatsRequest{}).(*wire.StatsResponse); !ok {
 		t.Fatal("server stopped serving after a retired frame")
+	}
+}
+
+// TestWholeImageFrameRefused sends the retired whole-image upload frame,
+// which still decodes: the server answers it with ErrorResponse on the
+// open connection and applies nothing — no image, no dedup entry, no WAL
+// record.
+func TestWholeImageFrameRefused(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	srv := NewDefault()
+	l, err := wal.Open(wal.Config{Dir: t.TempDir(), Telemetry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	srv.AttachWAL(l)
+	conn := dialRaw(t, listenOn(t, srv))
+	uploadID(t, conn, uploadOne(1, stagedOne(t, conn, 10)))
+	records := func() int64 { return reg.Counter("wal.append.records").Value() }
+	stats, dedup, recs := srv.Stats(), srv.DedupEntries(), records()
+
+	frame := &wire.UploadBatchRequest{Nonce: 2, Items: []wire.UploadBatchItem{
+		{Set: walSet(2), GroupID: 2, Gain: 1, Blob: make([]byte, 10)},
+	}}
+	if resp, ok := request(t, conn, frame).(*wire.ErrorResponse); !ok {
+		t.Fatalf("whole-image frame got %T, want ErrorResponse", resp)
+	}
+	if got := srv.Stats(); got != stats {
+		t.Fatalf("refused frame changed stats: %+v -> %+v", stats, got)
+	}
+	if got := srv.DedupEntries(); !reflect.DeepEqual(got, dedup) {
+		t.Fatalf("refused frame changed the dedup window: %+v -> %+v", dedup, got)
+	}
+	if got := records(); got != recs {
+		t.Fatalf("refused frame logged %d WAL records", got-recs)
+	}
+	if _, ok := request(t, conn, &wire.StatsRequest{}).(*wire.StatsResponse); !ok {
+		t.Fatal("connection unusable after the refused frame")
 	}
 }

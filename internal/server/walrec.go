@@ -18,7 +18,7 @@ import (
 //	byte   type (recBlockPut | recCommit)
 //	...    type-specific body, little-endian like the snapshot format
 //
-// Every commit — whole-image or by manifest, server-allocated IDs or
+// Every commit — inline or by manifest, server-allocated IDs or
 // router-assigned ones — is one recCommit record:
 //
 //	u64 nonce | u32 count | count × (u64 id | meta | set | manifest)
@@ -30,20 +30,15 @@ import (
 // a client retrying a nonce the WAL already holds gets the original IDs
 // back, never a second apply.
 //
-// Kinds 1 (whole-image upload) and 3 (manifest commit) are no longer
-// written. They carry a firstID instead of per-item IDs and still
-// decode, into the same walCommit, so a log written by an older server
-// recovers.
+// Any other kind byte decodes as a bad record.
 //
 // Gain and global descriptors are not persisted, matching the snapshot
 // format: they only steer admission and metadata queries of the live
 // process.
 
 const (
-	recLegacyUpload = 1
-	recBlockPut     = 2
-	recLegacyCommit = 3
-	recCommit       = 4
+	recBlockPut = 2
+	recCommit   = 4
 )
 
 // walItemMinBytes is the smallest encoded commit item (meta plus an
@@ -62,9 +57,8 @@ type walBlockPut struct {
 	data []byte
 }
 
-// walCommit is a decoded commit record of any kind: one acknowledged
-// commit under its assigned IDs. manifests is nil for a legacy
-// whole-image record.
+// walCommit is a decoded recCommit: one acknowledged commit under its
+// assigned IDs, with one manifest per item (zero for an inline item).
 type walCommit struct {
 	nonce     uint64
 	ids       []int64
@@ -254,34 +248,26 @@ func (d *walDecoder) manifest() (blockstore.Manifest, error) {
 	return m, nil
 }
 
-// commit parses the body of a commit record of the given kind. The
-// legacy kinds carry a firstID, their IDs contiguous from it; recCommit
-// carries one ID per item. Only recLegacyUpload has no manifests.
-func (d *walDecoder) commit(kind byte) (*walCommit, error) {
+// commit parses the body of a recCommit record.
+func (d *walDecoder) commit() (*walCommit, error) {
 	nonce, err := d.u64()
 	if err != nil {
 		return nil, err
-	}
-	var firstID uint64
-	if kind != recCommit {
-		if firstID, err = d.u64(); err != nil {
-			return nil, err
-		}
 	}
 	count, err := d.count(walItemMinBytes)
 	if err != nil || count == 0 {
 		return nil, errBadWALRecord
 	}
-	rec := &walCommit{nonce: nonce, ids: make([]int64, count), items: make([]UploadItem, count)}
-	if kind != recLegacyUpload {
-		rec.manifests = make([]blockstore.Manifest, count)
+	rec := &walCommit{
+		nonce:     nonce,
+		ids:       make([]int64, count),
+		items:     make([]UploadItem, count),
+		manifests: make([]blockstore.Manifest, count),
 	}
 	for i := range rec.items {
-		id := firstID + uint64(i)
-		if kind == recCommit {
-			if id, err = d.u64(); err != nil {
-				return nil, err
-			}
+		id, err := d.u64()
+		if err != nil {
+			return nil, err
 		}
 		rec.ids[i] = int64(id)
 		if rec.items[i].Meta, err = d.meta(); err != nil {
@@ -290,10 +276,8 @@ func (d *walDecoder) commit(kind byte) (*walCommit, error) {
 		if rec.items[i].Set, err = d.set(); err != nil {
 			return nil, err
 		}
-		if rec.manifests != nil {
-			if rec.manifests[i], err = d.manifest(); err != nil {
-				return nil, err
-			}
+		if rec.manifests[i], err = d.manifest(); err != nil {
+			return nil, err
 		}
 	}
 	return rec, nil
@@ -323,8 +307,8 @@ func decodeWALRecord(p []byte) (any, error) {
 		rec := &walBlockPut{data: append([]byte(nil), data...)}
 		copy(rec.hash[:], h)
 		return rec, trailing(d)
-	case recLegacyUpload, recLegacyCommit, recCommit:
-		rec, err := d.commit(p[0])
+	case recCommit:
+		rec, err := d.commit()
 		if err != nil {
 			return nil, err
 		}

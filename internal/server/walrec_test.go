@@ -24,10 +24,11 @@ import (
 var updateWALCorpus = flag.Bool("update-wal-corpus", false,
 	"rewrite the checked-in FuzzDecodeWALRecord seed corpus")
 
-// encodeLegacyUploadRecord writes a kind-1 record exactly as older
-// servers logged a whole-image upload: a firstID, IDs contiguous from it.
-func encodeLegacyUploadRecord(nonce uint64, firstID index.ImageID, items []UploadItem) []byte {
-	b := []byte{recLegacyUpload}
+// retiredUploadRecord writes a kind-1 record, the retired whole-image
+// upload record: a firstID, IDs contiguous from it, no manifests. The
+// decoder rejects the kind.
+func retiredUploadRecord(nonce uint64, firstID index.ImageID, items []UploadItem) []byte {
+	b := []byte{1}
 	b = binary.LittleEndian.AppendUint64(b, nonce)
 	b = binary.LittleEndian.AppendUint64(b, uint64(firstID))
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(items)))
@@ -38,10 +39,11 @@ func encodeLegacyUploadRecord(nonce uint64, firstID index.ImageID, items []Uploa
 	return b
 }
 
-// encodeLegacyCommitRecord writes a kind-3 record exactly as older
-// servers logged a manifest commit.
-func encodeLegacyCommitRecord(nonce uint64, firstID int64, ups []ManifestUpload) []byte {
-	b := []byte{recLegacyCommit}
+// retiredCommitRecord writes a kind-3 record, the retired manifest
+// commit record: a firstID instead of per-item IDs. The decoder rejects
+// the kind.
+func retiredCommitRecord(nonce uint64, firstID int64, ups []ManifestUpload) []byte {
+	b := []byte{3}
 	b = binary.LittleEndian.AppendUint64(b, nonce)
 	b = binary.LittleEndian.AppendUint64(b, uint64(firstID))
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(ups)))
@@ -54,8 +56,9 @@ func encodeLegacyCommitRecord(nonce uint64, firstID int64, ups []ManifestUpload)
 }
 
 // walCorpus returns the FuzzDecodeWALRecord seeds by name: one valid
-// record per kind ("valid-*", legacy kinds included), truncations of
-// each, and hostile counts that announce far more than the payload holds.
+// record per kind ("valid-*"), a well-formed record of each retired kind
+// ("rejected-*"), truncations of each, and hostile counts that announce
+// far more than the payload holds.
 func walCorpus() map[string][]byte {
 	data := blockstore.SynthPayload(7, 700)
 	m := blockstore.ManifestOf(data, 512)
@@ -64,14 +67,15 @@ func walCorpus() map[string][]byte {
 	inline := []UploadItem{walItem(1, 100), {Meta: UploadMeta{GroupID: 2, Bytes: 50}}}
 	parts := blockstore.Split(data, 512)
 	seeds := map[string][]byte{
-		"valid-kind1":          encodeLegacyUploadRecord(11, 4, inline),
+		"rejected-kind1":       retiredUploadRecord(11, 4, inline),
 		"valid-kind2":          encodeBlockPutRecord(m.Hashes[0], parts[0]),
-		"valid-kind3":          encodeLegacyCommitRecord(12, 6, ups),
+		"rejected-kind3":       retiredCommitRecord(12, 6, ups),
 		"valid-kind4-inline":   encodeCommitRecord(13, []int64{9, 2}, inline, nil),
 		"valid-kind4-manifest": encodeCommitRecord(14, []int64{30}, items, manifests),
 	}
-	for _, kind := range []string{"kind1", "kind2", "kind3", "kind4-inline", "kind4-manifest"} {
-		p := seeds["valid-"+kind]
+	for _, name := range []string{"rejected-kind1", "valid-kind2", "rejected-kind3", "valid-kind4-inline", "valid-kind4-manifest"} {
+		p := seeds[name]
+		_, kind, _ := strings.Cut(name, "-")
 		seeds["trunc-"+kind] = p[:len(p)/2]
 	}
 	u32 := func(v uint32) []byte { return binary.LittleEndian.AppendUint32(nil, v) }
@@ -79,7 +83,7 @@ func walCorpus() map[string][]byte {
 	nonce := make([]byte, 8)
 	meta := make([]byte, 32)
 	seeds["hostile-items"] = cat([]byte{recCommit}, nonce, u32(1<<20), []byte{0})
-	seeds["hostile-legacy-items"] = cat([]byte{recLegacyCommit}, nonce, nonce, u32(^uint32(0)), meta)
+	seeds["hostile-legacy-items"] = cat([]byte{3}, nonce, nonce, u32(^uint32(0)), meta)
 	seeds["hostile-hashes"] = cat([]byte{recCommit}, nonce, u32(1), nonce, meta, u32(0),
 		make([]byte, 16), u32(1<<20), make([]byte, 8))
 	seeds["hostile-descriptors"] = cat([]byte{recCommit}, nonce, u32(1), nonce, meta, u32(1<<16),
@@ -159,8 +163,7 @@ func TestWALRecordHostileCountsDoNotAllocate(t *testing.T) {
 
 // FuzzDecodeWALRecord feeds arbitrary payloads to the WAL record
 // decoder. The invariants: never panic, fail only with errBadWALRecord,
-// and an accepted commit record of the current kind re-encodes to the
-// same bytes.
+// and an accepted commit record re-encodes to the same bytes.
 func FuzzDecodeWALRecord(f *testing.F) {
 	for _, p := range walCorpus() {
 		f.Add(p)
@@ -173,7 +176,7 @@ func FuzzDecodeWALRecord(f *testing.F) {
 			}
 			return
 		}
-		if c, ok := rec.(*walCommit); ok && p[0] == recCommit {
+		if c, ok := rec.(*walCommit); ok {
 			if again := encodeCommitRecord(c.nonce, c.ids, c.items, c.manifests); !bytes.Equal(again, p) {
 				t.Fatalf("accepted record re-encodes differently:\n got %x\nwant %x", again, p)
 			}
@@ -205,12 +208,11 @@ func stateOf(s *Server, query []*features.BinarySet) serverState {
 	}
 }
 
-// TestRecoverMixedLegacyLog recovers a log an older server could have
-// written — legacy upload and commit records (kinds 1 and 3) beside
-// block puts and current commit records, on both sides of a snapshot
-// cut — and requires the recovered server to equal the live one that
-// applied the same commits.
-func TestRecoverMixedLegacyLog(t *testing.T) {
+// TestRecoverMixedLog recovers a log of every record shape the server
+// writes — block puts, inline and manifest commits, nonce-less and under
+// router-assigned IDs, on both sides of a snapshot cut — and requires the
+// recovered server to equal the live one that applied the same commits.
+func TestRecoverMixedLog(t *testing.T) {
 	dir := t.TempDir()
 	walDir := filepath.Join(dir, "wal")
 	snap := filepath.Join(dir, "state.snap")
@@ -251,31 +253,33 @@ func TestRecoverMixedLegacyLog(t *testing.T) {
 		return ids
 	}
 
-	// Before the cut: a legacy upload and a legacy commit.
+	// commitRec logs a commit of ups under the IDs the live server gave.
+	commitRec := func(nonce uint64, ids []int64, ups []ManifestUpload) {
+		t.Helper()
+		items, manifests := splitUploads(ups)
+		logRec(encodeCommitRecord(nonce, ids, items, manifests))
+	}
+
+	// Before the cut: an inline upload and a manifest commit.
 	items := []UploadItem{item(0, 100), item(1, 200)}
 	ids := must(live.UploadItems(11, items))
-	logRec(encodeLegacyUploadRecord(11, index.ImageID(ids[0]), items))
+	logRec(encodeCommitRecord(11, ids, items, nil))
 	ups := []ManifestUpload{staged(2, 900), staged(3, 700)}
-	ids = must(live.CommitManifestsNonce(12, ups))
-	logRec(encodeLegacyCommitRecord(12, ids[0], ups))
+	commitRec(12, must(live.CommitManifestsNonce(12, ups)), ups)
 	// The records above stay in the log as well, as the rotate-before-
 	// snapshot window of a checkpoint leaves them.
 	if err := live.SaveSnapshotFile(snap); err != nil {
 		t.Fatal(err)
 	}
 
-	// After the cut: a current shard commit under an out-of-order ID,
-	// then legacy kinds again, one nonce-less.
+	// After the cut: a shard commit under an out-of-order ID, then a
+	// nonce-less inline upload and another manifest commit.
 	shard := []ManifestUpload{staged(4, 600)}
-	shardItems, shardManifests := splitUploads(shard)
-	must(live.ApplyShardCommit(13, []int64{40}, shard))
-	logRec(encodeCommitRecord(13, []int64{40}, shardItems, shardManifests))
+	commitRec(13, must(live.ApplyShardCommit(13, []int64{40}, shard)), shard)
 	items = []UploadItem{item(5, 300)}
-	ids = must(live.UploadItems(0, items))
-	logRec(encodeLegacyUploadRecord(0, index.ImageID(ids[0]), items))
+	logRec(encodeCommitRecord(0, must(live.UploadItems(0, items)), items, nil))
 	ups = []ManifestUpload{staged(2, 900)} // shares every block with nonce 12
-	ids = must(live.CommitManifestsNonce(15, ups))
-	logRec(encodeLegacyCommitRecord(15, ids[0], ups))
+	commitRec(15, must(live.CommitManifestsNonce(15, ups)), ups)
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -1,28 +1,26 @@
 package wire
 
-// Block-transfer protocol: the delta-upload path splits each image
-// payload into content-addressed blocks (internal/blockstore) and
-// replaces the opaque blob of UploadBatchRequest with three frames —
+// Block-transfer protocol: the one upload path splits each image
+// payload into content-addressed blocks (internal/blockstore) and sends
+// it as three frames —
 //
 //	BlockQuery      which of these hashes do you hold?   → BlockQueryResponse (bitmap)
 //	BlockPut        here are the blocks you were missing → BlockPutResponse
 //	ManifestCommit  store these images by manifest       → ManifestCommitResponse (IDs)
 //
 // Only ManifestCommit mutates server accounting, and it carries the
-// retry nonce (same dedup window as UploadBatchRequest), so the commit
+// retry nonce (the server's one dedup window), so the commit
 // is exactly-once while queries and puts are freely retryable: a put of
 // a block the server already holds is a no-op dedup hit. That makes a
 // mid-image transfer resumable block-by-block — after a partition the
 // client re-queries and only the unacked tail of blocks crosses the
 // link again.
 //
-// Capability negotiation: a client opens with Hello carrying its
-// protocol version and feature bits; the server answers with its own.
-// Feature bits the receiver does not know are ignored, never fatal, so
-// either side can grow new bits without breaking the other. A server
-// predating Hello drops the connection on the unknown frame type, which
-// the client treats as "no block support" and falls back to whole-image
-// UploadBatchRequest frames.
+// Capability negotiation: a client may open with Hello carrying its
+// protocol version and feature bits; the server answers with its own,
+// always including FeatureBlocks. Feature bits the receiver does not know
+// are ignored, never fatal, so either side can grow new bits without
+// breaking the other.
 
 import (
 	"bees/internal/blockstore"
@@ -45,9 +43,8 @@ const (
 	FeatureCluster uint64 = 1 << 1
 )
 
-// Hello is the capability handshake, sent by the client as the first
-// frame of a connection that wants the block path; the server answers
-// with its own Hello. It is valid at any point of the request/response
+// Hello is the capability handshake: the client sends its version and
+// feature bits, the server answers with its own Hello. It is valid at any point of the request/response
 // alternation and has no side effects.
 type Hello struct {
 	Version  uint32
@@ -87,15 +84,17 @@ type BlockPutResponse struct {
 	Dup    uint32
 }
 
-// ManifestItem is one image of a ManifestCommit: the upload metadata of
-// UploadBatchItem with the payload replaced by its block manifest.
+// ManifestItem is one image of a ManifestCommit: its upload metadata
+// and, in place of the payload, the payload's block manifest.
 type ManifestItem struct {
 	Set     *features.BinarySet
 	GroupID int64
 	Lat     float64
 	Lon     float64
-	// Gain is the item's submodular marginal gain (see
-	// UploadBatchItem.Gain).
+	// Gain is the item's submodular marginal gain from SSMM selection
+	// (0 = unranked). A utility-aware server ranks the whole frame by its
+	// highest item gain and sheds lowest-gain frames first under overload;
+	// an unranked frame falls back to the FIFO shedding rule.
 	Gain float64
 	// TotalBytes and BlockSize describe the payload the Hashes reassemble
 	// to; TotalBytes is what server accounting charges as received.
@@ -114,8 +113,7 @@ func (it *ManifestItem) Manifest() blockstore.Manifest {
 }
 
 // ManifestCommit stores a window of images whose blocks have already
-// been transferred. Like UploadBatchRequest it is atomic under one
-// nonce: a replayed commit is answered with the originally assigned IDs
+// been transferred. It is atomic under one nonce: a replayed commit is answered with the originally assigned IDs
 // instead of being applied twice. A commit naming a block the server
 // does not hold fails as a whole (no partial application) — the client
 // re-queries and re-puts before retrying.
@@ -126,11 +124,13 @@ type ManifestCommit struct {
 
 // MaxGain returns the highest item gain in the commit — the frame-level
 // utility a gain-aware admission policy ranks by (0 when every item is
-// unranked), mirroring UploadBatchRequest.MaxGain.
-func (m *ManifestCommit) MaxGain() float64 {
+// unranked).
+func (m *ManifestCommit) MaxGain() float64 { return maxGain(m.Items) }
+
+func maxGain(items []ManifestItem) float64 {
 	best := 0.0
-	for i := range m.Items {
-		if g := m.Items[i].Gain; g > best {
+	for i := range items {
+		if g := items[i].Gain; g > best {
 			best = g
 		}
 	}

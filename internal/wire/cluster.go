@@ -67,18 +67,9 @@ type ShardRoute struct {
 	Items  []ManifestItem
 }
 
-// MaxGain returns the highest item gain in the frame — the frame-level
-// utility a gain-aware admission policy ranks by (0 when every item is
-// unranked), mirroring UploadBatchRequest.MaxGain.
-func (m *ShardRoute) MaxGain() float64 {
-	best := 0.0
-	for i := range m.Items {
-		if g := m.Items[i].Gain; g > best {
-			best = g
-		}
-	}
-	return best
-}
+// MaxGain returns the highest item gain in the frame (see
+// ManifestCommit.MaxGain).
+func (m *ShardRoute) MaxGain() float64 { return maxGain(m.Items) }
 
 // ShardRouteResponse acknowledges a ShardRoute: Have answers Query hash
 // for hash, IDs acknowledges the committed Items (the frame's own IDs,

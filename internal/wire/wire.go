@@ -16,7 +16,7 @@
 // Retry semantics: the protocol itself is a strict one-request/
 // one-response alternation per connection. Queries and stats requests
 // are read-only and naturally idempotent. Every upload frame
-// (UploadBatchRequest, ManifestCommit, ShardRoute) carries a
+// (ManifestCommit, ShardRoute) carries a
 // client-chosen Nonce so a retried upload (the client saw no response,
 // the server may or may not have applied it) can be deduplicated
 // server-side: the server replays the originally assigned IDs instead of
@@ -33,10 +33,11 @@
 // (one CBRD round trip per batch), and a device uploads a whole chunk of
 // images under one nonce, so the chunk is applied exactly once and a
 // replay is answered with the originally assigned IDs. The chunk travels
-// as the block-transfer flow (blocks.go) when the server advertises it in
-// Hello, and as one whole-image UploadBatchRequest otherwise. Message
-// numbers 3 and 4 belonged to a retired per-image upload frame; they stay
-// reserved and decode as unknown types.
+// as the block-transfer flow (blocks.go). Message numbers 3 and 4 belonged
+// to a retired per-image upload frame; they stay reserved and decode as
+// unknown types. UploadBatchRequest, the retired whole-image upload frame,
+// keeps its codec for the benchmark's frame-cost walk only: no client
+// sends it, and a server answers it with ErrorResponse.
 package wire
 
 import (
@@ -108,43 +109,23 @@ type UploadBatchItem struct {
 	GroupID int64
 	Lat     float64
 	Lon     float64
-	// Gain is the item's submodular marginal gain from SSMM selection
-	// (0 = unranked). A utility-aware server ranks the whole frame by its
-	// highest item gain and sheds lowest-gain frames first under overload;
-	// an unranked frame falls back to the FIFO shedding rule.
+	// Gain is the item's submodular marginal gain (see ManifestItem.Gain).
 	Gain float64
 	// Blob is the (compressed) image payload; only its length matters to
 	// the server's accounting.
 	Blob []byte
 }
 
-// UploadBatchRequest stores a whole window of images in one round trip —
-// the AIU side of the batch-first protocol. The frame is applied
-// atomically with respect to retries: the single Nonce covers every
-// item, so a replayed batch (response lost, client resent) is answered
-// with the originally assigned IDs instead of being stored twice.
-// Partial frames never reach the handler (the framing layer rejects
-// truncated payloads), so a batch is either fully applied or not at all.
+// UploadBatchRequest is the retired whole-image upload frame: a window
+// of images with their payloads inline, under one nonce. Only its codec
+// remains (see the package comment); no server applies it.
 type UploadBatchRequest struct {
 	Nonce uint64
 	Items []UploadBatchItem
 }
 
-// MaxGain returns the highest item gain in the batch — the frame-level
-// utility a gain-aware admission policy ranks by (0 when every item is
-// unranked).
-func (m *UploadBatchRequest) MaxGain() float64 {
-	best := 0.0
-	for i := range m.Items {
-		if g := m.Items[i].Gain; g > best {
-			best = g
-		}
-	}
-	return best
-}
-
-// UploadBatchResponse acknowledges an UploadBatchRequest with one
-// assigned image ID per item, in order.
+// UploadBatchResponse is the retired acknowledgement of an
+// UploadBatchRequest: one image ID per item, in order.
 type UploadBatchResponse struct {
 	IDs []int64
 }
