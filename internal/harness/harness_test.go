@@ -1,12 +1,86 @@
 package harness
 
 import (
+	"flag"
+	"os"
+	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 	"time"
 
 	"bees/internal/sim"
 )
+
+var updateFigures = flag.Bool("update", false, "rewrite this run's sections of testdata/figures.golden")
+
+const figuresGolden = "testdata/figures.golden"
+
+// checkFigure compares tbl's rendering with the section called name of
+// testdata/figures.golden, so a change that moves any number of a paper
+// table fails even when the table's shape anchors still hold. Each
+// section starts with a "-- name --" line. Regenerate the sections of
+// the tests that ran with
+//
+//	go test ./internal/harness -update
+func checkFigure(t *testing.T, name string, tbl *Table) {
+	t.Helper()
+	got := tbl.String()
+	sections, err := readFigures()
+	if err != nil && !(*updateFigures && os.IsNotExist(err)) {
+		t.Fatalf("read %s (run with -update to create): %v", figuresGolden, err)
+	}
+	if *updateFigures {
+		sections[name] = got
+		if err := writeFigures(sections); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, ok := sections[name]
+	if !ok {
+		t.Fatalf("%s has no section %q (run with -update to add it)", figuresGolden, name)
+	}
+	if got != want {
+		t.Fatalf("%s drifted from %s (rerun with -update if intended):\ngot:\n%swant:\n%s", name, figuresGolden, got, want)
+	}
+}
+
+// readFigures parses the golden file into name -> rendered table.
+func readFigures() (map[string]string, error) {
+	sections := map[string]string{}
+	data, err := os.ReadFile(figuresGolden)
+	if err != nil {
+		return sections, err
+	}
+	name := ""
+	for _, line := range strings.SplitAfter(string(data), "\n") {
+		if strings.HasPrefix(line, "-- ") && strings.HasSuffix(line, " --\n") {
+			name = strings.TrimSuffix(strings.TrimPrefix(line, "-- "), " --\n")
+			sections[name] = ""
+			continue
+		}
+		sections[name] += line
+	}
+	return sections, nil
+}
+
+// writeFigures writes sections in name order.
+func writeFigures(sections map[string]string) error {
+	names := make([]string, 0, len(sections))
+	for name := range sections {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	var sb strings.Builder
+	for _, name := range names {
+		sb.WriteString("-- " + name + " --\n" + sections[name])
+	}
+	if err := os.MkdirAll(filepath.Dir(figuresGolden), 0o755); err != nil {
+		return err
+	}
+	return os.WriteFile(figuresGolden, []byte(sb.String()), 0o644)
+}
 
 func TestTableRendering(t *testing.T) {
 	tbl := &Table{
@@ -63,9 +137,11 @@ func TestFig3ShapeAnchors(t *testing.T) {
 			t.Fatal("extraction energy must fall with compression")
 		}
 	}
-	if got := Fig3Table(res).String(); !strings.Contains(got, "Fig. 3") {
+	tbl := Fig3Table(res)
+	if !strings.Contains(tbl.String(), "Fig. 3") {
 		t.Fatal("table title missing")
 	}
+	checkFigure(t, "fig3", tbl)
 }
 
 func TestFig4ShapeAnchors(t *testing.T) {
@@ -99,7 +175,7 @@ func TestFig4ShapeAnchors(t *testing.T) {
 	if tpr013 > tpr01 {
 		t.Fatal("TPR must not rise with the threshold")
 	}
-	Fig4Table(res) // must not panic
+	checkFigure(t, "fig4", Fig4Table(res))
 }
 
 func TestFig5ShapeAnchors(t *testing.T) {
@@ -129,8 +205,8 @@ func TestFig5ShapeAnchors(t *testing.T) {
 	if qual[1].Bytes <= qual[0].Bytes {
 		t.Fatal("more images must cost more bytes")
 	}
-	Fig5Table(qual, true)
-	Fig5Table(resl, false)
+	checkFigure(t, "fig5a", Fig5Table(qual, true))
+	checkFigure(t, "fig5b", Fig5Table(resl, false))
 }
 
 func TestFig6ShapeAnchors(t *testing.T) {
@@ -159,7 +235,7 @@ func TestFig6ShapeAnchors(t *testing.T) {
 	if byName["BEES(10)"].Normalized > byName["BEES(100)"].Normalized+0.05 {
 		t.Fatal("precision should not improve at low battery")
 	}
-	Fig6Table(res)
+	checkFigure(t, "fig6", Fig6Table(res))
 }
 
 func TestTable1ShapeAnchors(t *testing.T) {
@@ -182,7 +258,7 @@ func TestTable1ShapeAnchors(t *testing.T) {
 			t.Fatalf("PCA-SIFT space = %.2f%% of SIFT, want ~28%%", r.PCASPct)
 		}
 	}
-	Table1Table(rows)
+	checkFigure(t, "table1", Table1Table(rows))
 }
 
 func TestBatchStudyAndFig7Fig10Tables(t *testing.T) {
@@ -212,8 +288,8 @@ func TestBatchStudyAndFig7Fig10Tables(t *testing.T) {
 	if b, s := get("BEES", 0.5).Bytes, get("SmartEye", 0.5).Bytes; float64(b) > 0.45*float64(s) {
 		t.Fatalf("BEES bytes %d not well below SmartEye %d", b, s)
 	}
-	Fig7Table(cells)
-	Fig10Table(cells)
+	checkFigure(t, "fig7", Fig7Table(cells))
+	checkFigure(t, "fig10", Fig10Table(cells))
 }
 
 func TestFig8ShapeAnchors(t *testing.T) {
@@ -239,7 +315,7 @@ func TestFig8ShapeAnchors(t *testing.T) {
 			t.Fatalf("feature upload dominates at Ebat=%v: %+v", r.Ebat, r)
 		}
 	}
-	Fig8Table(rows)
+	checkFigure(t, "fig8", Fig8Table(rows))
 }
 
 func TestFig9RunsAndOrders(t *testing.T) {
@@ -263,7 +339,7 @@ func TestFig9RunsAndOrders(t *testing.T) {
 	if byName["BEES"].ExtensionPct <= 0 {
 		t.Fatal("BEES extension must be positive")
 	}
-	Fig9Table(rows)
+	checkFigure(t, "fig9", Fig9Table(rows))
 }
 
 func TestFig11ShapeAnchors(t *testing.T) {
@@ -294,7 +370,7 @@ func TestFig11ShapeAnchors(t *testing.T) {
 			t.Fatalf("BEES delay %v not well below Direct %v at %v", b, d, bps)
 		}
 	}
-	Fig11Table(cells)
+	checkFigure(t, "fig11", Fig11Table(cells))
 }
 
 func TestFig12RunsAndOrders(t *testing.T) {
@@ -311,7 +387,7 @@ func TestFig12RunsAndOrders(t *testing.T) {
 	if rows[1].ImagesVsDirect <= 0 || rows[1].LocationsVsDirect <= 0 {
 		t.Fatalf("BEES must beat Direct on both metrics: %+v", rows[1])
 	}
-	Fig12Table(rows)
+	checkFigure(t, "fig12", Fig12Table(rows))
 }
 
 func TestAblationBudget(t *testing.T) {
@@ -329,7 +405,7 @@ func TestAblationBudget(t *testing.T) {
 			t.Fatalf("fixed budget violated: %+v", r)
 		}
 	}
-	AblationBudgetTable(rows)
+	checkFigure(t, "ablation_budget", AblationBudgetTable(rows))
 }
 
 func TestAblationGreedy(t *testing.T) {
@@ -342,7 +418,7 @@ func TestAblationGreedy(t *testing.T) {
 			t.Fatalf("lazy greedy diverged from naive: %+v", r)
 		}
 	}
-	AblationGreedyTable(rows)
+	checkFigure(t, "ablation_greedy", AblationGreedyTable(rows))
 }
 
 func TestAblationIndex(t *testing.T) {
@@ -350,7 +426,7 @@ func TestAblationIndex(t *testing.T) {
 	if r.Agreement < 0.8 {
 		t.Fatalf("LSH/exhaustive agreement = %v, want >= 0.8", r.Agreement)
 	}
-	AblationIndexTable(r)
+	checkFigure(t, "ablation_index", AblationIndexTable(r))
 }
 
 func TestPanicsOnBadOptions(t *testing.T) {
@@ -401,7 +477,7 @@ func TestExtensionDetection(t *testing.T) {
 		t.Fatalf("PhotoNet precision %v should be below feature-based %v",
 			photonet.Precision, mrc.Precision)
 	}
-	DetectionTable(rows)
+	checkFigure(t, "detection", DetectionTable(rows))
 }
 
 func TestPanicsOnBadDetectionOptions(t *testing.T) {
@@ -426,7 +502,7 @@ func TestAblationIBRD(t *testing.T) {
 	if rows[1].SavingPct < 15 {
 		t.Fatalf("IBRD saved only %.1f%% with 1/3 duplicates", rows[1].SavingPct)
 	}
-	AblationIBRDTable(rows)
+	checkFigure(t, "ablation_ibrd", AblationIBRDTable(rows))
 }
 
 func TestPanicsOnBadIBRDOptions(t *testing.T) {
@@ -459,7 +535,7 @@ func TestCodecComparison(t *testing.T) {
 	if at85.AvgSSIM < 0.8 {
 		t.Fatalf("lossy@0.85 SSIM %v too low", at85.AvgSSIM)
 	}
-	CodecComparisonTable(rows)
+	checkFigure(t, "codec_comparison", CodecComparisonTable(rows))
 }
 
 func TestCodecComparisonPanics(t *testing.T) {
