@@ -6,6 +6,7 @@ import (
 
 	"bees"
 	"bees/internal/client"
+	"bees/internal/netsim"
 	"bees/internal/server"
 )
 
@@ -50,11 +51,14 @@ func TestPublicAPIDeviceOptions(t *testing.T) {
 		bees.WithBatteryJ(1000),
 		bees.WithFluctuatingLink(0, 512_000, 7),
 	)
-	if dev.Battery.Capacity() != 1000 {
-		t.Fatalf("battery capacity = %v", dev.Battery.Capacity())
+	if got := dev.Battery.Drain(2000); got != 1000 {
+		t.Fatalf("a full battery drained %v J, want its 1000 J capacity", got)
 	}
-	if dev.Link.MeanRate() != 256_000 {
-		t.Fatalf("mean rate = %v", dev.Link.MeanRate())
+	want := netsim.NewFluctuatingLink(0, 512_000, 7)
+	for i := 0; i < 8; i++ {
+		if got, w := dev.Link.Rate(), want.Rate(); got != w {
+			t.Fatalf("rate %d = %v, want %v from a 0–512 kbps link seeded 7", i, got, w)
+		}
 	}
 	model := bees.NewDevice(bees.WithCostModel(bees.CostModel{
 		RadioTxPowerW: 2, CPUPowerW: 1, ScreenPowerW: 1,
@@ -110,8 +114,11 @@ func TestPublicAPILifetimeQuick(t *testing.T) {
 
 func TestPublicAPIGilbertLinkAndPhotoNet(t *testing.T) {
 	dev := bees.NewDevice(bees.WithGilbertLink(512_000, 32_000, 0.1, 0.3, 1))
-	if dev.Link.MeanRate() <= 32_000 || dev.Link.MeanRate() >= 512_000 {
-		t.Fatalf("Gilbert mean rate = %v", dev.Link.MeanRate())
+	want := netsim.NewGilbertLink(512_000, 32_000, 0.1, 0.3, 1)
+	for i := 0; i < 16; i++ {
+		if got, w := dev.Link.Rate(), want.Rate(); got != w {
+			t.Fatalf("rate %d = %v, want %v from the Gilbert chain", i, got, w)
+		}
 	}
 	srv := bees.NewServer()
 	d := bees.NewDisasterBatch(5, 10, 2, 0)

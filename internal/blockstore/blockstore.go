@@ -19,8 +19,8 @@
 // a block between verifying and publishing it — in a staged state
 // (refcount 0). A manifest commit (Commit) verifies every referenced
 // block is present and then takes one reference per occurrence,
-// all-or-nothing; Release undoes a commit's references. Staged blocks
-// are retained — they are the resume window for a mid-image transfer —
+// all-or-nothing. Nothing drops a reference: no image is ever deleted.
+// Staged blocks are retained — they are the resume window for a mid-image transfer —
 // and blocks are never evicted by the store itself, so a snapshot round
 // trip preserves both data and refcounts exactly.
 package blockstore
@@ -102,19 +102,6 @@ func ManifestOf(blob []byte, blockSize int) Manifest {
 		m.Hashes[i] = HashBlock(b)
 	}
 	return m
-}
-
-// BlockLen returns the byte length of block i of the manifest.
-func (m *Manifest) BlockLen(i int) int {
-	if i < 0 || i >= len(m.Hashes) {
-		return 0
-	}
-	if i == len(m.Hashes)-1 {
-		if rem := int(m.TotalBytes % int64(m.BlockSize)); rem != 0 {
-			return rem
-		}
-	}
-	return m.BlockSize
 }
 
 // Validate checks the manifest's internal consistency: a sane block
@@ -293,17 +280,6 @@ func (s *Store) countDup(n int) {
 	s.dedupBytes.Add(int64(n))
 }
 
-// Get returns a copy of a stored block.
-func (s *Store) Get(h Hash) ([]byte, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.blocks[h]
-	if !ok {
-		return nil, false
-	}
-	return append([]byte(nil), e.data...), true
-}
-
 // RefCount returns a block's committed reference count (-1 when the
 // store does not hold the block at all).
 func (s *Store) RefCount(h Hash) int64 {
@@ -346,44 +322,6 @@ func (s *Store) Commit(ms ...Manifest) error {
 	s.refs += nrefs
 	s.commits.Add(int64(len(ms)))
 	s.commitRefs.Add(nrefs)
-	return nil
-}
-
-// Release drops one reference per hash occurrence, undoing a Commit of
-// the same manifests. Blocks whose count returns to zero revert to the
-// staged state (data retained). Releasing below zero is an error and
-// leaves the store unchanged.
-func (s *Store) Release(ms ...Manifest) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for i := range ms {
-		for _, h := range ms[i].Hashes {
-			e, ok := s.blocks[h]
-			if !ok || e.refs <= 0 {
-				return fmt.Errorf("blockstore: release of unreferenced block %s", h.Short())
-			}
-		}
-	}
-	// A hash repeated within the released manifests needs one reference
-	// per occurrence; the check above only guards the first, so re-check
-	// while decrementing and roll back on underflow.
-	type taken struct{ h Hash }
-	var done []taken
-	for i := range ms {
-		for _, h := range ms[i].Hashes {
-			e := s.blocks[h]
-			if e.refs <= 0 {
-				for _, d := range done {
-					s.blocks[d.h].refs++
-				}
-				return fmt.Errorf("blockstore: release of unreferenced block %s", h.Short())
-			}
-			e.refs--
-			done = append(done, taken{h})
-		}
-		s.logical -= ms[i].TotalBytes
-	}
-	s.refs -= int64(len(done))
 	return nil
 }
 

@@ -81,8 +81,8 @@ func TestUploadAndQueryOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatalf("upload: %v", err)
 	}
-	if e := srv.Get(0); e == nil || e.GroupID != 77 {
-		t.Fatalf("server did not store upload (id=%d)", id)
+	if m := srv.UploadedMetas(); len(m) != 1 || m[0].GroupID != 77 {
+		t.Fatalf("server did not store upload (id=%d): %+v", id, m)
 	}
 
 	sims, err = c.QueryMax(sets)

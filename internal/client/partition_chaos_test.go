@@ -147,18 +147,19 @@ func TestChaosPartitionZeroImageLoss(t *testing.T) {
 	}
 	defer tcp2.Close()
 
-	// --- Background drain through the healed link. ----------------------
+	// --- Drain through the healed link, retrying until it empties. ------
 	drainer := outbox.NewDrainer(box, func(ch *outbox.Chunk) error {
 		_, err := remote.UploadItems(ch.Nonce, ch.Items)
 		return err
 	})
-	drainer.Interval = 10 * time.Millisecond
-	drainer.Start()
-	defer drainer.Close()
 	deadline := time.Now().Add(30 * time.Second)
-	for box.Len() > 0 {
+	for {
+		_, err := drainer.DrainOnce()
+		if err == nil {
+			break
+		}
 		if time.Now().After(deadline) {
-			t.Fatalf("outbox never drained: %d chunks left", box.Len())
+			t.Fatalf("outbox never drained: %d chunks left: %v", box.Len(), err)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}

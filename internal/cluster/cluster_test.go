@@ -503,13 +503,9 @@ func TestRouterReplayAfterPartialFailure(t *testing.T) {
 	}
 	for i, id := range ids {
 		for _, n := range tc.Table().Replicas(shardOf(i), replication) {
-			held := tc.Node(n).ShardServer(shardOf(i)).Uploads()
-			found := false
-			for _, h := range held {
-				found = found || int64(h) == id
-			}
-			if !found {
-				t.Fatalf("item %d: router returned id %d, shard %d on %s holds %v", i, id, shardOf(i), n, held)
+			res := tc.Node(n).ShardServer(shardOf(i)).QueryTopK(batch[i].Set, 1)
+			if len(res) == 0 || int64(res[0].ID) != id || res[0].Similarity != 1 {
+				t.Fatalf("item %d: router returned id %d, shard %d on %s answers %+v", i, id, shardOf(i), n, res)
 			}
 		}
 	}

@@ -45,9 +45,6 @@ func NewTable(nodes []string, shards int) (*Table, error) {
 	return &Table{nodes: append([]string(nil), nodes...), shards: shards}, nil
 }
 
-// Nodes returns the member list in table order.
-func (t *Table) Nodes() []string { return append([]string(nil), t.nodes...) }
-
 // NumShards returns the logical shard count.
 func (t *Table) NumShards() int { return t.shards }
 

@@ -6,6 +6,9 @@ import (
 	"testing/quick"
 )
 
+// Nodes returns the member list in table order.
+func (t *Table) Nodes() []string { return append([]string(nil), t.nodes...) }
+
 // tableNodes builds n distinct node names.
 func tableNodes(n int) []string {
 	out := make([]string, n)

@@ -101,7 +101,7 @@ func buildBatchGraphBrute(sets []*features.BinarySet, survivors []int, capN, ham
 	n := len(survivors)
 	row := func(a int) {
 		for b := a + 1; b < n; b++ {
-			g.SetWeight(a, b, features.JaccardBinaryRef(capped[a], capped[b], hammingMax))
+			g.SetWeight(a, b, jaccardRef(capped[a], capped[b], hammingMax))
 		}
 	}
 	ForEachIndex((n+1)/2, func(u int) {

@@ -73,7 +73,7 @@ func TestEAUBounds(t *testing.T) {
 
 func TestDeviceTransmitAccounting(t *testing.T) {
 	dev := newTestDevice()
-	before := dev.Battery.Remaining()
+	before := dev.Battery.Ebat()
 	dur := dev.Transmit(32000, energy.CatImageTx) // 1 s at 256 kbps
 	if math.Abs(dur.Seconds()-1) > 1e-9 {
 		t.Fatalf("airtime = %v, want 1s", dur)
@@ -82,7 +82,7 @@ func TestDeviceTransmitAccounting(t *testing.T) {
 		t.Fatal("clock not advanced by airtime")
 	}
 	wantJ := dev.Model.RadioTxPowerW * 1.0
-	if got := before - dev.Battery.Remaining(); math.Abs(got-wantJ) > 1e-9 {
+	if got := (before - dev.Battery.Ebat()) * energy.DefaultCapacityJ; math.Abs(got-wantJ) > 1e-9 {
 		t.Fatalf("drained %v J, want %v", got, wantJ)
 	}
 	if dev.Meter.Get(energy.CatImageTx) == 0 {
@@ -332,13 +332,13 @@ func TestEAASMonotoneQuick(t *testing.T) {
 
 func TestDeviceReceiveAccounting(t *testing.T) {
 	dev := newTestDevice()
-	before := dev.Battery.Remaining()
+	before := dev.Battery.Ebat()
 	dur := dev.Receive(32000, energy.CatRx) // 1s at 256 kbps
 	if math.Abs(dur.Seconds()-1) > 1e-9 {
 		t.Fatalf("rx airtime = %v", dur)
 	}
 	wantJ := dev.Model.RadioRxPowerW * 1.0
-	if got := before - dev.Battery.Remaining(); math.Abs(got-wantJ) > 1e-9 {
+	if got := (before - dev.Battery.Ebat()) * energy.DefaultCapacityJ; math.Abs(got-wantJ) > 1e-9 {
 		t.Fatalf("rx drained %v J, want %v", got, wantJ)
 	}
 }

@@ -7,34 +7,28 @@ import (
 	"bees/internal/dataset"
 	"bees/internal/energy"
 	"bees/internal/features"
-	"bees/internal/index"
 	"bees/internal/netsim"
 	"bees/internal/server"
 )
 
-// perImageAPI is the one-call-per-image server surface the batched
-// ServerAPI replaced; *server.Server still offers it in-process.
-type perImageAPI interface {
-	QueryMax(set *features.BinarySet) float64
-	Upload(set *features.BinarySet, meta server.UploadMeta) index.ImageID
-}
-
-// perImage is the test oracle for the batched API: it adapts a
-// perImageAPI to ServerAPI by looping, one call per image. It is not an
-// Uploader, so the pipeline drives it through UploadBatch.
-type perImage struct{ api perImageAPI }
+// perImage is the test oracle for the batched API: it adapts a server
+// to ServerAPI by looping, one query and one upload call per image. It
+// is not an Uploader, so the pipeline drives it through UploadBatch.
+type perImage struct{ srv *server.Server }
 
 func (p perImage) QueryMaxBatch(sets []*features.BinarySet) []float64 {
 	sims := make([]float64, len(sets))
 	for i, s := range sets {
-		sims[i] = p.api.QueryMax(s)
+		sims[i] = p.srv.QueryMaxBatch([]*features.BinarySet{s})[0]
 	}
 	return sims
 }
 
 func (p perImage) UploadBatch(items []server.UploadItem) error {
 	for _, it := range items {
-		p.api.Upload(it.Set, it.Meta)
+		if _, err := p.srv.UploadItems(0, []server.UploadItem{it}); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -70,7 +64,7 @@ func TestBatchedMatchesPerImage(t *testing.T) {
 				return r, srv.Stats()
 			}
 			batched, bst := run(func(s *server.Server) ServerAPI { return s })
-			legacy, lst := run(func(s *server.Server) ServerAPI { return perImage{api: s} })
+			legacy, lst := run(func(s *server.Server) ServerAPI { return perImage{srv: s} })
 			if !reflect.DeepEqual(batched, legacy) {
 				t.Errorf("reports diverge:\nbatched: %+v\nlegacy:  %+v", batched, legacy)
 			}

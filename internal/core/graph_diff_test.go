@@ -5,12 +5,46 @@ package core
 // matcher builds serially — every weight bit-identical.
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 
 	"bees/internal/features"
 	"bees/internal/submod"
 )
+
+// jaccardRef is Equation 2 on the brute-force mutual-best matcher, the
+// oracle the prepared kernel is pinned against: each descriptor's nearest
+// neighbour within hammingMax (lowest index on ties), cross-checked both
+// ways, over the union of the two sets.
+func jaccardRef(a, b *features.BinarySet, hammingMax int) float64 {
+	nearest := func(from, to []features.Descriptor) []int {
+		best := make([]int, len(from))
+		for i, d := range from {
+			best[i] = -1
+			bestDist := hammingMax + 1
+			for j, e := range to {
+				h := bits.OnesCount64(d[0]^e[0]) + bits.OnesCount64(d[1]^e[1]) +
+					bits.OnesCount64(d[2]^e[2]) + bits.OnesCount64(d[3]^e[3])
+				if h < bestDist {
+					bestDist, best[i] = h, j
+				}
+			}
+		}
+		return best
+	}
+	ab, ba := nearest(a.Descriptors, b.Descriptors), nearest(b.Descriptors, a.Descriptors)
+	m := 0
+	for i, j := range ab {
+		if j >= 0 && ba[j] == i {
+			m++
+		}
+	}
+	if union := a.Len() + b.Len() - m; union > 0 {
+		return float64(m) / float64(union)
+	}
+	return 0
+}
 
 // buildBatchGraphRef is the test oracle: same capping and cell layout as
 // BuildBatchGraph, but serial and on the brute-force reference matcher.
@@ -22,7 +56,7 @@ func buildBatchGraphRef(sets []*features.BinarySet, survivors []int, cap, hammin
 	}
 	for a := 0; a < len(survivors); a++ {
 		for b := a + 1; b < len(survivors); b++ {
-			g.SetWeight(a, b, features.JaccardBinaryRef(capped[a], capped[b], hammingMax))
+			g.SetWeight(a, b, jaccardRef(capped[a], capped[b], hammingMax))
 		}
 	}
 	return g
@@ -75,9 +109,9 @@ func TestBuildBatchGraphMatchesReference(t *testing.T) {
 		want := buildBatchGraphRef(sets, survivors, tc.cap, tc.radius)
 		for a := 0; a < tc.nSets; a++ {
 			for b := 0; b < tc.nSets; b++ {
-				if got.Weight(a, b) != want.Weight(a, b) {
+				if got.W[a][b] != want.W[a][b] {
 					t.Fatalf("%+v: weight[%d][%d] = %v, reference %v",
-						tc, a, b, got.Weight(a, b), want.Weight(a, b))
+						tc, a, b, got.W[a][b], want.W[a][b])
 				}
 			}
 		}

@@ -24,12 +24,6 @@ func NewBattery(capacityJ float64) *Battery {
 // NewDefaultBattery creates the paper's 3150 mAh / 3.8 V battery, full.
 func NewDefaultBattery() *Battery { return NewBattery(DefaultCapacityJ) }
 
-// Capacity returns the battery capacity in Joules.
-func (b *Battery) Capacity() float64 { return b.capacityJ }
-
-// Remaining returns the remaining energy in Joules.
-func (b *Battery) Remaining() float64 { return b.remainingJ }
-
 // Ebat returns the remaining-energy fraction in [0, 1].
 func (b *Battery) Ebat() float64 { return b.remainingJ / b.capacityJ }
 

@@ -16,26 +16,6 @@ const (
 	numCategories = 6
 )
 
-// String returns the category name.
-func (c Category) String() string {
-	switch c {
-	case CatExtract:
-		return "extract"
-	case CatFeatureTx:
-		return "feature-tx"
-	case CatImageTx:
-		return "image-tx"
-	case CatCompress:
-		return "compress"
-	case CatRx:
-		return "rx"
-	case CatScreen:
-		return "screen"
-	default:
-		return "unknown"
-	}
-}
-
 // Meter accumulates energy by category. The zero value is ready to use.
 type Meter struct {
 	byCat [numCategories + 1]float64
@@ -68,11 +48,3 @@ func (m *Meter) Get(cat Category) float64 {
 
 // Reset clears the meter.
 func (m *Meter) Reset() { *m = Meter{} }
-
-// AddFrom merges another meter's counts into m.
-func (m *Meter) AddFrom(o *Meter) {
-	for c := Category(1); c <= numCategories; c++ {
-		m.byCat[c] += o.byCat[c]
-	}
-	m.total += o.total
-}

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"bees/internal/features"
-	"bees/internal/imagelib"
 )
 
 // CostModel holds every calibration constant. A single model instance is
@@ -85,20 +84,10 @@ func (m CostModel) ExtractEnergy(alg features.Algorithm, c float64) float64 {
 	return m.extractBaseJ(alg) * (0.35*s*s + 0.65*s)
 }
 
-// ExtractTime converts extraction energy into compute time.
-func (m CostModel) ExtractTime(alg features.Algorithm, c float64) time.Duration {
-	return jouleToDuration(m.ExtractEnergy(alg, c), m.CPUPowerW)
-}
-
 // TxEnergy returns the radio energy to upload the given bytes at the
 // given bitrate (bits per second): power × airtime.
 func (m CostModel) TxEnergy(bytes int, bitrateBps float64) float64 {
 	return m.RadioTxPowerW * airtime(bytes, bitrateBps)
-}
-
-// TxTime returns the airtime to upload the given bytes.
-func (m CostModel) TxTime(bytes int, bitrateBps float64) time.Duration {
-	return time.Duration(airtime(bytes, bitrateBps) * float64(time.Second))
 }
 
 // RxEnergy returns the radio energy to receive the given bytes.
@@ -117,12 +106,6 @@ func (m CostModel) ScreenEnergy(d time.Duration) float64 {
 	return m.ScreenPowerW * d.Seconds()
 }
 
-// FullImageTxJ is a convenience: the energy to upload one uncompressed
-// nominal image at the given bitrate.
-func (m CostModel) FullImageTxJ(bitrateBps float64) float64 {
-	return m.TxEnergy(imagelib.NominalBytes, bitrateBps)
-}
-
 func airtime(bytes int, bitrateBps float64) float64 {
 	if bytes <= 0 {
 		return 0
@@ -131,11 +114,4 @@ func airtime(bytes int, bitrateBps float64) float64 {
 		bitrateBps = 1000
 	}
 	return float64(bytes) * 8 / bitrateBps
-}
-
-func jouleToDuration(j, powerW float64) time.Duration {
-	if powerW <= 0 {
-		return 0
-	}
-	return time.Duration(j / powerW * float64(time.Second))
 }

@@ -2,7 +2,6 @@ package features
 
 import (
 	"math"
-	"math/bits"
 	"math/rand"
 
 	"bees/internal/imagelib"
@@ -11,12 +10,6 @@ import (
 // Descriptor is a 256-bit binary BRIEF descriptor stored as 4 uint64
 // words, matching ORB's descriptor format.
 type Descriptor [4]uint64
-
-// Hamming returns the Hamming distance between two descriptors.
-func (d Descriptor) Hamming(o Descriptor) int {
-	return bits.OnesCount64(d[0]^o[0]) + bits.OnesCount64(d[1]^o[1]) +
-		bits.OnesCount64(d[2]^o[2]) + bits.OnesCount64(d[3]^o[3])
-}
 
 // Bit returns bit i of the descriptor.
 func (d Descriptor) Bit(i int) uint64 { return (d[i>>6] >> uint(i&63)) & 1 }

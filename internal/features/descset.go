@@ -31,59 +31,6 @@ func MatchBinary(a, b *BinarySet, hammingMax int) int {
 	return MatchPrepared(a.Prepare(), b.Prepare(), hammingMax)
 }
 
-// MatchBinaryRef is the brute-force O(n·m) reference matcher. It is the
-// oracle the differential/property/fuzz suites pin the fast kernel
-// against, and the baseline the bench suites measure speedups from; it is
-// not used on any production path.
-func MatchBinaryRef(a, b *BinarySet, hammingMax int) int {
-	return matchBinaryRef(a, b, hammingMax)
-}
-
-// JaccardBinaryRef computes Equation 2 with the brute-force reference
-// matcher (see MatchBinaryRef).
-func JaccardBinaryRef(a, b *BinarySet, hammingMax int) float64 {
-	m := matchBinaryRef(a, b, hammingMax)
-	union := a.Len() + b.Len() - m
-	if union <= 0 {
-		return 0
-	}
-	return float64(m) / float64(union)
-}
-
-// matchBinaryRef is the original full-scan matcher, kept verbatim as the
-// test oracle the prepared kernel must equal bit for bit.
-func matchBinaryRef(a, b *BinarySet, hammingMax int) int {
-	if a.Len() == 0 || b.Len() == 0 {
-		return 0
-	}
-	bestAB := nearestBinary(a.Descriptors, b.Descriptors, hammingMax)
-	bestBA := nearestBinary(b.Descriptors, a.Descriptors, hammingMax)
-	matches := 0
-	for i, j := range bestAB {
-		if j >= 0 && bestBA[j] == i {
-			matches++
-		}
-	}
-	return matches
-}
-
-// nearestBinary returns, for every descriptor in from, the index of its
-// nearest neighbor in to when that neighbor is within hammingMax (else
-// -1). Ties resolve to the lowest index, keeping results deterministic.
-func nearestBinary(from, to []Descriptor, hammingMax int) []int {
-	best := make([]int, len(from))
-	for i, d := range from {
-		bestIdx, bestDist := -1, hammingMax+1
-		for j := range to {
-			if h := d.Hamming(to[j]); h < bestDist {
-				bestDist, bestIdx = h, j
-			}
-		}
-		best[i] = bestIdx
-	}
-	return best
-}
-
 // JaccardBinary computes Equation 2 for two ORB descriptor sets.
 func JaccardBinary(a, b *BinarySet, hammingMax int) float64 {
 	m := MatchBinary(a, b, hammingMax)

@@ -7,13 +7,14 @@ import "bees/internal/imagelib"
 // are all brighter than center+threshold or all darker than
 // center-threshold.
 //
-// Two implementations live here. DetectFASTRef is the original
-// full-score-plane detector, kept verbatim as the differential oracle.
-// DetectFAST is the production path: it runs on a reusable ExtractScratch
-// (three rolling score rows instead of a w×h plane) and rejects most
-// pixels with a 4-point compass test before gathering the 16-pixel ring.
-// The two are bit-identical — same keypoints, same scores, same order —
-// and the suite in extract_diff_test.go gates that equivalence.
+// Two implementations exist. DetectFASTRef is the original
+// full-score-plane detector, kept verbatim as the differential oracle
+// (the SIFT baselines' pyramid also runs it). The production path is
+// ExtractScratch.detectFAST: it reuses the extraction arena (three
+// rolling score rows instead of a w×h plane) and rejects most pixels
+// with a 4-point compass test before gathering the 16-pixel ring. The
+// two are bit-identical — same keypoints, same scores, same order — and
+// the suite in extract_diff_test.go gates that equivalence.
 
 // circleOffsets are the 16 (dx, dy) offsets of the radius-3 circle in
 // clockwise order starting at 12 o'clock.
@@ -26,33 +27,8 @@ var circleOffsets = [16][2]int{
 
 const fastArc = 9
 
-// DetectFAST finds FAST-9 corners in r with the given intensity threshold,
-// applies 3×3 non-maximum suppression on the corner score, and returns the
-// surviving keypoints (unordered, without orientation). Results are
-// bit-identical to DetectFASTRef.
-func DetectFAST(r *imagelib.Raster, threshold int) []Keypoint {
-	s := getExtractScratch()
-	defer putExtractScratch(s)
-	kps := s.detectFAST(r, threshold, s.kps[:0])
-	s.kps = kps[:0]
-	if len(kps) == 0 {
-		return nil
-	}
-	out := make([]Keypoint, len(kps))
-	copy(out, kps)
-	return out
-}
-
-// DetectFASTScratch is DetectFAST on a caller-owned scratch: zero
-// steady-state allocations. The returned slice is backed by the scratch
-// and valid only until its next use.
-func DetectFASTScratch(r *imagelib.Raster, threshold int, s *ExtractScratch) []Keypoint {
-	s.kps = s.detectFAST(r, threshold, s.kps[:0])
-	return s.kps
-}
-
 // DetectFASTRef is the original detector, kept as the bit-identity oracle
-// for DetectFAST: it scores every pixel into a freshly allocated w×h
+// for the arena detector: it scores every pixel into a freshly allocated w×h
 // plane, then runs non-maximum suppression over the plane.
 func DetectFASTRef(r *imagelib.Raster, threshold int) []Keypoint {
 	if threshold < 1 {

@@ -29,20 +29,6 @@ func abs(a int) int {
 	return a
 }
 
-func TestAlgorithmString(t *testing.T) {
-	tests := []struct {
-		alg  Algorithm
-		want string
-	}{
-		{AlgORB, "ORB"}, {AlgSIFT, "SIFT"}, {AlgPCASIFT, "PCA-SIFT"}, {Algorithm(0), "unknown"},
-	}
-	for _, tc := range tests {
-		if got := tc.alg.String(); got != tc.want {
-			t.Errorf("String(%d) = %q, want %q", tc.alg, got, tc.want)
-		}
-	}
-}
-
 func TestDescriptorBytes(t *testing.T) {
 	if AlgORB.DescriptorBytes() != 32 {
 		t.Fatalf("ORB descriptor bytes = %d, want 32", AlgORB.DescriptorBytes())

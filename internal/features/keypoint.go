@@ -33,20 +33,6 @@ const (
 	AlgPCASIFT
 )
 
-// String returns the algorithm name.
-func (a Algorithm) String() string {
-	switch a {
-	case AlgORB:
-		return "ORB"
-	case AlgSIFT:
-		return "SIFT"
-	case AlgPCASIFT:
-		return "PCA-SIFT"
-	default:
-		return "unknown"
-	}
-}
-
 // DescriptorBytes returns the per-descriptor storage size in bytes:
 // ORB descriptors are 256 bits; SIFT descriptors are 128 float32s;
 // PCA-SIFT descriptors are 36 float32s.

@@ -84,29 +84,6 @@ func ExtractORBScratch(r *imagelib.Raster, cfg Config, s *ExtractScratch) *Binar
 	return set
 }
 
-// ExtractORBRef is the original allocating extraction pipeline, kept
-// verbatim as the bit-identity oracle for ExtractORB: descriptors,
-// keypoints (every field) and their order must match exactly.
-func ExtractORBRef(r *imagelib.Raster, cfg Config) *BinarySet {
-	kps, levels := detectPyramid(r, cfg)
-	set := &BinarySet{
-		Descriptors: make([]Descriptor, 0, len(kps)),
-		Keypoints:   make([]Keypoint, 0, len(kps)),
-	}
-	smoothed := make([]*imagelib.Raster, len(levels))
-	for _, kp := range kps {
-		lvl := levels[kp.Level]
-		if smoothed[kp.Level] == nil {
-			smoothed[kp.Level] = imagelib.BoxBlur(lvl, cfg.BlurRadius)
-		}
-		sm := smoothed[kp.Level]
-		kp.Angle = orientation(sm, kp.X, kp.Y)
-		set.Descriptors = append(set.Descriptors, computeBRIEF(sm, kp))
-		set.Keypoints = append(set.Keypoints, kp)
-	}
-	return set
-}
-
 // detectPyramid builds the scale pyramid, detects FAST keypoints on every
 // level, drops points too close to a border for BRIEF, and returns the
 // strongest MaxFeatures keypoints together with the level rasters. It is

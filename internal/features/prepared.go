@@ -124,20 +124,6 @@ func scatterBands(d *Descriptor, out []uint8) {
 	}
 }
 
-// scatterBandsRef is the specification scatterBands is tested against:
-// band b collects bit b of each 32-bit half-word.
-func scatterBandsRef(d *Descriptor, out []uint8) {
-	h0, h1 := uint32(d[0]), uint32(d[0]>>32)
-	h2, h3 := uint32(d[1]), uint32(d[1]>>32)
-	h4, h5 := uint32(d[2]), uint32(d[2]>>32)
-	h6, h7 := uint32(d[3]), uint32(d[3]>>32)
-	for b := 0; b < mihBands; b++ {
-		out[b] = uint8(((h0>>b)&1)<<0 | ((h1>>b)&1)<<1 | ((h2>>b)&1)<<2 |
-			((h3>>b)&1)<<3 | ((h4>>b)&1)<<4 | ((h5>>b)&1)<<5 |
-			((h6>>b)&1)<<6 | ((h7>>b)&1)<<7)
-	}
-}
-
 // Prepare builds the matching tables for s. Nil and empty sets prepare to
 // an empty (but usable) PreparedBinarySet.
 func (s *BinarySet) Prepare() *PreparedBinarySet {
@@ -321,24 +307,6 @@ func (p *PreparedBinarySet) queryBands(i, hammingMax int, to *PreparedBinarySet)
 		return nil
 	}
 	return p.bands[i*mihBands : (i+1)*mihBands]
-}
-
-// nearestPrepared is the accelerated twin of nearestBinary: for every
-// descriptor in from, the index of its nearest neighbor in to within
-// hammingMax (else -1), equal distances resolving to the lowest index.
-func nearestPrepared(from, to *PreparedBinarySet, hammingMax int) []int {
-	best := make([]int, from.Len())
-	if to.Len() == 0 || hammingMax < 0 || hammingMax+1 <= 0 {
-		for i := range best {
-			best[i] = -1
-		}
-		return best
-	}
-	for i := range from.Set.Descriptors {
-		best[i] = to.nearestOne(&from.Set.Descriptors[i], from.queryBands(i, hammingMax, to),
-			int(from.pop[i]), hammingMax, hammingMax+1, -1)
-	}
-	return best
 }
 
 // MatchPrepared returns the size of the mutual-best (cross-checked)

@@ -19,8 +19,8 @@ import (
 // A scratch is not safe for concurrent use; use one per goroutine
 // (core.ExtractAll pools them) or go through ExtractORB, which draws from
 // an internal pool. Everything computed on a scratch is bit-identical to
-// the allocating reference path (ExtractORBRef / DetectFASTRef), gated by
-// the differential suite in extract_diff_test.go.
+// the allocating reference path (ExtractORBRef in ref_test.go,
+// DetectFASTRef), gated by the differential suite in extract_diff_test.go.
 type ExtractScratch struct {
 	// baseII is the integral of the current base raster. Every pyramid
 	// level downsamples from the base, and the reference path rebuilds
@@ -57,7 +57,7 @@ type ExtractScratch struct {
 // NewExtractScratch returns an empty scratch; buffers grow on first use.
 func NewExtractScratch() *ExtractScratch { return &ExtractScratch{} }
 
-// extractScratchPool backs the drop-in ExtractORB/DetectFAST wrappers so
+// extractScratchPool backs the drop-in ExtractORB wrapper so
 // every caller gets buffer reuse without threading a scratch through.
 var extractScratchPool = sync.Pool{New: func() any { return NewExtractScratch() }}
 

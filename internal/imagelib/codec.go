@@ -190,53 +190,6 @@ func loadBlock(block *[64]float64, r *Raster, bx, by int) {
 	}
 }
 
-// encodeRef is the original single-loop codec kept verbatim as the
-// differential oracle for EncodedSize/EncodeDecode: it recomputes the
-// quantization table per call and drives both the size estimate and the
-// decode from one loop. The codec differential tests assert the fast
-// paths above are bit-identical to it at every quality.
-func encodeRef(r *Raster, p float64, wantDecoded bool) (int, *Raster) {
-	q := quantTable(QualityToSetting(p))
-	var decoded *Raster
-	if wantDecoded {
-		decoded = NewRaster(r.W, r.H)
-	}
-	bits := 0
-	prevDC := 0
-	var block, coef [64]float64
-	var quant [64]int
-	for by := 0; by < r.H; by += 8 {
-		for bx := 0; bx < r.W; bx += 8 {
-			// Level-shifted block (border-clamped at the edges).
-			for y := 0; y < 8; y++ {
-				for x := 0; x < 8; x++ {
-					block[y*8+x] = float64(r.At(bx+x, by+y)) - 128
-				}
-			}
-			fdct(&block, &coef)
-			for i := 0; i < 64; i++ {
-				quant[i] = int(math.Round(coef[i] / float64(q[i])))
-			}
-			bits += blockBits(&quant, prevDC)
-			prevDC = quant[0]
-			if wantDecoded {
-				for i := 0; i < 64; i++ {
-					coef[i] = float64(quant[i] * q[i])
-				}
-				idct(&coef, &block)
-				for y := 0; y < 8; y++ {
-					for x := 0; x < 8; x++ {
-						decoded.Set(bx+x, by+y, clampU8(block[y*8+x]+128))
-					}
-				}
-			}
-		}
-	}
-	// Header overhead roughly matching a minimal JFIF header.
-	size := bits/8 + 360
-	return size, decoded
-}
-
 // fdct computes the 2-D DCT-II of an 8×8 block: F = C·B·Cᵀ.
 func fdct(b, out *[64]float64) {
 	var tmp [64]float64

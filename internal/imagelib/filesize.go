@@ -61,14 +61,3 @@ func PixelsAt(cr float64) int {
 	s := 1 - cr
 	return int(float64(NominalPixels) * s * s)
 }
-
-// ResolutionAt returns the nominal W×H after resolution compression cr.
-func ResolutionAt(cr float64) (int, int) {
-	if cr < 0 {
-		cr = 0
-	}
-	if cr >= 0.99 {
-		cr = 0.99
-	}
-	return int(float64(NominalW) * (1 - cr)), int(float64(NominalH) * (1 - cr))
-}

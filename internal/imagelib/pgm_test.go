@@ -1,12 +1,107 @@
 package imagelib
 
 import (
+	"bufio"
 	"bytes"
+	"fmt"
+	"io"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
+
+// ReadPGM parses a binary (P5) PGM with a maxval of 255.
+func ReadPGM(r io.Reader) (*Raster, error) {
+	br := bufio.NewReader(r)
+	var magic string
+	if _, err := fmt.Fscan(br, &magic); err != nil {
+		return nil, fmt.Errorf("imagelib: read PGM magic: %w", err)
+	}
+	if magic != "P5" {
+		return nil, fmt.Errorf("imagelib: unsupported PGM magic %q", magic)
+	}
+	w, err := readPGMInt(br)
+	if err != nil {
+		return nil, err
+	}
+	h, err := readPGMInt(br)
+	if err != nil {
+		return nil, err
+	}
+	maxval, err := readPGMInt(br)
+	if err != nil {
+		return nil, err
+	}
+	if maxval != 255 {
+		return nil, fmt.Errorf("imagelib: unsupported PGM maxval %d", maxval)
+	}
+	if w <= 0 || h <= 0 || w*h > 64<<20 {
+		return nil, fmt.Errorf("imagelib: unreasonable PGM size %dx%d", w, h)
+	}
+	// Exactly one whitespace byte separates the header from the pixels.
+	if _, err := br.ReadByte(); err != nil {
+		return nil, fmt.Errorf("imagelib: read PGM separator: %w", err)
+	}
+	out := NewRaster(w, h)
+	if _, err := io.ReadFull(br, out.Pix); err != nil {
+		return nil, fmt.Errorf("imagelib: read PGM pixels: %w", err)
+	}
+	return out, nil
+}
+
+// readPGMInt scans the next decimal token, skipping whitespace and
+// #-comments (the PGM header grammar).
+func readPGMInt(br *bufio.Reader) (int, error) {
+	for {
+		b, err := br.ReadByte()
+		if err != nil {
+			return 0, fmt.Errorf("imagelib: read PGM header: %w", err)
+		}
+		switch {
+		case b == '#':
+			if _, err := br.ReadString('\n'); err != nil {
+				return 0, fmt.Errorf("imagelib: read PGM comment: %w", err)
+			}
+		case b == ' ' || b == '\t' || b == '\n' || b == '\r':
+			continue
+		case b >= '0' && b <= '9':
+			v := int(b - '0')
+			for {
+				b, err := br.ReadByte()
+				if err == io.EOF {
+					return v, nil
+				}
+				if err != nil {
+					return 0, fmt.Errorf("imagelib: read PGM header: %w", err)
+				}
+				if b < '0' || b > '9' {
+					if err := br.UnreadByte(); err != nil {
+						return 0, err
+					}
+					return v, nil
+				}
+				v = v*10 + int(b-'0')
+				if v > 1<<30 {
+					return 0, fmt.Errorf("imagelib: PGM header value overflow")
+				}
+			}
+		default:
+			return 0, fmt.Errorf("imagelib: unexpected byte %q in PGM header", b)
+		}
+	}
+}
+
+// LoadPGM reads a raster from a file.
+func LoadPGM(path string) (*Raster, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, fmt.Errorf("imagelib: open %s: %w", path, err)
+	}
+	defer f.Close()
+	return ReadPGM(f)
+}
 
 func TestPGMRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(30))

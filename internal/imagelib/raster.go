@@ -56,18 +56,6 @@ func (r *Raster) Clone() *Raster {
 // Pixels returns the total pixel count.
 func (r *Raster) Pixels() int { return r.W * r.H }
 
-// Mean returns the average intensity in [0, 255].
-func (r *Raster) Mean() float64 {
-	if len(r.Pix) == 0 {
-		return 0
-	}
-	var sum uint64
-	for _, p := range r.Pix {
-		sum += uint64(p)
-	}
-	return float64(sum) / float64(len(r.Pix))
-}
-
 // Integral is a summed-area table over a raster, used for constant-time
 // box sums (FAST pre-smoothing, BRIEF patch smoothing, SSIM windows).
 // Sum[(y+1)*(W+1)+(x+1)] holds the sum of all pixels in [0,x]×[0,y].

@@ -6,6 +6,18 @@ import (
 	"testing/quick"
 )
 
+// Mean returns the average intensity in [0, 255].
+func (r *Raster) Mean() float64 {
+	if len(r.Pix) == 0 {
+		return 0
+	}
+	var sum uint64
+	for _, p := range r.Pix {
+		sum += uint64(p)
+	}
+	return float64(sum) / float64(len(r.Pix))
+}
+
 func randomRaster(rng *rand.Rand, w, h int) *Raster {
 	r := NewRaster(w, h)
 	for i := range r.Pix {

@@ -1,7 +1,5 @@
 package imagelib
 
-import "math"
-
 // SSIM computes the mean Structural Similarity index between two rasters
 // of equal size (Wang et al., 2004), using the standard 8×8 sliding window
 // with stride 4 and constants C1 = (0.01·255)², C2 = (0.03·255)².
@@ -66,22 +64,4 @@ func ssimWindow(a, b *Raster, x0, y0, w, h int) float64 {
 		return 1
 	}
 	return num / den
-}
-
-// PSNR returns the peak signal-to-noise ratio in dB between two
-// equal-size rasters; +Inf for identical images.
-func PSNR(a, b *Raster) float64 {
-	if a.W != b.W || a.H != b.H {
-		panic("imagelib: PSNR requires equal-size rasters")
-	}
-	var mse float64
-	for i := range a.Pix {
-		d := float64(a.Pix[i]) - float64(b.Pix[i])
-		mse += d * d
-	}
-	mse /= float64(len(a.Pix))
-	if mse == 0 {
-		return math.Inf(1)
-	}
-	return 10 * math.Log10(255*255/mse)
 }

@@ -68,36 +68,6 @@ func TestSSIMSmallImages(t *testing.T) {
 	}
 }
 
-func TestPSNRIdenticalIsInf(t *testing.T) {
-	r := testScene(204)
-	if got := PSNR(r, r); !math.IsInf(got, 1) {
-		t.Fatalf("PSNR of identical images = %v, want +Inf", got)
-	}
-}
-
-func TestPSNROrdersDistortions(t *testing.T) {
-	r := testScene(205)
-	mild := r.Clone()
-	severe := r.Clone()
-	rng := rand.New(rand.NewSource(22))
-	for i := range mild.Pix {
-		mild.Pix[i] = clampU8(float64(mild.Pix[i]) + rng.NormFloat64()*2)
-		severe.Pix[i] = clampU8(float64(severe.Pix[i]) + rng.NormFloat64()*30)
-	}
-	if PSNR(r, mild) <= PSNR(r, severe) {
-		t.Fatal("PSNR ordering wrong")
-	}
-}
-
-func TestPSNRPanicsOnSizeMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("PSNR with mismatched sizes did not panic")
-		}
-	}()
-	PSNR(NewRaster(8, 8), NewRaster(8, 9))
-}
-
 func TestSizeModelAnchorsNominalBytes(t *testing.T) {
 	r := testScene(206)
 	m := NewSizeModel(r)
@@ -144,17 +114,5 @@ func TestPixelsAt(t *testing.T) {
 	}
 	if PixelsAt(2) <= 0 {
 		t.Fatal("PixelsAt must stay positive for out-of-range input")
-	}
-}
-
-func TestResolutionAt(t *testing.T) {
-	w, h := ResolutionAt(0.76)
-	scale := 1 - 0.76
-	if w != int(float64(NominalW)*scale) || h != int(float64(NominalH)*scale) {
-		t.Fatalf("ResolutionAt(0.76) = %dx%d", w, h)
-	}
-	w, h = ResolutionAt(-1)
-	if w != NominalW || h != NominalH {
-		t.Fatalf("ResolutionAt(-1) = %dx%d", w, h)
 	}
 }

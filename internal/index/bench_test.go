@@ -39,7 +39,7 @@ func BenchmarkQueryMaxExhaustiveRef(b *testing.B) {
 		var best *Entry
 		bestSim := 0.0
 		idx.ForEach(func(e *Entry) {
-			if sim := features.JaccardBinaryRef(q, e.Set, idx.cfg.HammingMax); sim > bestSim {
+			if sim := jaccardRef(q, e.Set, idx.cfg.HammingMax); sim > bestSim {
 				bestSim, best = sim, e
 			}
 		})

@@ -6,6 +6,7 @@ package index
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
@@ -14,6 +15,39 @@ import (
 	"bees/internal/features"
 )
 
+// jaccardRef is Equation 2 on the brute-force mutual-best matcher, the
+// oracle the prepared kernel is pinned against: each descriptor's nearest
+// neighbour within hammingMax (lowest index on ties), cross-checked both
+// ways, over the union of the two sets.
+func jaccardRef(a, b *features.BinarySet, hammingMax int) float64 {
+	nearest := func(from, to []features.Descriptor) []int {
+		best := make([]int, len(from))
+		for i, d := range from {
+			best[i] = -1
+			bestDist := hammingMax + 1
+			for j, e := range to {
+				h := bits.OnesCount64(d[0]^e[0]) + bits.OnesCount64(d[1]^e[1]) +
+					bits.OnesCount64(d[2]^e[2]) + bits.OnesCount64(d[3]^e[3])
+				if h < bestDist {
+					bestDist, best[i] = h, j
+				}
+			}
+		}
+		return best
+	}
+	ab, ba := nearest(a.Descriptors, b.Descriptors), nearest(b.Descriptors, a.Descriptors)
+	m := 0
+	for i, j := range ab {
+		if j >= 0 && ba[j] == i {
+			m++
+		}
+	}
+	if union := a.Len() + b.Len() - m; union > 0 {
+		return float64(m) / float64(union)
+	}
+	return 0
+}
+
 func TestQueryTopKSimilaritiesMatchReference(t *testing.T) {
 	c := newCorpus(t, 10, 0xd1f)
 	idx := buildIndex(c)
@@ -21,7 +55,7 @@ func TestQueryTopKSimilaritiesMatchReference(t *testing.T) {
 		q := c.variantSet(i)
 		for _, res := range idx.QueryTopK(q, 5) {
 			e := idx.Get(res.ID)
-			want := features.JaccardBinaryRef(q, e.Set, idx.cfg.HammingMax)
+			want := jaccardRef(q, e.Set, idx.cfg.HammingMax)
 			if res.Similarity != want {
 				t.Fatalf("query %d: result %d similarity %v, reference %v",
 					i, res.ID, res.Similarity, want)
@@ -40,7 +74,7 @@ func TestExhaustiveMaxMatchesReference(t *testing.T) {
 		var wantE *Entry
 		wantSim := 0.0
 		idx.ForEach(func(e *Entry) {
-			if sim := features.JaccardBinaryRef(q, e.Set, idx.cfg.HammingMax); sim > wantSim {
+			if sim := jaccardRef(q, e.Set, idx.cfg.HammingMax); sim > wantSim {
 				wantSim, wantE = sim, e
 			}
 		})

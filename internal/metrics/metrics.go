@@ -104,17 +104,3 @@ func Quantile(v []float64, q float64) float64 {
 	idx := int(math.Round(q * float64(len(s)-1)))
 	return s[idx]
 }
-
-// Stddev returns the sample standard deviation (0 for n < 2).
-func Stddev(v []float64) float64 {
-	if len(v) < 2 {
-		return 0
-	}
-	m := Mean(v)
-	var ss float64
-	for _, x := range v {
-		d := x - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(v)-1))
-}

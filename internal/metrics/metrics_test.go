@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 )
@@ -103,15 +102,5 @@ func TestQuantile(t *testing.T) {
 	// Input must not be mutated.
 	if v[0] != 5 {
 		t.Fatal("Quantile mutated its input")
-	}
-}
-
-func TestStddev(t *testing.T) {
-	if Stddev([]float64{4}) != 0 || Stddev(nil) != 0 {
-		t.Fatal("degenerate stddev should be 0")
-	}
-	got := Stddev([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	if math.Abs(got-2.138) > 0.01 {
-		t.Fatalf("Stddev = %v, want ~2.138", got)
 	}
 }

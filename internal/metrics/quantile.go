@@ -67,9 +67,6 @@ func (e *QuantileEstimator) Observe(v float64) {
 	e.n++
 }
 
-// N returns the number of observations.
-func (e *QuantileEstimator) N() uint64 { return e.n }
-
 // Quantile estimates the q-quantile using the same nearest-rank rule as
 // Quantile (rank = round(q·(n−1))), returning 0 for an empty sketch.
 // The estimate is the geometric midpoint of the bucket holding the

@@ -6,6 +6,9 @@ import (
 	"testing"
 )
 
+// N returns the number of observations.
+func (e *QuantileEstimator) N() uint64 { return e.n }
+
 // TestQuantileEstimatorVsExact checks the sketch against the exact
 // nearest-rank quantile of the same sample stream: the estimate must lie
 // within the √growth relative-error bound the bucket geometry promises,

@@ -42,9 +42,6 @@ func NewGilbertLink(goodBps, badBps, pGoodToBad, pBadToGood float64, seed int64)
 	}
 }
 
-// InBadState reports the current chain state (for tests and telemetry).
-func (g *GilbertLink) InBadState() bool { return g.inBad }
-
 // Rate steps the chain and returns the bitrate for the next transfer.
 func (g *GilbertLink) Rate() float64 {
 	if g.inBad {

@@ -89,17 +89,6 @@ func (l *Link) Rate() float64 {
 	return r
 }
 
-// MeanRate returns the expected bitrate of the link.
-func (l *Link) MeanRate() float64 {
-	if !l.fluctuate {
-		return l.bitrateBps
-	}
-	if l.meanFn != nil {
-		return l.meanFn()
-	}
-	return (l.minBps + l.maxBps) / 2
-}
-
 // TransferTime returns the airtime to move bytes across the link and the
 // bitrate used. Zero bytes take zero time.
 func (l *Link) TransferTime(bytes int) (time.Duration, float64) {

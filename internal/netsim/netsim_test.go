@@ -6,6 +6,17 @@ import (
 	"time"
 )
 
+// MeanRate returns the expected bitrate of the link.
+func (l *Link) MeanRate() float64 {
+	if !l.fluctuate {
+		return l.bitrateBps
+	}
+	if l.meanFn != nil {
+		return l.meanFn()
+	}
+	return (l.minBps + l.maxBps) / 2
+}
+
 func TestClockStartsAtZero(t *testing.T) {
 	var c Clock
 	if c.Now() != 0 {

@@ -1,101 +1,23 @@
 package outbox
 
-import (
-	"sync"
-	"time"
-)
-
-// Drainer replays queued chunks in the background. It peeks the oldest
-// chunk, attempts the upload, and acks on success; on failure it backs
-// off and retries — the chunk stays queued, so nothing is lost if the
-// process dies mid-drain. The replay function should send the chunk's
-// items in one upload carrying the chunk's original Nonce
-// (core.Uploader.UploadItems, implemented by client.RemoteServer), so a
-// chunk the server already applied is deduplicated instead of
-// double-counted — and when both ends speak block transfer, a chunk
-// that half-landed before a partition resumes from the blocks the
-// server acked instead of resending whole images.
+// Drainer replays queued chunks: it peeks the oldest chunk, attempts the
+// upload, and acks on success; on failure it stops and the chunk stays
+// queued, so nothing is lost if the process dies mid-drain. The replay
+// function should send the chunk's items in one upload carrying the
+// chunk's original Nonce (core.Uploader.UploadItems, implemented by
+// client.RemoteServer), so a chunk the server already applied is
+// deduplicated instead of double-counted — and when both ends speak
+// block transfer, a chunk that half-landed before a partition resumes
+// from the blocks the server acked instead of resending whole images.
 type Drainer struct {
 	box *Outbox
 	fn  func(c *Chunk) error
-
-	// Interval is the poll/backoff period between drain attempts.
-	// Default 500ms.
-	Interval time.Duration
-
-	mu      sync.Mutex
-	closeCh chan struct{}
-	done    chan struct{}
 }
 
 // NewDrainer wires a drainer to an outbox. fn replays one chunk and
 // returns nil when the server acknowledged it.
 func NewDrainer(box *Outbox, fn func(c *Chunk) error) *Drainer {
-	return &Drainer{box: box, fn: fn, Interval: 500 * time.Millisecond}
-}
-
-// Start launches the background drain loop. It is a no-op if already
-// running.
-func (d *Drainer) Start() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.closeCh != nil {
-		return
-	}
-	d.closeCh = make(chan struct{})
-	d.done = make(chan struct{})
-	go d.loop(d.closeCh, d.done)
-}
-
-// Close stops the background loop and waits for it to exit. The outbox
-// itself is untouched: undrained chunks stay queued (and on disk).
-func (d *Drainer) Close() {
-	d.mu.Lock()
-	closeCh, done := d.closeCh, d.done
-	d.closeCh, d.done = nil, nil
-	d.mu.Unlock()
-	if closeCh == nil {
-		return
-	}
-	close(closeCh)
-	<-done
-}
-
-func (d *Drainer) loop(closeCh, done chan struct{}) {
-	defer close(done)
-	t := time.NewTicker(d.Interval)
-	defer t.Stop()
-	for {
-		// Drain greedily while replays succeed; fall back to the ticker
-		// after the queue empties or the link fails again.
-		for d.drainOne() {
-			select {
-			case <-closeCh:
-				return
-			default:
-			}
-		}
-		select {
-		case <-closeCh:
-			return
-		case <-t.C:
-		}
-	}
-}
-
-// drainOne replays the oldest chunk. It reports whether a chunk was
-// successfully replayed (keep going) — false means empty queue or a
-// failed attempt (back off).
-func (d *Drainer) drainOne() bool {
-	c, ok := d.box.Peek()
-	if !ok {
-		return false
-	}
-	if err := d.fn(c); err != nil {
-		return false
-	}
-	d.box.Ack(c)
-	return true
+	return &Drainer{box: box, fn: fn}
 }
 
 // DrainOnce synchronously replays chunks until the queue is empty or a

@@ -296,40 +296,3 @@ func TestDrainerReplaysAndAcks(t *testing.T) {
 		}
 	}
 }
-
-func TestDrainerBackground(t *testing.T) {
-	box, _ := Open(Config{})
-	box.Push(1, 1, testItems(t, 1, 1))
-	box.Push(2, 1, testItems(t, 2, 1))
-	drained := make(chan uint64, 2)
-	d := NewDrainer(box, func(c *Chunk) error {
-		drained <- c.Nonce
-		return nil
-	})
-	d.Interval = 5 * time.Millisecond
-	d.Start()
-	d.Start() // idempotent
-	defer d.Close()
-	for want := uint64(1); want <= 2; want++ {
-		select {
-		case got := <-drained:
-			if got != want {
-				t.Fatalf("drained %d, want %d", got, want)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("drainer never replayed chunk %d", want)
-		}
-	}
-	// A chunk pushed while running is picked up by the ticker.
-	box.Push(3, 1, testItems(t, 3, 1))
-	select {
-	case got := <-drained:
-		if got != 3 {
-			t.Fatalf("drained %d, want 3", got)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("drainer never picked up late chunk")
-	}
-	d.Close()
-	d.Close() // idempotent
-}

@@ -116,11 +116,6 @@ func NewAdmission(cfg AdmissionConfig) *Admission {
 // Policy returns the configured shedding policy.
 func (a *Admission) Policy() AdmitPolicy { return a.cfg.Policy }
 
-// Inflight reports the currently charged frames and bytes.
-func (a *Admission) Inflight() (frames int64, bytes int64) {
-	return a.frames.Load(), a.bytes.Load()
-}
-
 // Ticket is one charged unit of sheddable work. The holder must call
 // Release exactly once, whether the work was admitted or shed.
 type Ticket struct {

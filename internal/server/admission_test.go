@@ -7,6 +7,11 @@ import (
 	"bees/internal/telemetry"
 )
 
+// Inflight reports the currently charged frames and bytes.
+func (a *Admission) Inflight() (frames int64, bytes int64) {
+	return a.frames.Load(), a.bytes.Load()
+}
+
 func TestParseAdmitPolicy(t *testing.T) {
 	for s, want := range map[string]AdmitPolicy{
 		"": AdmitFIFO, "fifo": AdmitFIFO, "utility": AdmitUtility,

@@ -83,8 +83,8 @@ func TestUploadBatchRefusedAfterWALFailure(t *testing.T) {
 	if err := s.UploadBatch([]UploadItem{walItem(3, 300)}); !errors.Is(err, ErrDurability) {
 		t.Fatalf("later upload: err = %v, want ErrDurability", err)
 	}
-	if id := s.Upload(walSet(4), UploadMeta{Bytes: 400}); id != -1 {
-		t.Fatalf("Upload on a poisoned server = %d, want -1", id)
+	if ids, err := s.UploadItems(0, []UploadItem{{Set: walSet(4), Meta: UploadMeta{Bytes: 400}}}); !errors.Is(err, ErrDurability) || ids != nil {
+		t.Fatalf("upload on a poisoned server: ids %v, err = %v, want ErrDurability", ids, err)
 	}
 	if got := s.Stats(); got != stats {
 		t.Fatalf("refused uploads changed Stats: %+v, want %+v", got, stats)

@@ -37,7 +37,7 @@ func corpusSnapshots(tb testing.TB) [][]byte {
 		save(func(s *Server) { s.SeedIndex(sets[0], UploadMeta{GroupID: 1, Lat: 9, Lon: -9}) }),
 		save(func(s *Server) {
 			for i, set := range sets {
-				s.Upload(set, UploadMeta{GroupID: int64(i), Bytes: 50 * i, Lat: float64(i)})
+				upload(tb, s, set, UploadMeta{GroupID: int64(i), Bytes: 50 * i, Lat: float64(i)})
 			}
 		}),
 		// v2 block section: one staged (refs=0) and one committed block.

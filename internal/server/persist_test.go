@@ -18,7 +18,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	_, sets := batchSets(t, 310, 4)
 	srv.SeedIndex(sets[0], UploadMeta{GroupID: 100})
 	for i := 1; i < 4; i++ {
-		srv.Upload(sets[i], UploadMeta{GroupID: int64(i), Bytes: 100 * i, Lat: float64(i), Lon: -float64(i)})
+		upload(t, srv, sets[i], UploadMeta{GroupID: int64(i), Bytes: 100 * i, Lat: float64(i), Lon: -float64(i)})
 	}
 
 	var buf bytes.Buffer
@@ -38,7 +38,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 	// Index restored: every uploaded/seeded image is still queryable.
 	for i := 0; i < 4; i++ {
-		if sim := restored.QueryMax(sets[i]); sim < 0.9 {
+		if sim := queryMax(restored, sets[i]); sim < 0.9 {
 			t.Fatalf("image %d not queryable after restore: sim=%v", i, sim)
 		}
 	}
@@ -48,7 +48,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatalf("restored metas: %+v", metas)
 	}
 	// New uploads continue with fresh IDs.
-	id := restored.Upload(sets[0], UploadMeta{GroupID: 9})
+	id := upload(t, restored, sets[0], UploadMeta{GroupID: 9})
 	if int64(id) < 4 {
 		t.Fatalf("restored nextID collides: %d", id)
 	}
@@ -57,7 +57,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 func TestSnapshotFileRoundTrip(t *testing.T) {
 	srv := NewDefault()
 	_, sets := batchSets(t, 311, 2)
-	srv.Upload(sets[0], UploadMeta{GroupID: 5, Bytes: 42})
+	upload(t, srv, sets[0], UploadMeta{GroupID: 5, Bytes: 42})
 	path := filepath.Join(t.TempDir(), "state.bees")
 	if err := srv.SaveSnapshotFile(path); err != nil {
 		t.Fatal(err)
@@ -84,7 +84,7 @@ func TestLoadSnapshotMissingFileIsFreshStart(t *testing.T) {
 func TestLoadSnapshotRejectsDirtyServer(t *testing.T) {
 	srv := NewDefault()
 	_, sets := batchSets(t, 312, 1)
-	srv.Upload(sets[0], UploadMeta{})
+	upload(t, srv, sets[0], UploadMeta{})
 	var buf bytes.Buffer
 	if err := srv.SaveSnapshot(&buf); err != nil {
 		t.Fatal(err)
@@ -147,7 +147,7 @@ func TestSaveSnapshotPropagatesWriteError(t *testing.T) {
 	// Enough descriptor payload to overflow bufio's 4 KiB buffer so the
 	// failure hits a mid-stream binary.Write, not just the final Flush.
 	for i := range sets {
-		srv.Upload(sets[i], UploadMeta{GroupID: int64(i), Bytes: 10})
+		upload(t, srv, sets[i], UploadMeta{GroupID: int64(i), Bytes: 10})
 	}
 	var full bytes.Buffer
 	if err := srv.SaveSnapshot(&full); err != nil {
@@ -275,7 +275,7 @@ func TestLoadSnapshotErrorsWrapBadSnapshot(t *testing.T) {
 func TestAutoSave(t *testing.T) {
 	srv := NewDefault()
 	_, sets := batchSets(t, 314, 1)
-	srv.Upload(sets[0], UploadMeta{GroupID: 1, Bytes: 10})
+	upload(t, srv, sets[0], UploadMeta{GroupID: 1, Bytes: 10})
 	path := filepath.Join(t.TempDir(), "auto.bees")
 	stop := srv.AutoSave(path, 10*time.Millisecond, t.Logf)
 	deadline := time.Now().Add(5 * time.Second)

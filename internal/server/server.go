@@ -41,7 +41,8 @@ type Stats struct {
 }
 
 // UploadItem is one image in a batched upload: its (possibly nil)
-// feature set plus the evaluation metadata.
+// feature set plus the evaluation metadata. A nil set (Direct Upload
+// sends no features) stores the image without indexing it.
 type UploadItem struct {
 	Set  *features.BinarySet
 	Meta UploadMeta
@@ -177,14 +178,6 @@ func (s *Server) logRecord(rec []byte, sync bool) error {
 // NewDefault creates a server with the default index configuration.
 func NewDefault() *Server { return New(index.DefaultConfig()) }
 
-// QueryMax is the CBRD primitive: the highest Equation-2 similarity
-// between the query feature set and any stored image (0 when the index
-// is empty).
-func (s *Server) QueryMax(set *features.BinarySet) float64 {
-	_, sim := s.idx.QueryMax(set)
-	return sim
-}
-
 // QueryTopK returns the K most similar stored images.
 func (s *Server) QueryTopK(set *features.BinarySet, k int) []index.Result {
 	return s.idx.QueryTopK(set, k)
@@ -309,20 +302,6 @@ func (s *Server) UploadBatch(items []UploadItem) error {
 	return err
 }
 
-// Upload stores an image's features and accounts its bytes, returning the
-// assigned ID, or -1 when the commit is refused (ErrDurability). The
-// features become immediately queryable, which is what makes
-// previously-uploaded batches detectable as cross-batch redundancy. A nil
-// feature set (Direct Upload sends no features) stores the image without
-// indexing it.
-func (s *Server) Upload(set *features.BinarySet, meta UploadMeta) index.ImageID {
-	ids, err := s.UploadItems(0, []UploadItem{{Set: set, Meta: meta}})
-	if err != nil {
-		return -1
-	}
-	return index.ImageID(ids[0])
-}
-
 // SeedIndex inserts features without counting upload bytes — used by
 // experiments that pre-populate the server to set a cross-batch
 // redundancy ratio ("by adding the redundant images into the servers").
@@ -340,17 +319,6 @@ func (s *Server) SeedIndex(set *features.BinarySet, meta UploadMeta) index.Image
 		Lon:     meta.Lon,
 	})
 	return id
-}
-
-// Get returns a stored entry by ID.
-func (s *Server) Get(id index.ImageID) *index.Entry { return s.idx.Get(id) }
-
-// Uploads returns the IDs of images received through Upload (not seeds),
-// in arrival order.
-func (s *Server) Uploads() []index.ImageID {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]index.ImageID(nil), s.uploads...)
 }
 
 // UploadedMetas returns the metadata of every image received through

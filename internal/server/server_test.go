@@ -6,6 +6,7 @@ import (
 
 	"bees/internal/dataset"
 	"bees/internal/features"
+	"bees/internal/index"
 )
 
 func batchSets(t testing.TB, seed int64, n int) (*dataset.DisasterBatch, []*features.BinarySet) {
@@ -20,10 +21,34 @@ func batchSets(t testing.TB, seed int64, n int) (*dataset.DisasterBatch, []*feat
 	return d, sets
 }
 
+// upload stores one image the way a device's single upload does: one
+// item under nonce 0.
+func upload(t testing.TB, s *Server, set *features.BinarySet, meta UploadMeta) index.ImageID {
+	t.Helper()
+	ids, err := s.UploadItems(0, []UploadItem{{Set: set, Meta: meta}})
+	if err != nil {
+		t.Fatalf("upload: %v", err)
+	}
+	return index.ImageID(ids[0])
+}
+
+// queryMax answers the CBRD query for one set.
+func queryMax(s *Server, set *features.BinarySet) float64 {
+	return s.QueryMaxBatch([]*features.BinarySet{set})[0]
+}
+
+// Uploads returns the IDs of images received through an upload (not
+// seeds), in arrival order.
+func (s *Server) Uploads() []index.ImageID {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return append([]index.ImageID(nil), s.uploads...)
+}
+
 func TestEmptyServerQuery(t *testing.T) {
 	srv := NewDefault()
 	_, sets := batchSets(t, 300, 1)
-	if sim := srv.QueryMax(sets[0]); sim != 0 {
+	if sim := queryMax(srv, sets[0]); sim != 0 {
 		t.Fatalf("empty server QueryMax = %v", sim)
 	}
 	if st := srv.Stats(); st.Images != 0 || st.BytesReceived != 0 {
@@ -34,11 +59,11 @@ func TestEmptyServerQuery(t *testing.T) {
 func TestUploadThenQuery(t *testing.T) {
 	srv := NewDefault()
 	_, sets := batchSets(t, 301, 3)
-	id := srv.Upload(sets[0], UploadMeta{GroupID: 7, Bytes: 1000, Lat: 1, Lon: 2})
-	if sim := srv.QueryMax(sets[0]); sim < 0.9 {
+	id := upload(t, srv, sets[0], UploadMeta{GroupID: 7, Bytes: 1000, Lat: 1, Lon: 2})
+	if sim := queryMax(srv, sets[0]); sim < 0.9 {
 		t.Fatalf("self-query after upload = %v, want ~1", sim)
 	}
-	e := srv.Get(id)
+	e := srv.idx.Get(id)
 	if e == nil || e.GroupID != 7 || e.Lat != 1 || e.Lon != 2 {
 		t.Fatalf("stored entry wrong: %+v", e)
 	}
@@ -51,8 +76,8 @@ func TestUploadThenQuery(t *testing.T) {
 func TestUploadNilSetNotIndexed(t *testing.T) {
 	srv := NewDefault()
 	_, sets := batchSets(t, 302, 1)
-	srv.Upload(nil, UploadMeta{GroupID: 1, Bytes: 500, Lat: 3, Lon: 4})
-	if sim := srv.QueryMax(sets[0]); sim != 0 {
+	upload(t, srv, nil, UploadMeta{GroupID: 1, Bytes: 500, Lat: 3, Lon: 4})
+	if sim := queryMax(srv, sets[0]); sim != 0 {
 		t.Fatal("nil-set upload should not be queryable")
 	}
 	st := srv.Stats()
@@ -72,7 +97,7 @@ func TestSeedIndexNotCounted(t *testing.T) {
 	if st := srv.Stats(); st.Images != 0 || st.BytesReceived != 0 {
 		t.Fatalf("seeded index counted as upload: %+v", st)
 	}
-	if sim := srv.QueryMax(sets[0]); sim < 0.9 {
+	if sim := queryMax(srv, sets[0]); sim < 0.9 {
 		t.Fatal("seeded features must be queryable")
 	}
 	if len(srv.Uploads()) != 0 {
@@ -84,7 +109,7 @@ func TestQueryTopK(t *testing.T) {
 	srv := NewDefault()
 	_, sets := batchSets(t, 304, 5)
 	for i, s := range sets {
-		srv.Upload(s, UploadMeta{GroupID: int64(i), Bytes: 1})
+		upload(t, srv, s, UploadMeta{GroupID: int64(i), Bytes: 1})
 	}
 	res := srv.QueryTopK(sets[2], 3)
 	if len(res) == 0 || res[0].GroupID != 2 {
@@ -97,7 +122,7 @@ func TestUploadsOrder(t *testing.T) {
 	_, sets := batchSets(t, 305, 3)
 	var ids []int64
 	for i, s := range sets {
-		ids = append(ids, int64(srv.Upload(s, UploadMeta{GroupID: int64(i)})))
+		ids = append(ids, int64(upload(t, srv, s, UploadMeta{GroupID: int64(i)})))
 	}
 	ups := srv.Uploads()
 	if len(ups) != 3 {
@@ -118,8 +143,10 @@ func TestConcurrentUploads(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			srv.Upload(sets[i], UploadMeta{GroupID: int64(i), Bytes: 10})
-			srv.QueryMax(sets[i])
+			if _, err := srv.UploadItems(0, []UploadItem{{Set: sets[i], Meta: UploadMeta{GroupID: int64(i), Bytes: 10}}}); err != nil {
+				t.Error(err)
+			}
+			queryMax(srv, sets[i])
 		}(i)
 	}
 	wg.Wait()
@@ -139,7 +166,7 @@ func TestConcurrentUploads(t *testing.T) {
 
 func TestUploadedMetasCopied(t *testing.T) {
 	srv := NewDefault()
-	srv.Upload(nil, UploadMeta{Bytes: 1})
+	upload(t, srv, nil, UploadMeta{Bytes: 1})
 	m := srv.UploadedMetas()
 	m[0].Bytes = 999
 	if srv.UploadedMetas()[0].Bytes != 1 {

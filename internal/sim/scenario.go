@@ -19,6 +19,7 @@ package sim
 import (
 	"container/heap"
 	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
 	"time"
@@ -456,13 +457,17 @@ func (s *scenarioState) served(c *chunk) {
 	s.serverQueue = s.serverQueue[1:]
 	s.serving = false
 	c.ticket.Release()
-	s.srv.Upload(nil, server.UploadMeta{
+	// An in-memory server without a WAL refuses an inline upload only
+	// through a bug.
+	if _, err := s.srv.UploadItems(0, []server.UploadItem{{Meta: server.UploadMeta{
 		GroupID: int64(c.cell),
 		Lat:     float64(c.cell / 64),
 		Lon:     float64(c.cell % 64),
 		Bytes:   c.bytes,
 		Gain:    c.gain,
-	})
+	}}}); err != nil {
+		panic(fmt.Sprintf("sim: upload: %v", err))
+	}
 	cr := &s.clients[c.client]
 	cr.ServedChunks++
 	cr.ServedBytes += int64(c.bytes)

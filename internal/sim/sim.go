@@ -12,6 +12,7 @@ import (
 	"bees/internal/dataset"
 	"bees/internal/energy"
 	"bees/internal/features"
+	"bees/internal/metrics"
 	"bees/internal/netsim"
 	"bees/internal/server"
 )
@@ -279,9 +280,9 @@ func RunCoverage(scheme core.Scheme, cfg CoverageConfig) CoverageResult {
 	return CoverageResult{
 		Scheme:          scheme.Name(),
 		TotalImages:     len(paris.Images),
-		TotalLocations:  uniqueLocations(allLats, allLons),
+		TotalLocations:  metrics.UniqueLocations(allLats, allLons),
 		Uploaded:        len(metas),
-		UniqueLocations: uniqueLocations(lats, lons),
+		UniqueLocations: metrics.UniqueLocations(lats, lons),
 	}
 }
 
@@ -289,12 +290,4 @@ type phoneState struct {
 	dev    *core.Device
 	images []*dataset.Image
 	next   int
-}
-
-func uniqueLocations(lats, lons []float64) int {
-	seen := make(map[[2]float64]struct{}, len(lats))
-	for i := range lats {
-		seen[[2]float64{lats[i], lons[i]}] = struct{}{}
-	}
-	return len(seen)
 }

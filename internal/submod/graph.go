@@ -46,9 +46,6 @@ func (g *Graph) SetWeight(i, j int, w float64) {
 	g.W[j][i] = w
 }
 
-// Weight returns the edge weight between i and j.
-func (g *Graph) Weight(i, j int) float64 { return g.W[i][j] }
-
 // Partition cuts every edge with weight below tw and returns the
 // connected-component label of each node (labels are 0-based and dense).
 // The number of labels is SSMM's adaptive budget b.

@@ -39,8 +39,8 @@ func clusteredGraph(rng *rand.Rand, k, sz int) *Graph {
 func TestNewGraphSelfWeights(t *testing.T) {
 	g := NewGraph(4)
 	for i := 0; i < 4; i++ {
-		if g.Weight(i, i) != 1 {
-			t.Fatalf("self weight of %d is %v", i, g.Weight(i, i))
+		if g.W[i][i] != 1 {
+			t.Fatalf("self weight of %d is %v", i, g.W[i][i])
 		}
 	}
 }
@@ -57,19 +57,19 @@ func TestNewGraphPanicsOnNegative(t *testing.T) {
 func TestSetWeightSymmetricAndClamped(t *testing.T) {
 	g := NewGraph(3)
 	g.SetWeight(0, 1, 0.7)
-	if g.Weight(0, 1) != 0.7 || g.Weight(1, 0) != 0.7 {
+	if g.W[0][1] != 0.7 || g.W[1][0] != 0.7 {
 		t.Fatal("weights not symmetric")
 	}
 	g.SetWeight(0, 2, -1)
-	if g.Weight(0, 2) != 0 {
+	if g.W[0][2] != 0 {
 		t.Fatal("negative weight not clamped")
 	}
 	g.SetWeight(1, 2, 2)
-	if g.Weight(1, 2) != 1 {
+	if g.W[1][2] != 1 {
 		t.Fatal("weight above 1 not clamped")
 	}
 	g.SetWeight(1, 1, 0.2)
-	if g.Weight(1, 1) != 1 {
+	if g.W[1][1] != 1 {
 		t.Fatal("self weight must stay 1")
 	}
 }

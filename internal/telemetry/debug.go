@@ -9,12 +9,9 @@ import (
 // one that merges its registry with client-pushed pipeline snapshots.
 type SnapshotFunc func() Snapshot
 
-// Handler serves the registry's JSON snapshot — the /debug/vars-style
-// endpoint beesd exposes and `beesctl stats` consumes. Works on a nil
-// registry (serves an empty snapshot).
-func Handler(r *Registry) http.Handler { return HandlerFunc(r.Snapshot) }
-
-// HandlerFunc serves the JSON encoding of whatever snapshot f produces.
+// HandlerFunc serves the JSON encoding of whatever snapshot f produces —
+// the /debug/vars-style endpoint beesd exposes and `beesctl stats`
+// consumes.
 func HandlerFunc(f SnapshotFunc) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		body, err := f().MarshalIndent()
@@ -27,12 +24,9 @@ func HandlerFunc(f SnapshotFunc) http.Handler {
 	})
 }
 
-// DebugMux returns the debug HTTP mux beesd binds on -debug-addr:
-// the JSON metrics snapshot at /debug/vars plus the standard
+// DebugMuxFunc returns the debug HTTP mux beesd binds on -debug-addr:
+// the JSON encoding of f's snapshot at /debug/vars plus the standard
 // net/http/pprof endpoints under /debug/pprof/.
-func DebugMux(r *Registry) *http.ServeMux { return DebugMuxFunc(r.Snapshot) }
-
-// DebugMuxFunc is DebugMux with a custom snapshot provider.
 func DebugMuxFunc(f SnapshotFunc) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.Handle("/debug/vars", HandlerFunc(f))

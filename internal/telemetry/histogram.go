@@ -40,22 +40,6 @@ func (h *Histogram) Observe(v int64) {
 	h.n.Add(1)
 }
 
-// Count returns the number of observations (0 on the nil histogram).
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.n.Load()
-}
-
-// Sum returns the sum of observed values (0 on the nil histogram).
-func (h *Histogram) Sum() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum.Load()
-}
-
 func (h *Histogram) reset() {
 	for i := range h.counts {
 		h.counts[i].Store(0)
@@ -113,10 +97,6 @@ var (
 	durationBuckets = ExpBuckets(100_000, 2, 25)
 	sizeBuckets     = ExpBuckets(1024, 2, 21)
 )
-
-// DurationBuckets returns the shared nanosecond bucket layout used by
-// spans (100µs doubling to ~54min).
-func DurationBuckets() []int64 { return durationBuckets }
 
 // SizeBuckets returns the shared byte-size bucket layout (1 KiB doubling
 // to 1 GiB).

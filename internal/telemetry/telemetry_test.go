@@ -9,6 +9,22 @@ import (
 	"time"
 )
 
+// Count returns the number of observations (0 on the nil histogram).
+func (h *Histogram) Count() int64 {
+	if h == nil {
+		return 0
+	}
+	return h.n.Load()
+}
+
+// Sum returns the sum of observed values (0 on the nil histogram).
+func (h *Histogram) Sum() int64 {
+	if h == nil {
+		return 0
+	}
+	return h.sum.Load()
+}
+
 func TestCounterGaugeBasics(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("a.count")
@@ -117,7 +133,7 @@ func TestSnapshotJSONDeterministic(t *testing.T) {
 func TestHandlerServesSnapshot(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("server.frames.query").Add(2)
-	srv := httptest.NewServer(DebugMux(r))
+	srv := httptest.NewServer(DebugMuxFunc(r.Snapshot))
 	defer srv.Close()
 	resp, err := srv.Client().Get(srv.URL + "/debug/vars")
 	if err != nil {
