@@ -28,8 +28,8 @@ var circleOffsets = [16][2]int{
 const fastArc = 9
 
 // DetectFASTRef is the original detector, kept as the bit-identity oracle
-// for the arena detector: it scores every pixel into a freshly allocated w×h
-// plane, then runs non-maximum suppression over the plane.
+// for the arena detector: it scores every pixel into a freshly allocated
+// w×h plane, then runs non-maximum suppression over the plane.
 func DetectFASTRef(r *imagelib.Raster, threshold int) []Keypoint {
 	if threshold < 1 {
 		threshold = 1

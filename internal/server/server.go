@@ -321,8 +321,8 @@ func (s *Server) SeedIndex(set *features.BinarySet, meta UploadMeta) index.Image
 	return id
 }
 
-// UploadedMetas returns the metadata of every image received through
-// Upload, in arrival order — the coverage experiment reads geotags from
+// UploadedMetas returns the metadata of every uploaded image (not
+// seeds), in arrival order — the coverage experiment reads geotags from
 // here.
 func (s *Server) UploadedMetas() []UploadMeta {
 	s.mu.Lock()
