@@ -1,10 +1,13 @@
 package outbox
 
 import (
+	"bytes"
+	"encoding/hex"
 	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -294,5 +297,61 @@ func TestDrainerReplaysAndAcks(t *testing.T) {
 		if nonce != uint64(i) {
 			t.Fatalf("replay order %v, want FIFO", replayed)
 		}
+	}
+}
+
+// TestChunkFileBytesPinned pins the on-disk chunk format byte for byte:
+// a fixed two-item chunk (one item without a feature set) must write
+// exactly testdata/chunk.golden, and the golden file must read back and
+// rewrite identically.
+func TestChunkFileBytesPinned(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "chunk.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := hex.DecodeString(strings.TrimSpace(string(raw)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &Chunk{
+		Nonce:      0x0102030405060708,
+		Utility:    2.75,
+		EnqueuedAt: time.Unix(1700000000, 123),
+		Items: []server.UploadItem{
+			{
+				Set: &features.BinarySet{Descriptors: []features.Descriptor{
+					{1, 2, 3, 0xffffffffffffffff},
+				}},
+				Meta: server.UploadMeta{GroupID: -4, Lat: 12.5, Lon: -0.75, Bytes: 900},
+			},
+			{Meta: server.UploadMeta{GroupID: 9, Bytes: 1}},
+		},
+		seq: 17,
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "chunk"+chunkExt)
+	if err := writeChunkFile(diskfault.OS(), path, c); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("chunk bytes changed\n got %x\nwant %x", got, want)
+	}
+	if err := os.WriteFile(path, want, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	back, err := readChunkFile(diskfault.OS(), path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again := filepath.Join(dir, "again"+chunkExt)
+	if err := writeChunkFile(diskfault.OS(), again, back); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := os.ReadFile(again); !bytes.Equal(got, want) {
+		t.Fatalf("golden chunk does not rewrite identically\n got %x\nwant %x", got, want)
 	}
 }
