@@ -64,6 +64,8 @@ fuzz:
 	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzShardRoute -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzShardSync -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzShardQuery -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzDecodeMatchesRef -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/server -run '^$$' -fuzz FuzzWALRecordMatchesRef -fuzztime $(FUZZTIME)
 
 # Index + pipeline micro-benchmarks with allocation stats, written as
 # BENCH_pipeline.json. The raw `go test -bench` text is embedded under

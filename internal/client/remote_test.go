@@ -9,6 +9,7 @@ import (
 	"bees/internal/core"
 	"bees/internal/dataset"
 	"bees/internal/energy"
+	"bees/internal/features"
 	"bees/internal/netsim"
 	"bees/internal/server"
 	"bees/internal/telemetry"
@@ -49,6 +50,24 @@ func TestPipelineOverTCP(t *testing.T) {
 	// The blob bytes crossing the wire are the compressed image sizes.
 	if st.BytesReceived != int64(rRemote.ImageBytes) {
 		t.Fatalf("server received %d bytes, report says %d", st.BytesReceived, rRemote.ImageBytes)
+	}
+}
+
+// TestRemoteQueryNilSet: a nil feature set in a batch query travels as
+// an empty set, so the remote answer equals the in-process server's for
+// the same input instead of the encoder panicking.
+func TestRemoteQueryNilSet(t *testing.T) {
+	srv, addr := startServer(t)
+	set := &features.BinarySet{Descriptors: []features.Descriptor{{1, 2, 3, 4}, {5, 6, 7, 8}}}
+	srv.SeedIndex(set, server.UploadMeta{GroupID: 1})
+	query := []*features.BinarySet{nil, set}
+	remote := NewRemoteServer(dial(t, addr))
+	got := remote.QueryMaxBatch(query)
+	if err := remote.Err(); err != nil {
+		t.Fatalf("transport error: %v", err)
+	}
+	if want := srv.QueryMaxBatch(query); !reflect.DeepEqual(got, want) {
+		t.Fatalf("remote sims %v, in-process server %v", got, want)
 	}
 }
 

@@ -18,6 +18,7 @@
 package outbox
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -32,6 +33,7 @@ import (
 	"bees/internal/features"
 	"bees/internal/server"
 	"bees/internal/telemetry"
+	"bees/internal/wire"
 )
 
 // chunkMagic heads every on-disk chunk file.
@@ -329,14 +331,17 @@ func (b *Outbox) evictLocked(i int) {
 // --- on-disk chunk format -------------------------------------------------
 //
 // magic "BOXC" | u64 version | u64 seq | u64 nonce | f64 utility |
-// u64 enqueuedAt (unix nanos) | u32 itemCount | items…
-// item: u64 groupID | f64 lat | f64 lon | u64 bytes | u32 setLen |
+// u64 enqueuedAt (unix nanos) | u64 itemCount | items…
+// item: u64 groupID | f64 lat | f64 lon | u64 bytes | u64 setLen |
 //       setLen × 32-byte descriptors
 //
-// Integers little-endian, floats as IEEE-754 bits — the same conventions
-// as the wire protocol and the server snapshot. The optional Global
-// descriptor of UploadMeta is not persisted (the pipeline never sets it
-// on upload items; a reloaded chunk replays with Global nil).
+// Integers little-endian, floats as IEEE-754 bits — the conventions of
+// the wire protocol and the server snapshot, written with the wire
+// package's append helpers and read back through wire.Reader. A chunk
+// file is small and replaced atomically, so it is built and read whole.
+// The optional Global descriptor of UploadMeta is not persisted (the
+// pipeline never sets it on upload items; a reloaded chunk replays with
+// Global nil).
 
 func writeChunkFile(fs diskfault.FS, path string, c *Chunk) error {
 	tmp := path + ".tmp"
@@ -344,7 +349,15 @@ func writeChunkFile(fs diskfault.FS, path string, c *Chunk) error {
 	if err != nil {
 		return fmt.Errorf("outbox: create chunk: %w", err)
 	}
-	err = writeChunk(f, c)
+	// The magic goes out in its own Write ahead of the body. A chunk has
+	// no checksum, so a write the disk corrupts is caught on resume only
+	// where it breaks a field the decoder checks; any change to the
+	// magic is caught.
+	b := encodeChunk(c)
+	_, err = f.Write(b[:len(chunkMagic)])
+	if err == nil {
+		_, err = f.Write(b[len(chunkMagic):])
+	}
 	// Sync before rename: a chunk visible under its final name must be
 	// fully on disk, or a post-crash resume could reload a torn file.
 	if err == nil {
@@ -367,40 +380,29 @@ func writeChunkFile(fs diskfault.FS, path string, c *Chunk) error {
 	return nil
 }
 
-func writeChunk(w io.Writer, c *Chunk) error {
-	var firstErr error
-	put := func(v uint64) {
-		if firstErr == nil {
-			firstErr = binary.Write(w, binary.LittleEndian, v)
-		}
-	}
-	if _, err := w.Write(chunkMagic[:]); err != nil {
-		return err
-	}
-	put(chunkVersion)
-	put(c.seq)
-	put(c.Nonce)
-	put(math.Float64bits(c.Utility))
-	put(uint64(c.EnqueuedAt.UnixNano()))
-	put(uint64(len(c.Items)))
+func encodeChunk(c *Chunk) []byte {
+	u64 := binary.LittleEndian.AppendUint64
+	b := append([]byte(nil), chunkMagic[:]...)
+	b = u64(b, chunkVersion)
+	b = u64(b, c.seq)
+	b = u64(b, c.Nonce)
+	b = u64(b, math.Float64bits(c.Utility))
+	b = u64(b, uint64(c.EnqueuedAt.UnixNano()))
+	b = u64(b, uint64(len(c.Items)))
 	for i := range c.Items {
-		it := &c.Items[i]
-		put(uint64(it.Meta.GroupID))
-		put(math.Float64bits(it.Meta.Lat))
-		put(math.Float64bits(it.Meta.Lon))
-		put(uint64(it.Meta.Bytes))
-		set := it.Set
-		if set == nil {
-			set = &features.BinarySet{}
+		m := &c.Items[i].Meta
+		b = u64(b, uint64(m.GroupID))
+		b = u64(b, math.Float64bits(m.Lat))
+		b = u64(b, math.Float64bits(m.Lon))
+		b = u64(b, uint64(m.Bytes))
+		var ds []features.Descriptor
+		if set := c.Items[i].Set; set != nil {
+			ds = set.Descriptors
 		}
-		put(uint64(set.Len()))
-		for _, d := range set.Descriptors {
-			for _, word := range d {
-				put(word)
-			}
-		}
+		b = u64(b, uint64(len(ds)))
+		b = wire.AppendDescriptors(b, ds)
 	}
-	return firstErr
+	return b
 }
 
 func readChunkFile(fs diskfault.FS, path string) (*Chunk, error) {
@@ -409,90 +411,34 @@ func readChunkFile(fs diskfault.FS, path string) (*Chunk, error) {
 		return nil, err
 	}
 	defer f.Close()
-	return readChunk(f)
+	b, err := io.ReadAll(f)
+	if err != nil {
+		return nil, err
+	}
+	return decodeChunk(b)
 }
 
-func readChunk(r io.Reader) (*Chunk, error) {
-	var magic [4]byte
-	if _, err := io.ReadFull(r, magic[:]); err != nil || magic != chunkMagic {
+func decodeChunk(b []byte) (*Chunk, error) {
+	r := wire.NewReader(b)
+	magic, version := r.Bytes(len(chunkMagic)), r.U64()
+	c := &Chunk{seq: r.U64(), Nonce: r.U64(), Utility: r.F64(), EnqueuedAt: time.Unix(0, int64(r.U64()))}
+	count := r.U64()
+	if !bytes.Equal(magic, chunkMagic[:]) || version != chunkVersion || count > maxItemsPerChunk {
 		return nil, errBadChunk
 	}
-	get := func() (uint64, error) {
-		var v uint64
-		err := binary.Read(r, binary.LittleEndian, &v)
-		return v, err
-	}
-	version, err := get()
-	if err != nil || version != chunkVersion {
-		return nil, errBadChunk
-	}
-	c := &Chunk{}
-	fields := []*uint64{&c.seq, &c.Nonce}
-	for _, p := range fields {
-		if *p, err = get(); err != nil {
-			return nil, errBadChunk
-		}
-	}
-	utilBits, err := get()
-	if err != nil {
-		return nil, errBadChunk
-	}
-	c.Utility = math.Float64frombits(utilBits)
-	nanos, err := get()
-	if err != nil {
-		return nil, errBadChunk
-	}
-	c.EnqueuedAt = time.Unix(0, int64(nanos))
-	count, err := get()
-	if err != nil || count > maxItemsPerChunk {
-		return nil, errBadChunk
-	}
-	for i := uint64(0); i < count; i++ {
-		var it server.UploadItem
-		group, err := get()
-		if err != nil {
-			return nil, errBadChunk
-		}
-		latBits, err := get()
-		if err != nil {
-			return nil, errBadChunk
-		}
-		lonBits, err := get()
-		if err != nil {
-			return nil, errBadChunk
-		}
-		bytes, err := get()
-		if err != nil {
-			return nil, errBadChunk
-		}
-		it.Meta = server.UploadMeta{
-			GroupID: int64(group),
-			Lat:     math.Float64frombits(latBits),
-			Lon:     math.Float64frombits(lonBits),
-			Bytes:   int(bytes),
-		}
-		n, err := get()
-		if err != nil || n > maxDescriptorsPerSet {
+	for i := uint64(0); i < count && r.Err() == nil; i++ {
+		it := server.UploadItem{Meta: server.UploadMeta{GroupID: int64(r.U64()), Lat: r.F64(), Lon: r.F64(), Bytes: int(r.U64())}}
+		n := r.U64()
+		if n > maxDescriptorsPerSet {
 			return nil, errBadChunk
 		}
 		if n > 0 {
-			set := &features.BinarySet{Descriptors: make([]features.Descriptor, n)}
-			for j := uint64(0); j < n; j++ {
-				for w := 0; w < 4; w++ {
-					word, err := get()
-					if err != nil {
-						return nil, errBadChunk
-					}
-					set.Descriptors[j][w] = word
-				}
-			}
-			it.Set = set
+			it.Set = &features.BinarySet{Descriptors: r.Descriptors(int(n))}
 		}
 		c.Items = append(c.Items, it)
 	}
-	// Trailing garbage means the file is not what we wrote.
-	var tail [1]byte
-	if _, err := r.Read(tail[:]); err != io.EOF {
+	// Trailing bytes mean the file is not what we wrote.
+	if r.Done() != nil {
 		return nil, errBadChunk
 	}
 	return c, nil

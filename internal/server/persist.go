@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -15,15 +16,24 @@ import (
 	"bees/internal/blockstore"
 	"bees/internal/features"
 	"bees/internal/index"
+	"bees/internal/wire"
 )
 
 // Snapshot persistence: beesd survives restarts by writing the feature
 // index and upload counters to disk. The format is a versioned binary
-// stream: header, counters, one record per indexed entry (id, group,
-// geotag, optional global histogram, descriptors), the upload history,
-// then the content-addressed block store — one record per block (hash,
-// refcount, length, data), hash-sorted — so delta uploads keep
-// deduplicating across a restart. Only the current version loads.
+// stream of fixed-width little-endian fields with u64 counts:
+//
+//	"BEES" | u64 version | u64 received | u64 nextID
+//	u64 entries | entries × (u64 id | u64 group | f64 lat | f64 lon |
+//	                         u64 n | n × 32-byte descriptor)
+//	u64 uploads | uploads × (u64 id | meta)   (meta as in a WAL record)
+//	u64 blocks  | blocks × (hash | u64 refcount | u64 length | data)
+//
+// Blocks are hash-sorted, so identical state always snapshots
+// identically, and delta uploads keep deduplicating across a restart.
+// Records are written with wire's append helpers and read one at a time
+// through wire.Reader, so the stream is never held whole. Only the
+// current version loads.
 
 var snapshotMagic = [4]byte{'B', 'E', 'E', 'S'}
 
@@ -49,21 +59,6 @@ const maxSnapshotDescriptors = 1 << 16
 func (s *Server) SaveSnapshot(w io.Writer) error {
 	s.stateMu.Lock()
 	defer s.stateMu.Unlock()
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(snapshotMagic[:]); err != nil {
-		return fmt.Errorf("server: write snapshot: %w", err)
-	}
-	// writeU64 captures the first write failure instead of discarding it:
-	// a full disk mid-stream must abort the save (and leave the temp file
-	// unrenamed), not silently commit a truncated snapshot.
-	var saveErr error
-	writeU64 := func(v uint64) {
-		if saveErr == nil {
-			saveErr = binary.Write(bw, binary.LittleEndian, v)
-		}
-	}
-	writeU64(snapshotVersion)
-
 	s.mu.Lock()
 	received := s.received
 	nextID := s.nextID
@@ -71,58 +66,62 @@ func (s *Server) SaveSnapshot(w io.Writer) error {
 	metas := append([]UploadMeta(nil), s.metas...)
 	s.mu.Unlock()
 
-	writeU64(uint64(received))
-	writeU64(uint64(nextID))
+	// Each record is built in rec and streamed out with its trailing
+	// bytes (a block's data); put keeps the first write failure, so a
+	// full disk mid-stream aborts the save (and leaves the temp file
+	// unrenamed) instead of silently committing a truncated snapshot.
+	bw := bufio.NewWriter(w)
+	var saveErr error
+	rec := make([]byte, 0, 256)
+	put := func(tail []byte) {
+		if saveErr == nil {
+			_, saveErr = bw.Write(rec)
+		}
+		if saveErr == nil && len(tail) > 0 {
+			_, saveErr = bw.Write(tail)
+		}
+		rec = rec[:0]
+	}
+	u64 := binary.LittleEndian.AppendUint64
 
-	// Count entries first (ForEach is ordered and race-free).
-	count := uint64(0)
+	count := 0
 	s.idx.ForEach(func(*index.Entry) { count++ })
-	writeU64(count)
+	rec = append(rec, snapshotMagic[:]...)
+	rec = u64(rec, snapshotVersion)
+	rec = u64(rec, uint64(received))
+	rec = u64(rec, uint64(nextID))
+	rec = u64(rec, uint64(count))
+	put(nil)
 	s.idx.ForEach(func(e *index.Entry) {
-		if saveErr != nil {
-			return
-		}
-		writeU64(uint64(e.ID))
-		writeU64(uint64(e.GroupID))
-		writeU64(math.Float64bits(e.Lat))
-		writeU64(math.Float64bits(e.Lon))
-		writeU64(uint64(e.Set.Len()))
-		for _, d := range e.Set.Descriptors {
-			for _, word := range d {
-				writeU64(word)
-			}
-		}
+		rec = u64(rec, uint64(e.ID))
+		rec = u64(rec, uint64(e.GroupID))
+		rec = u64(rec, math.Float64bits(e.Lat))
+		rec = u64(rec, math.Float64bits(e.Lon))
+		rec = u64(rec, uint64(e.Set.Len()))
+		rec = wire.AppendDescriptors(rec, e.Set.Descriptors)
+		put(nil)
 	})
 	// Upload history (IDs + metas without globals; globals only matter
 	// for metadata queries of indexed seeds, which reconstruct from the
 	// index on load).
-	writeU64(uint64(len(uploads)))
+	rec = u64(rec, uint64(len(uploads)))
+	put(nil)
 	for i, id := range uploads {
-		writeU64(uint64(id))
-		m := metas[i]
-		writeU64(uint64(m.GroupID))
-		writeU64(math.Float64bits(m.Lat))
-		writeU64(math.Float64bits(m.Lon))
-		writeU64(uint64(m.Bytes))
+		rec = u64(rec, uint64(id))
+		rec = appendMeta(rec, &metas[i])
+		put(nil)
 	}
 	// Block store section: hash-sorted for deterministic bytes, so
 	// identical state always snapshots identically.
-	nBlocks := uint64(0)
+	nBlocks := 0
 	s.blocks.ForEachSorted(func(blockstore.Hash, int64, []byte) { nBlocks++ })
-	writeU64(nBlocks)
+	rec = u64(rec, uint64(nBlocks))
+	put(nil)
 	s.blocks.ForEachSorted(func(h blockstore.Hash, refs int64, data []byte) {
-		if saveErr != nil {
-			return
-		}
-		if _, err := bw.Write(h[:]); err != nil {
-			saveErr = err
-			return
-		}
-		writeU64(uint64(refs))
-		writeU64(uint64(len(data)))
-		if saveErr == nil {
-			_, saveErr = bw.Write(data)
-		}
+		rec = append(rec, h[:]...)
+		rec = u64(rec, uint64(refs))
+		rec = u64(rec, uint64(len(data)))
+		put(data)
 	})
 	if saveErr != nil {
 		return fmt.Errorf("server: write snapshot: %w", saveErr)
@@ -146,76 +145,41 @@ func (s *Server) LoadSnapshot(r io.Reader) error {
 	if dirty {
 		return errors.New("server: LoadSnapshot requires a fresh server")
 	}
+	// The stream is read one record at a time: next returns a Reader over
+	// the next n bytes (fewer at the end of the stream, so a truncated
+	// record fails its own reads), and buf is reused, so loading holds
+	// no more than one record beyond the state it rebuilds.
 	br := bufio.NewReader(r)
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return fmt.Errorf("%w: read magic: %v", errBadSnapshot, err)
+	var buf []byte
+	next := func(n int) wire.Reader {
+		if cap(buf) < n {
+			buf = make([]byte, n)
+		}
+		k, _ := io.ReadFull(br, buf[:n])
+		return wire.NewReader(buf[:k])
 	}
-	if magic != snapshotMagic {
-		return errBadSnapshot
-	}
-	readU64 := func() (uint64, error) {
-		var v uint64
-		err := binary.Read(br, binary.LittleEndian, &v)
-		return v, err
-	}
-	version, err := readU64()
-	if err != nil || version != snapshotVersion {
-		return errBadSnapshot
-	}
-	received, err := readU64()
-	if err != nil {
-		return errBadSnapshot
-	}
-	nextID, err := readU64()
-	if err != nil {
-		return errBadSnapshot
-	}
-	count, err := readU64()
-	if err != nil {
+	hdr := next(len(snapshotMagic) + 4*8)
+	magic, version, received, nextID, count := hdr.Bytes(len(snapshotMagic)), hdr.U64(), hdr.U64(), hdr.U64(), hdr.U64()
+	if hdr.Done() != nil || !bytes.Equal(magic, snapshotMagic[:]) || version != snapshotVersion {
 		return errBadSnapshot
 	}
 	for i := uint64(0); i < count; i++ {
-		id, err := readU64()
-		if err != nil {
+		rec := next(5 * 8)
+		e := &index.Entry{ID: index.ImageID(rec.U64()), GroupID: int64(rec.U64()), Lat: rec.F64(), Lon: rec.F64()}
+		n := rec.U64()
+		if rec.Done() != nil || n > maxSnapshotDescriptors {
 			return errBadSnapshot
 		}
-		group, err := readU64()
-		if err != nil {
+		descs := next(int(n) * 8 * len(features.Descriptor{}))
+		e.Set = &features.BinarySet{Descriptors: descs.Descriptors(int(n))}
+		if descs.Done() != nil {
 			return errBadSnapshot
 		}
-		latBits, err := readU64()
-		if err != nil {
-			return errBadSnapshot
-		}
-		lonBits, err := readU64()
-		if err != nil {
-			return errBadSnapshot
-		}
-		n, err := readU64()
-		if err != nil || n > maxSnapshotDescriptors {
-			return errBadSnapshot
-		}
-		set := &features.BinarySet{Descriptors: make([]features.Descriptor, n)}
-		for j := uint64(0); j < n; j++ {
-			for w := 0; w < 4; w++ {
-				word, err := readU64()
-				if err != nil {
-					return errBadSnapshot
-				}
-				set.Descriptors[j][w] = word
-			}
-		}
-		s.idx.Add(&index.Entry{
-			ID:      index.ImageID(id),
-			Set:     set,
-			GroupID: int64(group),
-			Lat:     math.Float64frombits(latBits),
-			Lon:     math.Float64frombits(lonBits),
-		})
+		s.idx.Add(e)
 	}
-	nUploads, err := readU64()
-	if err != nil {
+	rec := next(8)
+	nUploads := rec.U64()
+	if rec.Done() != nil {
 		return errBadSnapshot
 	}
 	s.mu.Lock()
@@ -223,49 +187,23 @@ func (s *Server) LoadSnapshot(r io.Reader) error {
 	s.received = int64(received)
 	s.nextID = index.ImageID(nextID)
 	for i := uint64(0); i < nUploads; i++ {
-		id, err := readU64()
-		if err != nil {
+		rec := next(5 * 8)
+		id, meta := index.ImageID(rec.U64()), readMeta(&rec)
+		if rec.Done() != nil {
 			return errBadSnapshot
 		}
-		group, err := readU64()
-		if err != nil {
-			return errBadSnapshot
-		}
-		latBits, err := readU64()
-		if err != nil {
-			return errBadSnapshot
-		}
-		lonBits, err := readU64()
-		if err != nil {
-			return errBadSnapshot
-		}
-		bytes, err := readU64()
-		if err != nil {
-			return errBadSnapshot
-		}
-		s.uploads = append(s.uploads, index.ImageID(id))
-		s.metas = append(s.metas, UploadMeta{
-			GroupID: int64(group),
-			Lat:     math.Float64frombits(latBits),
-			Lon:     math.Float64frombits(lonBits),
-			Bytes:   int(bytes),
-		})
+		s.uploads = append(s.uploads, id)
+		s.metas = append(s.metas, meta)
 	}
-	nBlocks, err := readU64()
-	if err != nil {
+	rec = next(8)
+	nBlocks := rec.U64()
+	if rec.Done() != nil {
 		return errBadSnapshot
 	}
 	for i := uint64(0); i < nBlocks; i++ {
-		var h blockstore.Hash
-		if _, err := io.ReadFull(br, h[:]); err != nil {
-			return errBadSnapshot
-		}
-		refs, err := readU64()
-		if err != nil || int64(refs) < 0 {
-			return errBadSnapshot
-		}
-		n, err := readU64()
-		if err != nil || n > maxSnapshotBlockBytes {
+		rec := next(len(blockstore.Hash{}) + 2*8)
+		h, refs, n := rec.Hash(), rec.U64(), rec.U64()
+		if rec.Done() != nil || int64(refs) < 0 || n > maxSnapshotBlockBytes {
 			return errBadSnapshot
 		}
 		data := make([]byte, n)

@@ -243,7 +243,7 @@ func splitFrame(t *testing.T, msg any) (header, payload []byte) {
 // succeeds once the load clears.
 func TestLoadSheddingBusy(t *testing.T) {
 	tel := telemetry.NewRegistry()
-	srv, _, addr := listenTCP(t, TCPConfig{
+	srv, tcp, addr := listenTCP(t, TCPConfig{
 		MaxInflightBytes: 1024,
 		BusyRetryAfter:   250 * time.Millisecond,
 		IdleTimeout:      5 * time.Second,
@@ -304,7 +304,16 @@ func TestLoadSheddingBusy(t *testing.T) {
 	}
 
 	// Load cleared: the shed client retries the identical frame (same
-	// nonce) and is applied exactly once.
+	// nonce) and is applied exactly once. A's response is written before
+	// its admission ticket is released, so wait for the release first.
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
+		if frames, bytes := tcp.adm.Inflight(); frames == 0 && bytes == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("admission still charged after the stalled upload completed")
+		}
+	}
 	resp := request(t, connB, small)
 	if _, ok := resp.(*wire.ManifestCommitResponse); !ok {
 		t.Fatalf("retry after busy got %T", resp)

@@ -19,6 +19,7 @@ import (
 	"bees/internal/features"
 	"bees/internal/index"
 	"bees/internal/wal"
+	"bees/internal/wire"
 )
 
 var updateWALCorpus = flag.Bool("update-wal-corpus", false,
@@ -33,8 +34,8 @@ func retiredUploadRecord(nonce uint64, firstID index.ImageID, items []UploadItem
 	b = binary.LittleEndian.AppendUint64(b, uint64(firstID))
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(items)))
 	for i := range items {
-		b = appendWALMeta(b, &items[i].Meta)
-		b = appendWALSet(b, items[i].Set)
+		b = appendMeta(b, &items[i].Meta)
+		b = wire.AppendSet(b, items[i].Set)
 	}
 	return b
 }
@@ -48,9 +49,11 @@ func retiredCommitRecord(nonce uint64, firstID int64, ups []ManifestUpload) []by
 	b = binary.LittleEndian.AppendUint64(b, uint64(firstID))
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(ups)))
 	for i := range ups {
-		b = appendWALMeta(b, &ups[i].Meta)
-		b = appendWALSet(b, ups[i].Set)
-		b = appendWALManifest(b, &ups[i].Manifest)
+		b = appendMeta(b, &ups[i].Meta)
+		b = wire.AppendSet(b, ups[i].Set)
+		b = binary.LittleEndian.AppendUint64(b, uint64(ups[i].Manifest.TotalBytes))
+		b = binary.LittleEndian.AppendUint64(b, uint64(ups[i].Manifest.BlockSize))
+		b = wire.AppendHashes(b, ups[i].Manifest.Hashes)
 	}
 	return b
 }
@@ -141,8 +144,8 @@ func TestWALRecordFuzzCorpus(t *testing.T) {
 }
 
 // TestWALRecordHostileCountsDoNotAllocate pins the decode-time bound: a
-// count is clamped to what the rest of the payload can hold before
-// anything is allocated, so a tiny record cannot demand megabytes.
+// count the rest of the payload cannot hold is rejected before anything
+// is allocated, so a tiny record cannot demand megabytes.
 func TestWALRecordHostileCountsDoNotAllocate(t *testing.T) {
 	for name, p := range walCorpus() {
 		if !strings.HasPrefix(name, "hostile-") {

@@ -25,8 +25,6 @@ package wire
 import (
 	"bees/internal/blockstore"
 	"bees/internal/features"
-	"encoding/binary"
-	"errors"
 )
 
 // ProtocolVersion is the wire protocol revision announced in Hello.
@@ -141,204 +139,4 @@ func maxGain(items []ManifestItem) float64 {
 // assigned image ID per item, in order.
 type ManifestCommitResponse struct {
 	IDs []int64
-}
-
-func encodeHello(m *Hello) []byte {
-	buf := binary.LittleEndian.AppendUint32(nil, m.Version)
-	return binary.LittleEndian.AppendUint64(buf, m.Features)
-}
-
-func decodeHello(payload []byte) (*Hello, error) {
-	// Tolerate (and discard) trailing bytes: a future revision may append
-	// fields, and an old receiver must still read the part it knows.
-	if len(payload) < 12 {
-		return nil, errors.New("wire: truncated hello")
-	}
-	return &Hello{
-		Version:  binary.LittleEndian.Uint32(payload),
-		Features: binary.LittleEndian.Uint64(payload[4:]),
-	}, nil
-}
-
-const hashLen = 32
-
-func encodeBlockQuery(m *BlockQuery) []byte {
-	buf := binary.LittleEndian.AppendUint32(nil, uint32(len(m.Hashes)))
-	for i := range m.Hashes {
-		buf = append(buf, m.Hashes[i][:]...)
-	}
-	return buf
-}
-
-func decodeBlockQuery(payload []byte) (*BlockQuery, error) {
-	if len(payload) < 4 {
-		return nil, errors.New("wire: truncated block query")
-	}
-	n := int(binary.LittleEndian.Uint32(payload))
-	payload = payload[4:]
-	if len(payload) != n*hashLen {
-		return nil, errors.New("wire: bad block query length")
-	}
-	req := &BlockQuery{Hashes: make([]blockstore.Hash, n)}
-	for i := 0; i < n; i++ {
-		copy(req.Hashes[i][:], payload[i*hashLen:])
-	}
-	return req, nil
-}
-
-func encodeBlockQueryResponse(m *BlockQueryResponse) []byte {
-	buf := binary.LittleEndian.AppendUint32(nil, uint32(len(m.Have)))
-	bitmap := make([]byte, (len(m.Have)+7)/8)
-	for i, ok := range m.Have {
-		if ok {
-			bitmap[i/8] |= 1 << (i % 8)
-		}
-	}
-	return append(buf, bitmap...)
-}
-
-func decodeBlockQueryResponse(payload []byte) (*BlockQueryResponse, error) {
-	if len(payload) < 4 {
-		return nil, errors.New("wire: truncated block query response")
-	}
-	n := int(binary.LittleEndian.Uint32(payload))
-	bitmap := payload[4:]
-	if len(bitmap) != (n+7)/8 {
-		return nil, errors.New("wire: bad block bitmap length")
-	}
-	// Trailing bits past n must be zero so every response has exactly one
-	// encoding (the golden/round-trip gates rely on canonical bytes).
-	if n%8 != 0 && len(bitmap) > 0 && bitmap[len(bitmap)-1]>>(n%8) != 0 {
-		return nil, errors.New("wire: nonzero trailing bits in block bitmap")
-	}
-	resp := &BlockQueryResponse{Have: make([]bool, n)}
-	for i := range resp.Have {
-		resp.Have[i] = bitmap[i/8]&(1<<(i%8)) != 0
-	}
-	return resp, nil
-}
-
-func encodeBlockPut(m *BlockPut) []byte {
-	buf := binary.LittleEndian.AppendUint32(nil, uint32(len(m.Blocks)))
-	for i := range m.Blocks {
-		b := &m.Blocks[i]
-		buf = append(buf, b.Hash[:]...)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(b.Data)))
-		buf = append(buf, b.Data...)
-	}
-	return buf
-}
-
-// minBlockPutBytes is the smallest encodable block: hash + length header.
-const minBlockPutBytes = hashLen + 4
-
-func decodeBlockPut(payload []byte) (*BlockPut, error) {
-	if len(payload) < 4 {
-		return nil, errors.New("wire: truncated block put")
-	}
-	n := int(binary.LittleEndian.Uint32(payload))
-	payload = payload[4:]
-	// The count is attacker-controlled; cap the preallocation by what the
-	// remaining payload could actually hold.
-	prealloc := n
-	if max := len(payload) / minBlockPutBytes; prealloc > max {
-		prealloc = max
-	}
-	req := &BlockPut{Blocks: make([]Block, 0, prealloc)}
-	for i := 0; i < n; i++ {
-		if len(payload) < minBlockPutBytes {
-			return nil, errors.New("wire: truncated block")
-		}
-		var b Block
-		copy(b.Hash[:], payload)
-		dataLen := int(binary.LittleEndian.Uint32(payload[hashLen:]))
-		payload = payload[minBlockPutBytes:]
-		if len(payload) < dataLen {
-			return nil, errors.New("wire: truncated block data")
-		}
-		b.Data = payload[:dataLen:dataLen]
-		payload = payload[dataLen:]
-		req.Blocks = append(req.Blocks, b)
-	}
-	if len(payload) != 0 {
-		return nil, errors.New("wire: trailing bytes after block put")
-	}
-	return req, nil
-}
-
-func encodeBlockPutResponse(m *BlockPutResponse) []byte {
-	buf := binary.LittleEndian.AppendUint32(nil, m.Stored)
-	return binary.LittleEndian.AppendUint32(buf, m.Dup)
-}
-
-func decodeBlockPutResponse(payload []byte) (*BlockPutResponse, error) {
-	if len(payload) != 8 {
-		return nil, errors.New("wire: bad block put response")
-	}
-	return &BlockPutResponse{
-		Stored: binary.LittleEndian.Uint32(payload),
-		Dup:    binary.LittleEndian.Uint32(payload[4:]),
-	}, nil
-}
-
-func encodeManifestCommit(m *ManifestCommit) []byte {
-	buf := encodeU64(m.Nonce)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(m.Items)))
-	for i := range m.Items {
-		buf = appendManifestItem(buf, &m.Items[i])
-	}
-	return buf
-}
-
-// minManifestItemBytes is the smallest encodable item: five u64 fields,
-// a u32 block size, an empty descriptor-set header, an empty hash count.
-const minManifestItemBytes = 8*5 + 4 + 4 + 4
-
-func decodeManifestCommit(payload []byte) (*ManifestCommit, error) {
-	if len(payload) < 12 {
-		return nil, errors.New("wire: truncated manifest commit")
-	}
-	req := &ManifestCommit{Nonce: binary.LittleEndian.Uint64(payload)}
-	n := int(binary.LittleEndian.Uint32(payload[8:]))
-	payload = payload[12:]
-	prealloc := n
-	if max := len(payload) / minManifestItemBytes; prealloc > max {
-		prealloc = max
-	}
-	req.Items = make([]ManifestItem, 0, prealloc)
-	for i := 0; i < n; i++ {
-		it, rest, err := decodeManifestItem(payload)
-		if err != nil {
-			return nil, err
-		}
-		payload = rest
-		req.Items = append(req.Items, it)
-	}
-	if len(payload) != 0 {
-		return nil, errors.New("wire: trailing bytes after manifest commit")
-	}
-	return req, nil
-}
-
-func encodeManifestCommitResponse(m *ManifestCommitResponse) []byte {
-	buf := binary.LittleEndian.AppendUint32(nil, uint32(len(m.IDs)))
-	for _, id := range m.IDs {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(id))
-	}
-	return buf
-}
-
-func decodeManifestCommitResponse(payload []byte) (*ManifestCommitResponse, error) {
-	if len(payload) < 4 {
-		return nil, errors.New("wire: truncated manifest commit response")
-	}
-	n := int(binary.LittleEndian.Uint32(payload))
-	if len(payload) != 4+8*n {
-		return nil, errors.New("wire: bad manifest commit response length")
-	}
-	resp := &ManifestCommitResponse{IDs: make([]int64, n)}
-	for i := 0; i < n; i++ {
-		resp.IDs[i] = int64(binary.LittleEndian.Uint64(payload[4+8*i:]))
-	}
-	return resp, nil
 }

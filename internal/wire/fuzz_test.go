@@ -2,7 +2,8 @@ package wire
 
 import (
 	"bytes"
-	"io"
+	"encoding/binary"
+	"encoding/hex"
 	"math/rand"
 	"testing"
 
@@ -21,9 +22,11 @@ func encodeFrame(tb testing.TB, msg any) []byte {
 }
 
 // FuzzReadFrame feeds arbitrary bytes to the frame decoder, seeded with
-// a valid encoding of every message type and with frames of the two
-// reserved type numbers. The decoder must never panic,
-// and anything it accepts must re-encode cleanly.
+// a valid encoding of every message type, each again with one trailing
+// byte, and with frames of the two reserved type numbers. The decoder
+// must never panic, and anything it accepts must re-encode to the same
+// frame bytes: a decoder that skipped a trailing byte would fail here.
+// Hello is exempt, as documented: it ignores bytes past its fields.
 func FuzzReadFrame(f *testing.F) {
 	rng := rand.New(rand.NewSource(42))
 	seeds := []any{
@@ -32,6 +35,10 @@ func FuzzReadFrame(f *testing.F) {
 		&StatsRequest{},
 		&StatsResponse{Images: 3, BytesReceived: 12345},
 		&ErrorResponse{Message: "boom"},
+		&TelemetryPush{Snapshot: []byte(`{"counters":{}}`)},
+		&TelemetryAck{},
+		&UploadBatchRequest{Nonce: 4, Items: []UploadBatchItem{{Set: randomSet(rng, 1), GroupID: 2, Blob: []byte("blob")}}},
+		&UploadBatchResponse{IDs: []int64{4, 5}},
 		&BusyResponse{RetryAfterMs: 250},
 		&Hello{Version: ProtocolVersion, Features: FeatureBlocks},
 		&BlockQuery{Hashes: []blockstore.Hash{blockstore.HashBlock([]byte("seed"))}},
@@ -54,7 +61,9 @@ func FuzzReadFrame(f *testing.F) {
 		},
 	}
 	for _, msg := range seeds {
-		f.Add(encodeFrame(f, msg))
+		frame := encodeFrame(f, msg)
+		f.Add(frame)
+		f.Add(withTrailingByte(frame))
 	}
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, byte(MsgQueryRequest)})
 	f.Add([]byte{4, 0, 0, 0, byte(MsgQueryRequest), 0xff, 0xff, 0xff, 0xff})
@@ -68,8 +77,70 @@ func FuzzReadFrame(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if err := WriteFrame(io.Discard, msg); err != nil {
-			t.Fatalf("decoded message %T does not re-encode: %v", msg, err)
+		frame := data[:5+binary.LittleEndian.Uint32(data)]
+		if _, hello := msg.(*Hello); hello {
+			return
+		}
+		if re := encodeFrame(t, msg); !bytes.Equal(re, frame) {
+			t.Fatalf("decoded %T re-encodes differently\n got %x\nwant %x", msg, re, frame)
+		}
+	})
+}
+
+// withTrailingByte returns a copy of frame with one byte appended to its
+// payload and the length field grown to match.
+func withTrailingByte(frame []byte) []byte {
+	out := append(append([]byte(nil), frame...), 0xa5)
+	binary.LittleEndian.PutUint32(out, uint32(len(out)-5))
+	return out
+}
+
+// trailingByteFix names the message types whose hand-written decoders
+// accepted trailing bytes; DecodePayload rejects them.
+var trailingByteFix = map[MsgType]bool{MsgQueryRequest: true, MsgQueryResponse: true, MsgStatsRequest: true}
+
+// FuzzDecodeMatchesRef checks DecodePayload against decodePayloadRef,
+// the hand-written decoders it replaced. The input is a frame: byte 4
+// is the message type and everything past the 5-byte header is the
+// payload (the length field is not read). Both must accept and reject
+// the same inputs, and accepted messages must be equal, compared through
+// their re-encoded payloads so that NaNs compare equal. The one allowed
+// divergence is the trailing-byte fix: for the types in trailingByteFix
+// the oracle accepts a payload with bytes past the message, and
+// DecodePayload rejects it. Seeded with every frames.golden frame, each
+// also with one trailing byte and with its last byte cut.
+func FuzzDecodeMatchesRef(f *testing.F) {
+	for _, h := range readGolden(f) {
+		frame, err := hex.DecodeString(h)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(frame)
+		f.Add(withTrailingByte(frame))
+		f.Add(frame[:len(frame)-1])
+	}
+	f.Fuzz(func(t *testing.T, frame []byte) {
+		if len(frame) < 5 {
+			return
+		}
+		typ, payload := MsgType(frame[4]), frame[5:]
+		got, err := DecodePayload(typ, payload)
+		want, refErr := decodePayloadRef(typ, payload)
+		if refErr != nil {
+			if err == nil {
+				t.Fatalf("type %d: DecodePayload accepts what the oracle rejects (%v)", typ, refErr)
+			}
+			return
+		}
+		wantPayload := encodePayload(t, want)
+		if err != nil {
+			if trailingByteFix[typ] && len(wantPayload) < len(payload) && bytes.HasPrefix(payload, wantPayload) {
+				return
+			}
+			t.Fatalf("type %d: DecodePayload rejects what the oracle accepts: %v", typ, err)
+		}
+		if gotPayload := encodePayload(t, got); !bytes.Equal(gotPayload, wantPayload) {
+			t.Fatalf("type %d: decoded messages differ\n got %x\nwant %x", typ, gotPayload, wantPayload)
 		}
 	})
 }
@@ -119,7 +190,7 @@ func FuzzBlockManifest(f *testing.F) {
 					i, len(m.Items[i].Hashes), len(payload))
 			}
 		}
-		if re := encodeManifestCommit(m); !bytes.Equal(re, payload) {
+		if re := encodePayload(t, m); !bytes.Equal(re, payload) {
 			t.Fatalf("re-encode altered payload\n got %x\nwant %x", re, payload)
 		}
 	})
@@ -151,7 +222,7 @@ func FuzzBlockPut(f *testing.F) {
 		if total > len(payload) {
 			t.Fatalf("decoded %d block bytes from a %d-byte payload", total, len(payload))
 		}
-		if re := encodeBlockPut(p); !bytes.Equal(re, payload) {
+		if re := encodePayload(t, p); !bytes.Equal(re, payload) {
 			t.Fatalf("re-encode altered payload\n got %x\nwant %x", re, payload)
 		}
 	})
@@ -216,7 +287,7 @@ func FuzzShardRoute(f *testing.F) {
 		if total > len(payload) {
 			t.Fatalf("decoded %d content bytes from a %d-byte payload", total, len(payload))
 		}
-		if re := encodeShardRoute(m); !bytes.Equal(re, payload) {
+		if re := encodePayload(t, m); !bytes.Equal(re, payload) {
 			t.Fatalf("re-encode altered payload\n got %x\nwant %x", re, payload)
 		}
 	})
@@ -249,7 +320,7 @@ func FuzzShardSync(f *testing.F) {
 		if total > len(payload) {
 			t.Fatalf("decoded %d content bytes from a %d-byte payload", total, len(payload))
 		}
-		if re := encodeShardSyncResponse(m); !bytes.Equal(re, payload) {
+		if re := encodePayload(t, m); !bytes.Equal(re, payload) {
 			t.Fatalf("re-encode altered payload\n got %x\nwant %x", re, payload)
 		}
 	})
@@ -286,7 +357,7 @@ func FuzzShardQuery(f *testing.F) {
 		if held > len(payload) {
 			t.Fatalf("decoder holds room for %d content bytes from a %d-byte payload", held, len(payload))
 		}
-		if re := encodeShardQuery(m); !bytes.Equal(re, payload) {
+		if re := encodePayload(t, m); !bytes.Equal(re, payload) {
 			t.Fatalf("re-encode altered payload\n got %x\nwant %x", re, payload)
 		}
 	})

@@ -138,7 +138,7 @@ func goldenFrames() []struct {
 
 func goldenPath() string { return filepath.Join("testdata", "frames.golden") }
 
-func readGolden(t *testing.T) map[string]string {
+func readGolden(t testing.TB) map[string]string {
 	t.Helper()
 	f, err := os.Open(goldenPath())
 	if err != nil {

@@ -6,12 +6,21 @@
 // Frame layout: [u32 payload length][u8 message type][payload].
 // Integers are little-endian. Descriptors travel as raw 32-byte blocks.
 //
+// One codec (codec.go): every payload is read through Reader, a
+// bounds-checked cursor, and written through the append helpers beside
+// it. The server's WAL records and snapshot stream and the outbox's
+// chunk files use the same Reader and helpers, so all four formats share
+// one set of bounds checks.
+//
 // Limits and safety: a frame's announced payload length is capped at
-// MaxFrameBytes; decoders never allocate more than the received payload
-// can actually describe, so a malformed count field cannot force a large
-// allocation. Every decoder rejects truncated or trailing-garbage input
-// with an error rather than a panic, and a decode error is grounds for
-// the receiver to drop the connection (the stream may be desynchronized).
+// MaxFrameBytes; a count field that the rest of the payload cannot hold
+// is rejected before anything is allocated, so a malformed count cannot
+// force a large allocation. Every decoder rejects truncated input and
+// trailing bytes with an error rather than a panic — except Hello, which
+// ignores bytes past the fields it knows so a later revision can append
+// fields. The error names the message type, and a decode error is
+// grounds for the receiver to drop the connection (the stream may be
+// desynchronized).
 //
 // Retry semantics: the protocol itself is a strict one-request/
 // one-response alternation per connection. Queries and stats requests
@@ -41,7 +50,6 @@
 package wire
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -170,63 +178,15 @@ type TelemetryPush struct {
 // TelemetryAck acknowledges a TelemetryPush.
 type TelemetryAck struct{}
 
-// WriteFrame encodes a message and writes one frame.
+// WriteFrame encodes a message and writes one frame: the header, then
+// the payload.
 func WriteFrame(w io.Writer, msg any) error {
-	var typ MsgType
-	var payload []byte
-	switch m := msg.(type) {
-	case *QueryRequest:
-		typ, payload = MsgQueryRequest, encodeQueryRequest(m)
-	case *QueryResponse:
-		typ, payload = MsgQueryResponse, encodeQueryResponse(m)
-	case *StatsRequest:
-		typ, payload = MsgStatsRequest, nil
-	case *StatsResponse:
-		typ = MsgStatsResponse
-		payload = append(encodeU64(uint64(m.Images)), encodeU64(uint64(m.BytesReceived))...)
-	case *ErrorResponse:
-		typ, payload = MsgError, []byte(m.Message)
-	case *TelemetryPush:
-		typ, payload = MsgTelemetryPush, m.Snapshot
-	case *TelemetryAck:
-		typ, payload = MsgTelemetryAck, nil
-	case *UploadBatchRequest:
-		typ, payload = MsgUploadBatchRequest, encodeUploadBatchRequest(m)
-	case *UploadBatchResponse:
-		typ, payload = MsgUploadBatchResponse, encodeUploadBatchResponse(m)
-	case *BusyResponse:
-		typ, payload = MsgBusy, binary.LittleEndian.AppendUint32(nil, m.RetryAfterMs)
-	case *Hello:
-		typ, payload = MsgHello, encodeHello(m)
-	case *BlockQuery:
-		typ, payload = MsgBlockQuery, encodeBlockQuery(m)
-	case *BlockQueryResponse:
-		typ, payload = MsgBlockQueryResponse, encodeBlockQueryResponse(m)
-	case *BlockPut:
-		typ, payload = MsgBlockPut, encodeBlockPut(m)
-	case *BlockPutResponse:
-		typ, payload = MsgBlockPutResponse, encodeBlockPutResponse(m)
-	case *ManifestCommit:
-		typ, payload = MsgManifestCommit, encodeManifestCommit(m)
-	case *ManifestCommitResponse:
-		typ, payload = MsgManifestCommitResponse, encodeManifestCommitResponse(m)
-	case *ShardRoute:
-		typ, payload = MsgShardRoute, encodeShardRoute(m)
-	case *ShardRouteResponse:
-		typ, payload = MsgShardRouteResponse, encodeShardRouteResponse(m)
-	case *ShardQuery:
-		typ, payload = MsgShardQuery, encodeShardQuery(m)
-	case *ShardQueryResponse:
-		typ, payload = MsgShardQueryResponse, encodeShardQueryResponse(m)
-	case *ShardSync:
-		typ, payload = MsgShardSync, encodeShardSync(m)
-	case *ShardSyncResponse:
-		typ, payload = MsgShardSyncResponse, encodeShardSyncResponse(m)
-	default:
-		return fmt.Errorf("%w: %T", ErrUnencodable, msg)
+	typ, payload, err := encode(msg)
+	if err != nil {
+		return err
 	}
 	header := make([]byte, 5)
-	binary.LittleEndian.PutUint32(header, uint32(len(payload)))
+	le.PutUint32(header, uint32(len(payload)))
 	header[4] = byte(typ)
 	if _, err := w.Write(header); err != nil {
 		return fmt.Errorf("wire: write header: %w", err)
@@ -237,6 +197,105 @@ func WriteFrame(w io.Writer, msg any) error {
 		}
 	}
 	return nil
+}
+
+// encode returns a message's type and payload.
+func encode(msg any) (MsgType, []byte, error) {
+	var typ MsgType
+	var b []byte
+	switch m := msg.(type) {
+	case *QueryRequest:
+		typ, b = MsgQueryRequest, appendSets(b, m.Sets)
+	case *QueryResponse:
+		typ, b = MsgQueryResponse, le.AppendUint32(b, uint32(len(m.MaxSims)))
+		for _, s := range m.MaxSims {
+			b = le.AppendUint64(b, math.Float64bits(s))
+		}
+	case *StatsRequest:
+		typ = MsgStatsRequest
+	case *StatsResponse:
+		typ, b = MsgStatsResponse, le.AppendUint64(le.AppendUint64(b, uint64(m.Images)), uint64(m.BytesReceived))
+	case *ErrorResponse:
+		typ, b = MsgError, append(b, m.Message...)
+	case *TelemetryPush:
+		typ, b = MsgTelemetryPush, m.Snapshot
+	case *TelemetryAck:
+		typ = MsgTelemetryAck
+	case *UploadBatchRequest:
+		typ, b = MsgUploadBatchRequest, le.AppendUint64(b, m.Nonce)
+		b = le.AppendUint32(b, uint32(len(m.Items)))
+		for i := range m.Items {
+			it := &m.Items[i]
+			b = le.AppendUint64(b, uint64(it.GroupID))
+			b = le.AppendUint64(b, math.Float64bits(it.Lat))
+			b = le.AppendUint64(b, math.Float64bits(it.Lon))
+			b = le.AppendUint64(b, math.Float64bits(it.Gain))
+			b = AppendSet(b, it.Set)
+			b = append(le.AppendUint32(b, uint32(len(it.Blob))), it.Blob...)
+		}
+	case *UploadBatchResponse:
+		typ, b = MsgUploadBatchResponse, appendIDs(b, m.IDs)
+	case *BusyResponse:
+		typ, b = MsgBusy, le.AppendUint32(b, m.RetryAfterMs)
+	case *Hello:
+		typ, b = MsgHello, le.AppendUint64(le.AppendUint32(b, m.Version), m.Features)
+	case *BlockQuery:
+		typ, b = MsgBlockQuery, AppendHashes(b, m.Hashes)
+	case *BlockQueryResponse:
+		typ, b = MsgBlockQueryResponse, appendBitmap(b, m.Have)
+	case *BlockPut:
+		typ, b = MsgBlockPut, appendBlocks(b, m.Blocks)
+	case *BlockPutResponse:
+		typ, b = MsgBlockPutResponse, le.AppendUint32(le.AppendUint32(b, m.Stored), m.Dup)
+	case *ManifestCommit:
+		typ, b = MsgManifestCommit, appendManifestItems(le.AppendUint64(b, m.Nonce), m.Items)
+	case *ManifestCommitResponse:
+		typ, b = MsgManifestCommitResponse, appendIDs(b, m.IDs)
+	case *ShardRoute:
+		typ, b = MsgShardRoute, le.AppendUint64(b, m.Nonce)
+		b = le.AppendUint32(b, m.Shard)
+		b = le.AppendUint32(b, m.Flags)
+		b = appendIDs(b, m.IDs)
+		b = AppendHashes(b, m.Query)
+		b = appendBlocks(b, m.Blocks)
+		b = appendManifestItems(b, m.Items)
+	case *ShardRouteResponse:
+		typ, b = MsgShardRouteResponse, appendIDs(appendBitmap(b, m.Have), m.IDs)
+	case *ShardQuery:
+		typ, b = MsgShardQuery, le.AppendUint32(b, uint32(len(m.Shards)))
+		for _, s := range m.Shards {
+			b = le.AppendUint32(b, s)
+		}
+		b = appendSets(le.AppendUint32(b, m.Limit), m.Sets)
+	case *ShardQueryResponse:
+		typ, b = MsgShardQueryResponse, le.AppendUint32(b, uint32(len(m.Stats)))
+		for _, st := range m.Stats {
+			b = le.AppendUint32(b, st.Shard)
+			b = le.AppendUint64(b, uint64(st.Images))
+			b = le.AppendUint64(b, uint64(st.Bytes))
+			b = le.AppendUint64(b, uint64(st.NextID))
+		}
+		b = le.AppendUint32(b, uint32(len(m.PerSet)))
+		for _, cands := range m.PerSet {
+			b = le.AppendUint32(b, uint32(len(cands)))
+			for _, c := range cands {
+				b = le.AppendUint64(b, uint64(c.ID))
+				b = le.AppendUint32(b, c.Votes)
+				b = le.AppendUint64(b, math.Float64bits(c.Sim))
+			}
+		}
+	case *ShardSync:
+		typ, b = MsgShardSync, le.AppendUint32(b, m.Shard)
+	case *ShardSyncResponse:
+		typ, b = MsgShardSyncResponse, append(le.AppendUint32(b, uint32(len(m.Snapshot))), m.Snapshot...)
+		b = le.AppendUint32(b, uint32(len(m.Nonces)))
+		for _, e := range m.Nonces {
+			b = appendIDs(le.AppendUint64(b, e.Nonce), e.IDs)
+		}
+	default:
+		return 0, nil, fmt.Errorf("%w: %T", ErrUnencodable, msg)
+	}
+	return typ, b, nil
 }
 
 // ReadFrame reads one frame and decodes its message.
@@ -262,260 +321,113 @@ func ReadHeader(r io.Reader) (MsgType, int, error) {
 	if _, err := io.ReadFull(r, header); err != nil {
 		return 0, 0, err
 	}
-	n := binary.LittleEndian.Uint32(header)
+	n := le.Uint32(header)
 	if n > MaxFrameBytes {
 		return 0, 0, ErrFrameTooLarge
 	}
 	return MsgType(header[4]), int(n), nil
 }
 
-// DecodePayload decodes one frame payload of the given type.
+// DecodePayload decodes one frame payload of the given type. Byte slices
+// in the message (block data, blobs, snapshots) alias payload.
 func DecodePayload(typ MsgType, payload []byte) (any, error) {
+	r := NewReader(payload)
+	var msg any
 	switch typ {
 	case MsgQueryRequest:
-		return decodeQueryRequest(payload)
+		msg = &QueryRequest{Sets: r.sets()}
 	case MsgQueryResponse:
-		return decodeQueryResponse(payload)
+		m := &QueryResponse{MaxSims: make([]float64, r.Count(8))}
+		for i := range m.MaxSims {
+			m.MaxSims[i] = r.F64()
+		}
+		msg = m
 	case MsgStatsRequest:
-		return &StatsRequest{}, nil
+		msg = &StatsRequest{}
 	case MsgStatsResponse:
-		if len(payload) != 16 {
-			return nil, errors.New("wire: bad stats response")
-		}
-		return &StatsResponse{
-			Images:        int64(binary.LittleEndian.Uint64(payload)),
-			BytesReceived: int64(binary.LittleEndian.Uint64(payload[8:])),
-		}, nil
+		msg = &StatsResponse{Images: int64(r.U64()), BytesReceived: int64(r.U64())}
 	case MsgError:
-		return &ErrorResponse{Message: string(payload)}, nil
+		msg = &ErrorResponse{Message: string(r.rest())}
 	case MsgTelemetryPush:
-		return &TelemetryPush{Snapshot: payload}, nil
+		msg = &TelemetryPush{Snapshot: r.rest()}
 	case MsgTelemetryAck:
-		if len(payload) != 0 {
-			return nil, errors.New("wire: bad telemetry ack")
-		}
-		return &TelemetryAck{}, nil
+		msg = &TelemetryAck{}
 	case MsgUploadBatchRequest:
-		return decodeUploadBatchRequest(payload)
-	case MsgUploadBatchResponse:
-		return decodeUploadBatchResponse(payload)
-	case MsgBusy:
-		if len(payload) != 4 {
-			return nil, errors.New("wire: bad busy response")
+		m := &UploadBatchRequest{Nonce: r.U64()}
+		m.Items = make([]UploadBatchItem, r.Count(minUploadBatchItemBytes))
+		for i := 0; i < len(m.Items) && r.err == nil; i++ {
+			m.Items[i] = UploadBatchItem{GroupID: int64(r.U64()), Lat: r.F64(), Lon: r.F64(), Gain: r.F64(),
+				Set: r.set(), Blob: r.Bytes(int(r.U32()))}
 		}
-		return &BusyResponse{RetryAfterMs: binary.LittleEndian.Uint32(payload)}, nil
+		msg = m
+	case MsgUploadBatchResponse:
+		msg = &UploadBatchResponse{IDs: r.ids()}
+	case MsgBusy:
+		msg = &BusyResponse{RetryAfterMs: r.U32()}
 	case MsgHello:
-		return decodeHello(payload)
+		msg = &Hello{Version: r.U32(), Features: r.U64()}
+		// Bytes past the known fields are ignored: a later revision may
+		// append fields, and an old receiver must still read its part.
+		r.rest()
 	case MsgBlockQuery:
-		return decodeBlockQuery(payload)
+		msg = &BlockQuery{Hashes: r.Hashes()}
 	case MsgBlockQueryResponse:
-		return decodeBlockQueryResponse(payload)
+		msg = &BlockQueryResponse{Have: r.bitmap()}
 	case MsgBlockPut:
-		return decodeBlockPut(payload)
+		msg = &BlockPut{Blocks: r.blocks()}
 	case MsgBlockPutResponse:
-		return decodeBlockPutResponse(payload)
+		msg = &BlockPutResponse{Stored: r.U32(), Dup: r.U32()}
 	case MsgManifestCommit:
-		return decodeManifestCommit(payload)
+		msg = &ManifestCommit{Nonce: r.U64(), Items: r.manifestItems()}
 	case MsgManifestCommitResponse:
-		return decodeManifestCommitResponse(payload)
+		msg = &ManifestCommitResponse{IDs: r.ids()}
 	case MsgShardRoute:
-		return decodeShardRoute(payload)
+		m := &ShardRoute{Nonce: r.U64(), Shard: r.U32(), Flags: r.U32(),
+			IDs: r.ids(), Query: r.Hashes(), Blocks: r.blocks(), Items: r.manifestItems()}
+		// Every committed item needs its router-assigned ID; a frame where
+		// the two lists disagree cannot be applied, so the handler never
+		// sees one.
+		if len(m.IDs) != len(m.Items) {
+			r.fail(errors.New("id/item count mismatch"))
+		}
+		msg = m
 	case MsgShardRouteResponse:
-		return decodeShardRouteResponse(payload)
+		msg = &ShardRouteResponse{Have: r.bitmap(), IDs: r.ids()}
 	case MsgShardQuery:
-		return decodeShardQuery(payload)
+		m := &ShardQuery{Shards: make([]uint32, r.Count(4))}
+		for i := range m.Shards {
+			m.Shards[i] = r.U32()
+		}
+		m.Limit, m.Sets = r.U32(), r.sets()
+		msg = m
 	case MsgShardQueryResponse:
-		return decodeShardQueryResponse(payload)
+		m := &ShardQueryResponse{Stats: make([]ShardStat, r.Count(shardStatBytes))}
+		for i := range m.Stats {
+			m.Stats[i] = ShardStat{Shard: r.U32(), Images: int64(r.U64()), Bytes: int64(r.U64()), NextID: int64(r.U64())}
+		}
+		m.PerSet = make([][]ShardCandidate, r.Count(4))
+		for i := 0; i < len(m.PerSet) && r.err == nil; i++ {
+			cands := make([]ShardCandidate, r.Count(shardCandidateBytes))
+			for j := range cands {
+				cands[j] = ShardCandidate{ID: int64(r.U64()), Votes: r.U32(), Sim: r.F64()}
+			}
+			m.PerSet[i] = cands
+		}
+		msg = m
 	case MsgShardSync:
-		return decodeShardSync(payload)
+		msg = &ShardSync{Shard: r.U32()}
 	case MsgShardSyncResponse:
-		return decodeShardSyncResponse(payload)
+		m := &ShardSyncResponse{Snapshot: r.Bytes(int(r.U32()))}
+		m.Nonces = make([]NonceEntry, r.Count(minNonceEntryBytes))
+		for i := 0; i < len(m.Nonces) && r.err == nil; i++ {
+			m.Nonces[i] = NonceEntry{Nonce: r.U64(), IDs: r.ids()}
+		}
+		msg = m
 	default:
 		return nil, fmt.Errorf("wire: unknown message type %d", typ)
 	}
-}
-
-func encodeU64(v uint64) []byte {
-	b := make([]byte, 8)
-	binary.LittleEndian.PutUint64(b, v)
-	return b
-}
-
-func encodeSet(buf []byte, set *features.BinarySet) []byte {
-	n := set.Len()
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(n))
-	for _, d := range set.Descriptors {
-		for _, w := range d {
-			buf = binary.LittleEndian.AppendUint64(buf, w)
-		}
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("wire: decode %T: %w", msg, err)
 	}
-	return buf
-}
-
-func decodeSet(payload []byte) (*features.BinarySet, []byte, error) {
-	if len(payload) < 4 {
-		return nil, nil, errors.New("wire: truncated set header")
-	}
-	n := int(binary.LittleEndian.Uint32(payload))
-	payload = payload[4:]
-	if len(payload) < n*32 {
-		return nil, nil, errors.New("wire: truncated descriptors")
-	}
-	set := &features.BinarySet{Descriptors: make([]features.Descriptor, n)}
-	for i := 0; i < n; i++ {
-		for w := 0; w < 4; w++ {
-			set.Descriptors[i][w] = binary.LittleEndian.Uint64(payload[i*32+w*8:])
-		}
-	}
-	return set, payload[n*32:], nil
-}
-
-func encodeQueryRequest(m *QueryRequest) []byte {
-	buf := binary.LittleEndian.AppendUint32(nil, uint32(len(m.Sets)))
-	for _, s := range m.Sets {
-		buf = encodeSet(buf, s)
-	}
-	return buf
-}
-
-func decodeQueryRequest(payload []byte) (*QueryRequest, error) {
-	if len(payload) < 4 {
-		return nil, errors.New("wire: truncated query request")
-	}
-	n := int(binary.LittleEndian.Uint32(payload))
-	payload = payload[4:]
-	// The count is attacker-controlled; cap the preallocation by what the
-	// remaining payload could possibly hold (each set needs at least a
-	// 4-byte descriptor count) so a tiny frame cannot demand gigabytes.
-	prealloc := n
-	if max := len(payload) / 4; prealloc > max {
-		prealloc = max
-	}
-	req := &QueryRequest{Sets: make([]*features.BinarySet, 0, prealloc)}
-	for i := 0; i < n; i++ {
-		set, rest, err := decodeSet(payload)
-		if err != nil {
-			return nil, err
-		}
-		req.Sets = append(req.Sets, set)
-		payload = rest
-	}
-	return req, nil
-}
-
-func encodeQueryResponse(m *QueryResponse) []byte {
-	buf := binary.LittleEndian.AppendUint32(nil, uint32(len(m.MaxSims)))
-	for _, s := range m.MaxSims {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(s))
-	}
-	return buf
-}
-
-func decodeQueryResponse(payload []byte) (*QueryResponse, error) {
-	if len(payload) < 4 {
-		return nil, errors.New("wire: truncated query response")
-	}
-	n := int(binary.LittleEndian.Uint32(payload))
-	if len(payload) < 4+8*n {
-		return nil, errors.New("wire: truncated similarities")
-	}
-	resp := &QueryResponse{MaxSims: make([]float64, n)}
-	for i := 0; i < n; i++ {
-		resp.MaxSims[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[4+8*i:]))
-	}
-	return resp, nil
-}
-
-func encodeUploadBatchRequest(m *UploadBatchRequest) []byte {
-	buf := encodeU64(m.Nonce)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(m.Items)))
-	for i := range m.Items {
-		it := &m.Items[i]
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(it.GroupID))
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(it.Lat))
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(it.Lon))
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(it.Gain))
-		set := it.Set
-		if set == nil {
-			set = &features.BinarySet{}
-		}
-		buf = encodeSet(buf, set)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(it.Blob)))
-		buf = append(buf, it.Blob...)
-	}
-	return buf
-}
-
-// minUploadBatchItemBytes is the smallest encodable item: four u64
-// fields, an empty descriptor set header, an empty blob header.
-const minUploadBatchItemBytes = 8 + 8 + 8 + 8 + 4 + 4
-
-func decodeUploadBatchRequest(payload []byte) (*UploadBatchRequest, error) {
-	if len(payload) < 12 {
-		return nil, errors.New("wire: truncated upload batch request")
-	}
-	req := &UploadBatchRequest{Nonce: binary.LittleEndian.Uint64(payload)}
-	n := int(binary.LittleEndian.Uint32(payload[8:]))
-	payload = payload[12:]
-	// The count is attacker-controlled; cap the preallocation by what the
-	// remaining payload could actually hold.
-	prealloc := n
-	if max := len(payload) / minUploadBatchItemBytes; prealloc > max {
-		prealloc = max
-	}
-	req.Items = make([]UploadBatchItem, 0, prealloc)
-	for i := 0; i < n; i++ {
-		if len(payload) < 32 {
-			return nil, errors.New("wire: truncated upload batch item")
-		}
-		it := UploadBatchItem{
-			GroupID: int64(binary.LittleEndian.Uint64(payload)),
-			Lat:     math.Float64frombits(binary.LittleEndian.Uint64(payload[8:])),
-			Lon:     math.Float64frombits(binary.LittleEndian.Uint64(payload[16:])),
-			Gain:    math.Float64frombits(binary.LittleEndian.Uint64(payload[24:])),
-		}
-		set, rest, err := decodeSet(payload[32:])
-		if err != nil {
-			return nil, err
-		}
-		it.Set = set
-		if len(rest) < 4 {
-			return nil, errors.New("wire: truncated batch blob header")
-		}
-		blobLen := int(binary.LittleEndian.Uint32(rest))
-		rest = rest[4:]
-		if len(rest) < blobLen {
-			return nil, errors.New("wire: truncated batch blob")
-		}
-		it.Blob = rest[:blobLen:blobLen]
-		payload = rest[blobLen:]
-		req.Items = append(req.Items, it)
-	}
-	if len(payload) != 0 {
-		return nil, errors.New("wire: trailing bytes after upload batch")
-	}
-	return req, nil
-}
-
-func encodeUploadBatchResponse(m *UploadBatchResponse) []byte {
-	buf := binary.LittleEndian.AppendUint32(nil, uint32(len(m.IDs)))
-	for _, id := range m.IDs {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(id))
-	}
-	return buf
-}
-
-func decodeUploadBatchResponse(payload []byte) (*UploadBatchResponse, error) {
-	if len(payload) < 4 {
-		return nil, errors.New("wire: truncated upload batch response")
-	}
-	n := int(binary.LittleEndian.Uint32(payload))
-	if len(payload) != 4+8*n {
-		return nil, errors.New("wire: bad upload batch response length")
-	}
-	resp := &UploadBatchResponse{IDs: make([]int64, n)}
-	for i := 0; i < n; i++ {
-		resp.IDs[i] = int64(binary.LittleEndian.Uint64(payload[4+8*i:]))
-	}
-	return resp, nil
+	return msg, nil
 }
