@@ -123,13 +123,17 @@ func TestPreparedMatchesReferenceQuick(t *testing.T) {
 	// testing/quick drives the instance generator: sizes (incl. 0/1,
 	// equal, skewed), base-pool entropy, and radius all derive from the
 	// fuzzed integers.
-	f := func(seed int64, na, nb uint8, bases uint8, radius int16) bool {
+	f := func(seed int64, na, nb uint8, bases uint8, radius int16, need uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		a := randSet(rng, int(na)%48, 1+int(bases)%6)
 		b := randSet(rng, int(nb)%48, 1+int(bases)%6)
 		r := int(radius) % 280
 		pa, pb := a.Prepare(), b.Prepare()
-		if MatchPrepared(pa, pb, r) != matchBinaryRef(a, b, r) {
+		want := matchBinaryRef(a, b, r)
+		if MatchPrepared(pa, pb, r) != want {
+			return false
+		}
+		if !atLeastHolds(pa, pb, r, int(need)%(min(a.Len(), b.Len())+3), want) {
 			return false
 		}
 		gotAB := nearestPrepared(pa, pb, r)
@@ -144,6 +148,17 @@ func TestPreparedMatchesReferenceQuick(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// atLeastHolds reports whether MatchPreparedAtLeast(pa, pb, r, need)
+// keeps its contract against the reference count want: exact when want
+// reaches need, below need otherwise.
+func atLeastHolds(pa, pb *PreparedBinarySet, r, need, want int) bool {
+	got := MatchPreparedAtLeast(pa, pb, r, need)
+	if want >= need {
+		return got == want
+	}
+	return got < need
 }
 
 func TestPreparedMatchesReferenceOnExtractedSets(t *testing.T) {

@@ -2,9 +2,10 @@ package features
 
 // FuzzMatchBinary drives the prepared kernel and the brute-force oracle
 // with arbitrary descriptor bytes, set splits, and radii, asserting they
-// never diverge and never panic. The seed corpus in
-// testdata/fuzz/FuzzMatchBinary runs as part of the normal test suite;
-// `make fuzz` explores beyond it.
+// never diverge and never panic, and that the thresholded kernel keeps
+// its contract at a threshold drawn from the same input. The seed corpus
+// in testdata/fuzz/FuzzMatchBinary runs as part of the normal test
+// suite; `make fuzz` explores beyond it.
 
 import (
 	"encoding/binary"
@@ -48,6 +49,13 @@ func FuzzMatchBinary(f *testing.F) {
 		if got := MatchPrepared(pa, pb, radius); got != want {
 			t.Fatalf("MatchPrepared = %d, reference %d (na=%d nb=%d r=%d)",
 				got, want, a.Len(), b.Len(), radius)
+		}
+		// The threshold is drawn from the input over [0, min(na, nb)+2],
+		// so it lands below, at and above the true count.
+		need := (int(split) ^ radius&0xff) % (min(a.Len(), b.Len()) + 3)
+		if !atLeastHolds(pa, pb, radius, need, want) {
+			t.Fatalf("MatchPreparedAtLeast(need=%d) = %d breaks its contract, reference %d (na=%d nb=%d r=%d)",
+				need, MatchPreparedAtLeast(pa, pb, radius, need), want, a.Len(), b.Len(), radius)
 		}
 		if got := MatchBinary(a, b, radius); got != want {
 			t.Fatalf("MatchBinary = %d, reference %d", got, want)

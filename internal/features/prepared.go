@@ -38,7 +38,10 @@ package features
 //     that upper-bounds the reverse search. Reverse queries start from
 //     that bound, so the popcount and first-word filters reject almost
 //     everything immediately; unmatched descriptors are never reverse-
-//     searched at all.
+//     searched at all. A caller that only asks whether the count reaches
+//     a threshold (MatchPreparedAtLeast) also stops the forward pass
+//     once the threshold is out of reach, and skips the reverse pass
+//     when too few descriptors won a forward match.
 
 import "math/bits"
 
@@ -315,11 +318,22 @@ func (p *PreparedBinarySet) queryBands(i, hammingMax int, to *PreparedBinarySet)
 // bit-identical to matchBinaryRef for every input (the differential and
 // fuzz suites pin this).
 func MatchPrepared(a, b *PreparedBinarySet, hammingMax int) int {
+	return MatchPreparedAtLeast(a, b, hammingMax, 0)
+}
+
+// MatchPreparedAtLeast is MatchPrepared for a caller that only needs to
+// know whether the match count reaches need: it returns the exact count
+// when that is ≥ need, and some value < need otherwise. Every descriptor
+// of a adds at most one match, and a mutual match needs a forward one,
+// so the forward pass stops once the matches found plus the descriptors
+// left cannot reach need, and the reverse pass runs only when enough
+// distinct forward targets exist. need ≤ 0 computes the exact count.
+func MatchPreparedAtLeast(a, b *PreparedBinarySet, hammingMax, need int) int {
 	n, m := a.Len(), b.Len()
 	if n == 0 || m == 0 {
 		return 0
 	}
-	if hammingMax < 0 || hammingMax+1 <= 0 {
+	if hammingMax < 0 || hammingMax+1 <= 0 || need > min(n, m) {
 		return 0
 	}
 	// One buffer serves the whole cross-check: forward results, per-target
@@ -328,26 +342,41 @@ func MatchPrepared(a, b *PreparedBinarySet, hammingMax int) int {
 	// millions of times.
 	buf := make([]int32, n+3*m)
 	bestAB, wDist, wIdx, revBest := buf[:n], buf[n:n+m], buf[n+m:n+2*m], buf[n+2*m:]
+	forward := 0
 	for i := range a.Set.Descriptors {
+		if forward+n-i < need {
+			return forward
+		}
 		bestAB[i] = int32(b.nearestOne(&a.Set.Descriptors[i], a.queryBands(i, hammingMax, b),
 			int(a.pop[i]), hammingMax, hammingMax+1, -1))
+		if bestAB[i] >= 0 {
+			forward++
+		}
 	}
 	// The count only reads the reverse nearest neighbor of js that won a
 	// forward match, so reverse-search exactly those — seeded with the
 	// best forward witness (lexicographic min of (distance, index) over
 	// the is that chose j), which the seeded search provably refines to
-	// the true reverse nearest neighbor.
+	// the true reverse nearest neighbor. Each such j confirms at most
+	// one match, so fewer than need of them settle the answer.
 	for j := range wIdx {
 		wIdx[j] = -1
 	}
+	targets := 0
 	for i, j := range bestAB {
 		if j < 0 {
 			continue
 		}
 		h := int32(hammingAtMost(&a.Set.Descriptors[i], b, int(j), 256))
+		if wIdx[j] < 0 {
+			targets++
+		}
 		if wIdx[j] < 0 || h < wDist[j] {
 			wDist[j], wIdx[j] = h, int32(i)
 		}
+	}
+	if targets < need {
+		return targets
 	}
 	for j := range revBest {
 		if wIdx[j] < 0 {

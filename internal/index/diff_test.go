@@ -89,14 +89,24 @@ func TestExhaustiveMaxMatchesReference(t *testing.T) {
 // reference through the same random interleaving of Add, AddBatch,
 // re-adds and queries, with the IDs split over several indexes, and
 // requires identical answers from CandidatesAcross (IDs, votes, float
-// bits), QueryTopK and QueryMaxBatch. Re-adds run only against a
+// bits), QueryTopK and QueryMaxBatch, and QueryMax's (ID, similarity)
+// equal to the reference's QueryTopK(q, 1). Re-adds run only against a
 // one-stripe reference: a re-add skips a bucket whose newest posting is
 // already the ID, and "newest" is per stripe in the reference, so its
 // own answers then depend on the stripe count.
 func TestFlatMatchesRefDifferential(t *testing.T) {
 	c := newCorpus(t, 5, 0xd1f5)
 	sets := append(slices.Clone(c.sets), &features.BinarySet{}) // indexed, never voted for
-	queries := []*features.BinarySet{c.variantSet(0), c.sets[2], {}}
+	// Two queries repeat bucket keys far more than ORB sets do, so the
+	// flat index's once-per-bucket multiplicity walk meets the
+	// reference's once-per-key vote loop: a set holding each of its
+	// descriptors twice, and one descriptor forty times.
+	twice := &features.BinarySet{Descriptors: append(slices.Clone(c.sets[2].Descriptors), c.sets[2].Descriptors...)}
+	forty := &features.BinarySet{Descriptors: make([]features.Descriptor, 40)}
+	for i := range forty.Descriptors {
+		forty.Descriptors[i] = c.sets[3].Descriptors[0]
+	}
+	queries := []*features.BinarySet{c.variantSet(0), c.sets[2], {}, twice, forty}
 	cfg := DefaultConfig()
 	cfg.CandidateLimit = 8 // few exact re-ranks per QueryTopK
 	check := func(seed int64) bool {
@@ -134,6 +144,11 @@ func TestFlatMatchesRefDifferential(t *testing.T) {
 				}
 				if got, want := flat[p].QueryMaxBatch(queries), ref[p].QueryMaxBatch(queries); !sameBits(got, want) {
 					return fail("index %d QueryMaxBatch: got %v want %v", p, got, want)
+				}
+				for qi, q := range queries {
+					if got, want := maxOf(flat[p].QueryMax(q)), topOne(ref[p].QueryTopK(q, 1)); !sameBits(got, want) {
+						return fail("index %d query %d QueryMax: got %+v want %+v", p, qi, got, want)
+					}
 				}
 			}
 			for id, p := range home {
@@ -185,8 +200,126 @@ func TestFlatMatchesRefDifferential(t *testing.T) {
 	}
 }
 
+// best is a QueryMax answer reduced to what QueryTopK(q, 1) also says:
+// the winning ID (-1 for none) and its similarity.
+type best struct {
+	ID         ImageID
+	Similarity float64
+}
+
+func maxOf(e *Entry, sim float64) best {
+	if e == nil {
+		return best{-1, sim}
+	}
+	return best{e.ID, sim}
+}
+
+func topOne(res []Result) best {
+	if len(res) == 0 {
+		return best{-1, 0}
+	}
+	return best{res[0].ID, res[0].Similarity}
+}
+
 // sameBits reports whether a and b print identically with %#v, which
 // spells every float in its shortest round-trip form (so floats with
 // different bits print differently) and tells a nil slice from an empty
 // one.
 func sameBits(a, b any) bool { return fmt.Sprintf("%#v", a) == fmt.Sprintf("%#v", b) }
+
+// TestQueryMaxMatchesTopOne pins the max-only path's tie rule. Each
+// corpus is a few copies and near-copies of one random set under
+// shuffled IDs: exact copies tie in similarity at equal votes, and
+// copies with a few bits flipped keep their matches but move bucket
+// keys, so they tie in similarity at different votes, often with the
+// lower ID ranked later. QueryMax must name QueryTopK(q, 1)'s entry with
+// the same float bits, and QueryMaxBatch must report the maximum of the
+// QueryCandidates similarities.
+func TestQueryMaxMatchesTopOne(t *testing.T) {
+	randomSet := func(rng *rand.Rand, n int) *features.BinarySet {
+		s := &features.BinarySet{Descriptors: make([]features.Descriptor, n)}
+		for i := range s.Descriptors {
+			for w := range s.Descriptors[i] {
+				s.Descriptors[i][w] = rng.Uint64()
+			}
+		}
+		return s
+	}
+	// near copies base, dropping some descriptors when drop is set and
+	// flipping up to three bits in others, all well inside the radius.
+	near := func(rng *rand.Rand, base *features.BinarySet, drop bool) *features.BinarySet {
+		s := &features.BinarySet{}
+		for _, d := range base.Descriptors {
+			if drop && rng.Intn(4) == 0 {
+				continue
+			}
+			if rng.Intn(3) == 0 {
+				for k := rng.Intn(4); k > 0; k-- {
+					b := rng.Intn(256)
+					d[b/64] ^= 1 << (b % 64)
+				}
+			}
+			s.Descriptors = append(s.Descriptors, d)
+		}
+		return s
+	}
+	lateWins := 0 // queries whose winner tied a candidate with more votes
+	check := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		base := randomSet(rng, 8+rng.Intn(24))
+		cfg := DefaultConfig()
+		cfg.CandidateLimit = 2 + rng.Intn(8)
+		idx := New(cfg)
+		n := 4 + rng.Intn(16)
+		var sets []*features.BinarySet
+		for _, id := range rng.Perm(n) {
+			s := near(rng, base, rng.Intn(2) == 0)
+			if len(sets) > 0 && rng.Intn(3) == 0 {
+				s = sets[rng.Intn(len(sets))]
+			}
+			sets = append(sets, s)
+			idx.Add(&Entry{ID: ImageID(id), Set: s})
+		}
+		queries := []*features.BinarySet{base, near(rng, base, false), near(rng, base, true), randomSet(rng, 8)}
+		sims := idx.QueryMaxBatch(queries)
+		for qi, q := range queries {
+			e, sim := idx.QueryMax(q)
+			if got, want := maxOf(e, sim), topOne(idx.QueryTopK(q, 1)); !sameBits(got, want) {
+				t.Logf("seed %d query %d: QueryMax %+v, QueryTopK(q, 1) %+v", seed, qi, got, want)
+				return false
+			}
+			cands := idx.QueryCandidates(q, cfg.CandidateLimit)
+			top := 0.0
+			for _, c := range cands {
+				top = max(top, c.Similarity)
+			}
+			if !sameBits(sims[qi], top) {
+				t.Logf("seed %d query %d: QueryMaxBatch %v, max of candidates %v", seed, qi, sims[qi], top)
+				return false
+			}
+			if e == nil {
+				continue
+			}
+			votes := 0
+			for _, c := range cands {
+				if c.ID == e.ID {
+					votes = c.Votes
+				}
+			}
+			for _, c := range cands {
+				if c.Similarity == sim && c.Votes > votes {
+					lateWins++
+					break
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+	if lateWins == 0 {
+		t.Fatal("no winner tied a candidate with more votes: the tie rule went unexercised")
+	}
+	t.Logf("%d winners tied a candidate with more votes", lateWins)
+}

@@ -7,9 +7,17 @@
 // dense bucket directory of 2^BitsPerKey list heads, and every table's
 // postings share one append-only arena of (slot, next) cells that grows
 // in fixed-size chunks, so growth never copies under the lock. Entries
-// sit in a slot-ordered slice; a query hashes its set once and counts
-// votes in a dense per-slot array. AddBatch links a whole batch in one
-// write-lock section, so a query sees all of a commit's images or none.
+// sit in a slot-ordered slice; a query hashes its set once, sorts the
+// keys, and walks each distinct bucket once, adding the key's
+// multiplicity to a dense per-slot vote array. AddBatch links a whole
+// batch in one write-lock section, so a query sees all of a commit's
+// images or none.
+//
+// QueryMax, the CBRD query, needs one maximum rather than every
+// candidate's similarity: it scores the vote-ranked candidates against
+// the best so far with an integer match threshold, so the matcher can
+// stop a candidate as soon as it cannot win, and still returns
+// QueryTopK(set, 1)'s entry and float bit for bit.
 package index
 
 import (
@@ -211,25 +219,51 @@ func (x *Index) link(e *Entry, buckets []uint32) {
 	}
 }
 
-// Get returns the entry for id, or nil.
-func (x *Index) Get(id ImageID) *Entry {
-	x.mu.RLock()
-	defer x.mu.RUnlock()
-	if slot, ok := x.slots[id]; ok {
-		return x.entries[slot]
-	}
-	return nil
-}
-
 // QueryMax returns the indexed image with the highest Equation-2
 // similarity to the query set, or (nil, 0) when the index is empty or no
-// candidate shares a hash bucket.
+// candidate shares a hash bucket. It answers exactly as QueryTopK(set, 1)
+// — the same entry, the same float bits — but scores only against the
+// best so far: the top CandidateLimit candidates are visited in
+// (votes desc, ID asc) order, and each is asked only whether its match
+// count m beats the incumbent's bm/bu (matches over union). With a and b
+// the two set sizes, m/(a+b−m) > bm/bu exactly when
+// m > bm·(a+b)/(bm+bu), and it ties exactly when m equals that ratio, so
+// the threshold is an integer and a candidate with a lower ID than the
+// incumbent, which wins a tie, needs one match less when the ratio is
+// whole. Two different ratios with unions below 2^26 differ by more than
+// float64 rounding can hide, so this integer order is QueryTopK's float
+// order.
 func (x *Index) QueryMax(set *features.BinarySet) (*Entry, float64) {
-	res := x.QueryTopK(set, 1)
-	if len(res) == 0 {
+	if set.Len() == 0 {
 		return nil, 0
 	}
-	return x.Get(res[0].ID), res[0].Similarity
+	s := scratchPool.Get().(*scratch)
+	defer s.release()
+	s.hashSet(x, set)
+	x.mu.RLock()
+	x.vote(s, 0)
+	x.mu.RUnlock()
+	var best *Entry
+	bm, bu := 0, 1
+	var prepQ *features.PreparedBinarySet
+	a := set.Len()
+	for _, c := range s.rank(x.cfg.CandidateLimit) {
+		if prepQ == nil {
+			prepQ = set.Prepare()
+		}
+		num, den := bm*(a+c.e.Set.Len()), bm+bu
+		need := num/den + 1
+		if num%den == 0 && best != nil && c.e.ID < best.ID {
+			need--
+		}
+		if m := features.MatchPreparedAtLeast(prepQ, c.e.prep, x.cfg.HammingMax, need); m >= need {
+			best, bm, bu = c.e, m, a+c.e.Set.Len()-m
+		}
+	}
+	if best == nil {
+		return nil, 0
+	}
+	return best, float64(bm) / float64(bu)
 }
 
 // Candidate is one LSH candidate surviving the vote ranking: its vote
@@ -263,17 +297,57 @@ type cand struct {
 	src   int32
 }
 
-// scratch is one query's reusable working set: the set's buckets, the
+// scratch is one query's reusable working set: the set's distinct
+// buckets in ascending order with how many of its keys fell in each, the
 // per-slot vote counts (all zero between uses), the slots voted for, and
 // the gathered candidates.
 type scratch struct {
 	keys    []uint32
+	mults   []int32
 	votes   []int32
 	touched []int32
 	cands   []cand
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// hashSet fills s.keys and s.mults with set's buckets under x's LSH
+// parameters. A set often hashes many descriptors into one bucket; voting
+// walks that bucket once and adds the multiplicity, which counts exactly
+// the votes of walking it once per key.
+func (s *scratch) hashSet(x *Index, set *features.BinarySet) {
+	keys := x.hash(set, s.keys[:0])
+	slices.Sort(keys)
+	s.mults = s.mults[:0]
+	n := 0
+	for i, k := range keys {
+		if i > 0 && k == keys[n-1] {
+			s.mults[n-1]++
+			continue
+		}
+		keys[n] = k
+		s.mults = append(s.mults, 1)
+		n++
+	}
+	s.keys = keys[:n]
+}
+
+// rank orders the gathered candidates by (votes desc, ID asc) and returns
+// the first limit of them.
+func (s *scratch) rank(limit int) []cand {
+	slices.SortFunc(s.cands, func(a, b cand) int {
+		return cmp.Or(cmp.Compare(b.votes, a.votes), cmp.Compare(a.e.ID, b.e.ID))
+	})
+	return s.cands[:min(limit, len(s.cands))]
+}
+
+// release returns s to the pool, dropping the entry pointers the pool
+// would otherwise keep alive.
+func (s *scratch) release() {
+	clear(s.cands)
+	s.cands = s.cands[:0]
+	scratchPool.Put(s)
+}
 
 // CandidatesAcross is QueryCandidates over the union of several indexes
 // that partition one ID space (a cluster node's shard indexes). The set
@@ -294,44 +368,41 @@ func CandidatesAcross(idxs []*Index, set *features.BinarySet, limit int) []Candi
 		}
 	}
 	s := scratchPool.Get().(*scratch)
-	s.keys = idxs[0].hash(set, s.keys[:0])
+	defer s.release()
+	s.hashSet(idxs[0], set)
 	for i, x := range idxs {
 		x.mu.RLock()
 		x.vote(s, int32(i))
 		x.mu.RUnlock()
 	}
-	slices.SortFunc(s.cands, func(a, b cand) int {
-		return cmp.Or(cmp.Compare(b.votes, a.votes), cmp.Compare(a.e.ID, b.e.ID))
-	})
-	var out []Candidate
-	if n := min(limit, len(s.cands)); n > 0 {
-		out = make([]Candidate, n)
-		prepQ := set.Prepare()
-		for i, c := range s.cands[:n] {
-			sim := features.JaccardPrepared(prepQ, c.e.prep, idxs[c.src].cfg.HammingMax)
-			out[i] = Candidate{ID: c.e.ID, GroupID: c.e.GroupID, Votes: int(c.votes), Similarity: sim}
-		}
+	top := s.rank(limit)
+	if len(top) == 0 {
+		return nil
 	}
-	clear(s.cands) // drop the entry pointers the pool would keep alive
-	s.cands = s.cands[:0]
-	scratchPool.Put(s)
+	out := make([]Candidate, len(top))
+	prepQ := set.Prepare()
+	for i, c := range top {
+		sim := features.JaccardPrepared(prepQ, c.e.prep, idxs[c.src].cfg.HammingMax)
+		out[i] = Candidate{ID: c.e.ID, GroupID: c.e.GroupID, Votes: int(c.votes), Similarity: sim}
+	}
 	return out
 }
 
-// vote counts x's bucket hits for s.keys and appends one candidate per
-// slot voted for, leaving s.votes zero again. Callers hold x.mu for
-// reading.
+// vote counts x's bucket hits for s.keys, each bucket walked once and
+// weighted by its multiplicity, and appends one candidate per slot voted
+// for, leaving s.votes zero again. Callers hold x.mu for reading.
 func (x *Index) vote(s *scratch, src int32) {
 	if len(s.votes) < len(x.entries) {
 		s.votes = make([]int32, 2*len(x.entries))
 	}
-	for _, b := range s.keys {
+	for i, b := range s.keys {
+		mult := s.mults[i]
 		for p := x.heads[b]; p != 0; {
 			c := x.at(p)
 			if s.votes[c.slot] == 0 {
 				s.touched = append(s.touched, c.slot)
 			}
-			s.votes[c.slot]++
+			s.votes[c.slot] += mult
 			p = c.next
 		}
 	}
@@ -371,8 +442,8 @@ func (x *Index) QueryTopK(set *features.BinarySet, k int) []Result {
 }
 
 // QueryMaxBatch answers the CBRD similarity query for a whole batch of
-// sets at once, running the per-set queries across all host cores. The
-// result is one maximum similarity per set, in order.
+// sets at once, running the per-set max-only QueryMax across all host
+// cores. The result is one maximum similarity per set, in order.
 func (x *Index) QueryMaxBatch(sets []*features.BinarySet) []float64 {
 	sims := make([]float64, len(sets))
 	par.Do(len(sets), func(i int) {

@@ -38,6 +38,17 @@ func (c *testCorpus) variantSet(i int) *features.BinarySet {
 	return features.ExtractORB(r, features.DefaultConfig())
 }
 
+// Get returns the entry for id, or nil. Only tests look entries up by
+// ID; the query paths carry the entry they found.
+func (x *Index) Get(id ImageID) *Entry {
+	x.mu.RLock()
+	defer x.mu.RUnlock()
+	if slot, ok := x.slots[id]; ok {
+		return x.entries[slot]
+	}
+	return nil
+}
+
 func buildIndex(c *testCorpus) *Index {
 	idx := New(DefaultConfig())
 	for i, s := range c.sets {
@@ -195,24 +206,44 @@ func TestEntryMetadataPreserved(t *testing.T) {
 	}
 }
 
+// TestConcurrentAddQuery runs Add and AddBatch beside QueryMax and
+// QueryMaxBatch; the queries share pooled scratch (sorted keys, votes)
+// across goroutines, which -race checks. Once quiescent, the max-only
+// path must still answer as QueryTopK(q, 1).
 func TestConcurrentAddQuery(t *testing.T) {
 	c := newCorpus(t, 20, 68)
 	idx := New(DefaultConfig())
+	entry := func(i int) *Entry { return &Entry{ID: ImageID(i), Set: c.sets[i], GroupID: int64(i)} }
 	var wg sync.WaitGroup
-	for i := 0; i < 20; i++ {
-		wg.Add(2)
+	for i := 0; i < 20; i += 2 {
+		wg.Add(4)
 		go func(i int) {
 			defer wg.Done()
-			idx.Add(&Entry{ID: ImageID(i), Set: c.sets[i], GroupID: int64(i)})
+			idx.Add(entry(i))
+		}(i)
+		go func(i int) {
+			defer wg.Done()
+			idx.AddBatch([]*Entry{entry(i + 1)})
 		}(i)
 		go func(i int) {
 			defer wg.Done()
 			idx.QueryMax(c.sets[i])
 		}(i)
+		go func(i int) {
+			defer wg.Done()
+			idx.QueryMaxBatch(c.sets[i : i+2])
+		}(i)
 	}
 	wg.Wait()
 	if idx.Len() != 20 {
 		t.Fatalf("after concurrent adds Len = %d, want 20", idx.Len())
+	}
+	sims := idx.QueryMaxBatch(c.sets)
+	for i, q := range c.sets {
+		e, sim := idx.QueryMax(q)
+		if got, want := maxOf(e, sim), topOne(idx.QueryTopK(q, 1)); !sameBits(got, want) || sim != sims[i] {
+			t.Fatalf("set %d: QueryMax %+v, QueryMaxBatch %v, QueryTopK(q, 1) %+v", i, got, sims[i], want)
+		}
 	}
 }
 

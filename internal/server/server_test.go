@@ -63,8 +63,8 @@ func TestUploadThenQuery(t *testing.T) {
 	if sim := queryMax(srv, sets[0]); sim < 0.9 {
 		t.Fatalf("self-query after upload = %v, want ~1", sim)
 	}
-	e := srv.idx.Get(id)
-	if e == nil || e.GroupID != 7 || e.Lat != 1 || e.Lon != 2 {
+	e, _ := srv.idx.QueryMax(sets[0])
+	if e == nil || e.ID != id || e.GroupID != 7 || e.Lat != 1 || e.Lon != 2 {
 		t.Fatalf("stored entry wrong: %+v", e)
 	}
 	st := srv.Stats()
