@@ -13,7 +13,7 @@ all: tier1
 # `make help` lists the verification entry points; `make cover` enforces
 # a coverage floor on internal/features (the matching kernels), and
 # `make benchdiff OLD=old.json` gates matcher benchmarks against a saved
-# BENCH_pipeline.json baseline (see DESIGN.md, "Exact sub-linear
+# BENCH_pipeline.json baseline (see DESIGN.md, "Exact binary
 # matching", for the save-baseline/compare workflow).
 help:
 	@echo "make tier1      - build + gofmt gate + vet everything + full test suite (the PR gate)"
@@ -102,7 +102,7 @@ benchdiff:
 	$(GO) run ./cmd/bench2json -compare $(OLD) $(NEW)
 
 # Per-package coverage summary with floors on the hot-path kernels:
-# internal/features holds the exact sub-linear matcher plus the
+# internal/features holds the exact binary matcher plus the
 # extraction fast path and their oracles; internal/imagelib holds the
 # codec/resize primitives the extraction arena reuses; internal/sim
 # holds the lifetime/coverage experiments and the city-scale scenario

@@ -98,7 +98,7 @@ func TestBuildBatchGraphMatchesReference(t *testing.T) {
 		{2, 1, 50, features.DefaultHammingMax},
 		{12, 30, 20, features.DefaultHammingMax}, // capping active
 		{8, 25, 50, 0},
-		{8, 25, 50, 120}, // beyond the banded radius
+		{8, 25, 50, 120}, // far beyond the default radius
 	} {
 		sets := clusteredSets(rng, tc.nSets, tc.perSet)
 		survivors := make([]int, tc.nSets)

@@ -59,8 +59,8 @@ func extractOne(img *dataset.Image, bitmapC float64, cfg features.Config) *featu
 // the standalone summarizer stay consistent as knobs change.
 func BuildBatchGraph(sets []*features.BinarySet, survivors []int, cap, hammingMax int) *submod.Graph {
 	g := submod.NewGraph(len(survivors))
-	// Prepare each capped set once (in parallel); the O(n²) cell loop then
-	// reuses the tables across all n-1 comparisons each set participates in.
+	// Cap and prepare each set once (in parallel); the O(n²) cell loop then
+	// reuses it across all n-1 comparisons each set participates in.
 	capped := make([]*features.PreparedBinarySet, len(survivors))
 	ForEachIndex(len(survivors), func(i int) {
 		capped[i] = capSet(sets[survivors[i]], cap).Prepare()

@@ -134,7 +134,7 @@ func BenchmarkMatchBinaryRef(b *testing.B) {
 }
 
 // BenchmarkMatchBinaryPrepared measures the steady-state cost of one set
-// pair through the sub-linear kernel, tables built once outside the loop
+// pair through the prepared kernel, sets prepared once outside the loop
 // — the regime every batch-graph cell and index re-rank runs in.
 func BenchmarkMatchBinaryPrepared(b *testing.B) {
 	ref, similar, _ := testImages(901)
@@ -147,15 +147,15 @@ func BenchmarkMatchBinaryPrepared(b *testing.B) {
 	}
 }
 
-// BenchmarkPrepare measures the one-time table build a set pays before
-// entering any number of prepared comparisons.
+// BenchmarkPrepare measures the one-time cost a set pays before entering
+// any number of prepared comparisons.
 func BenchmarkPrepare(b *testing.B) {
 	ref, _, _ := testImages(901)
 	sa := ExtractORB(ref, DefaultConfig())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sa.Prepare()
+		preparedSink = sa.Prepare()
 	}
 }
 

@@ -21,9 +21,11 @@ const DefaultRatio = 0.8
 // at most hammingMax. Cross-checking makes the matching symmetric and
 // suppresses generic matches between unrelated images.
 //
-// The work is done by the sub-linear kernel in prepared.go; callers that
-// compare one set against many should Prepare each set once and use
-// MatchPrepared/JaccardPrepared to amortize the table build.
+// The work is done by the kernel in prepared.go: a two-word filtered scan
+// over each set's own descriptors and a witness-seeded cross-check.
+// Callers that compare one set against many, or only need to know
+// whether a count is reached, use MatchPrepared/MatchPreparedAtLeast/
+// JaccardPrepared on sets prepared once.
 func MatchBinary(a, b *BinarySet, hammingMax int) int {
 	if a.Len() == 0 || b.Len() == 0 {
 		return 0

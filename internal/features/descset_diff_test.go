@@ -1,6 +1,6 @@
 package features
 
-// Differential harness pinning the sub-linear prepared kernel
+// Differential harness pinning the prepared kernel
 // (prepared.go) bit-identical to the brute-force reference matcher
 // (matchBinaryRef): same nearest-neighbor indices, same match counts,
 // same Jaccard values, across adversarial set shapes, radii, duplicate
@@ -82,10 +82,10 @@ func assertKernelEqual(t *testing.T, a, b *BinarySet, hammingMax int) {
 	}
 }
 
-// diffRadii covers both kernel paths (banded < mihBands ≤ scan), the
-// boundaries between them, degenerate radii, and beyond-saturation radii.
-var diffRadii = []int{-1, 0, 1, 2, 5, DefaultHammingMax, mihBands - 1, mihBands,
-	mihBands + 1, 64, 255, 256, 300, math.MaxInt}
+// diffRadii covers degenerate radii, small radii and the default, mid
+// radii (31–33, 64), and beyond-saturation radii.
+var diffRadii = []int{-1, 0, 1, 2, 5, DefaultHammingMax, 31, 32, 33, 64, 255, 256,
+	300, math.MaxInt}
 
 func TestPreparedMatchesReferenceTable(t *testing.T) {
 	rng := rand.New(rand.NewSource(0xd1ff))
@@ -171,7 +171,7 @@ func TestPreparedMatchesReferenceOnExtractedSets(t *testing.T) {
 	}
 	for _, a := range sets {
 		for _, b := range sets {
-			for _, r := range []int{0, 5, DefaultHammingMax, mihBands, 80} {
+			for _, r := range []int{0, 5, DefaultHammingMax, 32, 80} {
 				assertKernelEqual(t, a, b, r)
 			}
 		}
@@ -197,66 +197,42 @@ func TestPrepareEmptyAndNil(t *testing.T) {
 	}
 }
 
-func TestPreparedBandTablesComplete(t *testing.T) {
-	// Structural invariant behind the pigeonhole argument: every
-	// descriptor appears exactly once per band, buckets are ascending,
-	// and the bucket agrees with the descriptor's byte.
-	rng := rand.New(rand.NewSource(42))
-	s := randSet(rng, 33, 4)
-	p := s.Prepare()
-	for b := 0; b < mihBands; b++ {
-		seen := make([]bool, s.Len())
-		for v := 0; v < mihBuckets; v++ {
-			k := b*mihBuckets + v
-			bucket := p.ids[p.start[k]:p.start[k+1]]
-			for i, jj := range bucket {
-				j := int(jj)
-				if seen[j] {
-					t.Fatalf("band %d: descriptor %d listed twice", b, j)
-				}
-				seen[j] = true
-				var row [mihBands]uint8
-				scatterBands(&s.Descriptors[j], row[:])
-				if int(row[b]) != v {
-					t.Fatalf("band %d: descriptor %d in bucket %d but band value is %d",
-						b, j, v, row[b])
-				}
-				if i > 0 && int(bucket[i-1]) >= j {
-					t.Fatalf("band %d bucket %d not ascending", b, v)
-				}
-			}
-		}
-		for j, ok := range seen {
-			if !ok {
-				t.Fatalf("band %d: descriptor %d missing from every bucket", b, j)
-			}
-		}
+// raceEnabled is set by race_test.go under the race detector.
+var raceEnabled bool
+
+// preparedSink keeps Prepare's result on the heap, as every real caller
+// does, so TestPrepareAllocs counts what callers pay.
+var preparedSink *PreparedBinarySet
+
+func TestPrepareAllocs(t *testing.T) {
+	ref, _, _ := testImages(901)
+	s := ExtractORB(ref, DefaultConfig())
+	if s.Len() < 200 {
+		t.Fatalf("extracted only %d descriptors, want a full-size set", s.Len())
+	}
+	allocs := testing.AllocsPerRun(20, func() { preparedSink = s.Prepare() })
+	if allocs > 2 {
+		t.Fatalf("Prepare of %d descriptors makes %.1f allocations, want <= 2", s.Len(), allocs)
+	}
+	if p := s.Prepare(); p.Set != s || &p.Set.Descriptors[0] != &s.Descriptors[0] {
+		t.Fatal("Prepare copied the descriptors instead of reading them in place")
 	}
 }
 
-func TestScatterBandsMatchesReference(t *testing.T) {
-	// The transposed scatterBands must reproduce the readable reference
-	// bit for bit — the band partition is the pigeonhole contract.
-	rng := rand.New(rand.NewSource(7))
-	check := func(d *Descriptor) {
-		var got, want [mihBands]uint8
-		scatterBands(d, got[:])
-		scatterBandsRef(d, want[:])
-		if got != want {
-			t.Fatalf("scatterBands(%x) = %v, reference %v", *d, got, want)
-		}
+func TestMatchPreparedSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop buffers at random")
 	}
-	check(&Descriptor{})
-	check(&Descriptor{^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)})
-	for w := 0; w < 4; w++ {
-		for b := 0; b < 64; b++ {
-			var d Descriptor
-			d[w] = 1 << uint(b)
-			check(&d)
+	ref, similar, _ := testImages(901)
+	cfg := DefaultConfig()
+	pa, pb := ExtractORB(ref, cfg).Prepare(), ExtractORB(similar, cfg).Prepare()
+	for _, need := range []int{0, 1, pa.Len()} {
+		MatchPreparedAtLeast(pa, pb, DefaultHammingMax, need) // warm the pool
+		allocs := testing.AllocsPerRun(20, func() {
+			MatchPreparedAtLeast(pa, pb, DefaultHammingMax, need)
+		})
+		if allocs != 0 {
+			t.Fatalf("MatchPreparedAtLeast(need=%d) allocates %.1f/op after warm-up, want 0", need, allocs)
 		}
-	}
-	for i := 0; i < 200; i++ {
-		d := randDescriptor(rng)
-		check(&d)
 	}
 }

@@ -4,17 +4,7 @@ package features
 // shipped kernels are pinned against bit for bit, and standalone wrappers
 // around the extraction arena's FAST detector. No binary calls them.
 
-import (
-	"math/bits"
-
-	"bees/internal/imagelib"
-)
-
-// Hamming returns the Hamming distance between two descriptors.
-func (d Descriptor) Hamming(o Descriptor) int {
-	return bits.OnesCount64(d[0]^o[0]) + bits.OnesCount64(d[1]^o[1]) +
-		bits.OnesCount64(d[2]^o[2]) + bits.OnesCount64(d[3]^o[3])
-}
+import "bees/internal/imagelib"
 
 // MatchBinaryRef is the brute-force O(n·m) reference matcher: the oracle
 // the differential/property/fuzz suites pin the fast kernel against, and
@@ -80,24 +70,9 @@ func nearestPrepared(from, to *PreparedBinarySet, hammingMax int) []int {
 		return best
 	}
 	for i := range from.Set.Descriptors {
-		best[i] = to.nearestOne(&from.Set.Descriptors[i], from.queryBands(i, hammingMax, to),
-			int(from.pop[i]), hammingMax, hammingMax+1, -1)
+		best[i] = to.nearestOne(&from.Set.Descriptors[i], hammingMax+1, -1)
 	}
 	return best
-}
-
-// scatterBandsRef is the specification scatterBands is tested against:
-// band b collects bit b of each 32-bit half-word.
-func scatterBandsRef(d *Descriptor, out []uint8) {
-	h0, h1 := uint32(d[0]), uint32(d[0]>>32)
-	h2, h3 := uint32(d[1]), uint32(d[1]>>32)
-	h4, h5 := uint32(d[2]), uint32(d[2]>>32)
-	h6, h7 := uint32(d[3]), uint32(d[3]>>32)
-	for b := 0; b < mihBands; b++ {
-		out[b] = uint8(((h0>>b)&1)<<0 | ((h1>>b)&1)<<1 | ((h2>>b)&1)<<2 |
-			((h3>>b)&1)<<3 | ((h4>>b)&1)<<4 | ((h5>>b)&1)<<5 |
-			((h6>>b)&1)<<6 | ((h7>>b)&1)<<7)
-	}
 }
 
 // ExtractORBRef is the original allocating extraction pipeline, kept

@@ -44,9 +44,8 @@ type Entry struct {
 	Lat     float64
 	Lon     float64
 
-	// prep is the matching-accelerated form of Set, built once on Add so
-	// every query re-ranks against prepared tables instead of re-scanning
-	// the raw descriptors.
+	// prep is Set wrapped for the matching kernel (it reads the
+	// descriptors in place), built once on Add so every re-rank reuses it.
 	prep *features.PreparedBinarySet
 }
 
@@ -183,8 +182,8 @@ func (x *Index) AddBatch(entries []*Entry) {
 	}
 }
 
-// prepare is the lock-free half of an insert: it builds e's accelerated
-// set and returns e's distinct buckets in ascending order. An image often
+// prepare is the lock-free half of an insert: it prepares e's set for
+// the matcher and returns e's distinct buckets in ascending order. An image often
 // hashes many descriptors into one bucket; it is stored there once.
 func (x *Index) prepare(e *Entry) []uint32 {
 	e.prep = e.Set.Prepare()

@@ -59,21 +59,13 @@ func (g *GilbertLink) Rate() float64 {
 	return g.goodBps
 }
 
-// MeanRate returns the stationary expected bitrate of the chain.
-func (g *GilbertLink) MeanRate() float64 {
-	// Stationary probability of Bad is p/(p+q) for transition
-	// probabilities p (G→B) and q (B→G).
-	pBad := g.pGoodToBad / (g.pGoodToBad + g.pBadToGood)
-	return pBad*g.badBps + (1-pBad)*g.goodBps
-}
-
 // AsLink adapts the Gilbert chain to the Link interface used by devices:
 // it returns a fluctuating Link whose Rate comes from the chain.
 //
 // Link is a concrete struct, so the adaptation plugs the chain in as the
 // rate source.
 func (g *GilbertLink) AsLink() *Link {
-	return &Link{fluctuate: true, rateFn: g.Rate, meanFn: g.MeanRate}
+	return &Link{fluctuate: true, rateFn: g.Rate}
 }
 
 // TransferTime mirrors Link.TransferTime for direct use.

