@@ -58,10 +58,12 @@ type (
 	Telemetry = telemetry.Registry
 	// UploadItem is one image in a batched server upload.
 	UploadItem = server.UploadItem
-	// Uploader is the unified nonce-carrying upload surface implemented
-	// by both the in-process Server and the TCP RemoteServer adapter;
-	// replays under the same nonce are exactly-once.
-	Uploader = core.Uploader
+	// ServerAPI is the one server surface every Scheme drives (the
+	// parameter of Scheme.ProcessBatch): a batched similarity query plus
+	// nonce-carrying uploads, implemented by both the in-process Server
+	// and the TCP RemoteServer adapter; replays under the same nonce are
+	// exactly-once.
+	ServerAPI = core.ServerAPI
 	// BlockStoreConfig parameterizes the content-addressed block store
 	// behind delta uploads (block size, telemetry sink).
 	BlockStoreConfig = blockstore.Config

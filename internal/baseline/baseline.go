@@ -60,7 +60,7 @@ func (Direct) ProcessBatch(dev *core.Device, srv core.ServerAPI, batch []*datase
 		img.Free()
 	}
 	if len(items) > 0 {
-		srv.UploadBatch(items)
+		srv.UploadItems(srv.NewUploadNonce(), items)
 	}
 	acct.Finish(dev, srv, &report)
 	return report
@@ -198,7 +198,7 @@ func uploadSurvivors(dev *core.Device, srv core.ServerAPI, batch []*dataset.Imag
 		img.Free()
 	}
 	if len(items) > 0 {
-		srv.UploadBatch(items)
+		srv.UploadItems(srv.NewUploadNonce(), items)
 	}
 }
 

@@ -101,7 +101,7 @@ func (p PhotoNet) ProcessBatch(dev *core.Device, srv core.ServerAPI, batch []*da
 		img.Free()
 	}
 	if len(items) > 0 {
-		srv.UploadBatch(items)
+		srv.UploadItems(srv.NewUploadNonce(), items)
 	}
 	acct.Finish(dev, srv, &report)
 	return report

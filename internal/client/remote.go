@@ -21,11 +21,11 @@ import (
 // survivable, so it degrades rather than aborts: failed queries report
 // similarity 0 (image treated as unique) and failed uploads count their
 // items as degraded. Err exposes the last failure and TakeDegraded the
-// degradation count, which core.BatchAccounting folds into
+// degraded set and item count, which core.BatchAccounting folds into
 // BatchReport.Degraded.
 //
-// Every upload — UploadItems and UploadBatch alike — reaches the server
-// through one path, upload: the delta flow.
+// Every upload reaches the server through one path, upload: the delta
+// flow.
 type RemoteServer struct {
 	c *Client
 
@@ -51,51 +51,29 @@ func (r *RemoteServer) QueryMaxBatch(sets []*features.BinarySet) []float64 {
 	return sims
 }
 
-// maxBatchFrameBytes caps the approximate payload (blobs plus
-// descriptors) of one UploadBatch chunk, so even a Direct-upload-sized
-// batch sent whole stays far below the protocol's wire.MaxFrameBytes.
-const maxBatchFrameBytes = 16 << 20
-
-// UploadBatch implements core.ServerAPI over the wire: the items go in
-// chunks of at most maxBatchFrameBytes, each through the one upload path
-// under a fresh nonce. On failure the items of every chunk that did not
-// complete count as degraded.
+// UploadBatch uploads items under a fresh nonce and drops their IDs: one
+// UploadItems call. No binary calls it; it stays while the benchmark's
+// device adapter (bench/stack.go) does.
 func (r *RemoteServer) UploadBatch(items []server.UploadItem) error {
-	for start := 0; start < len(items); {
-		end, bytes := start, 0
-		for end < len(items) {
-			sz := items[end].Meta.Bytes + items[end].Set.Len()*32
-			if end > start && bytes+sz > maxBatchFrameBytes {
-				break
-			}
-			bytes += sz
-			end++
-		}
-		if _, err := r.upload(r.NewUploadNonce(), items[start:end]); err != nil {
-			r.degradeN(err, len(items)-start)
-			log.Printf("beesctl: batch upload failed after %d of %d items: %v", start, len(items), err)
-			return err
-		}
-		start = end
-	}
-	return nil
+	_, err := r.UploadItems(r.NewUploadNonce(), items)
+	return err
 }
 
-// NewUploadNonce implements core.Uploader: the pipeline stamps each
+// NewUploadNonce implements core.ServerAPI: the pipeline stamps each
 // upload chunk with a nonce before the first attempt so a later outbox
 // replay of the same chunk dedups against it.
 func (r *RemoteServer) NewUploadNonce() uint64 { return r.c.NewNonce() }
 
-// UploadItems implements core.Uploader: one upload chunk under the
-// caller's nonce. The nonce makes replays idempotent, so an outbox
-// replay of a chunk that half-landed resumes from the blocks the server
-// acked instead of resending the image. Failures degrade the whole chunk
-// (commits are atomic).
+// UploadItems implements core.ServerAPI: one upload chunk under the
+// caller's nonce, through upload. The nonce makes replays idempotent, so
+// an outbox replay of a chunk that half-landed resumes from the blocks
+// the server acked instead of resending the image. Failures degrade the
+// whole chunk (commits are atomic).
 func (r *RemoteServer) UploadItems(nonce uint64, items []server.UploadItem) ([]int64, error) {
 	ids, err := r.upload(nonce, items)
 	if err != nil {
 		r.degradeN(err, len(items))
-		log.Printf("beesctl: nonce upload of %d items failed: %v", len(items), err)
+		log.Printf("beesctl: upload of %d items failed: %v", len(items), err)
 		return nil, err
 	}
 	return ids, nil
@@ -258,9 +236,9 @@ func (r *RemoteServer) Err() error {
 	return r.lastErr
 }
 
-// TakeDegraded returns the number of requests that degraded (exhausted
-// their retries) since the last call, and resets the counter — one call
-// per batch gives per-batch counts.
+// TakeDegraded returns the number of query sets and upload items that
+// degraded (their request exhausted its retries) since the last call,
+// and resets the counter — one call per batch gives per-batch counts.
 func (r *RemoteServer) TakeDegraded() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()

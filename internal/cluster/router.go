@@ -112,7 +112,7 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 	}, nil
 }
 
-// NewNonce returns a fresh non-zero nonce (core.Uploader surface).
+// NewNonce returns a fresh non-zero nonce for UploadItems.
 // Nonces are random, not sequential, for the same reason the client's
 // are: the replicas' dedup windows outlive any one router process, so a
 // restarted router drawing nonce 1, 2, ... would collide with its
@@ -127,9 +127,6 @@ func (r *Router) NewNonce() uint64 {
 		}
 	}
 }
-
-// NewUploadNonce aliases NewNonce to satisfy core.Uploader.
-func (r *Router) NewUploadNonce() uint64 { return r.NewNonce() }
 
 // client returns (lazily building) the client for a node.
 func (r *Router) client(name string) *client.Client {
@@ -268,13 +265,6 @@ func (r *Router) reserveIDs(nonce uint64, n int) ([]int64, error) {
 		r.nonceOrder = append(r.nonceOrder, nonce)
 	}
 	return ids, nil
-}
-
-// UploadBatch satisfies core.ServerAPI-style callers: one batch under a
-// fresh nonce.
-func (r *Router) UploadBatch(items []server.UploadItem) error {
-	_, err := r.UploadItems(r.NewNonce(), items)
-	return err
 }
 
 // shardSlice is one shard's portion of an upload batch.

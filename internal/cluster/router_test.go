@@ -52,7 +52,7 @@ func TestRouterSmallSurface(t *testing.T) {
 	defer tc.Close()
 	r := tc.Router
 
-	if n1, n2 := r.NewNonce(), r.NewUploadNonce(); n1 == 0 || n1 == n2 {
+	if n1, n2 := r.NewNonce(), r.NewNonce(); n1 == 0 || n1 == n2 {
 		t.Fatalf("nonces not fresh: %d, %d", n1, n2)
 	}
 	if ids, err := r.UploadItems(7, nil); err != nil || ids != nil {
@@ -62,15 +62,15 @@ func TestRouterSmallSurface(t *testing.T) {
 		t.Fatalf("empty query: %v, %v", sims, err)
 	}
 	batches, _ := clusterWorkload()
-	if err := r.UploadBatch(batches[0][:2]); err != nil {
-		t.Fatalf("UploadBatch: %v", err)
+	if ids, err := r.UploadItems(r.NewNonce(), batches[0][:2]); err != nil || len(ids) != 2 {
+		t.Fatalf("UploadItems: %v, %v", ids, err)
 	}
 	st, err := r.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.Images != 2 {
-		t.Fatalf("stats after UploadBatch: %+v", st)
+		t.Fatalf("stats after UploadItems: %+v", st)
 	}
 }
 

@@ -12,8 +12,9 @@ import (
 )
 
 // perImage is the test oracle for the batched API: it adapts a server
-// to ServerAPI by looping, one query and one upload call per image. It
-// is not an Uploader, so the pipeline drives it through UploadBatch.
+// to ServerAPI by looping, one query and one upload call per image. Each
+// image commits on its own, so the chunk's nonce cannot cover them and
+// every image goes up under nonce 0.
 type perImage struct{ srv *server.Server }
 
 func (p perImage) QueryMaxBatch(sets []*features.BinarySet) []float64 {
@@ -24,13 +25,18 @@ func (p perImage) QueryMaxBatch(sets []*features.BinarySet) []float64 {
 	return sims
 }
 
-func (p perImage) UploadBatch(items []server.UploadItem) error {
+func (p perImage) NewUploadNonce() uint64 { return p.srv.NewUploadNonce() }
+
+func (p perImage) UploadItems(_ uint64, items []server.UploadItem) ([]int64, error) {
+	ids := make([]int64, 0, len(items))
 	for _, it := range items {
-		if _, err := p.srv.UploadItems(0, []server.UploadItem{it}); err != nil {
-			return err
+		id, err := p.srv.UploadItems(0, []server.UploadItem{it})
+		if err != nil {
+			return nil, err
 		}
+		ids = append(ids, id...)
 	}
-	return nil
+	return ids, nil
 }
 
 // TestBatchedMatchesPerImage pins the API-redesign contract: the batched

@@ -12,7 +12,7 @@ import (
 	"bees/internal/telemetry"
 )
 
-// flakyAPI is a ServerAPI + Uploader whose uploads fail while `down` is
+// flakyAPI is a ServerAPI whose uploads fail while `down` is
 // set. Queries always answer 0 (all unique) so every image reaches the
 // upload stage.
 type flakyAPI struct {
@@ -28,11 +28,6 @@ type flakyAPI struct {
 
 func (f *flakyAPI) QueryMaxBatch(sets []*features.BinarySet) []float64 {
 	return make([]float64, len(sets))
-}
-
-func (f *flakyAPI) UploadBatch(items []server.UploadItem) error {
-	_, err := f.UploadItems(0, items)
-	return err
 }
 
 func (f *flakyAPI) NewUploadNonce() uint64 {
@@ -141,10 +136,10 @@ func TestPipelineOutboxCapturesFailedChunks(t *testing.T) {
 }
 
 // TestPipelineWithoutOutboxStillStampsNonces: an outbox is not what
-// makes uploads nonce-carrying — any Uploader transport gets a nonce
-// per chunk (so client-level retries dedup server-side and the remote
-// path can delta-upload), and failed chunks are counted even though
-// there is nowhere to spool them.
+// makes uploads nonce-carrying — every transport gets a nonce per chunk
+// (so client-level retries dedup server-side and the remote path can
+// delta-upload), and failed chunks are counted even though there is
+// nowhere to spool them.
 func TestPipelineWithoutOutboxStillStampsNonces(t *testing.T) {
 	if testing.Short() {
 		t.Skip("renders an 8-image batch")

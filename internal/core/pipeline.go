@@ -49,10 +49,9 @@ type Config struct {
 	Telemetry *telemetry.Registry
 	// Outbox, when set, catches upload chunks whose retry budget was
 	// exhausted: instead of being dropped, the chunk (items + the nonce
-	// the attempt carried, when the transport implements Uploader) is
-	// queued for background replay once the link heals. Chunks are
-	// stamped with their summed SSMM marginal gains so overflow evicts
-	// the least-valuable imagery first.
+	// the attempt carried) is queued for background replay once the link
+	// heals. Chunks are stamped with their summed SSMM marginal gains so
+	// overflow evicts the least-valuable imagery first.
 	Outbox *outbox.Outbox
 }
 
@@ -192,7 +191,7 @@ func (p *Pipeline) ProcessBatch(dev *Device, srv ServerAPI, batch []*dataset.Ima
 	// --- AIU: quality + EAU resolution compression, then upload. -------
 	// The selected images go out through an in-flight window: each chunk
 	// is compressed host-parallel, then handed to a background goroutine
-	// for the (possibly remote) UploadBatch call while the next chunk
+	// for the (possibly remote) UploadItems call while the next chunk
 	// compresses. Uploads still issue strictly in order — chunk k+1 is
 	// not sent until chunk k's round trip finished — and all accounting
 	// stays on this goroutine in image order, so reports are
@@ -202,7 +201,6 @@ func (p *Pipeline) ProcessBatch(dev *Device, srv ServerAPI, batch []*dataset.Ima
 	span = tel.StartSpan("aiu.upload")
 	uploadHist := tel.Histogram("pipeline.upload.bytes", telemetry.SizeBuckets())
 	box := p.cfg.Outbox
-	up, hasUp := srv.(Uploader)
 	var pending chan struct{}
 	// Upload goroutines run one at a time (chunk k is joined via pending
 	// before chunk k+1 starts), so plain appends to uploadErrs are
@@ -256,23 +254,15 @@ func (p *Pipeline) ProcessBatch(dev *Device, srv ServerAPI, batch []*dataset.Ima
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
-			// A nonce-capable transport always gets a nonce-stamped upload:
-			// the nonce makes a client-level retry (or a later outbox
-			// replay of this chunk, when an outbox is configured) dedup
-			// server-side instead of double-counting, and it is what routes
-			// a RemoteServer through the delta-upload path. The nonce is
-			// drawn here, inside the upload goroutine, because the client
-			// serializes nonce draws with in-flight round trips — drawing
-			// it on the main goroutine would stall compression of the next
-			// chunk behind this chunk's upload.
-			var err error
-			var nonce uint64
-			if hasUp {
-				nonce = up.NewUploadNonce()
-				_, err = up.UploadItems(nonce, items)
-			} else {
-				err = srv.UploadBatch(items)
-			}
+			// Every upload is nonce-stamped: the nonce makes a client-level
+			// retry (or a later outbox replay of this chunk, when an outbox
+			// is configured) dedup server-side instead of double-counting.
+			// The nonce is drawn here, inside the upload goroutine, because
+			// the client serializes nonce draws with in-flight round trips —
+			// drawing it on the main goroutine would stall compression of
+			// the next chunk behind this chunk's upload.
+			nonce := srv.NewUploadNonce()
+			_, err := srv.UploadItems(nonce, items)
 			if err == nil {
 				return
 			}

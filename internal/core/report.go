@@ -11,41 +11,32 @@ import (
 
 // ServerAPI is the cloud-server surface a scheme needs, batch-first: one
 // call answers the CBRD similarity query for a whole batch and one call
-// uploads a whole window of images, so over a network transport a batch
+// uploads a whole chunk of images, so over a network transport a batch
 // costs O(1) round trips instead of O(N). *server.Server implements it
 // in-process; client.RemoteServer implements it over TCP, so the same
-// pipeline drives both the simulations and the network prototype.
+// pipeline and baselines drive both the simulations and the network
+// prototype.
+//
+// Uploads are exactly-once: the caller draws a nonce, stamps its outbox
+// chunk with it, and every (re)send of that chunk deduplicates
+// server-side against the first delivery.
 type ServerAPI interface {
 	// QueryMaxBatch returns the maximum stored similarity for each set,
 	// in order. Implementations that can degrade instead of failing
 	// report 0 (image treated as unique) for sets they could not answer.
 	QueryMaxBatch(sets []*features.BinarySet) []float64
-	// UploadBatch stores a batch of images. The error reports transport
-	// failure; schemes account bytes/energy for the attempt either way
-	// (the phone spent them), and degradation is surfaced through
-	// DegradationCounter.
-	UploadBatch(items []server.UploadItem) error
-}
-
-var _ ServerAPI = (*server.Server)(nil)
-
-// Uploader is the nonce-carrying upload surface, the one interface both
-// the in-process server and the TCP adapter implement: the caller draws
-// a nonce, stamps its outbox chunk with it, and every (re)send of that
-// chunk — whole-image frame or block-wise delta upload, the transport
-// decides — deduplicates server-side against the first delivery: one
-// entry point, exactly-once semantics, IDs returned in item order.
-type Uploader interface {
 	// NewUploadNonce draws a fresh nonzero nonce.
 	NewUploadNonce() uint64
 	// UploadItems stores the items under the caller's nonce and returns
-	// the server-assigned IDs in item order. Same error semantics as
-	// ServerAPI.UploadBatch: an error means transport failure and the
-	// whole chunk may be replayed under the same nonce.
+	// the server-assigned IDs in item order. The error reports transport
+	// failure, and the whole chunk may be replayed under the same nonce;
+	// schemes account bytes/energy for the attempt either way (the phone
+	// spent them), and degradation is surfaced through
+	// DegradationCounter.
 	UploadItems(nonce uint64, items []server.UploadItem) ([]int64, error)
 }
 
-var _ Uploader = (*server.Server)(nil)
+var _ ServerAPI = (*server.Server)(nil)
 
 // BatchReport is what every scheme returns for one processed batch: the
 // elimination counts, the bytes that crossed the network, the energy
@@ -65,10 +56,10 @@ type BatchReport struct {
 	FeatureBytes  int
 	ImageBytes    int
 	FeedbackBytes int
-	// Degraded counts requests that exhausted the transport's retry
-	// budget during this batch and fell back to the disaster-mode
-	// degradation (query treated as unique / upload skipped). Always 0
-	// for in-process servers.
+	// Degraded counts the query sets and upload items whose request
+	// exhausted the transport's retry budget during this batch and fell
+	// back to the disaster-mode degradation (image treated as unique /
+	// upload skipped). Always 0 for in-process servers.
 	Degraded int
 	// Energy is the per-category energy of this batch only.
 	Energy energy.Meter
@@ -105,7 +96,8 @@ type Scheme interface {
 
 // DegradationCounter is implemented by server adapters that can degrade
 // instead of failing (client.RemoteServer): TakeDegraded returns how many
-// requests degraded since the last call and resets the counter.
+// query sets and upload items degraded since the last call and resets
+// the counter.
 type DegradationCounter interface {
 	TakeDegraded() int
 }

@@ -4,7 +4,7 @@ package outbox
 // upload, and acks on success; on failure it stops and the chunk stays
 // queued, so nothing is lost if the process dies mid-drain. The replay
 // function should send the chunk's items in one upload carrying the
-// chunk's original Nonce (core.Uploader.UploadItems, implemented by
+// chunk's original Nonce (core.ServerAPI.UploadItems, implemented by
 // client.RemoteServer), so a chunk the server already applied is
 // deduplicated instead of double-counted — and when both ends speak
 // block transfer, a chunk that half-landed before a partition resumes

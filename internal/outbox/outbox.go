@@ -97,7 +97,7 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Chunk is one queued upload: the items of a failed UploadBatch call
+// Chunk is one queued upload: the items of a failed UploadItems call
 // plus the replay bookkeeping.
 type Chunk struct {
 	// Nonce is the wire nonce the original (failed) upload attempt

@@ -65,22 +65,22 @@ func hookedWALServer(t *testing.T) (*Server, *syncHookFS) {
 	return s, fs
 }
 
-// The nonce-less in-process entry points go through the same durability
-// gate as every other commit: once a WAL append fails they refuse, and
-// memory runs no further ahead of the disk.
-func TestUploadBatchRefusedAfterWALFailure(t *testing.T) {
+// In-process uploads, fresh-nonce and nonce-less alike, go through the
+// same durability gate as every other commit: once a WAL append fails
+// they refuse, and memory runs no further ahead of the disk.
+func TestUploadRefusedAfterWALFailure(t *testing.T) {
 	s, fs := hookedWALServer(t)
-	if err := s.UploadBatch([]UploadItem{walItem(1, 100)}); err != nil {
+	if _, err := s.UploadItems(s.NewUploadNonce(), []UploadItem{walItem(1, 100)}); err != nil {
 		t.Fatal(err)
 	}
 	fs.onSync(func() error { return errors.New("injected fsync failure") })
-	if err := s.UploadBatch([]UploadItem{walItem(2, 200)}); !errors.Is(err, ErrDurability) {
+	if _, err := s.UploadItems(s.NewUploadNonce(), []UploadItem{walItem(2, 200)}); !errors.Is(err, ErrDurability) {
 		t.Fatalf("upload whose fsync failed: err = %v, want ErrDurability", err)
 	}
 	// The refused batch was installed before its append failed; from here
 	// on nothing more may be.
 	stats, uploads := s.Stats(), s.Uploads()
-	if err := s.UploadBatch([]UploadItem{walItem(3, 300)}); !errors.Is(err, ErrDurability) {
+	if _, err := s.UploadItems(s.NewUploadNonce(), []UploadItem{walItem(3, 300)}); !errors.Is(err, ErrDurability) {
 		t.Fatalf("later upload: err = %v, want ErrDurability", err)
 	}
 	if ids, err := s.UploadItems(0, []UploadItem{{Set: walSet(4), Meta: UploadMeta{Bytes: 400}}}); !errors.Is(err, ErrDurability) || ids != nil {

@@ -108,6 +108,39 @@ func TestWALRecordDecodeRejects(t *testing.T) {
 	}
 }
 
+// TestNewUploadNonceFreshAfterRecover: a restarted process draws nonces
+// its predecessor's log does not hold. Recover refills the dedup window
+// from the WAL, so a nonce an earlier process already used would answer
+// a new upload with the old IDs and store nothing.
+func TestNewUploadNonceFreshAfterRecover(t *testing.T) {
+	walDir := t.TempDir()
+	recoverWAL := func() *Server {
+		t.Helper()
+		s, _, err := Recover(RecoverConfig{WAL: wal.Config{Dir: walDir}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	var ids [2][]int64
+	for i := range ids {
+		s := recoverWAL()
+		var err error
+		if ids[i], err = s.UploadItems(s.NewUploadNonce(), []UploadItem{walItem(uint64(i+1), 100)}); err != nil {
+			t.Fatal(err)
+		}
+		s.WAL().Close()
+	}
+	if reflect.DeepEqual(ids[0], ids[1]) {
+		t.Fatalf("the restarted process's upload got its predecessor's IDs %v", ids[1])
+	}
+	s := recoverWAL()
+	defer s.WAL().Close()
+	if got := s.Stats().Images; got != 2 {
+		t.Fatalf("recovered %d images after two processes uploaded one each, want 2", got)
+	}
+}
+
 // TestRecoverFromWALOnly: no snapshot at all — the WAL alone rebuilds
 // uploads, blocks, commits, and the nonce window.
 func TestRecoverFromWALOnly(t *testing.T) {

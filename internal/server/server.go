@@ -7,8 +7,8 @@ package server
 import (
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"sync"
-	"sync/atomic"
 
 	"bees/internal/blockstore"
 	"bees/internal/diskfault"
@@ -82,7 +82,6 @@ type Server struct {
 	tel      *telemetry.Registry
 	blocks   *blockstore.Store
 	fs       diskfault.FS
-	nonceSeq atomic.Uint64
 	nextID   index.ImageID
 	received int64
 	uploads  []index.ImageID
@@ -294,14 +293,6 @@ func (s *Server) countHit(ids []int64, hit bool, err error) ([]int64, error) {
 	return ids, err
 }
 
-// UploadBatch stores a batch of images without a nonce. The error is
-// ErrDurability once a WAL append has failed; remote implementations of
-// the same batch API also surface link failures through it.
-func (s *Server) UploadBatch(items []UploadItem) error {
-	_, err := s.UploadItems(0, items)
-	return err
-}
-
 // SeedIndex inserts features without counting upload bytes — used by
 // experiments that pre-populate the server to set a cross-batch
 // redundancy ratio ("by adding the redundant images into the servers").
@@ -374,10 +365,17 @@ func (s *Server) Stats() Stats {
 // layer stages incoming blocks here and a manifest commit pins them.
 func (s *Server) Blocks() *blockstore.Store { return s.blocks }
 
-// NewUploadNonce returns a fresh non-zero nonce. Together with
-// UploadItems this makes *Server satisfy core.Uploader, so the pipeline
-// drives the in-process and remote servers through one interface.
-func (s *Server) NewUploadNonce() uint64 { return s.nonceSeq.Add(1) }
+// NewUploadNonce returns a fresh non-zero nonce (core.ServerAPI). It is
+// random, not a per-process count: Recover refills the dedup window from
+// the WAL, so a restarted process counting from 1 would have new uploads
+// answered with its predecessor's IDs.
+func (s *Server) NewUploadNonce() uint64 {
+	for {
+		if n := rand.Uint64(); n != 0 {
+			return n
+		}
+	}
+}
 
 // UploadItems stores a batch exactly once per nonce: a retried nonce —
 // whether the original ack was lost on the wire, is still in flight, or

@@ -19,7 +19,8 @@ import (
 
 // unlinkedAllowlist names the non-test functions of internal/ that no
 // binary links on purpose: test support other packages' tests import,
-// which therefore cannot live in a _test.go file. One entry per line,
+// which therefore cannot live in a _test.go file, and shims the
+// benchmark still compiles against. One entry per line,
 // "<symbol> <reason>"; '#' starts a comment.
 const unlinkedAllowlist = "testdata/unlinked_allowlist.txt"
 
