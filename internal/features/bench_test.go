@@ -147,6 +147,20 @@ func BenchmarkMatchBinaryPrepared(b *testing.B) {
 	}
 }
 
+// BenchmarkMatchBinaryPreparedUnrelated is BenchmarkMatchBinaryPrepared
+// over two unrelated scenes: few descriptors find a neighbor within the
+// radius, the regime every CBRD miss and most batch-graph cells pay.
+func BenchmarkMatchBinaryPreparedUnrelated(b *testing.B) {
+	ref, _, other := testImages(901)
+	cfg := DefaultConfig()
+	pa := ExtractORB(ref, cfg).Prepare()
+	pb := ExtractORB(other, cfg).Prepare()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		MatchPrepared(pa, pb, DefaultHammingMax)
+	}
+}
+
 // BenchmarkPrepare measures the one-time cost a set pays before entering
 // any number of prepared comparisons.
 func BenchmarkPrepare(b *testing.B) {

@@ -21,8 +21,9 @@ const DefaultRatio = 0.8
 // at most hammingMax. Cross-checking makes the matching symmetric and
 // suppresses generic matches between unrelated images.
 //
-// The work is done by the kernel in prepared.go: a two-word filtered scan
-// over each set's own descriptors and a witness-seeded cross-check.
+// The work is done by the kernel in prepared.go: a fold-filtered,
+// four-lane scan over each set's own descriptors and a witness-seeded
+// cross-check.
 // Callers that compare one set against many, or only need to know
 // whether a count is reached, use MatchPrepared/MatchPreparedAtLeast/
 // JaccardPrepared on sets prepared once.

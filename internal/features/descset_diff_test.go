@@ -8,6 +8,7 @@ package features
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -175,6 +176,74 @@ func TestPreparedMatchesReferenceOnExtractedSets(t *testing.T) {
 				assertKernelEqual(t, a, b, r)
 			}
 		}
+	}
+}
+
+func TestPreparedFoldBound(t *testing.T) {
+	// The fold filter rejects a pair on popcount(fold(q)^fold(d)) alone,
+	// which is exact only if that never exceeds the Hamming distance. It
+	// equals it when the descriptors differ in one word, the case where
+	// a filter compared with < instead of <= would reject a neighbor.
+	foldDist := func(q, d Descriptor) int { return bits.OnesCount64(fold(&q) ^ fold(&d)) }
+	f := func(q, d Descriptor, w uint8) bool {
+		if foldDist(q, d) > q.Hamming(d) {
+			return false
+		}
+		e := q
+		e[w%4] = d[w%4]
+		return foldDist(q, e) == q.Hamming(e)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestPreparedForwardStopsEarly(t *testing.T) {
+	// The forward pass must stop at the first block — four descriptors,
+	// then one per descriptor of the n mod 4 tail — where the forward
+	// matches found plus the descriptors left fall short of need, and
+	// resolve every descriptor before it exactly as the reference does.
+	f := func(seed int64, na, nb, bases, need uint8) bool {
+		rng := rand.New(rand.NewSource(seed))
+		a := randSet(rng, 1+int(na)%20, 1+int(bases)%4)
+		b := randSet(rng, 1+int(nb)%20, 1+int(bases)%4)
+		n, r := a.Len(), 3
+		ref := nearestBinary(a.Descriptors, b.Descriptors, r)
+		k := int(need) % (n + 2)
+		wantForward, wantResolved := 0, n
+		for i := 0; i < n; {
+			if wantForward+n-i < k {
+				wantResolved = i
+				break
+			}
+			step := 4
+			if i+4 > n {
+				step = 1
+			}
+			for _, j := range ref[i : i+step] {
+				if j >= 0 {
+					wantForward++
+				}
+			}
+			i += step
+		}
+		fa, fb := make([]uint64, n), make([]uint64, b.Len())
+		foldAll(fa, a.Descriptors)
+		foldAll(fb, b.Descriptors)
+		best := make([]int32, n)
+		forward, resolved := forwardNearest(a.Descriptors, b.Descriptors, fa, fb, r, k, best)
+		if forward != wantForward || resolved != wantResolved {
+			return false
+		}
+		for i := range best[:resolved] {
+			if int(best[i]) != ref[i] {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -9,6 +9,7 @@ package features
 
 import (
 	"encoding/binary"
+	"math/rand"
 	"testing"
 )
 
@@ -31,6 +32,14 @@ func fuzzSets(raw []byte, split byte) (*BinarySet, *BinarySet) {
 	return &BinarySet{Descriptors: ds[:k]}, &BinarySet{Descriptors: ds[k:]}
 }
 
+// appendDescriptor appends d in the byte layout fuzzSets reads.
+func appendDescriptor(raw []byte, d Descriptor) []byte {
+	for _, w := range d {
+		raw = binary.LittleEndian.AppendUint64(raw, w)
+	}
+	return raw
+}
+
 func FuzzMatchBinary(f *testing.F) {
 	// A couple of inline seeds beyond the checked-in corpus: empty input,
 	// one identical pair, and radius 32.
@@ -42,6 +51,24 @@ func FuzzMatchBinary(f *testing.F) {
 	copy(pair[32:], pair[:32])
 	f.Add(pair, byte(1), 0)
 	f.Add(pair, byte(1), 32)
+	// Every lane/tail shape of the four-lane forward pass: 1–9
+	// descriptors per side, b's near or exact duplicates of a's, at
+	// radii where the fold filter's equality case decides.
+	rng := rand.New(rand.NewSource(1))
+	for na := 1; na <= 9; na++ {
+		for nb := 1; nb <= 9; nb++ {
+			var raw []byte
+			ds := make([]Descriptor, na)
+			for i := range ds {
+				ds[i] = randDescriptor(rng)
+				raw = appendDescriptor(raw, ds[i])
+			}
+			for range nb {
+				raw = appendDescriptor(raw, perturb(rng, ds[rng.Intn(na)], rng.Intn(4)))
+			}
+			f.Add(raw, byte(na), []int{0, 2, DefaultHammingMax}[(na+nb)%3])
+		}
+	}
 	f.Fuzz(func(t *testing.T, raw []byte, split byte, radius int) {
 		a, b := fuzzSets(raw, split)
 		pa, pb := a.Prepare(), b.Prepare()

@@ -9,17 +9,27 @@ package features
 // *bit-identical* to the brute force: same match counts, same chosen
 // indices, same tie-breaks. descset_diff_test.go pins that equivalence.
 //
-// Two exact accelerations compose, both reading the set's own
+// Three exact accelerations compose, all reading the set's own
 // descriptors in place:
 //
-//  1. Two-word filtered scan: a nearest-neighbor search streams the
-//     candidate set once, and a branch-free XOR+popcount over the first
-//     two 64-bit words rejects any descriptor whose half-descriptor
-//     distance already exceeds the best bound so far — H(a,b) is at
-//     least the distance over any subset of words. Survivors finish word
-//     by word, the bound shrinks as better neighbors turn up, and an
-//     exact duplicate ends the scan.
-//  2. Witness-seeded cross-check: MatchPrepared only needs the reverse
+//  1. Fold filter: fold(d) = d[0]^d[1]^d[2]^d[3], and since
+//     popcount(x^y) ≤ popcount(x)+popcount(y), the fold distance
+//     popcount(fold(q)^fold(d)) never exceeds H(q,d). One XOR+popcount
+//     per pair therefore rejects any candidate whose fold distance
+//     exceeds the best distance so far; such a pair could never have
+//     been accepted. On real ORB sets well under 1% of pairs survive to
+//     the full four-word distance and the tie rule. The folds of both
+//     sets are computed per call into pooled scratch (about 1 µs for a
+//     pair of 300-descriptor sets), so a prepared set stays as small as
+//     its descriptors.
+//  2. Four-lane forward pass: one scan over the candidate folds serves
+//     four query descriptors, each lane keeping its own incumbent in
+//     ascending scan order, so every lane gets exactly the single-query
+//     answer while the candidate loop runs a quarter as often. At the
+//     default GOAMD64=v1 each popcount carries a CPU-feature test with a
+//     call fallback that spills the loop's state, so popcounts per pair
+//     set the cost, and the fold filter spends one.
+//  3. Witness-seeded cross-check: MatchPrepared only needs the reverse
 //     nearest neighbor of descriptors that won a forward match, and the
 //     forward pass already supplies a witness (distance, index) pair
 //     that upper-bounds the reverse search. Reverse queries start from
@@ -59,9 +69,16 @@ func (p *PreparedBinarySet) Len() int {
 	return p.Set.Len()
 }
 
-// crossCheckPool holds MatchPreparedAtLeast's int32 buffers, shared by
-// every goroutine that matches (batch-graph workers, concurrent queries).
-var crossCheckPool = sync.Pool{New: func() any { return new([]int32) }}
+// matchScratch is MatchPreparedAtLeast's working memory: the int32
+// cross-check slots and the folds of both sets, computed per call.
+type matchScratch struct {
+	slots []int32
+	folds []uint64
+}
+
+// crossCheckPool holds MatchPreparedAtLeast's scratch, shared by every
+// goroutine that matches (batch-graph workers, concurrent queries).
+var crossCheckPool = sync.Pool{New: func() any { return new(matchScratch) }}
 
 // Hamming returns the Hamming distance between two descriptors.
 func (d Descriptor) Hamming(o Descriptor) int {
@@ -69,35 +86,51 @@ func (d Descriptor) Hamming(o Descriptor) int {
 		bits.OnesCount64(d[2]^o[2]) + bits.OnesCount64(d[3]^o[3])
 }
 
-// nearestOne finds the nearest neighbor of q in p under the reference tie
-// rule — strictly nearer wins, equal distance goes to the lower index —
-// starting from an incumbent (seedDist, seedIdx). Unseeded searches pass
-// (hammingMax+1, -1); the cross-check passes a forward witness, which
-// tightens the filter from the first candidate on.
-func (p *PreparedBinarySet) nearestOne(q *Descriptor, seedDist, seedIdx int) int {
+// fold XORs a descriptor's four words into one. Bits that differ in an
+// odd number of words between d and o differ in their folds, so
+// popcount(fold(d)^fold(o)) ≤ d.Hamming(o), with equality when the
+// descriptors differ in one word only.
+func fold(d *Descriptor) uint64 {
+	return d[0] ^ d[1] ^ d[2] ^ d[3]
+}
+
+// foldAll writes the fold of each descriptor of ds to dst.
+func foldAll(dst []uint64, ds []Descriptor) {
+	dst = dst[:len(ds)]
+	for i := range ds {
+		dst[i] = fold(&ds[i])
+	}
+}
+
+// settle applies the reference tie rule to a candidate d at index j
+// that passed the fold filter: it returns (Hamming(q, d), j) when d is
+// nearer than the incumbent (dist, idx), or as near with a lower index,
+// and the incumbent otherwise. Fewer than one pair in a hundred gets
+// here, so it stays out of line: inlined, its registers make the scan
+// loops spill more on every candidate.
+//
+//go:noinline
+func settle(q, d *Descriptor, j, dist, idx int) (int, int) {
+	if h := q.Hamming(*d); h < dist || (h == dist && j < idx) {
+		return h, j
+	}
+	return dist, idx
+}
+
+// nearestOne finds the nearest neighbor of q (whose fold is fq) in ds
+// (whose folds are folds) under the tie rule, starting from the
+// incumbent (seedDist, seedIdx), and returns its index, or seedIdx when
+// no candidate beats the seed. A search for neighbors within hammingMax
+// passes (hammingMax, len(ds)), an index every candidate's tie beats;
+// the cross-check passes a forward witness, which tightens the filter
+// from the first candidate on.
+func nearestOne(q *Descriptor, fq uint64, ds []Descriptor, folds []uint64, seedDist, seedIdx int) int {
 	bestDist, bestIdx := seedDist, seedIdx
-	// Real BRIEF words are correlated enough that a single word passes
-	// tens of percent of candidates — branching there mispredicts
-	// constantly — while two words reject >99%.
-	q0, q1, q2, q3 := q[0], q[1], q[2], q[3]
-	ds := p.Set.Descriptors // hoisted: p.Set is reloaded on every access
-	for j := range ds {
-		d := &ds[j]
-		h := bits.OnesCount64(q0^d[0]) + bits.OnesCount64(q1^d[1])
-		if h > bestDist {
-			continue
-		}
-		h += bits.OnesCount64(q2 ^ d[2])
-		if h > bestDist {
-			continue
-		}
-		h += bits.OnesCount64(q3 ^ d[3])
-		if h > bestDist {
-			continue
-		}
-		if h < bestDist || (h == bestDist && j < bestIdx) {
-			bestDist, bestIdx = h, j
-			if bestDist == 0 {
+	ds = ds[:len(folds)]
+	for j, f := range folds {
+		if bits.OnesCount64(fq^f) <= bestDist {
+			bestDist, bestIdx = settle(q, &ds[j], j, bestDist, bestIdx)
+			if bestDist == 0 && bestIdx <= j {
 				// An exact duplicate cannot be beaten, and the ascending
 				// scan guarantees no lower-index tie remains ahead.
 				break
@@ -105,6 +138,76 @@ func (p *PreparedBinarySet) nearestOne(q *Descriptor, seedDist, seedIdx int) int
 		}
 	}
 	return bestIdx
+}
+
+// forwardNearest writes to best[i] the index of the nearest neighbor in
+// b of each descriptor a[i] within hammingMax, or -1 when there is none
+// (fa and fb are the sets' folds). It scans b once per block of four
+// descriptors of a, each lane keeping its own incumbent in ascending
+// scan order, so every lane gets exactly nearestOne's answer; the
+// n mod 4 descriptors left over go through nearestOne. Before each
+// block it stops once the forward matches found plus the descriptors
+// left fall short of need. It returns the forward matches found and how
+// many descriptors of a it resolved (len(a) unless it stopped early).
+func forwardNearest(a, b []Descriptor, fa, fb []uint64, hammingMax, need int, best []int32) (forward, resolved int) {
+	n, none := len(a), len(b)
+	fa, best = fa[:n], best[:n]
+	b = b[:len(fb)]
+	record := func(i, j int) {
+		if j == none {
+			best[i] = -1
+			return
+		}
+		best[i] = int32(j)
+		forward++
+	}
+	i := 0
+	for ; i+4 <= n; i += 4 {
+		if forward+n-i < need {
+			return forward, i
+		}
+		q0, q1, q2, q3 := &a[i], &a[i+1], &a[i+2], &a[i+3]
+		f0, f1, f2, f3 := fa[i], fa[i+1], fa[i+2], fa[i+3]
+		d0, d1, d2, d3 := hammingMax, hammingMax, hammingMax, hammingMax
+		j0, j1, j2, j3 := none, none, none, none
+		for j, f := range fb {
+			if bits.OnesCount64(f0^f) <= d0 {
+				d0, j0 = settle(q0, &b[j], j, d0, j0)
+				if d0|d1|d2|d3 == 0 && max(j0, j1, j2, j3) <= j {
+					break // every lane holds an exact duplicate
+				}
+			}
+			if bits.OnesCount64(f1^f) <= d1 {
+				d1, j1 = settle(q1, &b[j], j, d1, j1)
+				if d0|d1|d2|d3 == 0 && max(j0, j1, j2, j3) <= j {
+					break
+				}
+			}
+			if bits.OnesCount64(f2^f) <= d2 {
+				d2, j2 = settle(q2, &b[j], j, d2, j2)
+				if d0|d1|d2|d3 == 0 && max(j0, j1, j2, j3) <= j {
+					break
+				}
+			}
+			if bits.OnesCount64(f3^f) <= d3 {
+				d3, j3 = settle(q3, &b[j], j, d3, j3)
+				if d0|d1|d2|d3 == 0 && max(j0, j1, j2, j3) <= j {
+					break
+				}
+			}
+		}
+		record(i, j0)
+		record(i+1, j1)
+		record(i+2, j2)
+		record(i+3, j3)
+	}
+	for ; i < n; i++ {
+		if forward+n-i < need {
+			return forward, i
+		}
+		record(i, nearestOne(&a[i], fa[i], b, fb, hammingMax, none))
+	}
+	return forward, n
 }
 
 // MatchPrepared returns the size of the mutual-best (cross-checked)
@@ -131,27 +234,29 @@ func MatchPreparedAtLeast(a, b *PreparedBinarySet, hammingMax, need int) int {
 	if hammingMax < 0 || hammingMax+1 <= 0 || need > min(n, m) {
 		return 0
 	}
-	// One pooled buffer serves the whole cross-check: forward results,
-	// per-target witnesses, and the sparse reverse results. MatchPrepared
-	// runs on every cell of the O(batch²) graph and every index re-rank,
-	// so a per-call allocation is paid millions of times. Every slot is
-	// written before it is read, so a reused buffer needs no clearing.
-	bp := crossCheckPool.Get().(*[]int32)
-	defer crossCheckPool.Put(bp)
-	if cap(*bp) < n+3*m {
-		*bp = make([]int32, n+3*m)
+	// One pooled scratch serves the whole cross-check: the folds of both
+	// sets, forward results, per-target witnesses, and the sparse reverse
+	// results. MatchPrepared runs on every cell of the O(batch²) graph
+	// and every index re-rank, so a per-call allocation is paid millions
+	// of times. Every slot is written before it is read, so a reused
+	// scratch needs no clearing.
+	sc := crossCheckPool.Get().(*matchScratch)
+	defer crossCheckPool.Put(sc)
+	if cap(sc.slots) < n+3*m {
+		sc.slots = make([]int32, n+3*m)
 	}
-	buf := (*bp)[:n+3*m]
+	if cap(sc.folds) < n+m {
+		sc.folds = make([]uint64, n+m)
+	}
+	buf := sc.slots[:n+3*m]
 	bestAB, wDist, wIdx, revBest := buf[:n], buf[n:n+m], buf[n+m:n+2*m], buf[n+2*m:]
-	forward := 0
-	for i := range a.Set.Descriptors {
-		if forward+n-i < need {
-			return forward
-		}
-		bestAB[i] = int32(b.nearestOne(&a.Set.Descriptors[i], hammingMax+1, -1))
-		if bestAB[i] >= 0 {
-			forward++
-		}
+	ad, bd := a.Set.Descriptors, b.Set.Descriptors
+	fa, fb := sc.folds[:n], sc.folds[n:n+m]
+	foldAll(fa, ad)
+	foldAll(fb, bd)
+	forward, resolved := forwardNearest(ad, bd, fa, fb, hammingMax, need, bestAB)
+	if resolved < n {
+		return forward
 	}
 	// The count only reads the reverse nearest neighbor of js that won a
 	// forward match, so reverse-search exactly those — seeded with the
@@ -167,7 +272,7 @@ func MatchPreparedAtLeast(a, b *PreparedBinarySet, hammingMax, need int) int {
 		if j < 0 {
 			continue
 		}
-		h := int32(a.Set.Descriptors[i].Hamming(b.Set.Descriptors[j]))
+		h := int32(ad[i].Hamming(bd[j]))
 		if wIdx[j] < 0 {
 			targets++
 		}
@@ -182,7 +287,7 @@ func MatchPreparedAtLeast(a, b *PreparedBinarySet, hammingMax, need int) int {
 		if wIdx[j] < 0 {
 			continue
 		}
-		revBest[j] = int32(a.nearestOne(&b.Set.Descriptors[j], int(wDist[j]), int(wIdx[j])))
+		revBest[j] = int32(nearestOne(&bd[j], fb[j], ad, fa, int(wDist[j]), int(wIdx[j])))
 	}
 	matches := 0
 	for i, j := range bestAB {

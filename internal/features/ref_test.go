@@ -61,6 +61,8 @@ func nearestBinary(from, to []Descriptor, hammingMax int) []int {
 // nearestPrepared is the accelerated twin of nearestBinary: for every
 // descriptor in from, the index of its nearest neighbor in to within
 // hammingMax (else -1), equal distances resolving to the lowest index.
+// It runs the kernel's own four-lane forward pass, so every differential
+// that compares nearest indices pins each lane and the tail.
 func nearestPrepared(from, to *PreparedBinarySet, hammingMax int) []int {
 	best := make([]int, from.Len())
 	if to.Len() == 0 || hammingMax < 0 || hammingMax+1 <= 0 {
@@ -69,8 +71,14 @@ func nearestPrepared(from, to *PreparedBinarySet, hammingMax int) []int {
 		}
 		return best
 	}
-	for i := range from.Set.Descriptors {
-		best[i] = to.nearestOne(&from.Set.Descriptors[i], hammingMax+1, -1)
+	a, b := from.Set.Descriptors, to.Set.Descriptors
+	fa, fb := make([]uint64, len(a)), make([]uint64, len(b))
+	foldAll(fa, a)
+	foldAll(fb, b)
+	best32 := make([]int32, len(a))
+	forwardNearest(a, b, fa, fb, hammingMax, 0, best32)
+	for i, j := range best32 {
+		best[i] = int(j)
 	}
 	return best
 }
