@@ -30,9 +30,8 @@
 // crash then loses no acknowledged commit (see DESIGN.md, "Crash
 // consistency & the WAL"). A block put is acknowledged as staged: the
 // fsync of the commit that names it makes it durable. -wal-sync picks
-// the durability/throughput point: "record" fsyncs once per
-// acknowledged commit, a duration like "2ms" group-commits on that
-// interval, "none" leaves flushing to the OS.
+// the durability point: "record" fsyncs once per acknowledged commit,
+// "none" leaves flushing to the OS.
 // -wal-segment-bytes sizes the log segments rotation seals.
 //
 // -max-inflight-frames and -max-inflight-bytes bound the work the
@@ -104,7 +103,7 @@ func run() error {
 	admitLowWater := flag.Float64("admit-low-water", 0, "occupancy fraction where the utility policy starts early-shedding low-gain uploads (0 = default 0.5)")
 	debugAddr := flag.String("debug-addr", "", "serve /debug/vars (JSON telemetry snapshot) and /debug/pprof on this address")
 	walDir := flag.String("wal-dir", "", "write-ahead log directory: mutations are durable before they are acknowledged, and recovery replays the log tail over the last good snapshot")
-	walSync := flag.String("wal-sync", "record", "WAL sync policy: record (fsync per acknowledged commit; staged blocks ride on it), a group-commit interval like 2ms, or none")
+	walSync := flag.String("wal-sync", "record", "WAL sync policy: record (fsync per acknowledged commit; staged blocks ride on it) or none (flushing left to the OS)")
 	walSegBytes := flag.Int64("wal-segment-bytes", 0, "rotate WAL segments at this size (0 = default 4 MiB)")
 	clusterSelf := flag.String("cluster-self", "", "this node's name in -cluster-peers (cluster mode; usually its advertised host:port)")
 	clusterPeers := flag.String("cluster-peers", "", "comma-separated cluster membership, every node's dialable address including this one (enables cluster mode)")
@@ -119,7 +118,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	walPolicy, walInterval, err := wal.ParseSyncPolicy(*walSync)
+	walPolicy, err := wal.ParseSyncPolicy(*walSync)
 	if err != nil {
 		return err
 	}
@@ -132,7 +131,6 @@ func run() error {
 			Dir:          *walDir,
 			SegmentBytes: *walSegBytes,
 			Policy:       walPolicy,
-			Interval:     walInterval,
 		},
 	})
 	if err != nil {

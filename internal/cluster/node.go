@@ -26,9 +26,8 @@ type NodeConfig struct {
 	Replication int
 	// Server is the per-shard server configuration (index parameters,
 	// telemetry, block size, filesystem). Every shard replica on the
-	// node gets its own full Server built from it, with a single index
-	// stripe: the cluster shard is the lock stripe, and query results do
-	// not depend on the stripe count.
+	// node gets its own full Server built from it, so each cluster shard
+	// has its own index and its own lock.
 	Server server.Config
 	// Dial opens connections to peer nodes, for forwarding and shard
 	// sync. Nil means TCP to the node name.

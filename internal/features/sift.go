@@ -19,7 +19,6 @@ const (
 	siftBins   = 8
 	siftPatch  = 16 // patch side; cells are 4×4 pixels
 	pcaSiftDim = 36
-	siftMargin = patchMargin // reuse the ORB margin so keypoints coincide
 )
 
 // FloatSet is a set of float descriptors (SIFT-like or PCA-SIFT-like).

@@ -50,8 +50,8 @@ type UploadItem struct {
 
 // Config configures a Server beyond the index parameters.
 type Config struct {
-	// Index is the similarity-index configuration (including Shards).
-	// The zero value selects index.DefaultConfig().
+	// Index is the similarity-index configuration. The zero value
+	// selects index.DefaultConfig().
 	Index index.Config
 	// Telemetry receives the server's index counters (queries, uploads).
 	// Nil disables instrumentation.

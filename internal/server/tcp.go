@@ -37,9 +37,6 @@ type TCPConfig struct {
 	// frames trips the breaker while the bytes are still in flight.
 	// Default 64 MiB.
 	MaxInflightBytes int64
-	// BusyRetryAfter is the pacing hint carried in BusyResponse; clients
-	// hold uploads that long before retrying. Default 1s.
-	BusyRetryAfter time.Duration
 	// AdmitPolicy selects how load is shed past the high-water marks:
 	// AdmitFIFO (default) refuses whatever arrives next; AdmitUtility
 	// sheds lowest-submodular-gain uploads first (see Admission).
@@ -84,15 +81,16 @@ func (c TCPConfig) withDefaults() TCPConfig {
 	if c.MaxInflightBytes <= 0 {
 		c.MaxInflightBytes = 64 << 20
 	}
-	if c.BusyRetryAfter <= 0 {
-		c.BusyRetryAfter = time.Second
-	}
 	return c
 }
 
 // writeTimeout bounds each response write so a peer that stops reading
 // cannot wedge a handler.
 const writeTimeout = 30 * time.Second
+
+// busyRetryAfter is the pacing hint carried in BusyResponse; clients
+// hold uploads that long before retrying.
+const busyRetryAfter = time.Second
 
 // TCPServer exposes a Server over the wire protocol. One goroutine per
 // connection; requests on a connection are handled sequentially.
@@ -310,7 +308,7 @@ func (t *TCPServer) busy(conn net.Conn) error {
 		return err
 	}
 	return wire.WriteFrame(conn, &wire.BusyResponse{
-		RetryAfterMs: uint32(t.cfg.BusyRetryAfter / time.Millisecond),
+		RetryAfterMs: uint32(busyRetryAfter / time.Millisecond),
 	})
 }
 

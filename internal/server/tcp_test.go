@@ -245,7 +245,6 @@ func TestLoadSheddingBusy(t *testing.T) {
 	tel := telemetry.NewRegistry()
 	srv, tcp, addr := listenTCP(t, TCPConfig{
 		MaxInflightBytes: 1024,
-		BusyRetryAfter:   250 * time.Millisecond,
 		IdleTimeout:      5 * time.Second,
 		Telemetry:        tel,
 	})
@@ -283,8 +282,8 @@ func TestLoadSheddingBusy(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if busy.RetryAfterMs != 250 {
-		t.Fatalf("RetryAfterMs = %d, want 250", busy.RetryAfterMs)
+	if busy.RetryAfterMs != 1000 {
+		t.Fatalf("RetryAfterMs = %d, want 1000", busy.RetryAfterMs)
 	}
 	// Observability traffic must NOT be shed while overloaded.
 	if _, ok := request(t, connB, &wire.StatsRequest{}).(*wire.StatsResponse); !ok {

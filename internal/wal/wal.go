@@ -25,9 +25,7 @@
 //
 // Durability is configurable per Config.Policy: SyncEachRecord fsyncs
 // before Append returns (every acknowledged commit survives power loss),
-// SyncInterval group-commits — appenders block until the background
-// flusher's next fsync covers their record, amortizing one fsync over
-// every record in the window — and SyncNone leaves flushing to the OS.
+// and SyncNone leaves flushing to the OS.
 //
 // Retention is keyed to snapshots: Rotate seals the current segments
 // and returns a watermark; once the caller has written a durable
@@ -48,7 +46,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 
 	"bees/internal/diskfault"
 	"bees/internal/telemetry"
@@ -67,8 +64,6 @@ const (
 
 	// DefaultSegmentBytes is the rotation threshold.
 	DefaultSegmentBytes = 4 << 20
-	// DefaultSyncInterval is the group-commit window under SyncInterval.
-	DefaultSyncInterval = 2 * time.Millisecond
 	// MaxRecordBytes bounds a single record, and with it the allocation
 	// a corrupt length prefix can demand during replay.
 	MaxRecordBytes = 64 << 20
@@ -87,9 +82,6 @@ type SyncPolicy int
 const (
 	// SyncEachRecord fsyncs before every Append returns.
 	SyncEachRecord SyncPolicy = iota
-	// SyncInterval group-commits: Append blocks until the background
-	// flusher's next fsync covers the record.
-	SyncInterval
 	// SyncNone never fsyncs on the append path (rotation still syncs the
 	// sealed file); a crash can lose the OS-buffered tail.
 	SyncNone
@@ -99,28 +91,22 @@ func (p SyncPolicy) String() string {
 	switch p {
 	case SyncEachRecord:
 		return "record"
-	case SyncInterval:
-		return "interval"
 	case SyncNone:
 		return "none"
 	}
 	return fmt.Sprintf("SyncPolicy(%d)", int(p))
 }
 
-// ParseSyncPolicy parses a -wal-sync flag value: "record", "none", or a
-// Go duration ("5ms") selecting group commit at that interval.
-func ParseSyncPolicy(s string) (SyncPolicy, time.Duration, error) {
+// ParseSyncPolicy parses a -wal-sync flag value: "record" (or empty)
+// or "none".
+func ParseSyncPolicy(s string) (SyncPolicy, error) {
 	switch s {
 	case "record", "":
-		return SyncEachRecord, 0, nil
+		return SyncEachRecord, nil
 	case "none":
-		return SyncNone, 0, nil
+		return SyncNone, nil
 	}
-	d, err := time.ParseDuration(s)
-	if err != nil || d <= 0 {
-		return 0, 0, fmt.Errorf("wal: bad sync policy %q (want record, none, or a positive duration)", s)
-	}
-	return SyncInterval, d, nil
+	return 0, fmt.Errorf("wal: bad sync policy %q (want record or none)", s)
 }
 
 // Config parameterizes a Log. Dir is required; everything else has the
@@ -135,8 +121,6 @@ type Config struct {
 	SegmentBytes int64
 	// Policy selects append durability. Default SyncEachRecord.
 	Policy SyncPolicy
-	// Interval is the group-commit window under SyncInterval. Default 2ms.
-	Interval time.Duration
 	// Telemetry receives the log's counters ("wal.*"). Nil disables.
 	Telemetry *telemetry.Registry
 }
@@ -148,9 +132,6 @@ func (c Config) withDefaults() Config {
 	if c.SegmentBytes <= 0 {
 		c.SegmentBytes = DefaultSegmentBytes
 	}
-	if c.Interval <= 0 {
-		c.Interval = DefaultSyncInterval
-	}
 	return c
 }
 
@@ -160,18 +141,12 @@ type Log struct {
 	cfg Config
 	fs  diskfault.FS
 
-	mu       sync.Mutex
-	commit   sync.Cond // group commit: appenders wait for synced >= their lsn
-	f        diskfault.File
-	seq      uint64 // current segment sequence
-	size     int64  // bytes written to current segment
-	appended uint64 // records written (LSN)
-	synced   uint64 // records durable
-	err      error  // sticky: first I/O failure poisons the log
-	closed   bool
-
-	flushDone chan struct{}
-	flushStop chan struct{}
+	mu     sync.Mutex
+	f      diskfault.File
+	seq    uint64 // current segment sequence
+	size   int64  // bytes written to current segment
+	err    error  // sticky: first I/O failure poisons the log
+	closed bool
 
 	recs, bytes, syncs, rotations *telemetry.Counter
 	segGauge                      *telemetry.Gauge
@@ -252,16 +227,10 @@ func Open(cfg Config) (*Log, error) {
 		rotations: tel.Counter("wal.rotations"),
 		segGauge:  tel.Gauge("wal.segments"),
 	}
-	l.commit.L = &l.mu
 	if err := l.openSegmentLocked(next); err != nil {
 		return nil, err
 	}
 	l.segGauge.Set(float64(len(seqs) + 1))
-	if cfg.Policy == SyncInterval {
-		l.flushStop = make(chan struct{})
-		l.flushDone = make(chan struct{})
-		go l.flushLoop()
-	}
 	return l, nil
 }
 
@@ -396,19 +365,19 @@ func (l *Log) openSegmentLocked(seq uint64) error {
 // log contents must not diverge silently.
 func (l *Log) Append(payload []byte) error { return l.append(payload, true) }
 
-// AppendNoSync writes one record like Append but returns without
-// waiting for an fsync, under every policy. The record is durable once
-// any later Append, Sync, Rotate or Close returns (under SyncNone, as
-// durable as that Append's own record): each of them syncs every record
-// before it, because records sit in append order in one segment file
-// and a segment is synced before it is sealed. It is for records whose
-// ack promises nothing until a later synced record names them. A closed
-// or poisoned log refuses it with the error it gives Append.
+// AppendNoSync writes one record like Append but returns without an
+// fsync, under every policy. The record is durable once any later
+// Append, Rotate or Close returns (under SyncNone, as durable as that
+// Append's own record): each of them syncs every record before it,
+// because records sit in append order in one segment file and a
+// segment is synced before it is sealed. It is for records whose ack
+// promises nothing until a later synced record names them. A closed or
+// poisoned log refuses it with the error it gives Append.
 func (l *Log) AppendNoSync(payload []byte) error { return l.append(payload, false) }
 
-// append writes one frame; wait makes the caller wait for durability
-// per the policy.
-func (l *Log) append(payload []byte, wait bool) error {
+// append writes one frame; with fsync set it syncs the frame before
+// returning under SyncEachRecord.
+func (l *Log) append(payload []byte, fsync bool) error {
 	if len(payload) == 0 {
 		return errors.New("wal: empty record")
 	}
@@ -421,19 +390,16 @@ func (l *Log) append(payload []byte, wait bool) error {
 	copy(frame[frameHeaderSize:], payload)
 
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	if l.closed {
-		l.mu.Unlock()
 		return ErrClosed
 	}
 	if l.err != nil {
-		err := l.err
-		l.mu.Unlock()
-		return err
+		return l.err
 	}
 	if l.size >= l.cfg.SegmentBytes {
 		if err := l.rotateLocked(); err != nil {
 			l.err = err
-			l.mu.Unlock()
 			return err
 		}
 	}
@@ -442,87 +408,26 @@ func (l *Log) append(payload []byte, wait bool) error {
 	// "fully logged" and "never happened".
 	if _, err := l.f.Write(frame); err != nil {
 		l.err = fmt.Errorf("wal: append: %w", err)
-		err = l.err
-		l.mu.Unlock()
-		return err
+		return l.err
 	}
 	l.size += int64(len(frame))
-	l.appended++
-	lsn := l.appended
 	l.recs.Inc()
 	l.bytes.Add(int64(len(frame)))
-	if !wait {
-		l.mu.Unlock()
-		return nil
+	if fsync && l.cfg.Policy == SyncEachRecord {
+		return l.syncLocked()
 	}
-
-	switch l.cfg.Policy {
-	case SyncEachRecord:
-		err := l.syncLocked()
-		l.mu.Unlock()
-		return err
-	case SyncInterval:
-		// Group commit: wait for the flusher's next fsync to cover lsn.
-		for l.synced < lsn && l.err == nil && !l.closed {
-			l.commit.Wait()
-		}
-		err := l.err
-		if err == nil && l.closed && l.synced < lsn {
-			err = ErrClosed
-		}
-		l.mu.Unlock()
-		return err
-	default: // SyncNone
-		l.mu.Unlock()
-		return nil
-	}
+	return nil
 }
 
-// syncLocked fsyncs the current segment and advances the durable
-// watermark. Callers hold l.mu.
+// syncLocked fsyncs the current segment; a failure poisons the log.
+// Callers hold l.mu.
 func (l *Log) syncLocked() error {
 	if err := l.f.Sync(); err != nil {
 		l.err = fmt.Errorf("wal: sync: %w", err)
 		return l.err
 	}
-	l.synced = l.appended
 	l.syncs.Inc()
 	return nil
-}
-
-// flushLoop is the SyncInterval group-commit flusher.
-func (l *Log) flushLoop() {
-	defer close(l.flushDone)
-	t := time.NewTicker(l.cfg.Interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-l.flushStop:
-			return
-		case <-t.C:
-			l.mu.Lock()
-			if !l.closed && l.err == nil && l.synced < l.appended {
-				l.syncLocked() // sets l.err on failure
-			}
-			l.commit.Broadcast()
-			l.mu.Unlock()
-		}
-	}
-}
-
-// Sync forces durability of everything appended so far.
-func (l *Log) Sync() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return ErrClosed
-	}
-	if l.err != nil {
-		return l.err
-	}
-	err := l.syncLocked()
-	l.commit.Broadcast()
-	return err
 }
 
 // Rotate seals the current segments and starts a fresh one, returning
@@ -553,7 +458,6 @@ func (l *Log) rotateLocked() error {
 	if err := l.syncLocked(); err != nil {
 		return err
 	}
-	l.commit.Broadcast()
 	if err := l.f.Close(); err != nil {
 		return fmt.Errorf("wal: close segment: %w", err)
 	}
@@ -598,8 +502,8 @@ func (l *Log) TruncateThrough(sealed uint64) error {
 // Close syncs and closes the log. Further appends fail with ErrClosed.
 func (l *Log) Close() error {
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	if l.closed {
-		l.mu.Unlock()
 		return ErrClosed
 	}
 	l.closed = true
@@ -607,19 +511,10 @@ func (l *Log) Close() error {
 	if l.err == nil {
 		if serr := l.f.Sync(); serr != nil {
 			err = fmt.Errorf("wal: sync on close: %w", serr)
-		} else {
-			l.synced = l.appended
 		}
 	}
 	if cerr := l.f.Close(); err == nil && cerr != nil {
 		err = fmt.Errorf("wal: close: %w", cerr)
-	}
-	l.commit.Broadcast()
-	stop := l.flushStop
-	l.mu.Unlock()
-	if stop != nil {
-		close(stop)
-		<-l.flushDone
 	}
 	return err
 }

@@ -36,6 +36,14 @@ const unlinkedAllowlist = "testdata/unlinked_allowlist.txt"
 // -overlay and the binaries go to a temp dir, so nothing is written into
 // the tree. A function only tests call belongs in a _test.go file, or
 // nowhere.
+//
+// Blind spot: an exported method whose name and signature match an
+// interface method that some linked code calls always counts as linked.
+// The linker keeps every such method of a type that is converted to an
+// interface (-dumpdep shows "<UsedInIface>" edges), whether or not any
+// call can reach it: a Sync() error on a type stored in an interface
+// survives because diskfault.File's Sync is called, even when nothing
+// calls that type's own Sync.
 func TestEveryInternalFunctionIsLinked(t *testing.T) {
 	if testing.Short() {
 		t.Skip("linker audit skipped in -short mode")
