@@ -61,6 +61,7 @@ fuzz:
 	$(GO) test ./internal/server -run '^$$' -fuzz FuzzDecodeWALRecord -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/features -run '^$$' -fuzz FuzzMatchBinary -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/features -run '^$$' -fuzz FuzzExtractORB -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/features -run '^$$' -fuzz FuzzExtractSIFT -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/wal -run '^$$' -fuzz FuzzWALReplay -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzShardRoute -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzShardSync -fuzztime $(FUZZTIME)

@@ -10,9 +10,11 @@ package features
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
+	"bees/internal/dataset"
 	"bees/internal/imagelib"
 )
 
@@ -57,15 +59,38 @@ func maxInt(a, b int) int {
 	return b
 }
 
+// deviceRasters returns the first n (at most 16) extraction inputs of
+// the bench's device_batch workload at run seed seed: the images of its
+// first batch, dataset.NewDisasterBatch(seed*4099, 16, 2, 0.25). Every
+// round starts on a full battery, so the pipeline's AFE stage compresses
+// that batch at c = EAC(1) = 0, and CompressBitmap at c = 0 is a plain
+// copy of the rendered raster. Later batches of a round drain the phone
+// only slightly (c reaches about 0.0125 by the twelfth batch of seed 1),
+// so the device extracts every image at or within a few pixels of its
+// rendered size.
+func deviceRasters(seed int64, n int) []*imagelib.Raster {
+	var out []*imagelib.Raster
+	for _, im := range dataset.NewDisasterBatch(seed*4099, 16, 2, 0.25).Batch[:n] {
+		out = append(out, im.Render().Clone())
+	}
+	return out
+}
+
 // diffRasters is the shared differential corpus: synthetic scenes at the
-// canonical and bitmap-compressed sizes, noise and gradient rasters at
-// awkward sizes (non-multiple-of-8, just above and below the pyramid
-// minimum), and degenerate tiny rasters.
+// canonical and bitmap-compressed sizes, four of device_batch's real
+// extraction inputs, noise and gradient rasters at awkward sizes
+// (non-multiple-of-8, just above and below the pyramid minimum), and
+// degenerate tiny rasters.
 func diffRasters(t testing.TB) map[string]*imagelib.Raster {
 	t.Helper()
 	ref, similar, other := testImages(777)
 	rng := rand.New(rand.NewSource(778))
+	dev := deviceRasters(1, 4)
 	return map[string]*imagelib.Raster{
+		"device-0":      dev[0],
+		"device-1":      dev[1],
+		"device-2":      dev[2],
+		"device-3":      dev[3],
 		"scene-ref":     ref,
 		"scene-similar": similar,
 		"scene-other":   other,
@@ -141,6 +166,33 @@ func TestDetectFASTDifferential(t *testing.T) {
 			keypointsEqual(t, label, DetectFAST(r, th), want)
 			keypointsEqual(t, label+"/scratch", DetectFASTScratch(r, th, scratch), want)
 		}
+	}
+}
+
+// TestExtractSIFTDifferential pins the SIFT baselines, which run the
+// arena's detector and pyramid, to the reference pipeline: ExtractSIFT
+// and ExtractPCASIFT must be reflect.DeepEqual to ExtractSIFTRef and its
+// projection, over the differential corpus and testImages(1).
+func TestExtractSIFTDifferential(t *testing.T) {
+	check := func(label string, r *imagelib.Raster, cfg Config) {
+		want := ExtractSIFTRef(r, cfg)
+		if got := ExtractSIFT(r, cfg); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: ExtractSIFT differs from ExtractSIFTRef (%d vs %d vectors)",
+				label, got.Len(), want.Len())
+		}
+		if got, want := ExtractPCASIFT(r, cfg), projectSet(want); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: ExtractPCASIFT differs from the projected reference (%d vs %d vectors)",
+				label, got.Len(), want.Len())
+		}
+	}
+	for name, r := range diffRasters(t) {
+		for ci, cfg := range diffConfigs() {
+			check(fmt.Sprintf("%s/cfg%d", name, ci), r, cfg)
+		}
+	}
+	ref, similar, other := testImages(1)
+	for name, r := range map[string]*imagelib.Raster{"ref": ref, "similar": similar, "other": other} {
+		check("testImages(1)/"+name, r, DefaultConfig())
 	}
 }
 

@@ -7,6 +7,7 @@ package features
 // `make fuzz` explores beyond it.
 
 import (
+	"reflect"
 	"testing"
 
 	"bees/internal/imagelib"
@@ -28,9 +29,21 @@ func fuzzRaster(raw []byte, wRaw, hRaw byte) *imagelib.Raster {
 	return r
 }
 
-func FuzzExtractORB(f *testing.F) {
-	// Inline seeds beyond the checked-in corpus: empty plane, a bright
-	// dot at the border ring, and a noisy plane at the pyramid minimum.
+// fuzzConfig maps two fuzz bytes to extraction knobs.
+func fuzzConfig(thRaw, knobRaw byte) Config {
+	return Config{
+		MaxFeatures:   8 + int(knobRaw),
+		FASTThreshold: int(thRaw) % 64,
+		Levels:        1 + int(knobRaw)%10,
+		ScaleFactor:   1.0 + float64(knobRaw%40)/32, // includes the <=1 repair path at 1.0
+		BlurRadius:    int(knobRaw) % 4,
+	}
+}
+
+// addFuzzSeeds adds the inline seeds beyond the checked-in corpora:
+// empty plane, a bright dot at the border ring, and a noisy plane at the
+// pyramid minimum.
+func addFuzzSeeds(f *testing.F) {
 	f.Add([]byte{}, byte(16), byte(16), byte(18), byte(3))
 	dot := make([]byte, 24*20)
 	dot[10*24+3] = 255
@@ -40,15 +53,13 @@ func FuzzExtractORB(f *testing.F) {
 		noisy[i] = byte(i * 37)
 	}
 	f.Add(noisy, byte(42), byte(42), byte(5), byte(9))
+}
+
+func FuzzExtractORB(f *testing.F) {
+	addFuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, raw []byte, wRaw, hRaw, thRaw, knobRaw byte) {
 		r := fuzzRaster(raw, wRaw, hRaw)
-		cfg := Config{
-			MaxFeatures:   8 + int(knobRaw),
-			FASTThreshold: int(thRaw) % 64,
-			Levels:        1 + int(knobRaw)%10,
-			ScaleFactor:   1.0 + float64(knobRaw%40)/32, // includes the <=1 repair path at 1.0
-			BlurRadius:    int(knobRaw) % 4,
-		}
+		cfg := fuzzConfig(thRaw, knobRaw)
 		want := ExtractORBRef(r, cfg)
 		got := ExtractORB(r, cfg)
 		if got.Len() != want.Len() {
@@ -73,6 +84,25 @@ func FuzzExtractORB(f *testing.F) {
 			if refKps[i] != fastKps[i] {
 				t.Fatalf("DetectFAST keypoint[%d] = %+v, reference %+v", i, fastKps[i], refKps[i])
 			}
+		}
+	})
+}
+
+// FuzzExtractSIFT drives the SIFT and PCA-SIFT baselines, which run the
+// arena's detector and pyramid, against the reference pipeline
+// (ExtractSIFTRef and its projection) on the same raster and knob space
+// as FuzzExtractORB. Its seed corpus is testdata/fuzz/FuzzExtractSIFT.
+func FuzzExtractSIFT(f *testing.F) {
+	addFuzzSeeds(f)
+	f.Fuzz(func(t *testing.T, raw []byte, wRaw, hRaw, thRaw, knobRaw byte) {
+		r := fuzzRaster(raw, wRaw, hRaw)
+		cfg := fuzzConfig(thRaw, knobRaw)
+		want := ExtractSIFTRef(r, cfg)
+		if got := ExtractSIFT(r, cfg); !reflect.DeepEqual(got, want) {
+			t.Fatalf("ExtractSIFT differs from ExtractSIFTRef (w=%d h=%d cfg=%+v)", r.W, r.H, cfg)
+		}
+		if got := ExtractPCASIFT(r, cfg); !reflect.DeepEqual(got, projectSet(want)) {
+			t.Fatalf("ExtractPCASIFT differs from the projected reference (w=%d h=%d cfg=%+v)", r.W, r.H, cfg)
 		}
 	})
 }

@@ -395,7 +395,7 @@ func TestDetectPyramidRespectsCap(t *testing.T) {
 	ref, _, _ := testImages(58)
 	cfg := DefaultConfig()
 	cfg.MaxFeatures = 10
-	kps, _ := detectPyramid(ref, cfg)
+	kps := NewExtractScratch().detectPyramid(ref, cfg)
 	if len(kps) > 10 {
 		t.Fatalf("cap violated: %d keypoints", len(kps))
 	}
@@ -409,8 +409,9 @@ func TestDetectPyramidRespectsCap(t *testing.T) {
 
 func TestDetectPyramidConfigRepair(t *testing.T) {
 	ref, _, _ := testImages(59)
-	kps, levels := detectPyramid(ref, Config{FASTThreshold: 18})
-	if len(levels) == 0 || len(kps) == 0 {
+	s := NewExtractScratch()
+	kps := s.detectPyramid(ref, Config{FASTThreshold: 18})
+	if len(s.levels) == 0 || len(kps) == 0 {
 		t.Fatal("zero-value config fields should be repaired, not fatal")
 	}
 }

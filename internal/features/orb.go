@@ -1,10 +1,6 @@
 package features
 
-import (
-	"sort"
-
-	"bees/internal/imagelib"
-)
+import "bees/internal/imagelib"
 
 // Config controls feature extraction. The zero value is not valid; use
 // DefaultConfig.
@@ -82,92 +78,4 @@ func ExtractORBScratch(r *imagelib.Raster, cfg Config, s *ExtractScratch) *Binar
 		set.Keypoints = append(set.Keypoints, kp)
 	}
 	return set
-}
-
-// detectPyramid builds the scale pyramid, detects FAST keypoints on every
-// level, drops points too close to a border for BRIEF, and returns the
-// strongest MaxFeatures keypoints together with the level rasters. It is
-// the reference pyramid (every buffer allocated per call, detection via
-// DetectFASTRef), serving ExtractORBRef and the SIFT baselines; the
-// production twin is (*ExtractScratch).detectPyramid.
-func detectPyramid(r *imagelib.Raster, cfg Config) ([]Keypoint, []*imagelib.Raster) {
-	if cfg.Levels < 1 {
-		cfg.Levels = 1
-	}
-	if cfg.ScaleFactor <= 1 {
-		cfg.ScaleFactor = 1.25
-	}
-	if cfg.MaxFeatures <= 0 {
-		cfg.MaxFeatures = 300
-	}
-	levels := make([]*imagelib.Raster, 0, cfg.Levels)
-	scales := make([]float64, 0, cfg.Levels)
-	cur := r
-	scale := 1.0
-	for l := 0; l < cfg.Levels; l++ {
-		if cur.W < 2*patchMargin+8 || cur.H < 2*patchMargin+8 {
-			break
-		}
-		levels = append(levels, cur)
-		scales = append(scales, scale)
-		scale *= cfg.ScaleFactor
-		nw := int(float64(r.W)/scale + 0.5)
-		nh := int(float64(r.H)/scale + 0.5)
-		if nw < 8 || nh < 8 {
-			break
-		}
-		cur = imagelib.Downsample(r, nw, nh)
-	}
-	// Distribute the feature budget across levels proportionally to level
-	// area (as OpenCV ORB does). A single global score cap would
-	// concentrate every keypoint in the fine levels and leave the coarse
-	// levels unrepresented — destroying cross-resolution matching, which
-	// AFE bitmap compression depends on.
-	totalArea := 0
-	for _, lvl := range levels {
-		totalArea += lvl.Pixels()
-	}
-	var all []Keypoint
-	for li, lvl := range levels {
-		perLevel := make([]Keypoint, 0, 128)
-		for _, kp := range DetectFASTRef(lvl, cfg.FASTThreshold) {
-			if kp.X < patchMargin || kp.X >= lvl.W-patchMargin ||
-				kp.Y < patchMargin || kp.Y >= lvl.H-patchMargin {
-				continue
-			}
-			kp.Level = li
-			kp.Scale = scales[li]
-			perLevel = append(perLevel, kp)
-		}
-		sortKeypoints(perLevel)
-		budget := cfg.MaxFeatures * lvl.Pixels() / totalArea
-		if budget < 8 {
-			budget = 8
-		}
-		if len(perLevel) > budget {
-			perLevel = perLevel[:budget]
-		}
-		all = append(all, perLevel...)
-	}
-	sortKeypoints(all)
-	if len(all) > cfg.MaxFeatures {
-		all = all[:cfg.MaxFeatures]
-	}
-	return all, levels
-}
-
-// sortKeypoints orders by descending score with deterministic tie-breaks.
-func sortKeypoints(kps []Keypoint) {
-	sort.Slice(kps, func(i, j int) bool {
-		if kps[i].Score != kps[j].Score {
-			return kps[i].Score > kps[j].Score
-		}
-		if kps[i].Level != kps[j].Level {
-			return kps[i].Level < kps[j].Level
-		}
-		if kps[i].Y != kps[j].Y {
-			return kps[i].Y < kps[j].Y
-		}
-		return kps[i].X < kps[j].X
-	})
 }

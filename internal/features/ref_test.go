@@ -4,7 +4,11 @@ package features
 // shipped kernels are pinned against bit for bit, and standalone wrappers
 // around the extraction arena's FAST detector. No binary calls them.
 
-import "bees/internal/imagelib"
+import (
+	"sort"
+
+	"bees/internal/imagelib"
+)
 
 // MatchBinaryRef is the brute-force O(n·m) reference matcher: the oracle
 // the differential/property/fuzz suites pin the fast kernel against, and
@@ -87,7 +91,7 @@ func nearestPrepared(from, to *PreparedBinarySet, hammingMax int) []int {
 // verbatim as the bit-identity oracle for ExtractORB: descriptors,
 // keypoints (every field) and their order must match exactly.
 func ExtractORBRef(r *imagelib.Raster, cfg Config) *BinarySet {
-	kps, levels := detectPyramid(r, cfg)
+	kps, levels := detectPyramidRef(r, cfg)
 	set := &BinarySet{
 		Descriptors: make([]Descriptor, 0, len(kps)),
 		Keypoints:   make([]Keypoint, 0, len(kps)),
@@ -101,6 +105,30 @@ func ExtractORBRef(r *imagelib.Raster, cfg Config) *BinarySet {
 		sm := smoothed[kp.Level]
 		kp.Angle = orientation(sm, kp.X, kp.Y)
 		set.Descriptors = append(set.Descriptors, computeBRIEF(sm, kp))
+		set.Keypoints = append(set.Keypoints, kp)
+	}
+	return set
+}
+
+// ExtractSIFTRef is the original allocating SIFT pipeline, kept as the
+// bit-identity oracle for ExtractSIFT: the reference pyramid, and a
+// radius-1 BoxBlur per level that owns keypoints.
+func ExtractSIFTRef(r *imagelib.Raster, cfg Config) *FloatSet {
+	kps, levels := detectPyramidRef(r, cfg)
+	set := &FloatSet{
+		Dim:       siftDim,
+		Vectors:   make([][]float32, 0, len(kps)),
+		Keypoints: make([]Keypoint, 0, len(kps)),
+		Algorithm: AlgSIFT,
+	}
+	smoothed := make([]*imagelib.Raster, len(levels))
+	for _, kp := range kps {
+		if smoothed[kp.Level] == nil {
+			smoothed[kp.Level] = imagelib.BoxBlur(levels[kp.Level], 1)
+		}
+		sm := smoothed[kp.Level]
+		kp.Angle = orientation(sm, kp.X, kp.Y)
+		set.Vectors = append(set.Vectors, siftDescriptor(sm, kp))
 		set.Keypoints = append(set.Keypoints, kp)
 	}
 	return set
@@ -129,4 +157,200 @@ func DetectFAST(r *imagelib.Raster, threshold int) []Keypoint {
 func DetectFASTScratch(r *imagelib.Raster, threshold int, s *ExtractScratch) []Keypoint {
 	s.kps = s.detectFAST(r, threshold, s.kps[:0])
 	return s.kps
+}
+
+// detectPyramidRef builds the scale pyramid, detects FAST keypoints on
+// every level, drops points too close to a border for BRIEF, and returns
+// the strongest MaxFeatures keypoints together with the level rasters.
+// It is the original pyramid (every buffer allocated per call, detection
+// via DetectFASTRef), kept as the oracle of (*ExtractScratch).detectPyramid
+// for ExtractORBRef and ExtractSIFTRef.
+func detectPyramidRef(r *imagelib.Raster, cfg Config) ([]Keypoint, []*imagelib.Raster) {
+	if cfg.Levels < 1 {
+		cfg.Levels = 1
+	}
+	if cfg.ScaleFactor <= 1 {
+		cfg.ScaleFactor = 1.25
+	}
+	if cfg.MaxFeatures <= 0 {
+		cfg.MaxFeatures = 300
+	}
+	levels := make([]*imagelib.Raster, 0, cfg.Levels)
+	scales := make([]float64, 0, cfg.Levels)
+	cur := r
+	scale := 1.0
+	for l := 0; l < cfg.Levels; l++ {
+		if cur.W < 2*patchMargin+8 || cur.H < 2*patchMargin+8 {
+			break
+		}
+		levels = append(levels, cur)
+		scales = append(scales, scale)
+		scale *= cfg.ScaleFactor
+		nw := int(float64(r.W)/scale + 0.5)
+		nh := int(float64(r.H)/scale + 0.5)
+		if nw < 8 || nh < 8 {
+			break
+		}
+		cur = imagelib.Downsample(r, nw, nh)
+	}
+	// Distribute the feature budget across levels proportionally to level
+	// area (as OpenCV ORB does). A single global score cap would
+	// concentrate every keypoint in the fine levels and leave the coarse
+	// levels unrepresented — destroying cross-resolution matching, which
+	// AFE bitmap compression depends on.
+	totalArea := 0
+	for _, lvl := range levels {
+		totalArea += lvl.Pixels()
+	}
+	var all []Keypoint
+	for li, lvl := range levels {
+		perLevel := make([]Keypoint, 0, 128)
+		for _, kp := range DetectFASTRef(lvl, cfg.FASTThreshold) {
+			if kp.X < patchMargin || kp.X >= lvl.W-patchMargin ||
+				kp.Y < patchMargin || kp.Y >= lvl.H-patchMargin {
+				continue
+			}
+			kp.Level = li
+			kp.Scale = scales[li]
+			perLevel = append(perLevel, kp)
+		}
+		sortKeypoints(perLevel)
+		budget := cfg.MaxFeatures * lvl.Pixels() / totalArea
+		if budget < 8 {
+			budget = 8
+		}
+		if len(perLevel) > budget {
+			perLevel = perLevel[:budget]
+		}
+		all = append(all, perLevel...)
+	}
+	sortKeypoints(all)
+	if len(all) > cfg.MaxFeatures {
+		all = all[:cfg.MaxFeatures]
+	}
+	return all, levels
+}
+
+// sortKeypoints orders by descending score with deterministic tie-breaks.
+func sortKeypoints(kps []Keypoint) {
+	sort.Slice(kps, func(i, j int) bool {
+		if kps[i].Score != kps[j].Score {
+			return kps[i].Score > kps[j].Score
+		}
+		if kps[i].Level != kps[j].Level {
+			return kps[i].Level < kps[j].Level
+		}
+		if kps[i].Y != kps[j].Y {
+			return kps[i].Y < kps[j].Y
+		}
+		return kps[i].X < kps[j].X
+	})
+}
+
+// DetectFASTRef is the original detector, kept as the bit-identity oracle
+// for the arena detector: it scores every pixel into a freshly allocated
+// w×h plane, then runs non-maximum suppression over the plane.
+func DetectFASTRef(r *imagelib.Raster, threshold int) []Keypoint {
+	if threshold < 1 {
+		threshold = 1
+	}
+	w, h := r.W, r.H
+	if w < 8 || h < 8 {
+		return nil
+	}
+	scores := make([]int, w*h)
+	for y := 3; y < h-3; y++ {
+		for x := 3; x < w-3; x++ {
+			if s := fastScoreRef(r, x, y, threshold); s > 0 {
+				scores[y*w+x] = s
+			}
+		}
+	}
+	kps := make([]Keypoint, 0, 256)
+	for y := 3; y < h-3; y++ {
+		for x := 3; x < w-3; x++ {
+			s := scores[y*w+x]
+			if s == 0 {
+				continue
+			}
+			if !isLocalMax(scores, w, x, y, s) {
+				continue
+			}
+			kps = append(kps, Keypoint{X: x, Y: y, Scale: 1, Score: s})
+		}
+	}
+	return kps
+}
+
+// fastScoreRef returns a positive corner score if (x, y) passes the
+// FAST-9 test, else 0. The score is the sum of absolute differences over
+// the qualifying arc, which is the conventional ranking function.
+func fastScoreRef(r *imagelib.Raster, x, y, threshold int) int {
+	c := int(r.Pix[y*r.W+x])
+	var diffs [16]int
+	for i, off := range circleOffsets {
+		diffs[i] = int(r.Pix[(y+off[1])*r.W+x+off[0]]) - c
+	}
+	// Quick reject using the N/S/E/W pixels: for an arc of 9 to exist, at
+	// least 2 of the 4 compass pixels must be beyond the threshold on the
+	// same side.
+	bright, dark := 0, 0
+	for _, i := range [4]int{0, 4, 8, 12} {
+		if diffs[i] > threshold {
+			bright++
+		} else if diffs[i] < -threshold {
+			dark++
+		}
+	}
+	if bright < 2 && dark < 2 {
+		return 0
+	}
+	best := 0
+	// Scan contiguous runs on the doubled circle.
+	for side := 0; side < 2; side++ {
+		run, sum := 0, 0
+		for i := 0; i < 32; i++ {
+			d := diffs[i&15]
+			ok := d > threshold
+			if side == 1 {
+				ok = d < -threshold
+			}
+			if !ok {
+				run, sum = 0, 0
+				continue
+			}
+			run++
+			if d < 0 {
+				sum -= d
+			} else {
+				sum += d
+			}
+			if run >= fastArc && sum > best {
+				best = sum
+			}
+			if run >= 16 {
+				break // full circle; avoid double counting
+			}
+		}
+	}
+	return best
+}
+
+func isLocalMax(scores []int, w, x, y, s int) bool {
+	for dy := -1; dy <= 1; dy++ {
+		for dx := -1; dx <= 1; dx++ {
+			if dx == 0 && dy == 0 {
+				continue
+			}
+			n := scores[(y+dy)*w+x+dx]
+			if n > s {
+				return false
+			}
+			// Break score ties deterministically by position.
+			if n == s && (dy < 0 || (dy == 0 && dx < 0)) {
+				return false
+			}
+		}
+	}
+	return true
 }

@@ -1,7 +1,6 @@
 package features
 
 import (
-	"math/bits"
 	"slices"
 	"sync"
 
@@ -17,10 +16,11 @@ import (
 // allocates nothing but the returned BinarySet.
 //
 // A scratch is not safe for concurrent use; use one per goroutine
-// (core.ExtractAll pools them) or go through ExtractORB, which draws from
-// an internal pool. Everything computed on a scratch is bit-identical to
-// the allocating reference path (ExtractORBRef in ref_test.go,
-// DetectFASTRef), gated by the differential suite in extract_diff_test.go.
+// (core.ExtractAll pools them) or go through ExtractORB or ExtractSIFT,
+// which draw from an internal pool. Everything computed on a scratch is
+// bit-identical to the allocating reference paths (ExtractORBRef,
+// ExtractSIFTRef and DetectFASTRef in ref_test.go), gated by the
+// differential suite in extract_diff_test.go.
 type ExtractScratch struct {
 	// baseII is the integral of the current base raster. Every pyramid
 	// level downsamples from the base, and the reference path rebuilds
@@ -28,6 +28,8 @@ type ExtractScratch struct {
 	// biggest saving in detectPyramid. It also smooths level 0.
 	baseII    imagelib.Integral
 	baseBuilt bool
+	// spans is DownsampleInto's column table, kept across calls.
+	spans imagelib.Spans
 
 	// rasters[i] / lvlII[i] back pyramid level i+1 (level 0 is the input
 	// raster itself). DownsampleInto fills both in one traversal.
@@ -57,8 +59,9 @@ type ExtractScratch struct {
 // NewExtractScratch returns an empty scratch; buffers grow on first use.
 func NewExtractScratch() *ExtractScratch { return &ExtractScratch{} }
 
-// extractScratchPool backs the drop-in ExtractORB wrapper so
-// every caller gets buffer reuse without threading a scratch through.
+// extractScratchPool backs the drop-in ExtractORB and ExtractSIFT
+// wrappers so every caller gets buffer reuse without threading a scratch
+// through.
 var extractScratchPool = sync.Pool{New: func() any { return NewExtractScratch() }}
 
 func getExtractScratch() *ExtractScratch {
@@ -72,6 +75,14 @@ func putExtractScratch(s *ExtractScratch) { extractScratchPool.Put(s) }
 // complete, emitting keypoints in the same (y, x) scan order as
 // DetectFASTRef. Most pixels exit on the 4-point compass test without
 // ever gathering the 16-pixel ring.
+//
+// The side tests are branch-free: with t ≥ 1 and d a ring pixel minus
+// the center, d > t exactly when t−d is negative and d < −t exactly
+// when d+t is, so sign(t−d) and sign(d+t) are the bright and dark flags.
+// The compass takes min and max (conditional moves, not jumps) of the
+// four compass pixels first, so one sign per side decides it. The only
+// data-dependent branches left per pixel are the compass verdict and,
+// for pixels that pass it, which side holds an arc.
 func (s *ExtractScratch) detectFAST(r *imagelib.Raster, threshold int, out []Keypoint) []Keypoint {
 	if threshold < 1 {
 		threshold = 1
@@ -93,56 +104,54 @@ func (s *ExtractScratch) detectFAST(r *imagelib.Raster, threshold int, out []Key
 	for i, o := range circleOffsets {
 		off[i] = o[1]*w + o[0]
 	}
-	oN, oE, oS, oW := -3*w, 3, 3*w, -3
+	t := threshold
 	// Row 2 borders the first scored row and must read as zero.
 	clear(rowAt(2))
 	for y := 3; y < h-3; y++ {
 		cur := rowAt(y)
 		clear(cur)
 		base := y * w
+		rowN, rowC, rowS := pix[base-3*w:][:w], pix[base:][:w], pix[base+3*w:][:w]
 		for x := 3; x < w-3; x++ {
 			p := base + x
-			c := int(pix[p])
+			c := int(rowC[x])
 			// Compass quick reject, strictly stronger than (and sound
 			// with respect to) fastScoreRef's 2-of-4 test: the complement
 			// of a >=9 arc is a contiguous window of <=7 ring pixels,
 			// which cannot contain both members of an opposite pair, so a
 			// bright (dark) arc must include N or S *and* E or W on the
 			// bright (dark) side. Pixels rejected here score 0 in the
-			// reference too, so emitted keypoints are unchanged.
-			dN := int(pix[p+oN]) - c
-			dS := int(pix[p+oS]) - c
-			dE := int(pix[p+oE]) - c
-			dW := int(pix[p+oW]) - c
-			if !((dN > threshold || dS > threshold) && (dE > threshold || dW > threshold)) &&
-				!((dN < -threshold || dS < -threshold) && (dE < -threshold || dW < -threshold)) {
+			// reference too, so emitted keypoints are unchanged. (N or S)
+			// and (E or W) are bright exactly when the dimmer of
+			// max(N, S) and max(E, W) is, and dark likewise with min and
+			// max swapped.
+			pN, pS := int(rowN[x]), int(rowS[x])
+			pE, pW := int(rowC[x+3]), int(rowC[x-3])
+			bright := min(max(pN, pS), max(pE, pW)) - c
+			dark := max(min(pN, pS), min(pE, pW)) - c
+			if sign(t-bright)|sign(dark+t) == 0 {
 				continue
 			}
 			// Gather the ring and build per-side bitmasks. A pixel
 			// scores >0 iff one side has a circular run of >=9 set bits,
 			// which hasRun9 decides in a handful of shift-ANDs -- the
-			// full scoring walk then runs only on actual corners.
+			// score sum then runs only on actual corners.
 			var diffs [16]int
-			var brightM, darkM uint32
+			var masks uint32 // bright side in bits 0-15, dark in 16-31
 			for i := 0; i < 16; i++ {
 				d := int(pix[p+off[i]]) - c
 				diffs[i] = d
-				if d > threshold {
-					brightM |= 1 << i
-				} else if d < -threshold {
-					darkM |= 1 << i
-				}
+				masks |= sign(t-d)<<i | sign(d+t)<<(i+16)
 			}
-			best := 0
-			if hasRun9(brightM) {
-				best = runScore(&diffs, brightM)
+			brightM, darkM := masks&0xffff, masks>>16
+			// The masks are disjoint and an arc takes 9 of 16 bits, so
+			// at most one side can hold one: score that side alone.
+			switch {
+			case hasRun9(brightM):
+				cur[x] = runScore(&diffs, brightM)
+			case hasRun9(darkM):
+				cur[x] = runScore(&diffs, darkM)
 			}
-			if hasRun9(darkM) {
-				if s := runScore(&diffs, darkM); s > best {
-					best = s
-				}
-			}
-			cur[x] = best
 		}
 		if y > 3 {
 			out = nmsRow(rowAt(y-2), rowAt(y-1), cur, y-1, w, out)
@@ -156,6 +165,10 @@ func (s *ExtractScratch) detectFAST(r *imagelib.Raster, threshold int, out []Key
 	}
 	return out
 }
+
+// sign returns 1 when v is negative and 0 otherwise, without a branch.
+// The conversion sign-extends, so it holds for any int width.
+func sign(v int) uint32 { return uint32(uint64(v) >> 63) }
 
 // hasRun9 reports whether the 16-bit circular mask contains a run of at
 // least 9 contiguous set bits. Doubling the mask turns every circular
@@ -171,48 +184,35 @@ func hasRun9(mask uint32) bool {
 	return m != 0
 }
 
-// runScore returns the best FAST-9 arc score for one side, given the
-// side's ring mask. It enumerates the maximal set-bit runs of the
-// doubled mask with trailing-zero counts instead of walking all 32
-// doubled positions like fastScoreRef does: each qualifying run (length
-// ≥9, capped at 16 like the reference's full-circle break) contributes
-// the sum of absolute differences over its pixels, exactly the
-// cumulative sum the reference's walk reaches at the end of that run.
-// Truncated boundary copies of a wrapped run score lower than the
-// intact copy, so the maximum is unchanged.
+// runScore returns the FAST-9 arc score for one side, given the side's
+// ring mask, which holds a run of ≥9: the sum of absolute differences
+// over that run's pixels, as fastScoreRef's walk reaches at the end of
+// the run (capped at 16, its full-circle break). A 16-bit mask has room
+// for only one such run, and fastScoreRef's truncated copies of a
+// wrapped run score lower than the intact one, so the score is that one
+// run's sum. The folds of hasRun9 on the doubled mask mark each start of
+// 9 set bits; OR-folding the marks forward by 8 covers exactly the bits
+// of the long run and its copies, and folding the doubled word back to
+// 16 bits leaves the run itself. Every pixel of one side's run has the
+// same sign, so the sum of absolute differences is the absolute value of
+// the masked plain sum, taken once without a branch.
 func runScore(diffs *[16]int, mask uint32) int {
 	m := mask | mask<<16
-	best, pos := 0, 0
-	for m != 0 {
-		tz := bits.TrailingZeros32(m)
-		m >>= uint(tz)
-		pos += tz
-		ones := bits.TrailingZeros32(^m)
-		if ones >= fastArc {
-			n := ones
-			if n > 16 {
-				n = 16
-			}
-			sum := 0
-			for j := 0; j < n; j++ {
-				d := diffs[(pos+j)&15]
-				if d < 0 {
-					sum -= d
-				} else {
-					sum += d
-				}
-			}
-			if sum > best {
-				best = sum
-			}
-		}
-		if ones >= 32 {
-			break
-		}
-		m >>= uint(ones)
-		pos += ones
+	st := m & (m >> 1)
+	st &= st >> 2
+	st &= st >> 4
+	st &= st >> 1
+	st |= st << 1
+	st |= st << 2
+	st |= st << 4
+	st |= st << 1
+	run := st | st>>16
+	sum := 0
+	for i, d := range diffs {
+		sum += d & -int(run>>uint(i)&1)
 	}
-	return best
+	neg := sum >> 63 // all ones when sum < 0
+	return (sum ^ neg) - neg
 }
 
 // nmsRow suppresses row y against its two neighbor rows and appends the
@@ -238,12 +238,15 @@ func nmsRow(prev, cur, next []int, y, w int, out []Keypoint) []Keypoint {
 	return out
 }
 
-// detectPyramid is the arena-backed twin of the package-level
-// detectPyramid: same level geometry, same budget arithmetic, same
-// ordering, but every level raster, integral and keypoint slice lives in
-// the scratch, and the base-raster integral is built once and shared by
-// every downsample (the reference path rebuilds it per level inside
-// Downsample). Returned keypoints are backed by s.all.
+// detectPyramid builds the scale pyramid, detects FAST keypoints on every
+// level, drops points too close to a border for BRIEF, and returns the
+// strongest MaxFeatures keypoints; the levels are left in s.levels. It is
+// the arena-backed twin of detectPyramidRef (ref_test.go): same level
+// geometry, same budget arithmetic, same ordering, but every level
+// raster, integral and keypoint slice lives in the scratch, and the
+// base-raster integral is built once and shared by every downsample (the
+// reference path rebuilds it per level inside Downsample). Returned
+// keypoints are backed by s.all.
 func (s *ExtractScratch) detectPyramid(r *imagelib.Raster, cfg Config) []Keypoint {
 	if cfg.Levels < 1 {
 		cfg.Levels = 1
@@ -285,7 +288,7 @@ func (s *ExtractScratch) detectPyramid(r *imagelib.Raster, cfg Config) []Keypoin
 			s.baseBuilt = true
 		}
 		li := len(s.levels) - 1 // this downsample becomes level li+1
-		imagelib.DownsampleInto(&s.rasters[li], &s.lvlII[li], r, &s.baseII, nw, nh)
+		imagelib.DownsampleInto(&s.rasters[li], &s.lvlII[li], r, &s.baseII, nw, nh, &s.spans)
 		cur = &s.rasters[li]
 	}
 	for len(s.smooth) < len(s.levels) {
@@ -295,6 +298,11 @@ func (s *ExtractScratch) detectPyramid(r *imagelib.Raster, cfg Config) []Keypoin
 	for i := range s.levels {
 		s.smoothOK[i] = false
 	}
+	// Distribute the feature budget across levels proportionally to level
+	// area (as OpenCV ORB does). A single global score cap would
+	// concentrate every keypoint in the fine levels and leave the coarse
+	// levels unrepresented — destroying cross-resolution matching, which
+	// AFE bitmap compression depends on.
 	totalArea := 0
 	for _, lvl := range s.levels {
 		totalArea += lvl.Pixels()
@@ -331,10 +339,10 @@ func (s *ExtractScratch) detectPyramid(r *imagelib.Raster, cfg Config) []Keypoin
 	return all
 }
 
-// sortKeypointsInPlace applies the sortKeypoints order without the
-// sort.Slice closure allocation. The comparator is a total order (score,
-// level, y, x — no two keypoints tie on all four), so the unstable sorts
-// both paths use cannot diverge.
+// sortKeypointsInPlace applies the order of sortKeypoints (ref_test.go)
+// without the sort.Slice closure allocation. The comparator is a total
+// order (score, level, y, x — no two keypoints tie on all four), so the
+// unstable sorts both paths use cannot diverge.
 func sortKeypointsInPlace(kps []Keypoint) {
 	slices.SortFunc(kps, func(a, b Keypoint) int {
 		switch {

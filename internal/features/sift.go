@@ -41,21 +41,22 @@ func (s *FloatSet) Len() int {
 func (s *FloatSet) Bytes() int { return s.Len() * s.Dim * 4 }
 
 // ExtractSIFT detects keypoints with the same pyramid as ORB and computes
-// SIFT-like 128-d descriptors.
+// SIFT-like 128-d descriptors on a radius-1 box blur of each level. Like
+// ExtractORB it draws a scratch arena from the internal pool, so it runs
+// the same detector and pyramid; output is bit-identical to
+// ExtractSIFTRef (gated in extract_diff_test.go).
 func ExtractSIFT(r *imagelib.Raster, cfg Config) *FloatSet {
-	kps, levels := detectPyramid(r, cfg)
+	s := getExtractScratch()
+	defer putExtractScratch(s)
+	kps := s.detectPyramid(r, cfg)
 	set := &FloatSet{
 		Dim:       siftDim,
 		Vectors:   make([][]float32, 0, len(kps)),
 		Keypoints: make([]Keypoint, 0, len(kps)),
 		Algorithm: AlgSIFT,
 	}
-	smoothed := make([]*imagelib.Raster, len(levels))
 	for _, kp := range kps {
-		if smoothed[kp.Level] == nil {
-			smoothed[kp.Level] = imagelib.BoxBlur(levels[kp.Level], 1)
-		}
-		sm := smoothed[kp.Level]
+		sm := s.smoothedLevel(kp.Level, 1)
 		kp.Angle = orientation(sm, kp.X, kp.Y)
 		set.Vectors = append(set.Vectors, siftDescriptor(sm, kp))
 		set.Keypoints = append(set.Keypoints, kp)
@@ -67,7 +68,12 @@ func ExtractSIFT(r *imagelib.Raster, cfg Config) *FloatSet {
 // dimensions with a fixed orthonormal projection, following PCA-SIFT's
 // reduce-the-descriptor design.
 func ExtractPCASIFT(r *imagelib.Raster, cfg Config) *FloatSet {
-	sift := ExtractSIFT(r, cfg)
+	return projectSet(ExtractSIFT(r, cfg))
+}
+
+// projectSet projects every vector of a SIFT set to PCA-SIFT's 36
+// dimensions, keeping its keypoints.
+func projectSet(sift *FloatSet) *FloatSet {
 	out := &FloatSet{
 		Dim:       pcaSiftDim,
 		Vectors:   make([][]float32, 0, sift.Len()),

@@ -126,6 +126,9 @@ func (ii *Integral) BoxMean(x0, y0, x1, y1 int) float64 {
 
 // BoxBlur returns r smoothed with a (2k+1)×(2k+1) box filter. BRIEF
 // descriptors compare smoothed intensities to tolerate sensor noise.
+// Extraction runs BoxBlurInto; BoxBlur is the allocating float-rounding
+// reference that BoxBlurInto and the reference extraction pipelines in
+// internal/features' tests are pinned to.
 func BoxBlur(r *Raster, k int) *Raster {
 	if k <= 0 {
 		return r.Clone()

@@ -7,6 +7,8 @@ package imagelib
 // the extraction arena uses them.
 
 import (
+	"fmt"
+	"math/big"
 	"math/rand"
 	"testing"
 )
@@ -67,6 +69,7 @@ func TestDownsampleIntoMatchesDownsample(t *testing.T) {
 	rng := rand.New(rand.NewSource(301))
 	var dst Raster
 	var dstII Integral
+	var sp Spans
 	for _, r := range shapeSequence(rng) {
 		srcII := NewIntegral(r)
 		for _, shape := range [][2]int{{r.W, r.H}, {r.W / 2, r.H / 2}, {8, 8}, {r.W - 1, r.H}} {
@@ -75,11 +78,11 @@ func TestDownsampleIntoMatchesDownsample(t *testing.T) {
 				continue
 			}
 			want := Downsample(r, w, h)
-			DownsampleInto(&dst, &dstII, r, srcII, w, h)
+			DownsampleInto(&dst, &dstII, r, srcII, w, h, &sp)
 			rastersEqual(t, "DownsampleInto", &dst, want)
 			integralsEqual(t, "DownsampleInto fused integral", &dstII, NewIntegral(want))
 			// The nil-integral variant must produce the same pixels.
-			DownsampleInto(&dst, nil, r, srcII, w, h)
+			DownsampleInto(&dst, nil, r, srcII, w, h, &sp)
 			rastersEqual(t, "DownsampleInto (nil integral)", &dst, want)
 		}
 	}
@@ -94,7 +97,7 @@ func TestDownsampleIntoRejectsUpscale(t *testing.T) {
 			t.Fatal("DownsampleInto on an upscale must panic")
 		}
 	}()
-	DownsampleInto(&dst, nil, r, ii, 17, 16)
+	DownsampleInto(&dst, nil, r, ii, 17, 16, &Spans{})
 }
 
 func TestBoxBlurIntoMatchesBoxBlur(t *testing.T) {
@@ -137,5 +140,89 @@ func TestScratchCompressBitmapAllocs(t *testing.T) {
 	})
 	if avg > 0 {
 		t.Fatalf("Scratch.CompressBitmap allocates %.1f/op on a warm scratch, want 0", avg)
+	}
+}
+
+// roundMismatch checks roundDiv(sum, n) against the exact integer
+// quotient ⌊(2·sum+n)/2n⌋ and against both float roundings it replaces:
+// Downsample's clampU8 and BoxBlur's +0.5 truncation. It returns a
+// description of the first disagreement, or "".
+func roundMismatch(sum, n, m uint64) string {
+	got := roundDiv(sum, n, m)
+	exact := (2*sum + n) / (2 * n)
+	mean := float64(sum) / float64(n)
+	if uint64(got) != exact || got != clampU8(mean) || got != uint8(mean+0.5) {
+		return fmt.Sprintf("roundDiv(%d, %d) = %d; exact %d, clampU8 %d, +0.5 %d",
+			sum, n, got, exact, clampU8(mean), uint8(mean+0.5))
+	}
+	return ""
+}
+
+// tieSums returns the sums that decide rounding for box size n: 0, 255n,
+// and for each half-way point (2k+1)·n/2 between two pixel values the
+// sum nearest it and the sums one below and one above.
+func tieSums(n uint64, out []uint64) []uint64 {
+	out = append(out[:0], 0, 255*n)
+	for k := uint64(0); k < 255; k++ {
+		s := (2*k + 1) * n / 2
+		out = append(out, s-1, s, s+1)
+	}
+	return out
+}
+
+// TestRoundDivExact pins the integer rounding of DownsampleInto and
+// BoxBlurInto to the float rounding of Downsample and BoxBlur: every sum
+// for every box size up to 64 (the pyramid and the default AFE stay far
+// below that), the sums around every rounding tie for every box size up
+// to 2¹⁶ (CompressBitmap at c = 0.99 on rasters up to 2048²), and the
+// same tie sums for box sizes at the edge of maxRoundDivisor.
+func TestRoundDivExact(t *testing.T) {
+	for n := uint64(1); n <= 64; n++ {
+		m := roundRecip(n)
+		for sum := uint64(0); sum <= 255*n; sum++ {
+			if msg := roundMismatch(sum, n, m); msg != "" {
+				t.Fatal(msg)
+			}
+		}
+	}
+	var sums []uint64
+	check := func(n uint64) {
+		m := roundRecip(n)
+		sums = tieSums(n, sums)
+		for _, sum := range sums {
+			if msg := roundMismatch(sum, n, m); msg != "" {
+				t.Fatal(msg)
+			}
+		}
+	}
+	for n := uint64(65); n <= 1<<16; n++ {
+		check(n)
+	}
+	for n := uint64(maxRoundDivisor - 64); n <= maxRoundDivisor; n++ {
+		check(n)
+	}
+}
+
+// TestRoundDivBound pins maxRoundDivisor to its defining inequality
+// (the largest n with 1022·n² < 2⁶⁴) and checks that roundRecip refuses
+// box sizes outside [1, maxRoundDivisor] instead of rounding wrongly.
+func TestRoundDivBound(t *testing.T) {
+	limit := new(big.Int).Lsh(big.NewInt(1), 64)
+	at := func(n int64) *big.Int {
+		v := big.NewInt(n)
+		return v.Mul(v, v).Mul(v, big.NewInt(1022))
+	}
+	if at(maxRoundDivisor).Cmp(limit) >= 0 || at(maxRoundDivisor+1).Cmp(limit) < 0 {
+		t.Fatalf("maxRoundDivisor %d is not the largest n with 1022·n² < 2⁶⁴", maxRoundDivisor)
+	}
+	for _, n := range []uint64{0, maxRoundDivisor + 1, 1 << 40} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("roundRecip(%d) must panic", n)
+				}
+			}()
+			roundRecip(n)
+		}()
 	}
 }
