@@ -115,8 +115,8 @@ benchdiff:
 # repair paths are exactly the code that only runs when things go wrong,
 # so coverage erosion there is silent until a real crash;
 # internal/cluster holds the shard routing/replication layer, whose
-# forwarding, failover, and catch-up branches likewise only run during
-# faults; internal/server holds the one commit path every upload and
+# failover and catch-up branches likewise only run during faults;
+# internal/server holds the one commit path every upload and
 # manifest commit lowers onto, with its dedup gate and WAL replay;
 # internal/client holds the one device upload path (the delta flow)
 # with its retry, breaker and degradation logic;

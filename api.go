@@ -12,6 +12,7 @@ import (
 	"bees/internal/features"
 	"bees/internal/index"
 	"bees/internal/netsim"
+	"bees/internal/par"
 	"bees/internal/server"
 	"bees/internal/sim"
 	"bees/internal/submod"
@@ -240,7 +241,7 @@ func SeedServer(srv *Server, d *DisasterBatch) {
 	// assigned deterministically.
 	cfg := features.DefaultConfig()
 	sets := make([]*features.BinarySet, len(d.ServerTwins))
-	core.ForEachIndex(len(d.ServerTwins), func(i int) {
+	par.Do(len(d.ServerTwins), func(i int) {
 		tw := d.ServerTwins[i]
 		sets[i] = features.ExtractORB(tw.Render(), cfg)
 		tw.Free()

@@ -4,12 +4,12 @@
 //
 // Usage:
 //
-//	beesd [-addr 127.0.0.1:7700] [-state /path/to/state.bees]
+//	beesd [-addr 127.0.0.1:7700] [-wal-dir /path/to/wal]
+//	      [-wal-sync record] [-wal-segment-bytes 4194304]
 //	      [-snapshot-interval 0] [-idle-timeout 2m] [-max-conns 256]
 //	      [-max-inflight-frames 256] [-max-inflight-bytes 67108864]
 //	      [-admit-policy fifo] [-admit-low-water 0.5]
 //	      [-debug-addr 127.0.0.1:7701]
-//	      [-wal-dir /path/to/wal] [-wal-sync record] [-wal-segment-bytes 4194304]
 //	      [-cluster-self host:port -cluster-peers host1:p1,host2:p2,...]
 //	      [-cluster-shards 64] [-replication 2] [-cluster-catch-up]
 //
@@ -17,22 +17,32 @@
 // transfer (see DESIGN.md, "Content-addressed block store"); the server
 // refuses the retired whole-image upload frame.
 //
-// With -state, the server restores its index from the snapshot at
-// startup and writes it back on shutdown, so redundancy detection
-// carries across restarts. A nonzero -snapshot-interval additionally
-// saves the snapshot periodically while running, bounding how much a
-// crash (as opposed to a clean shutdown) can lose.
+// With -wal-dir, the server persists, and that one directory is its
+// whole durable state. Every state-mutating frame (block staging,
+// commits with their nonces) is appended to a checksummed write-ahead
+// log there, and a commit is durable before it is acknowledged; a
+// block put is acknowledged as staged, and the fsync of the commit that
+// names it makes it durable. A checkpoint — a snapshot of the index,
+// upload history and block store — is written into the same directory
+// as "checkpoint" (the previous one kept as "checkpoint.1"), and the
+// log is truncated one checkpoint behind. beesd checkpoints at startup,
+// at shutdown, and every -snapshot-interval while running when that is
+// nonzero, so each shutdown deletes the segments its process started
+// with and the log stays bounded across restarts.
+// Startup loads the last good checkpoint and replays the log tail on
+// top, so a crash loses no acknowledged commit (see DESIGN.md, "Crash
+// consistency & the WAL"). -wal-sync picks the durability point:
+// "record" fsyncs once per acknowledged commit, "none" leaves flushing
+// to the OS. -wal-segment-bytes sizes the log segments rotation seals.
+// Without -wal-dir the server keeps everything in memory.
 //
-// With -wal-dir, the server additionally appends every state-mutating
-// frame (block staging, commits with their nonces) to a checksummed
-// write-ahead log, and a commit is durable before it is acknowledged;
-// recovery replays the log tail on top of the last good snapshot — a
-// crash then loses no acknowledged commit (see DESIGN.md, "Crash
-// consistency & the WAL"). A block put is acknowledged as staged: the
-// fsync of the commit that names it makes it durable. -wal-sync picks
-// the durability point: "record" fsyncs once per acknowledged commit,
-// "none" leaves flushing to the OS.
-// -wal-segment-bytes sizes the log segments rotation seals.
+// A deployment that used the retired -state flag upgrades by moving its
+// snapshot file to <wal-dir>/checkpoint: the format is the same. Every
+// such deployment must move the file. Startup refuses a log that has
+// been truncated while its checkpoint is missing, and names the path,
+// but that check sees only a truncated log: a deployment without a WAL,
+// or one whose log was never truncated, comes up empty or partial
+// without an error if the file is not moved.
 //
 // -max-inflight-frames and -max-inflight-bytes bound the work the
 // server admits at once; past either limit it answers query/upload
@@ -50,8 +60,9 @@
 // beesd cluster: descriptor-set index shards are placed over the
 // members by rendezvous hashing, each shard is replicated on
 // -replication nodes, and the node serves the shard frames
-// (ShardRoute/ShardQuery/ShardSync) for the shards it owns, forwarding
-// misrouted frames to an owner. -cluster-shards fixes the logical
+// (ShardRoute/ShardQuery/ShardSync) for the shards it owns and refuses
+// the others: routers send each frame only to the shard's owners, from
+// the same placement table. -cluster-shards fixes the logical
 // shard count (it must agree across all nodes and routers).
 // -cluster-catch-up rebuilds every owned shard from a live replica at
 // startup — the replacement-node flow after a machine is swapped out.
@@ -93,8 +104,7 @@ func main() {
 
 func run() error {
 	addr := flag.String("addr", "127.0.0.1:7700", "listen address")
-	state := flag.String("state", "", "snapshot file (restored on start, saved on shutdown)")
-	snapEvery := flag.Duration("snapshot-interval", 0, "also save the snapshot periodically while running (0 disables; needs -state)")
+	snapEvery := flag.Duration("snapshot-interval", 0, "also checkpoint periodically while running (0 disables; needs -wal-dir)")
 	idle := flag.Duration("idle-timeout", 2*time.Minute, "drop connections idle (or stalled mid-frame) this long")
 	maxConns := flag.Int("max-conns", 256, "maximum simultaneous connections")
 	maxFrames := flag.Int("max-inflight-frames", 0, "answer Busy past this many in-flight request frames (0 = default 256)")
@@ -102,7 +112,7 @@ func run() error {
 	admitPolicy := flag.String("admit-policy", "fifo", "overload shedding policy: fifo (first-come) or utility (lowest-submodular-gain uploads shed first)")
 	admitLowWater := flag.Float64("admit-low-water", 0, "occupancy fraction where the utility policy starts early-shedding low-gain uploads (0 = default 0.5)")
 	debugAddr := flag.String("debug-addr", "", "serve /debug/vars (JSON telemetry snapshot) and /debug/pprof on this address")
-	walDir := flag.String("wal-dir", "", "write-ahead log directory: mutations are durable before they are acknowledged, and recovery replays the log tail over the last good snapshot")
+	walDir := flag.String("wal-dir", "", "durable-state directory (the write-ahead log and its checkpoints): mutations are durable before they are acknowledged, and recovery replays the log tail over the last good checkpoint")
 	walSync := flag.String("wal-sync", "record", "WAL sync policy: record (fsync per acknowledged commit; staged blocks ride on it) or none (flushing left to the OS)")
 	walSegBytes := flag.Int64("wal-segment-bytes", 0, "rotate WAL segments at this size (0 = default 4 MiB)")
 	clusterSelf := flag.String("cluster-self", "", "this node's name in -cluster-peers (cluster mode; usually its advertised host:port)")
@@ -111,8 +121,8 @@ func run() error {
 	replication := flag.Int("replication", cluster.DefaultReplication, "per-shard replica count in cluster mode")
 	clusterCatchUp := flag.Bool("cluster-catch-up", false, "on startup, rebuild every owned shard from a live replica via ShardSync (replacement-node flow)")
 	flag.Parse()
-	if *snapEvery > 0 && *state == "" {
-		return errors.New("-snapshot-interval needs -state")
+	if *snapEvery > 0 && *walDir == "" {
+		return errors.New("-snapshot-interval needs -wal-dir")
 	}
 	policy, err := server.ParseAdmitPolicy(*admitPolicy)
 	if err != nil {
@@ -124,28 +134,40 @@ func run() error {
 	}
 
 	reg := telemetry.NewRegistry()
-	srv, rst, err := server.Recover(server.RecoverConfig{
-		Server:       server.Config{Telemetry: reg},
-		SnapshotPath: *state,
-		WAL: wal.Config{
-			Dir:          *walDir,
-			SegmentBytes: *walSegBytes,
-			Policy:       walPolicy,
-		},
-	})
-	if err != nil {
-		return fmt.Errorf("recover: %w", err)
-	}
-	if st := srv.Stats(); st.Images > 0 || rst.WALRecords > 0 {
-		fmt.Printf("recovered %d images from %s (snapshot generation %d, %d WAL records replayed",
-			st.Images, *state, rst.SnapshotGeneration, rst.WALRecords)
-		if rst.WALTruncatedBytes > 0 {
-			fmt.Printf(", %d torn tail bytes truncated", rst.WALTruncatedBytes)
+	srvCfg := server.Config{Telemetry: reg}
+	var srv *server.Server
+	if *walDir == "" {
+		srv = server.NewWithConfig(srvCfg)
+	} else {
+		var rst server.RecoverStats
+		srv, rst, err = server.Recover(server.RecoverConfig{
+			Server: srvCfg,
+			WAL: wal.Config{
+				Dir:          *walDir,
+				SegmentBytes: *walSegBytes,
+				Policy:       walPolicy,
+			},
+		})
+		if err != nil {
+			return fmt.Errorf("recover: %w", err)
 		}
-		if rst.WALBadRecords > 0 {
-			fmt.Printf(", %d bad records skipped", rst.WALBadRecords)
+		if st := srv.Stats(); st.Images > 0 || rst.WALRecords > 0 {
+			fmt.Printf("recovered %d images from %s (checkpoint generation %d, %d WAL records replayed",
+				st.Images, *walDir, rst.SnapshotGeneration, rst.WALRecords)
+			if rst.WALTruncatedBytes > 0 {
+				fmt.Printf(", %d torn tail bytes truncated", rst.WALTruncatedBytes)
+			}
+			if rst.WALBadRecords > 0 {
+				fmt.Printf(", %d bad records skipped", rst.WALBadRecords)
+			}
+			fmt.Println(")")
 		}
-		fmt.Println(")")
+		// Truncation lags one checkpoint, so this one lets the next (at
+		// shutdown, if no interval fires first) delete every segment the
+		// process started with: the log stays bounded across restarts.
+		if err := srv.Checkpoint(); err != nil {
+			return fmt.Errorf("startup checkpoint: %w", err)
+		}
 	}
 	var clusterNode *cluster.Node
 	if *clusterPeers != "" {
@@ -160,7 +182,7 @@ func run() error {
 			Self:        *clusterSelf,
 			Table:       table,
 			Replication: *replication,
-			Server:      server.Config{Telemetry: reg},
+			Server:      srvCfg,
 		})
 		if err != nil {
 			return err
@@ -190,6 +212,12 @@ func run() error {
 		// interface field would read as a configured handler.
 		tcpCfg.Cluster = clusterNode
 	}
+	// Catch the stop signals before the address is announced: a SIGTERM
+	// that arrives right after "beesd listening on" must still shut down
+	// through the checkpoint below, not kill the process.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+
 	tcp := server.NewTCPConfig(srv, tcpCfg)
 	bound, err := tcp.Listen(*addr)
 	if err != nil {
@@ -214,12 +242,10 @@ func run() error {
 
 	var stopAutoSave func()
 	if *snapEvery > 0 {
-		stopAutoSave = srv.AutoSave(*state, *snapEvery, log.Printf)
-		fmt.Printf("autosaving to %s every %s\n", *state, *snapEvery)
+		stopAutoSave = srv.AutoSave(*snapEvery, log.Printf)
+		fmt.Printf("checkpointing into %s every %s\n", *walDir, *snapEvery)
 	}
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
 	st := srv.Stats()
 	fmt.Printf("shutting down: %d images, %d bytes received\n", st.Images, st.BytesReceived)
@@ -230,12 +256,11 @@ func run() error {
 	switch {
 	case stopAutoSave != nil:
 		stopAutoSave() // takes the final checkpoint itself
-		fmt.Printf("state saved to %s\n", *state)
-	case *state != "":
-		if err := srv.Checkpoint(*state); err != nil {
-			log.Printf("snapshot save failed: %v", err)
+	case *walDir != "":
+		if err := srv.Checkpoint(); err != nil {
+			log.Printf("checkpoint failed: %v", err)
 		} else {
-			fmt.Printf("state saved to %s\n", *state)
+			fmt.Printf("checkpoint saved in %s\n", *walDir)
 		}
 	}
 	if debugLn != nil {

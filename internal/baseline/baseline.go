@@ -27,6 +27,7 @@ import (
 	"bees/internal/energy"
 	"bees/internal/features"
 	"bees/internal/imagelib"
+	"bees/internal/par"
 	"bees/internal/server"
 )
 
@@ -91,7 +92,7 @@ func (s SmartEye) ProcessBatch(dev *core.Device, srv core.ServerAPI, batch []*da
 	report := core.BatchReport{Scheme: s.Name(), Total: len(batch)}
 	orbSets := make([]*features.BinarySet, len(batch))
 	featBytes := make([]int, len(batch))
-	core.ForEachIndex(len(batch), func(i int) {
+	par.Do(len(batch), func(i int) {
 		raster := batch[i].Render()
 		featBytes[i] = features.ExtractPCASIFT(raster, cfg).Bytes()
 		orbSets[i] = features.ExtractORB(raster, cfg) // decision parity (see package doc)
@@ -149,7 +150,7 @@ func (m MRC) ProcessBatch(dev *core.Device, srv core.ServerAPI, batch []*dataset
 	report := core.BatchReport{Scheme: m.Name(), Total: len(batch)}
 	orbSets := make([]*features.BinarySet, len(batch))
 	thumbBytes := make([]int, len(batch))
-	core.ForEachIndex(len(batch), func(i int) {
+	par.Do(len(batch), func(i int) {
 		raster := batch[i].Render()
 		orbSets[i] = features.ExtractORB(raster, cfg)
 		// Thumbnail: a strongly downscaled, quality-compressed copy.

@@ -11,10 +11,11 @@ import (
 func BenchmarkBlockDedup(b *testing.B) {
 	for _, size := range []int{256 << 10, 2 << 20} {
 		b.Run(fmt.Sprintf("payload=%dKiB", size>>10), func(b *testing.B) {
-			s := NewStore(Config{BlockSize: 32 << 10})
+			const blockSize = 32 << 10
+			s := NewStore(Config{})
 			blob := SynthPayload(9, size)
-			m := ManifestOf(blob, s.BlockSize())
-			for i, blk := range Split(blob, s.BlockSize()) {
+			m := ManifestOf(blob, blockSize)
+			for i, blk := range Split(blob, blockSize) {
 				if _, err := s.Put(m.Hashes[i], blk); err != nil {
 					b.Fatal(err)
 				}
@@ -52,7 +53,7 @@ func BenchmarkUploadResume(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		s := NewStore(Config{BlockSize: blockSize})
+		s := NewStore(Config{})
 		for j := 0; j < half; j++ { // blocks acked before the sever
 			if _, err := s.Put(m.Hashes[j], blocks[j]); err != nil {
 				b.Fatal(err)

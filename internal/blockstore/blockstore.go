@@ -121,24 +121,12 @@ func (m *Manifest) Validate() error {
 	return nil
 }
 
-// Config parameterizes a Store (and, on the client, the split size used
-// to build manifests). The zero value selects the defaults.
+// Config parameterizes a Store. The store never splits a blob: each
+// manifest names its own block size, so the store has none to set.
 type Config struct {
-	// BlockSize is the content-addressed split size. Default 128 KiB.
-	BlockSize int
 	// Telemetry receives the store's block counters ("blockstore.*").
 	// Nil disables instrumentation.
 	Telemetry *telemetry.Registry
-}
-
-func (c Config) withDefaults() Config {
-	if c.BlockSize <= 0 {
-		c.BlockSize = DefaultBlockSize
-	}
-	if c.BlockSize > MaxBlockSize {
-		c.BlockSize = MaxBlockSize
-	}
-	return c
 }
 
 // ErrMissingBlock reports a commit that references a block the store
@@ -169,8 +157,6 @@ type blockEntry struct {
 
 // Store is a thread-safe refcounted content-addressed block store.
 type Store struct {
-	cfg Config
-
 	mu      sync.Mutex
 	blocks  map[Hash]*blockEntry
 	bytes   int64
@@ -189,9 +175,7 @@ type Store struct {
 
 // NewStore creates an empty store.
 func NewStore(cfg Config) *Store {
-	cfg = cfg.withDefaults()
 	return &Store{
-		cfg:        cfg,
 		blocks:     make(map[Hash]*blockEntry),
 		puts:       cfg.Telemetry.Counter("blockstore.put.blocks"),
 		putBytes:   cfg.Telemetry.Counter("blockstore.put.bytes"),
@@ -201,9 +185,6 @@ func NewStore(cfg Config) *Store {
 		commitRefs: cfg.Telemetry.Counter("blockstore.commit.refs"),
 	}
 }
-
-// BlockSize returns the configured split size.
-func (s *Store) BlockSize() int { return s.cfg.BlockSize }
 
 // Has reports whether the store holds the block (staged or committed).
 func (s *Store) Has(h Hash) bool {

@@ -95,10 +95,7 @@ func TestManifestValidate(t *testing.T) {
 
 func TestStorePutCommitRelease(t *testing.T) {
 	tel := telemetry.NewRegistry()
-	s := NewStore(Config{BlockSize: 128, Telemetry: tel})
-	if s.BlockSize() != 128 {
-		t.Fatalf("BlockSize = %d", s.BlockSize())
-	}
+	s := NewStore(Config{Telemetry: tel})
 	blob := SynthPayload(1, 300)
 	m := ManifestOf(blob, 128)
 	blocks := Split(blob, 128)
@@ -348,16 +345,5 @@ func TestSynthPayloadDeterministic(t *testing.T) {
 	}
 	if zero {
 		t.Fatal("SynthPayload returned all zeros")
-	}
-}
-
-func TestConfigDefaults(t *testing.T) {
-	c := Config{}.withDefaults()
-	if c.BlockSize != DefaultBlockSize {
-		t.Fatalf("default block size = %d", c.BlockSize)
-	}
-	c = Config{BlockSize: MaxBlockSize + 5}.withDefaults()
-	if c.BlockSize != MaxBlockSize {
-		t.Fatalf("oversized block size not clamped: %d", c.BlockSize)
 	}
 }

@@ -130,7 +130,7 @@ type chaosStep struct {
 	nonce  uint64
 	images int
 	bytes  int64
-	run    func(c *Client, srv *server.Server, snap string, got map[string][]int64) error
+	run    func(c *Client, srv *server.Server, got map[string][]int64) error
 }
 
 // chaosSteps builds the script. onStaged hears the hashes a delta
@@ -157,7 +157,7 @@ func chaosSteps(sc *chaosScript, onStaged func([]blockstore.Hash)) []chaosStep {
 	}
 	return []chaosStep{
 		{name: "batch1", nonce: 0xBEE50001, images: 3, bytes: blobBytes(0, 3),
-			run: func(c *Client, _ *server.Server, _ string, got map[string][]int64) error {
+			run: func(c *Client, _ *server.Server, got map[string][]int64) error {
 				ids, err := sc.uploadChunk(c, 0xBEE50001, 0, 3)
 				if err == nil {
 					got["batch1"] = ids
@@ -165,7 +165,7 @@ func chaosSteps(sc *chaosScript, onStaged func([]blockstore.Hash)) []chaosStep {
 				return err
 			}},
 		{name: "batch2", nonce: 0xBEE50002, images: 2, bytes: blobBytes(3, 5),
-			run: func(c *Client, _ *server.Server, _ string, got map[string][]int64) error {
+			run: func(c *Client, _ *server.Server, got map[string][]int64) error {
 				ids, err := sc.uploadChunk(c, 0xBEE50002, 3, 5)
 				if err == nil {
 					got["batch2"] = ids
@@ -173,19 +173,19 @@ func chaosSteps(sc *chaosScript, onStaged func([]blockstore.Hash)) []chaosStep {
 				return err
 			}},
 		{name: "deltaA", nonce: 0xBEE50003, images: 1, bytes: sc.manA.TotalBytes,
-			run: func(c *Client, _ *server.Server, _ string, got map[string][]int64) error {
+			run: func(c *Client, _ *server.Server, got map[string][]int64) error {
 				return delta(c, "commitA", 0xBEE50003, 5, sc.manA, sc.blocksA, got)
 			}},
 		{name: "checkpoint",
-			run: func(_ *Client, srv *server.Server, snap string, _ map[string][]int64) error {
-				return srv.Checkpoint(snap)
+			run: func(_ *Client, srv *server.Server, _ map[string][]int64) error {
+				return srv.Checkpoint()
 			}},
 		{name: "deltaB", nonce: 0xBEE50004, images: 1, bytes: sc.manB.TotalBytes,
-			run: func(c *Client, _ *server.Server, _ string, got map[string][]int64) error {
+			run: func(c *Client, _ *server.Server, got map[string][]int64) error {
 				return delta(c, "commitB", 0xBEE50004, 6, sc.manB, sc.blocksB, got)
 			}},
 		{name: "batch3", nonce: 0xBEE50005, images: 2, bytes: blobBytes(7, 9),
-			run: func(c *Client, _ *server.Server, _ string, got map[string][]int64) error {
+			run: func(c *Client, _ *server.Server, got map[string][]int64) error {
 				ids, err := sc.uploadChunk(c, 0xBEE50005, 7, 9)
 				if err == nil {
 					got["batch3"] = ids
@@ -201,10 +201,9 @@ func chaosSteps(sc *chaosScript, onStaged func([]blockstore.Hash)) []chaosStep {
 // the property the sweep's byte-identical assertion relies on.
 func tryRecoverChaos(stateDir, addr string, fs diskfault.FS) (*server.Server, *server.TCPServer, string, error) {
 	srv, _, err := server.Recover(server.RecoverConfig{
-		Server:       server.Config{BlockSize: chaosBlockSize, FS: fs},
-		SnapshotPath: filepath.Join(stateDir, "state.bees"),
 		WAL: wal.Config{
 			Dir:    filepath.Join(stateDir, "wal"),
+			FS:     fs,
 			Policy: wal.SyncEachRecord,
 		},
 	})
@@ -252,7 +251,7 @@ func chaosDial(t *testing.T, addr string) *Client {
 // replayAllNonces retries every nonce-carrying frame of the script
 // against a recovered server — the lost-ack model, after a crash. Every
 // replay must answer with the originally assigned IDs (dedup seeded
-// from snapshot + WAL) and must not change server state.
+// from the replayed log) and must not change server state.
 func replayAllNonces(t *testing.T, c *Client, sc *chaosScript, srv *server.Server, want map[string][]int64) {
 	t.Helper()
 	before := srv.Stats()
@@ -309,9 +308,8 @@ func TestChaosCrashRecoveryZeroLoss(t *testing.T) {
 	baseSrv, baseTCP, baseAddr := recoverChaos(t, baseDir, "", nil)
 	baseClient := chaosDial(t, baseAddr)
 	wantIDs := map[string][]int64{}
-	baseSnap := filepath.Join(baseDir, "state.bees")
 	for _, st := range steps {
-		if err := st.run(baseClient, baseSrv, baseSnap, wantIDs); err != nil {
+		if err := st.run(baseClient, baseSrv, wantIDs); err != nil {
 			t.Fatalf("baseline %s: %v", st.name, err)
 		}
 	}
@@ -330,7 +328,6 @@ func TestChaosCrashRecoveryZeroLoss(t *testing.T) {
 	for k := int64(1); ; k++ {
 		faulty := diskfault.New(diskfault.Config{Seed: k, CrashAfterOps: k})
 		stateDir := t.TempDir()
-		snap := filepath.Join(stateDir, "state.bees")
 		crashes := 0
 		srv, tcp, addr, err := tryRecoverChaos(stateDir, "", faulty)
 		if err != nil {
@@ -348,7 +345,7 @@ func TestChaosCrashRecoveryZeroLoss(t *testing.T) {
 		ackedImages, ackedBytes := 0, int64(0)
 		for i := 0; i < len(steps); {
 			staged = nil
-			err := steps[i].run(c, srv, snap, gotIDs)
+			err := steps[i].run(c, srv, gotIDs)
 			if err == nil {
 				ackedImages += steps[i].images
 				ackedBytes += steps[i].bytes

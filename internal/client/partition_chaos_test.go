@@ -12,6 +12,7 @@ import (
 	"bees/internal/outbox"
 	"bees/internal/server"
 	"bees/internal/telemetry"
+	"bees/internal/wal"
 )
 
 // partitionPipelineConfig freezes the adaptive knobs so compressed sizes
@@ -36,7 +37,8 @@ func runPartitionBatch(t *testing.T, cfg core.Config, api core.ServerAPI, seed i
 // TestChaosPartitionZeroImageLoss is the PR's end-to-end proof: the full
 // BEES pipeline runs through a long network partition, the device
 // outbox catches every upload chunk the dead link rejected, the beesd
-// process is killed and restarted from its snapshot, and a background
+// process is killed and restarted from its WAL directory (checkpoint
+// plus log), and a background
 // drainer replays the backlog through the healed link. At the end the
 // server must hold exactly the images a never-partitioned run would
 // have delivered — zero loss, zero double counting — including a chunk
@@ -61,10 +63,13 @@ func TestChaosPartitionZeroImageLoss(t *testing.T) {
 	}
 	cleanClient.Close()
 
-	// --- The system under test: server with a snapshot file. ------------
+	// --- The system under test: a server that persists. -----------------
 	stateDir := t.TempDir()
-	snapPath := filepath.Join(stateDir, "state.bees")
-	srv := server.NewDefault()
+	walCfg := wal.Config{Dir: filepath.Join(stateDir, "wal")}
+	srv, _, err := server.Recover(server.RecoverConfig{WAL: walCfg})
+	if err != nil {
+		t.Fatal(err)
+	}
 	tcp := server.NewTCP(srv)
 	addr, err := tcp.Listen("127.0.0.1:0")
 	if err != nil {
@@ -130,16 +135,23 @@ func TestChaosPartitionZeroImageLoss(t *testing.T) {
 	}
 	box.Ack(first)
 
-	// --- Kill beesd (snapshot + restart on the same address). -----------
-	if err := srv.SaveSnapshotFile(snapPath); err != nil {
+	// --- Kill beesd (checkpoint + restart on the same address). ---------
+	if err := srv.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	if err := tcp.Close(); err != nil {
 		t.Fatal(err)
 	}
-	srv2 := server.NewDefault()
-	if err := srv2.LoadSnapshotFile(snapPath); err != nil {
+	if err := srv.WAL().Close(); err != nil {
 		t.Fatal(err)
+	}
+	srv2, st, err := server.Recover(server.RecoverConfig{WAL: walCfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv2.WAL().Close()
+	if st.SnapshotGeneration != 1 {
+		t.Fatalf("restart loaded checkpoint generation %d, want the primary", st.SnapshotGeneration)
 	}
 	tcp2 := server.NewTCP(srv2)
 	if _, err := tcp2.Listen(addrStr); err != nil {

@@ -48,7 +48,7 @@ func BenchmarkRouteKey(b *testing.B) {
 func BenchmarkShardSync(b *testing.B) {
 	for _, images := range []int{64, 512} {
 		b.Run(fmt.Sprintf("images=%d", images), func(b *testing.B) {
-			src := server.NewWithConfig(server.Config{BlockSize: 4096})
+			src := server.NewDefault()
 			for i := 0; i < images; i++ {
 				blob := blockstore.SynthPayload(uint64(i), 2000+(i%5)*800)
 				m := blockstore.ManifestOf(blob, 4096)
@@ -91,7 +91,7 @@ func BenchmarkShardSync(b *testing.B) {
 					b.Fatal(err)
 				}
 				resp := msg.(*wire.ShardSyncResponse)
-				fresh := server.NewWithConfig(server.Config{BlockSize: 4096})
+				fresh := server.NewDefault()
 				if err := fresh.LoadSnapshot(bytes.NewReader(resp.Snapshot)); err != nil {
 					b.Fatal(err)
 				}

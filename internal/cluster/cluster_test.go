@@ -40,7 +40,6 @@ func clusterConfig(replication int) testcluster.Config {
 		Nodes:       []string{"n1", "n2", "n3"},
 		Shards:      8,
 		Replication: replication,
-		Server:      server.Config{BlockSize: clusterBlockSize},
 		Client:      fastClient(),
 	}
 }
@@ -179,7 +178,7 @@ func TestClusterDifferential(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer tc.Close()
-			oracle := server.NewWithConfig(server.Config{BlockSize: clusterBlockSize})
+			oracle := server.NewDefault()
 
 			batches, queries := clusterWorkload()
 			var firstIDs []int64
@@ -248,11 +247,13 @@ func TestClusterRouterRestart(t *testing.T) {
 	}
 }
 
-// TestClusterForwarding sends shard frames to the wrong node directly:
-// an unowned ShardRoute is forwarded once to a real owner and answered;
-// a frame that already carries the forwarded flag is refused, so a
-// misconfigured table cannot loop.
-func TestClusterForwarding(t *testing.T) {
+// TestClusterRefusesUnownedShards sends shard frames to the wrong node
+// directly. Routers send every frame only to the shard's owners, from
+// the same placement table, so a node relays nothing: an unowned
+// ShardRoute — with or without the retired forwarded flag — ShardQuery
+// or ShardSync is refused with the same ownership error, and nothing is
+// staged anywhere.
+func TestClusterRefusesUnownedShards(t *testing.T) {
 	const replication = 1 // with R=1 each shard has exactly one owner
 	tc, err := testcluster.Start(clusterConfig(replication))
 	if err != nil {
@@ -269,7 +270,7 @@ func TestClusterForwarding(t *testing.T) {
 		}
 	}
 	if !found {
-		t.Fatal("n1 owns every shard; cannot test forwarding")
+		t.Fatal("n1 owns every shard; cannot test the refusal")
 	}
 
 	opts := fastClient()
@@ -283,29 +284,30 @@ func TestClusterForwarding(t *testing.T) {
 
 	blob := blockstore.SynthPayload(99, 700)
 	m := blockstore.ManifestOf(blob, clusterBlockSize)
-	resp, err := c.ShardRoute(&wire.ShardRoute{Shard: shard, Query: m.Hashes})
-	if err != nil {
-		t.Fatalf("forwarded ShardRoute: %v", err)
-	}
-	for i, have := range resp.Have {
-		if have {
-			t.Fatalf("empty cluster claims to have block %d", i)
+	blocks := blockstore.Split(blob, clusterBlockSize)
+	refused := func(what string, err error) {
+		t.Helper()
+		if err == nil {
+			t.Fatalf("unowned %s was accepted", what)
+		}
+		if !strings.Contains(err.Error(), "does not own shard") {
+			t.Fatalf("unowned %s failed with %v, want the ownership refusal", what, err)
 		}
 	}
-
-	if _, err := c.ShardRoute(&wire.ShardRoute{Shard: shard, Flags: wire.ShardRouteForwarded, Query: m.Hashes}); err == nil {
-		t.Fatal("double-forwarded frame was accepted")
-	} else if !strings.Contains(err.Error(), "does not own shard") {
-		t.Fatalf("double-forwarded frame failed with %v, want ownership refusal", err)
+	for _, flags := range []uint32{0, wire.ShardRouteForwarded} {
+		_, err := c.ShardRoute(&wire.ShardRoute{Shard: shard, Flags: flags, Query: m.Hashes,
+			Blocks: []wire.Block{{Hash: m.Hashes[0], Data: blocks[0]}}})
+		refused(fmt.Sprintf("ShardRoute (flags %d)", flags), err)
 	}
+	_, err = c.ShardQuery(&wire.ShardQuery{Shards: []uint32{shard}, Limit: 4})
+	refused("ShardQuery", err)
+	_, err = c.ShardSync(shard)
+	refused("ShardSync", err)
 
-	// Unowned shard queries and syncs are refused outright (the router
-	// knows the placement; only routes are relayed).
-	if _, err := c.ShardQuery(&wire.ShardQuery{Shards: []uint32{shard}, Limit: 4}); err == nil {
-		t.Fatal("unowned ShardQuery was accepted")
-	}
-	if _, err := c.ShardSync(shard); err == nil {
-		t.Fatal("unowned ShardSync was accepted")
+	// The owner never saw the refused frames' block.
+	owner := tc.Node(tc.Table().Replicas(shard, replication)[0]).ShardServer(shard)
+	if owner.Blocks().Has(m.Hashes[0]) {
+		t.Fatal("a refused ShardRoute staged its block on the owner")
 	}
 }
 
@@ -323,7 +325,7 @@ func TestClusterChaosKillReplicaMidBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tc.Close()
-	oracle := server.NewWithConfig(server.Config{BlockSize: clusterBlockSize})
+	oracle := server.NewDefault()
 
 	batches, queries := clusterWorkload()
 
@@ -440,7 +442,7 @@ func TestRouterReplayAfterPartialFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tc.Close()
-	oracle := server.NewWithConfig(server.Config{BlockSize: clusterBlockSize})
+	oracle := server.NewDefault()
 	batches, queries := clusterWorkload()
 	// The first batch bootstraps the router's ID sequence with every node up.
 	uploadBoth(t, oracle, tc, 1, batches[0])

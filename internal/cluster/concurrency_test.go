@@ -198,7 +198,7 @@ func TestRouterSharedByGoroutines(t *testing.T) {
 		all = append(all, us...)
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i].ids[0] < all[j].ids[0] })
-	oracle := server.NewWithConfig(server.Config{BlockSize: clusterBlockSize})
+	oracle := server.NewDefault()
 	next := int64(0)
 	for _, u := range all {
 		for _, id := range u.ids {
@@ -241,7 +241,7 @@ func TestQueryWaveFailsOverSeveredNode(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer tc.Close()
-			oracle := server.NewWithConfig(server.Config{BlockSize: clusterBlockSize})
+			oracle := server.NewDefault()
 			batches, queries := clusterWorkload()
 			for bi, batch := range batches {
 				uploadBoth(t, oracle, tc, uint64(bi+1), batch)
@@ -289,7 +289,7 @@ func TestRouterSameNonceConcurrentCalls(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tc.Close()
-	oracle := server.NewWithConfig(server.Config{BlockSize: clusterBlockSize})
+	oracle := server.NewDefault()
 	batches, queries := clusterWorkload()
 	for bi, batch := range batches {
 		nonce := uint64(100 + bi)

@@ -25,12 +25,12 @@ type NodeConfig struct {
 	// the cluster size.
 	Replication int
 	// Server is the per-shard server configuration (index parameters,
-	// telemetry, block size, filesystem). Every shard replica on the
-	// node gets its own full Server built from it, so each cluster shard
-	// has its own index and its own lock.
+	// telemetry). Every shard replica on the node gets its own full
+	// Server built from it, so each cluster shard has its own index and
+	// its own lock.
 	Server server.Config
-	// Dial opens connections to peer nodes, for forwarding and shard
-	// sync. Nil means TCP to the node name.
+	// Dial opens connections to peer nodes, for shard sync. Nil means
+	// TCP to the node name.
 	Dial client.DialFunc
 	// Client tunes the peer-facing clients (retries, timeouts). Dial
 	// and LazyDial are overridden per peer.
@@ -56,8 +56,7 @@ const DefaultReplication = 2
 // Node is one cluster member: a full beesd Server per owned shard plus
 // the shard-frame handlers the TCP layer dispatches to (it implements
 // server.ClusterHandler). A frame for a shard the node does not own is
-// forwarded once to the shard's primary; an already-forwarded frame
-// that still misses answers with an error, so misrouting cannot loop.
+// refused with an error (see notOwner).
 type Node struct {
 	cfg NodeConfig
 
@@ -133,7 +132,7 @@ func (n *Node) ShardServer(shard uint32) *server.Server {
 func (n *Node) HandleShardRoute(m *wire.ShardRoute) (any, error) {
 	srv := n.ShardServer(m.Shard)
 	if srv == nil {
-		return n.forwardRoute(m)
+		return n.notOwner(m.Shard), nil
 	}
 	have := srv.Blocks().HaveBitmap(m.Query)
 	for i := range m.Blocks {
@@ -159,30 +158,11 @@ func (n *Node) HandleShardRoute(m *wire.ShardRoute) (any, error) {
 	return &wire.ShardRouteResponse{Have: have, IDs: ids}, nil
 }
 
-// forwardRoute relays a misrouted frame to the shard's primary (or the
-// first replica that isn't this node), marking it forwarded so the
-// relay cannot loop.
-func (n *Node) forwardRoute(m *wire.ShardRoute) (any, error) {
-	if m.Flags&wire.ShardRouteForwarded != 0 {
-		return &wire.ErrorResponse{Message: fmt.Sprintf("cluster: node %s does not own shard %d", n.cfg.Self, m.Shard)}, nil
-	}
-	var target string
-	for _, r := range n.cfg.Table.Replicas(m.Shard, n.cfg.Replication) {
-		if r != n.cfg.Self {
-			target = r
-			break
-		}
-	}
-	if target == "" {
-		return &wire.ErrorResponse{Message: fmt.Sprintf("cluster: no replica for shard %d", m.Shard)}, nil
-	}
-	fwd := *m
-	fwd.Flags |= wire.ShardRouteForwarded
-	resp, err := n.peer(target).ShardRoute(&fwd)
-	if err != nil {
-		return &wire.ErrorResponse{Message: fmt.Sprintf("cluster: forward shard %d to %s: %v", m.Shard, target, err)}, nil
-	}
-	return resp, nil
+// notOwner refuses a shard frame for a shard this node does not own.
+// Routers send each frame only to the shard's owners, from the same
+// placement table, so such a frame is misrouted; the node relays none.
+func (n *Node) notOwner(shard uint32) *wire.ErrorResponse {
+	return &wire.ErrorResponse{Message: fmt.Sprintf("cluster: node %s does not own shard %d", n.cfg.Self, shard)}
 }
 
 // HandleShardQuery answers the CBRD candidate query for each set
@@ -199,7 +179,7 @@ func (n *Node) HandleShardQuery(m *wire.ShardQuery) (any, error) {
 	for i, s := range m.Shards {
 		srv := n.ShardServer(s)
 		if srv == nil {
-			return &wire.ErrorResponse{Message: fmt.Sprintf("cluster: node %s does not own shard %d", n.cfg.Self, s)}, nil
+			return n.notOwner(s), nil
 		}
 		if seen[s] {
 			// A repeated shard would count its candidates twice and push
@@ -245,7 +225,7 @@ func (n *Node) HandleShardQuery(m *wire.ShardQuery) (any, error) {
 func (n *Node) HandleShardSync(m *wire.ShardSync) (any, error) {
 	srv := n.ShardServer(m.Shard)
 	if srv == nil {
-		return &wire.ErrorResponse{Message: fmt.Sprintf("cluster: node %s does not own shard %d", n.cfg.Self, m.Shard)}, nil
+		return n.notOwner(m.Shard), nil
 	}
 	var buf bytes.Buffer
 	if err := srv.SaveSnapshot(&buf); err != nil {

@@ -70,8 +70,7 @@ func score(node string, shard uint32) uint64 {
 // Replicas returns the shard's replica set: the r highest-scoring nodes
 // for that shard, best first (ties broken by name so the order is a
 // total one). r is clamped to the cluster size. The first entry is the
-// shard's primary — the forwarding target for frames that land on a
-// non-owner.
+// shard's primary.
 func (t *Table) Replicas(shard uint32, r int) []string {
 	if r <= 0 {
 		r = 1

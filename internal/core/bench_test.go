@@ -7,6 +7,7 @@ import (
 	"bees/internal/energy"
 	"bees/internal/features"
 	"bees/internal/netsim"
+	"bees/internal/par"
 	"bees/internal/server"
 	"bees/internal/submod"
 )
@@ -104,7 +105,7 @@ func buildBatchGraphBrute(sets []*features.BinarySet, survivors []int, capN, ham
 			g.SetWeight(a, b, jaccardRef(capped[a], capped[b], hammingMax))
 		}
 	}
-	ForEachIndex((n+1)/2, func(u int) {
+	par.Do((n+1)/2, func(u int) {
 		row(u)
 		if mirror := n - 1 - u; mirror != u {
 			row(mirror)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -379,15 +378,4 @@ func TestExtractAllMatchesSequential(t *testing.T) {
 			}
 		}
 	}
-}
-
-func TestForEachIndexCoversAll(t *testing.T) {
-	hit := make([]int32, 100)
-	ForEachIndex(100, func(i int) { atomic.AddInt32(&hit[i], 1) })
-	for i, h := range hit {
-		if h != 1 {
-			t.Fatalf("index %d visited %d times", i, h)
-		}
-	}
-	ForEachIndex(0, func(int) { t.Fatal("fn called for n=0") })
 }

@@ -9,6 +9,7 @@ import (
 	"bees/internal/features"
 	"bees/internal/imagelib"
 	"bees/internal/outbox"
+	"bees/internal/par"
 	"bees/internal/server"
 	"bees/internal/submod"
 	"bees/internal/telemetry"
@@ -214,7 +215,7 @@ func (p *Pipeline) ProcessBatch(dev *Device, srv ServerAPI, batch []*dataset.Ima
 		chunk := selected[start:end]
 		items := make([]server.UploadItem, len(chunk))
 		sizes := make([]int, len(chunk))
-		ForEachIndex(len(chunk), func(k int) {
+		par.Do(len(chunk), func(k int) {
 			img := batch[chunk[k]]
 			compressed := imagelib.CompressBitmap(img.Render(), resC)
 			sizes[k] = img.SizeModel().Bytes(compressed, p.cfg.QualityProportion)

@@ -54,6 +54,3 @@ func (b *Battery) SetEbat(frac float64) {
 	}
 	b.remainingJ = frac * b.capacityJ
 }
-
-// Reset refills the battery.
-func (b *Battery) Reset() { b.remainingJ = b.capacityJ }

@@ -258,3 +258,10 @@ func TestMeterReset(t *testing.T) {
 		t.Fatal("Reset did not clear meter")
 	}
 }
+
+// Reset refills the battery. Only tests reset a battery; the simulations
+// build a fresh one per device.
+func (b *Battery) Reset() { b.remainingJ = b.capacityJ }
+
+// Reset clears the meter. Only tests reuse a meter.
+func (m *Meter) Reset() { *m = Meter{} }

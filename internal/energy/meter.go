@@ -45,6 +45,3 @@ func (m *Meter) Get(cat Category) float64 {
 	}
 	return m.byCat[cat]
 }
-
-// Reset clears the meter.
-func (m *Meter) Reset() { *m = Meter{} }

@@ -30,5 +30,3 @@ var circleOffsets = [16][2]int{
 	{0, 3}, {-1, 3}, {-2, 2}, {-3, 1},
 	{-3, 0}, {-3, -1}, {-2, -2}, {-1, -3},
 }
-
-const fastArc = 9

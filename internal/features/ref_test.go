@@ -10,6 +10,10 @@ import (
 	"bees/internal/imagelib"
 )
 
+// fastArc is FAST-9's arc length: the oracle scores a corner on runs of
+// at least this many ring pixels (the detector hard-codes it as hasRun9).
+const fastArc = 9
+
 // MatchBinaryRef is the brute-force O(n·m) reference matcher: the oracle
 // the differential/property/fuzz suites pin the fast kernel against, and
 // the baseline the bench suites measure speedups from.

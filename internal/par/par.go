@@ -1,7 +1,8 @@
 // Package par provides the host-parallel index loop shared by the
-// compute-bound layers (core's extraction/compression, the index's batch
-// insert and batched queries, the server's batched CBRD). It lives below
-// all of them so none has to import another just to parallelize a loop.
+// compute-bound layers (core's extraction, compression and batch graph,
+// the index's batch insert and batched queries, the server's batched
+// CBRD). It lives below all of them so none has to import another just
+// to parallelize a loop.
 package par
 
 import (

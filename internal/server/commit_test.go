@@ -55,13 +55,11 @@ func (f hookedFile) Sync() error {
 func hookedWALServer(t *testing.T) (*Server, *syncHookFS) {
 	t.Helper()
 	fs := &syncHookFS{FS: diskfault.New(diskfault.Config{})}
-	s := NewWithConfig(Config{BlockSize: 512, FS: fs})
-	l, err := wal.Open(wal.Config{Dir: t.TempDir(), FS: fs})
+	s, _, err := Recover(RecoverConfig{WAL: wal.Config{Dir: t.TempDir(), FS: fs}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { l.Close() })
-	s.AttachWAL(l)
+	t.Cleanup(func() { s.WAL().Close() })
 	return s, fs
 }
 

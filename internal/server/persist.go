@@ -14,14 +14,17 @@ import (
 	"time"
 
 	"bees/internal/blockstore"
+	"bees/internal/diskfault"
 	"bees/internal/features"
 	"bees/internal/index"
 	"bees/internal/wire"
 )
 
-// Snapshot persistence: beesd survives restarts by writing the feature
-// index and upload counters to disk. The format is a versioned binary
-// stream of fixed-width little-endian fields with u64 counts:
+// Snapshot persistence: beesd survives restarts by checkpointing the
+// feature index, upload history and block store into its WAL directory
+// (Checkpoint), and ShardSync ships the same bytes to a joining
+// replica. The format is a versioned binary stream of fixed-width
+// little-endian fields with u64 counts:
 //
 //	"BEES" | u64 version | u64 received | u64 nextID
 //	u64 entries | entries × (u64 id | u64 group | f64 lat | f64 lon |
@@ -33,7 +36,9 @@ import (
 // identically, and delta uploads keep deduplicating across a restart.
 // Records are written with wire's append helpers and read one at a time
 // through wire.Reader, so the stream is never held whole. Only the
-// current version loads.
+// current version loads. The nonce dedup window is not in the stream:
+// after a restart it holds only the nonces of commits the log still
+// replays (ShardSync sends the window beside the snapshot).
 
 var snapshotMagic = [4]byte{'B', 'E', 'E', 'S'}
 
@@ -219,70 +224,98 @@ func (s *Server) LoadSnapshot(r io.Reader) error {
 	return nil
 }
 
-// SaveSnapshotFile writes a snapshot atomically and durably: the temp
+// checkpointName is the primary checkpoint's file name inside the WAL
+// directory; the previous generation sits beside it as ".1" and a save
+// in progress as ".tmp". The log's segment scan skips all three, as it
+// skips every name that is not a segment's.
+const checkpointName = "checkpoint"
+
+// errNoLog refuses Checkpoint and AutoSave on a server that Recover did
+// not build: with no log there is no directory to checkpoint into.
+var errNoLog = errors.New("server: checkpoint needs a server built by Recover")
+
+// saveSnapshotFile writes a snapshot atomically and durably: the temp
 // file is fsynced before the rename and the parent directory after it,
 // so a power cut can never leave a renamed-but-empty snapshot. The
 // previous snapshot is retained as path+".1" — recovery falls back to
 // it when the primary turns out corrupt.
-func (s *Server) SaveSnapshotFile(path string) error {
+func (s *Server) saveSnapshotFile(fs diskfault.FS, path string) error {
 	tmp := path + ".tmp"
-	dir := filepath.Dir(path)
-	f, err := s.fs.Create(tmp)
+	f, err := fs.Create(tmp)
 	if err != nil {
 		return fmt.Errorf("server: create snapshot: %w", err)
 	}
 	if err := s.SaveSnapshot(f); err != nil {
 		f.Close()
-		s.fs.Remove(tmp)
+		fs.Remove(tmp)
 		return err
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
-		s.fs.Remove(tmp)
+		fs.Remove(tmp)
 		return fmt.Errorf("server: sync snapshot: %w", err)
 	}
 	if err := f.Close(); err != nil {
-		s.fs.Remove(tmp)
+		fs.Remove(tmp)
 		return fmt.Errorf("server: close snapshot: %w", err)
 	}
 	// Retain the previous generation. A crash between the two renames
 	// leaves only path+".1"; recovery tries path first, then the ".1"
 	// generation, and the WAL (not yet truncated) replays the rest.
-	if _, err := s.fs.Stat(path); err == nil {
-		if err := s.fs.Rename(path, path+".1"); err != nil {
-			s.fs.Remove(tmp)
+	if _, err := fs.Stat(path); err == nil {
+		if err := fs.Rename(path, path+".1"); err != nil {
+			fs.Remove(tmp)
 			return fmt.Errorf("server: retain snapshot: %w", err)
 		}
 	}
-	if err := s.fs.Rename(tmp, path); err != nil {
-		s.fs.Remove(tmp)
+	if err := fs.Rename(tmp, path); err != nil {
+		fs.Remove(tmp)
 		return fmt.Errorf("server: commit snapshot: %w", err)
 	}
-	if err := s.fs.SyncDir(dir); err != nil {
+	if err := fs.SyncDir(filepath.Dir(path)); err != nil {
 		return fmt.Errorf("server: sync snapshot dir: %w", err)
 	}
 	return nil
 }
 
-// Checkpoint makes a durable snapshot and, when a WAL is attached,
+// loadSnapshotFile restores a snapshot from disk into a fresh server;
+// found is false, with no error, when the file does not exist.
+func (s *Server) loadSnapshotFile(fs diskfault.FS, path string) (found bool, err error) {
+	f, err := fs.Open(path)
+	if errors.Is(err, os.ErrNotExist) {
+		return false, nil
+	}
+	if err != nil {
+		return false, fmt.Errorf("server: open snapshot: %w", err)
+	}
+	defer f.Close()
+	return true, s.LoadSnapshot(f)
+}
+
+// Checkpoint writes a durable snapshot into the WAL directory and
 // truncates the log. The order is rotate → snapshot → truncate: records
 // appended after the rotation survive in the retained segment, and a
 // crash between snapshot and truncate merely replays records the
 // snapshot already holds — replay skips commits the snapshot covers.
 //
 // Truncation deliberately lags one checkpoint: only segments covered by
-// the PREVIOUS snapshot (now retained as path+".1") are deleted, so if
-// the primary snapshot is later found corrupt, the ".1" generation plus
-// the remaining log still rebuild complete state.
-func (s *Server) Checkpoint(path string) error {
+// the PREVIOUS checkpoint (now retained as "checkpoint.1") are deleted,
+// so if the primary is later found corrupt, the ".1" generation plus
+// the remaining log still rebuild complete state. "Previous" means
+// previous in this process, so the first checkpoint after Recover
+// deletes nothing; a caller that checkpoints once after Recover (as
+// beesd does at startup) has every later checkpoint delete the segments
+// the process started with.
+func (s *Server) Checkpoint() error {
 	if s.wal == nil {
-		return s.SaveSnapshotFile(path)
+		return errNoLog
 	}
 	sealed, err := s.wal.Rotate()
 	if err != nil {
 		return err
 	}
-	if err := s.SaveSnapshotFile(path); err != nil {
+	cfg := s.wal.Config()
+	if err := s.saveSnapshotFile(cfg.FS, filepath.Join(cfg.Dir, checkpointName)); err != nil {
 		return err
 	}
 	s.ckptMu.Lock()
@@ -292,13 +325,13 @@ func (s *Server) Checkpoint(path string) error {
 	return s.wal.TruncateThrough(prev)
 }
 
-// AutoSave writes periodic snapshots to path until the returned stop
-// function is called (which takes one final snapshot so no tail of
-// uploads is lost on a clean shutdown). Failures are logged via logf and
-// retried next tick — a full disk now may be a writable disk later, and
-// SaveSnapshotFile's temp+rename never clobbers the last good snapshot
-// with a partial one.
-func (s *Server) AutoSave(path string, interval time.Duration, logf func(string, ...any)) (stop func()) {
+// AutoSave checkpoints every interval until the returned stop function
+// is called (which takes one final checkpoint so no tail of uploads is
+// left to replay after a clean shutdown). Failures are logged via logf
+// and retried next tick — a full disk now may be a writable disk later,
+// and the temp+rename never clobbers the last good checkpoint with a
+// partial one.
+func (s *Server) AutoSave(interval time.Duration, logf func(string, ...any)) (stop func()) {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
@@ -313,7 +346,7 @@ func (s *Server) AutoSave(path string, interval time.Duration, logf func(string,
 			case <-closeCh:
 				return
 			case <-t.C:
-				if err := s.Checkpoint(path); err != nil {
+				if err := s.Checkpoint(); err != nil {
 					logf("autosave: %v", err)
 				}
 			}
@@ -324,23 +357,9 @@ func (s *Server) AutoSave(path string, interval time.Duration, logf func(string,
 		once.Do(func() {
 			close(closeCh)
 			<-done
-			if err := s.Checkpoint(path); err != nil {
+			if err := s.Checkpoint(); err != nil {
 				logf("autosave (final): %v", err)
 			}
 		})
 	}
-}
-
-// LoadSnapshotFile restores a snapshot from disk; a missing file is not
-// an error (fresh start).
-func (s *Server) LoadSnapshotFile(path string) error {
-	f, err := s.fs.Open(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("server: open snapshot: %w", err)
-	}
-	defer f.Close()
-	return s.LoadSnapshot(f)
 }

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"bees/internal/blockstore"
+	"bees/internal/diskfault"
 	"bees/internal/wal"
 )
 
@@ -57,27 +58,39 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSnapshotFileRoundTrip: Checkpoint writes the snapshot into the
+// WAL directory under its fixed name, and that file alone restores the
+// uploads.
 func TestSnapshotFileRoundTrip(t *testing.T) {
-	srv := NewDefault()
+	dir := t.TempDir()
+	srv := newWALServer(t, dir)
 	_, sets := batchSets(t, 311, 2)
 	upload(t, srv, sets[0], UploadMeta{GroupID: 5, Bytes: 42})
-	path := filepath.Join(t.TempDir(), "state.bees")
-	if err := srv.SaveSnapshotFile(path); err != nil {
+	if err := srv.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
+	srv.WAL().Close()
 	restored := NewDefault()
-	if err := restored.LoadSnapshotFile(path); err != nil {
-		t.Fatal(err)
+	if found, err := restored.loadSnapshotFile(diskfault.OS(), filepath.Join(dir, checkpointName)); err != nil || !found {
+		t.Fatalf("load checkpoint: found=%v err=%v", found, err)
 	}
 	if restored.Stats().Images != 1 {
 		t.Fatal("file round trip lost uploads")
 	}
 }
 
+// TestCheckpointNeedsRecover: a server that Recover did not build has
+// no directory to checkpoint into, and says so.
+func TestCheckpointNeedsRecover(t *testing.T) {
+	if err := NewDefault().Checkpoint(); !errors.Is(err, errNoLog) {
+		t.Fatalf("Checkpoint on an in-memory server: err = %v, want errNoLog", err)
+	}
+}
+
 func TestLoadSnapshotMissingFileIsFreshStart(t *testing.T) {
 	srv := NewDefault()
-	if err := srv.LoadSnapshotFile(filepath.Join(t.TempDir(), "absent")); err != nil {
-		t.Fatalf("missing snapshot should not error: %v", err)
+	if found, err := srv.loadSnapshotFile(diskfault.OS(), filepath.Join(t.TempDir(), "absent")); err != nil || found {
+		t.Fatalf("missing snapshot: found=%v err=%v, want a silent fresh start", found, err)
 	}
 	if srv.Stats().Images != 0 {
 		t.Fatal("fresh server should be empty")
@@ -208,15 +221,14 @@ func TestSnapshotVersion1Rejected(t *testing.T) {
 		t.Fatalf("version-1 snapshot: err = %v, want errBadSnapshot", err)
 	}
 
-	dir := t.TempDir()
-	walDir := filepath.Join(dir, "wal")
-	snap := filepath.Join(dir, "state.snap")
-	s := newWALServer(t, walDir, 0)
+	walDir := filepath.Join(t.TempDir(), "wal")
+	snap := filepath.Join(walDir, checkpointName)
+	s := newWALServer(t, walDir)
 	for n := uint64(1); n <= 2; n++ {
 		if _, err := s.UploadItems(n, []UploadItem{walItem(n, 100)}); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Checkpoint(snap); err != nil {
+		if err := s.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -225,7 +237,7 @@ func TestSnapshotVersion1Rejected(t *testing.T) {
 	if err := os.WriteFile(snap, handcraftedVersion(t, 1), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	r, st, err := Recover(RecoverConfig{SnapshotPath: snap, WAL: wal.Config{Dir: walDir}})
+	r, st, err := Recover(RecoverConfig{WAL: wal.Config{Dir: walDir}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,11 +287,13 @@ func TestLoadSnapshotErrorsWrapBadSnapshot(t *testing.T) {
 }
 
 func TestAutoSave(t *testing.T) {
-	srv := NewDefault()
+	dir := t.TempDir()
+	srv := newWALServer(t, dir)
+	defer srv.WAL().Close()
 	_, sets := batchSets(t, 314, 1)
 	upload(t, srv, sets[0], UploadMeta{GroupID: 1, Bytes: 10})
-	path := filepath.Join(t.TempDir(), "auto.bees")
-	stop := srv.AutoSave(path, 10*time.Millisecond, t.Logf)
+	path := filepath.Join(dir, checkpointName)
+	stop := srv.AutoSave(10*time.Millisecond, t.Logf)
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		if _, err := os.Stat(path); err == nil {
@@ -293,7 +307,7 @@ func TestAutoSave(t *testing.T) {
 	stop()
 	stop() // idempotent
 	restored := NewDefault()
-	if err := restored.LoadSnapshotFile(path); err != nil {
+	if _, err := restored.loadSnapshotFile(diskfault.OS(), path); err != nil {
 		t.Fatal(err)
 	}
 	if restored.Stats().Images != 1 {

@@ -3,31 +3,34 @@ package server
 import (
 	"errors"
 	"fmt"
+	"path/filepath"
+	"strings"
 
 	"bees/internal/blockstore"
+	"bees/internal/diskfault"
 	"bees/internal/index"
 	"bees/internal/wal"
 )
 
 // RecoverConfig describes where a crashed (or cleanly stopped) beesd
-// left its durable state.
+// left its durable state: one directory, the WAL's, which holds the log
+// segments and the checkpoints beside them.
 type RecoverConfig struct {
-	// Server configures the recovered server (index, telemetry, block
-	// size, filesystem).
+	// Server configures the recovered server (index, telemetry).
 	Server Config
-	// SnapshotPath is the primary snapshot file; "" starts fresh. The
-	// previous generation is expected at SnapshotPath+".1".
-	SnapshotPath string
-	// WAL configures the write-ahead log; an empty Dir runs without one
-	// (snapshot-only durability, the pre-WAL behavior).
+	// WAL configures the write-ahead log. Dir is required; the
+	// checkpoints live in it as "checkpoint" (the primary),
+	// "checkpoint.1" (the previous generation) and "checkpoint.tmp" (a
+	// save in progress). FS carries the checkpoint I/O too.
 	WAL wal.Config
 }
 
 // RecoverStats reports what recovery found; beesd logs it and the
 // telemetry gauges under server.recover.* mirror it.
 type RecoverStats struct {
-	// SnapshotGeneration is 0 when no snapshot was loaded (fresh start),
-	// 1 for the primary, 2 for the retained ".1" fallback.
+	// SnapshotGeneration is 0 when no checkpoint was loaded (fresh start
+	// or log-only recovery), 1 for the primary, 2 for the retained ".1"
+	// fallback.
 	SnapshotGeneration int
 	// WALRecords is how many log records were replayed.
 	WALRecords int
@@ -39,86 +42,91 @@ type RecoverStats struct {
 	WALTruncatedBytes int64
 }
 
-// Recover rebuilds a server from its durable state: load the last good
-// snapshot (falling back one generation if the primary is corrupt),
-// replay the WAL tail on top — truncating at the first bad checksum —
-// and reopen the log for appending. The returned server is ready to
-// serve; its acknowledged state is exactly what the disk survived.
+// Recover builds a server that persists, from the durable state in the
+// WAL directory: load the last good checkpoint (falling back one
+// generation if the primary is corrupt), replay the WAL tail on top —
+// truncating at the first bad checksum — and reopen the log for
+// appending. The returned server is ready to serve; its acknowledged
+// state is exactly what the disk survived.
+//
+// A log whose oldest segment is past 1 has been truncated behind a
+// checkpoint, so when no checkpoint loads, Recover refuses it and names
+// the missing file instead of coming back with partial state.
 func Recover(cfg RecoverConfig) (*Server, RecoverStats, error) {
 	var stats RecoverStats
+	if cfg.WAL.Dir == "" {
+		return nil, stats, errors.New("server: recover: WAL.Dir required")
+	}
 	if cfg.WAL.FS == nil {
-		cfg.WAL.FS = cfg.Server.FS
+		cfg.WAL.FS = diskfault.OS()
 	}
 	if cfg.WAL.Telemetry == nil {
 		cfg.WAL.Telemetry = cfg.Server.Telemetry
 	}
+	ckpt := filepath.Join(cfg.WAL.Dir, checkpointName)
 
-	// Snapshot, with generation fallback. LoadSnapshot partially mutates
-	// on failure, so each attempt gets a fresh server.
+	// Checkpoint, with generation fallback: the first generation that
+	// loads wins. A primary that is absent (a crash between the save's
+	// two renames leaves the name vacant) or corrupt falls back to
+	// ".1"; LoadSnapshot partially mutates on failure, so a corrupt
+	// attempt leaves a fresh server behind for the next one.
 	s := NewWithConfig(cfg.Server)
-	if cfg.SnapshotPath != "" {
-		switch err := s.LoadSnapshotFile(cfg.SnapshotPath); {
-		case err == nil && s.snapshotLoaded():
-			stats.SnapshotGeneration = 1
-		case err == nil:
-			// Primary absent: either a true fresh start, or a crash between
-			// SaveSnapshotFile's two renames left the name vacant with the
-			// previous generation at ".1". Starting fresh in the latter case
-			// would outrun the lag-one-truncated WAL, so try the fallback
-			// (LoadSnapshotFile touched nothing, s is still fresh).
-			prev := cfg.SnapshotPath + ".1"
-			if err2 := s.LoadSnapshotFile(prev); err2 != nil {
-				return nil, stats, fmt.Errorf("server: recover: primary snapshot missing, fallback %s: %w", prev, err2)
-			}
-			if s.snapshotLoaded() {
-				stats.SnapshotGeneration = 2
-			}
-		case errors.Is(err, errBadSnapshot):
+	var corrupt []string
+	for gen, path := range []string{ckpt, ckpt + ".1"} {
+		found, err := s.loadSnapshotFile(cfg.WAL.FS, path)
+		if err == nil && found {
+			stats.SnapshotGeneration = gen + 1
+			break
+		}
+		if errors.Is(err, errBadSnapshot) {
+			corrupt = append(corrupt, path)
 			s = NewWithConfig(cfg.Server)
-			prev := cfg.SnapshotPath + ".1"
-			switch err2 := s.LoadSnapshotFile(prev); {
-			case err2 == nil:
-				if s.snapshotLoaded() {
-					stats.SnapshotGeneration = 2
-				}
-			case errors.Is(err2, errBadSnapshot):
-				return nil, stats, fmt.Errorf("server: recover: primary snapshot: %v; fallback %s: %w", err, prev, err2)
-			default:
-				return nil, stats, err2
+		} else if err != nil {
+			return nil, stats, fmt.Errorf("server: recover: %w", err)
+		}
+	}
+	if stats.SnapshotGeneration == 0 {
+		// The log alone must rebuild the state, which it can only if no
+		// checkpoint ever truncated it.
+		first, err := wal.FirstSegment(cfg.WAL)
+		if err != nil {
+			return nil, stats, fmt.Errorf("server: recover: %w", err)
+		}
+		if first > 1 {
+			why := "is missing"
+			if len(corrupt) > 0 {
+				why = fmt.Sprintf("does not load (corrupt: %s)", strings.Join(corrupt, ", "))
 			}
-		default:
-			return nil, stats, err
+			return nil, stats, fmt.Errorf("server: recover: the log starts at segment %d, so its earlier records live only in a checkpoint, and %s %s", first, ckpt, why)
 		}
 	}
 
-	// WAL replay on top of the snapshot. A commit whose IDs are in the
-	// snapshot's upload history is already inside it (the stateMu cut
+	// WAL replay on top of the checkpoint. A commit whose IDs are in the
+	// checkpoint's upload history is already inside it (the stateMu cut
 	// makes that exact) and only reseeds the nonce window; any other
 	// commit is applied. Membership, not an ID horizon, decides, because
 	// router-assigned IDs need not arrive in ID order.
-	if cfg.WAL.Dir != "" {
-		snapIDs := make(map[index.ImageID]struct{}, len(s.uploads))
-		for _, id := range s.uploads {
-			snapIDs[id] = struct{}{}
-		}
-		rst, err := wal.Replay(cfg.WAL, func(p []byte) error {
-			if aerr := s.applyWALRecord(p, snapIDs); aerr != nil {
-				stats.WALBadRecords++
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, stats, fmt.Errorf("server: recover: %w", err)
-		}
-		stats.WALRecords = rst.Records
-		stats.WALTruncatedBytes = rst.TruncatedBytes
-
-		l, err := wal.Open(cfg.WAL)
-		if err != nil {
-			return nil, stats, fmt.Errorf("server: recover: %w", err)
-		}
-		s.AttachWAL(l)
+	snapIDs := make(map[index.ImageID]struct{}, len(s.uploads))
+	for _, id := range s.uploads {
+		snapIDs[id] = struct{}{}
 	}
+	rst, err := wal.Replay(cfg.WAL, func(p []byte) error {
+		if aerr := s.applyWALRecord(p, snapIDs); aerr != nil {
+			stats.WALBadRecords++
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, stats, fmt.Errorf("server: recover: %w", err)
+	}
+	stats.WALRecords = rst.Records
+	stats.WALTruncatedBytes = rst.TruncatedBytes
+
+	l, err := wal.Open(cfg.WAL)
+	if err != nil {
+		return nil, stats, fmt.Errorf("server: recover: %w", err)
+	}
+	s.wal = l
 
 	tel := cfg.Server.Telemetry
 	tel.Gauge("server.recover.snapshot_generation").Set(float64(stats.SnapshotGeneration))
@@ -126,14 +134,6 @@ func Recover(cfg RecoverConfig) (*Server, RecoverStats, error) {
 	tel.Gauge("server.recover.wal_bad_records").Set(float64(stats.WALBadRecords))
 	tel.Gauge("server.recover.wal_truncated_bytes").Set(float64(stats.WALTruncatedBytes))
 	return s, stats, nil
-}
-
-// snapshotLoaded distinguishes "snapshot file existed" from a fresh
-// start after LoadSnapshotFile's missing-file-is-nil contract.
-func (s *Server) snapshotLoaded() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.nextID != 0 || s.received != 0 || s.idx.Len() > 0 || s.blocks.Len() > 0
 }
 
 // applyWALRecord decodes and applies one replayed record. Decode or

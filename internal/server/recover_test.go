@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"bees/internal/blockstore"
@@ -26,15 +27,14 @@ func walItem(seed uint64, bytes int) UploadItem {
 	}}
 }
 
-// newWALServer builds a server appending to a fresh WAL in dir.
-func newWALServer(t *testing.T, dir string, blockSize int) *Server {
+// newWALServer builds a server that persists into dir, a fresh WAL
+// directory.
+func newWALServer(t *testing.T, dir string) *Server {
 	t.Helper()
-	s := NewWithConfig(Config{BlockSize: blockSize})
-	l, err := wal.Open(wal.Config{Dir: dir})
+	s, _, err := Recover(RecoverConfig{WAL: wal.Config{Dir: dir}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.AttachWAL(l)
 	return s
 }
 
@@ -146,7 +146,7 @@ func TestNewUploadNonceFreshAfterRecover(t *testing.T) {
 func TestRecoverFromWALOnly(t *testing.T) {
 	dir := t.TempDir()
 	walDir := filepath.Join(dir, "wal")
-	s := newWALServer(t, walDir, 4096)
+	s := newWALServer(t, walDir)
 
 	ids1, err := s.UploadItems(11, []UploadItem{walItem(1, 100), walItem(2, 200)})
 	if err != nil {
@@ -174,7 +174,7 @@ func TestRecoverFromWALOnly(t *testing.T) {
 
 	reg := telemetry.NewRegistry()
 	r, st, err := Recover(RecoverConfig{
-		Server: Config{BlockSize: 4096, Telemetry: reg},
+		Server: Config{Telemetry: reg},
 		WAL:    wal.Config{Dir: walDir},
 	})
 	if err != nil {
@@ -217,15 +217,13 @@ func TestRecoverFromWALOnly(t *testing.T) {
 // apply even though the rotate-before-snapshot window leaves them in
 // both places.
 func TestRecoverSnapshotPlusTail(t *testing.T) {
-	dir := t.TempDir()
-	walDir := filepath.Join(dir, "wal")
-	snap := filepath.Join(dir, "state.snap")
-	s := newWALServer(t, walDir, 0)
+	walDir := filepath.Join(t.TempDir(), "wal")
+	s := newWALServer(t, walDir)
 
 	if _, err := s.UploadItems(21, []UploadItem{walItem(1, 100)}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Checkpoint(snap); err != nil {
+	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.UploadItems(22, []UploadItem{walItem(2, 200), walItem(3, 300)}); err != nil {
@@ -234,10 +232,7 @@ func TestRecoverSnapshotPlusTail(t *testing.T) {
 	want := s.Stats()
 	s.WAL().Close()
 
-	r, st, err := Recover(RecoverConfig{
-		SnapshotPath: snap,
-		WAL:          wal.Config{Dir: walDir},
-	})
+	r, st, err := Recover(RecoverConfig{WAL: wal.Config{Dir: walDir}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,21 +258,20 @@ func TestRecoverSnapshotPlusTail(t *testing.T) {
 // TestRecoverSnapshotFallback: a corrupt primary snapshot falls back to
 // the retained ".1" generation, and the WAL tail still replays.
 func TestRecoverSnapshotFallback(t *testing.T) {
-	dir := t.TempDir()
-	walDir := filepath.Join(dir, "wal")
-	snap := filepath.Join(dir, "state.snap")
-	s := newWALServer(t, walDir, 0)
+	walDir := filepath.Join(t.TempDir(), "wal")
+	snap := filepath.Join(walDir, checkpointName)
+	s := newWALServer(t, walDir)
 
 	if _, err := s.UploadItems(31, []UploadItem{walItem(1, 100)}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Checkpoint(snap); err != nil {
+	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.UploadItems(32, []UploadItem{walItem(2, 200)}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Checkpoint(snap); err != nil { // retains gen 1 as .1
+	if err := s.Checkpoint(); err != nil { // retains gen 1 as .1
 		t.Fatal(err)
 	}
 	if _, err := s.UploadItems(33, []UploadItem{walItem(3, 300)}); err != nil {
@@ -298,9 +292,8 @@ func TestRecoverSnapshotFallback(t *testing.T) {
 
 	reg := telemetry.NewRegistry()
 	r, st, err := Recover(RecoverConfig{
-		Server:       Config{Telemetry: reg},
-		SnapshotPath: snap,
-		WAL:          wal.Config{Dir: walDir},
+		Server: Config{Telemetry: reg},
+		WAL:    wal.Config{Dir: walDir},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -318,12 +311,59 @@ func TestRecoverSnapshotFallback(t *testing.T) {
 	}
 	r.WAL().Close()
 
-	// Both generations corrupt → startup fails.
+	// Both generations corrupt, and the log truncated behind them →
+	// startup fails.
 	if err := os.WriteFile(snap+".1", []byte("junk"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Recover(RecoverConfig{SnapshotPath: snap, WAL: wal.Config{Dir: walDir}}); err == nil {
+	if _, _, err := Recover(RecoverConfig{WAL: wal.Config{Dir: walDir}}); err == nil {
 		t.Fatal("recovery with both snapshot generations corrupt succeeded")
+	}
+}
+
+// TestRecoverRefusesTruncatedLogWithoutCheckpoint: once a checkpoint
+// has truncated the log, the log alone no longer holds the state. With
+// the checkpoints gone (a lost file, or an old snapshot never moved into
+// the WAL directory) Recover fails and names the missing file instead of
+// returning the partial state the remaining segments rebuild; with the
+// primary alone gone it falls back to ".1" and loses nothing.
+func TestRecoverRefusesTruncatedLogWithoutCheckpoint(t *testing.T) {
+	walDir := filepath.Join(t.TempDir(), "wal")
+	ckpt := filepath.Join(walDir, checkpointName)
+	s := newWALServer(t, walDir)
+	for n := uint64(1); n <= 3; n++ {
+		if _, err := s.UploadItems(70+n, []UploadItem{walItem(n, 100)}); err != nil {
+			t.Fatal(err)
+		}
+		if n < 3 {
+			if err := s.Checkpoint(); err != nil { // the second truncates segment 1
+				t.Fatal(err)
+			}
+		}
+	}
+	want := s.Stats()
+	s.WAL().Close()
+	if first, err := wal.FirstSegment(wal.Config{Dir: walDir}); err != nil || first < 2 {
+		t.Fatalf("first segment %d, %v: the setup did not truncate the log", first, err)
+	}
+
+	if err := os.Remove(ckpt); err != nil {
+		t.Fatal(err)
+	}
+	r, st, err := Recover(RecoverConfig{WAL: wal.Config{Dir: walDir}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := r.Stats(); st.SnapshotGeneration != 2 || got != want {
+		t.Fatalf("primary missing: generation %d, recovered %+v, want the .1 fallback and %+v", st.SnapshotGeneration, got, want)
+	}
+	r.WAL().Close()
+
+	if err := os.Remove(ckpt + ".1"); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Recover(RecoverConfig{WAL: wal.Config{Dir: walDir}}); err == nil || !strings.Contains(err.Error(), ckpt+" is missing") {
+		t.Fatalf("recover of a truncated log with no checkpoint: err = %v, want one naming %s", err, ckpt)
 	}
 }
 
@@ -332,7 +372,7 @@ func TestRecoverSnapshotFallback(t *testing.T) {
 func TestRecoverTornTail(t *testing.T) {
 	dir := t.TempDir()
 	walDir := filepath.Join(dir, "wal")
-	s := newWALServer(t, walDir, 0)
+	s := newWALServer(t, walDir)
 	if _, err := s.UploadItems(41, []UploadItem{walItem(1, 100)}); err != nil {
 		t.Fatal(err)
 	}
@@ -472,13 +512,8 @@ func TestRecoverRetiredKindsCountedBad(t *testing.T) {
 // TestDurabilityPoison: a WAL append failure refuses the frame and all
 // later mutations — the server never acks state the disk did not take.
 func TestDurabilityPoison(t *testing.T) {
-	dir := t.TempDir()
-	s := NewWithConfig(Config{})
-	l, err := wal.Open(wal.Config{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.AttachWAL(l)
+	s := newWALServer(t, t.TempDir())
+	l := s.WAL()
 	if _, err := s.UploadItems(61, []UploadItem{walItem(1, 100)}); err != nil {
 		t.Fatal(err)
 	}

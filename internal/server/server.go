@@ -11,7 +11,6 @@ import (
 	"sync"
 
 	"bees/internal/blockstore"
-	"bees/internal/diskfault"
 	"bees/internal/features"
 	"bees/internal/index"
 	"bees/internal/telemetry"
@@ -56,18 +55,12 @@ type Config struct {
 	// Telemetry receives the server's index counters (queries, uploads).
 	// Nil disables instrumentation.
 	Telemetry *telemetry.Registry
-	// BlockSize is the content-addressed block granularity for the block
-	// store (see internal/blockstore). 0 selects the 128 KiB default.
-	BlockSize int
-	// FS is the filesystem snapshots are saved through. Nil selects the
-	// real filesystem; chaos tests substitute a diskfault.Faulty.
-	FS diskfault.FS
 }
 
 // ErrDurability marks a server that failed a write-ahead-log append.
 // Memory and log have diverged, so every later mutation is refused: the
 // un-acked frame must NOT be re-acknowledged from state the disk never
-// saw. The process restarts and recovers from snapshot + WAL.
+// saw. The process restarts and recovers from checkpoint + WAL.
 var ErrDurability = errors.New("server: write-ahead log failure, mutations refused")
 
 // Server is a thread-safe cloud server.
@@ -81,7 +74,6 @@ type Server struct {
 	idx      *index.Index
 	tel      *telemetry.Registry
 	blocks   *blockstore.Store
-	fs       diskfault.FS
 	nextID   index.ImageID
 	received int64
 	uploads  []index.ImageID
@@ -91,17 +83,18 @@ type Server struct {
 	// uploads of the experiment under measurement.
 	seedMetas []UploadMeta
 
-	// wal, when attached, receives one record per acknowledged mutation.
-	// dedup is the nonce retry window; it lives on the Server (not the
-	// TCP layer) so recovery can reseed it from replayed records.
+	// wal, set by Recover, receives one record per acknowledged
+	// mutation. dedup is the nonce retry window; it lives on the Server
+	// (not the TCP layer) so recovery can reseed it from replayed records.
 	wal    *wal.Log
 	dedup  *uploadDedup
 	durMu  sync.Mutex
 	durErr error
-	// prevSealed lags WAL truncation one checkpoint behind: segments are
-	// deleted only once covered by the *previous* snapshot generation, so
-	// the retained ".1" snapshot plus the remaining log always rebuild
-	// full state even when the primary snapshot is corrupt.
+	// prevSealed lags WAL truncation one checkpoint behind: segments
+	// are deleted only once covered by the *previous* checkpoint
+	// generation, so the retained ".1" checkpoint plus the remaining log
+	// always rebuild full state even when the primary checkpoint is
+	// corrupt.
 	ckptMu     sync.Mutex
 	prevSealed uint64
 }
@@ -116,26 +109,15 @@ func NewWithConfig(cfg Config) *Server {
 	if cfg.Index == (index.Config{}) {
 		cfg.Index = index.DefaultConfig()
 	}
-	if cfg.FS == nil {
-		cfg.FS = diskfault.OS()
-	}
 	return &Server{
-		idx: index.New(cfg.Index),
-		tel: cfg.Telemetry,
-		fs:  cfg.FS,
-		blocks: blockstore.NewStore(blockstore.Config{
-			BlockSize: cfg.BlockSize,
-			Telemetry: cfg.Telemetry,
-		}),
-		dedup: newUploadDedup(4096),
+		idx:    index.New(cfg.Index),
+		tel:    cfg.Telemetry,
+		blocks: blockstore.NewStore(blockstore.Config{Telemetry: cfg.Telemetry}),
+		dedup:  newUploadDedup(4096),
 	}
 }
 
-// AttachWAL makes the server append every acknowledged mutation to l.
-// Attach before serving traffic; Recover does this for beesd.
-func (s *Server) AttachWAL(l *wal.Log) { s.wal = l }
-
-// WAL returns the attached log (nil when running without one).
+// WAL returns the server's log (nil unless Recover built the server).
 func (s *Server) WAL() *wal.Log { return s.wal }
 
 // durabilityErr reports whether a WAL append has ever failed.
@@ -155,7 +137,7 @@ func (s *Server) failDurability(err error) {
 	s.durMu.Unlock()
 }
 
-// logRecord appends an encoded record to the WAL, if one is attached,
+// logRecord appends an encoded record to the WAL, if the server has one,
 // and poisons the server on failure. sync waits until the record is
 // durable per the log's policy; a staged block passes false and is made
 // durable by the fsync of the commit that names it.

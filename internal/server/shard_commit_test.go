@@ -33,7 +33,7 @@ func shardUpload(t *testing.T, s *Server, seed uint64, n, blockSize int) Manifes
 // NextID horizon, and the nonce window all follow the given IDs, and a
 // replay answers from the window without re-applying.
 func TestApplyShardCommitExplicitIDs(t *testing.T) {
-	s := NewWithConfig(Config{BlockSize: 512})
+	s := NewDefault()
 	ups := []ManifestUpload{
 		shardUpload(t, s, 1, 900, 512),
 		shardUpload(t, s, 2, 1400, 512),
@@ -80,7 +80,7 @@ func TestApplyShardCommitExplicitIDs(t *testing.T) {
 // DedupEntries/SeedDedup round-trip the nonce window in FIFO order —
 // the ShardSync path a replacement replica uses.
 func TestDedupWindowExportReseed(t *testing.T) {
-	s := NewWithConfig(Config{BlockSize: 512})
+	s := NewDefault()
 	if _, err := s.ApplyShardCommit(11, []int64{3}, []ManifestUpload{shardUpload(t, s, 1, 600, 512)}); err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestDedupWindowExportReseed(t *testing.T) {
 	if len(entries) != 2 || entries[0].Nonce != 11 || entries[1].Nonce != 12 {
 		t.Fatalf("entries %+v", entries)
 	}
-	clone := NewWithConfig(Config{BlockSize: 512})
+	clone := NewDefault()
 	for _, e := range entries {
 		clone.SeedDedup(e.Nonce, e.IDs)
 	}
@@ -112,10 +112,8 @@ func TestDedupWindowExportReseed(t *testing.T) {
 // check, not the ID horizon, decides replay — shard IDs can arrive out
 // of ID order).
 func TestRecoverShardCommits(t *testing.T) {
-	dir := t.TempDir()
-	walDir := filepath.Join(dir, "wal")
-	snap := filepath.Join(dir, "state.snap")
-	s := newWALServer(t, walDir, 512)
+	walDir := filepath.Join(t.TempDir(), "wal")
+	s := newWALServer(t, walDir)
 
 	// Out-of-ID-order commits: the second carries SMALLER ids than the
 	// first, as cluster replicas routinely see.
@@ -124,7 +122,7 @@ func TestRecoverShardCommits(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Checkpoint(snap); err != nil {
+	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.ApplyShardCommit(32, []int64{2}, []ManifestUpload{
@@ -137,11 +135,7 @@ func TestRecoverShardCommits(t *testing.T) {
 	wantUploads := s.Uploads()
 	s.WAL().Close()
 
-	r, _, err := Recover(RecoverConfig{
-		Server:       Config{BlockSize: 512},
-		SnapshotPath: snap,
-		WAL:          wal.Config{Dir: walDir},
-	})
+	r, _, err := Recover(RecoverConfig{WAL: wal.Config{Dir: walDir}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,9 +200,7 @@ func TestKillAnywhereShardCommit(t *testing.T) {
 	}
 	recover := func(dir string, fs diskfault.FS) (*Server, error) {
 		s, _, err := Recover(RecoverConfig{
-			Server:       Config{BlockSize: 512, FS: fs},
-			SnapshotPath: filepath.Join(dir, "state.snap"),
-			WAL:          wal.Config{Dir: filepath.Join(dir, "wal"), Policy: wal.SyncEachRecord},
+			WAL: wal.Config{Dir: filepath.Join(dir, "wal"), FS: fs, Policy: wal.SyncEachRecord},
 		})
 		return s, err
 	}
@@ -221,7 +213,7 @@ func TestKillAnywhereShardCommit(t *testing.T) {
 	}
 	for _, st := range steps {
 		if st.nonce == 0 {
-			if err := base.Checkpoint(filepath.Join(baseDir, "state.snap")); err != nil {
+			if err := base.Checkpoint(); err != nil {
 				t.Fatal(err)
 			}
 			continue
@@ -253,7 +245,7 @@ func TestKillAnywhereShardCommit(t *testing.T) {
 			st := steps[i]
 			var err error
 			if st.nonce == 0 {
-				err = s.Checkpoint(filepath.Join(dir, "state.snap"))
+				err = s.Checkpoint()
 			} else {
 				err = apply(s, st)
 			}

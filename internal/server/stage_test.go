@@ -59,12 +59,11 @@ func isBlockPutFrame(p []byte) bool {
 func TestBlockLoggedBeforeVisible(t *testing.T) {
 	dir := t.TempDir()
 	fs := &writeHookFS{FS: diskfault.OS()}
-	s := NewWithConfig(Config{BlockSize: 512})
-	l, err := wal.Open(wal.Config{Dir: dir, FS: fs})
+	s, _, err := Recover(RecoverConfig{WAL: wal.Config{Dir: dir, FS: fs}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.AttachWAL(l)
+	l := s.WAL()
 	addr := listenOn(t, s)
 
 	blob := blockstore.SynthPayload(7, 1200)
@@ -123,7 +122,7 @@ func TestBlockLoggedBeforeVisible(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got, st, err := Recover(RecoverConfig{Server: Config{BlockSize: 512}, WAL: wal.Config{Dir: dir}})
+	got, st, err := Recover(RecoverConfig{WAL: wal.Config{Dir: dir}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,13 +144,11 @@ func TestBlockLoggedBeforeVisible(t *testing.T) {
 // block the store already holds is not logged again.
 func TestStageBlockLogsOnlyNewVerifiedBlocks(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	s := NewWithConfig(Config{BlockSize: 512, Telemetry: reg})
-	l, err := wal.Open(wal.Config{Dir: t.TempDir(), Telemetry: reg})
+	s, _, err := Recover(RecoverConfig{Server: Config{Telemetry: reg}, WAL: wal.Config{Dir: t.TempDir()}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer l.Close()
-	s.AttachWAL(l)
+	defer s.WAL().Close()
 	records := reg.Counter("wal.append.records")
 
 	good := blockstore.SynthPayload(3, 300)

@@ -396,13 +396,11 @@ func TestRetiredUploadFrameDropsConnection(t *testing.T) {
 // record.
 func TestWholeImageFrameRefused(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	srv := NewDefault()
-	l, err := wal.Open(wal.Config{Dir: t.TempDir(), Telemetry: reg})
+	srv, _, err := Recover(RecoverConfig{WAL: wal.Config{Dir: t.TempDir(), Telemetry: reg}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { l.Close() })
-	srv.AttachWAL(l)
+	t.Cleanup(func() { srv.WAL().Close() })
 	conn := dialRaw(t, listenOn(t, srv))
 	uploadID(t, conn, uploadOne(1, stagedOne(t, conn, 10)))
 	records := func() int64 { return reg.Counter("wal.append.records").Value() }

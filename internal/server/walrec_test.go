@@ -216,11 +216,9 @@ func stateOf(s *Server, query []*features.BinarySet) serverState {
 // router-assigned IDs, on both sides of a snapshot cut — and requires the
 // recovered server to equal the live one that applied the same commits.
 func TestRecoverMixedLog(t *testing.T) {
-	dir := t.TempDir()
-	walDir := filepath.Join(dir, "wal")
-	snap := filepath.Join(dir, "state.snap")
+	walDir := filepath.Join(t.TempDir(), "wal")
 	_, sets := batchSets(t, 310, 6)
-	live := NewWithConfig(Config{BlockSize: 512})
+	live := NewDefault()
 	l, err := wal.Open(wal.Config{Dir: walDir})
 	if err != nil {
 		t.Fatal(err)
@@ -271,7 +269,11 @@ func TestRecoverMixedLog(t *testing.T) {
 	commitRec(12, must(live.CommitManifestsNonce(12, ups)), ups)
 	// The records above stay in the log as well, as the rotate-before-
 	// snapshot window of a checkpoint leaves them.
-	if err := live.SaveSnapshotFile(snap); err != nil {
+	var snap bytes.Buffer
+	if err := live.SaveSnapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(walDir, checkpointName), snap.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -287,11 +289,7 @@ func TestRecoverMixedLog(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r, st, err := Recover(RecoverConfig{
-		Server:       Config{BlockSize: 512},
-		SnapshotPath: snap,
-		WAL:          wal.Config{Dir: walDir},
-	})
+	r, st, err := Recover(RecoverConfig{WAL: wal.Config{Dir: walDir}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +349,7 @@ func TestCommitEntryPointsAgree(t *testing.T) {
 	sort.Strings(names)
 	var want serverState
 	for k, name := range names {
-		s := NewWithConfig(Config{BlockSize: 512})
+		s := NewDefault()
 		for c, ch := range chunks {
 			ids, err := entryPoints[name](s, uint64(c+1), ch[0], ch[1])
 			if err != nil {

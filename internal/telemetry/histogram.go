@@ -40,14 +40,6 @@ func (h *Histogram) Observe(v int64) {
 	h.n.Add(1)
 }
 
-func (h *Histogram) reset() {
-	for i := range h.counts {
-		h.counts[i].Store(0)
-	}
-	h.sum.Store(0)
-	h.n.Store(0)
-}
-
 // snapshot loads the histogram's counters. Not atomic across buckets:
 // an observation racing the snapshot may appear in the count but not yet
 // in its bucket (or vice versa); totals converge on the next scrape.

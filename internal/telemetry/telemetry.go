@@ -154,27 +154,6 @@ func (r *Registry) Histogram(name string, bounds []int64) *Histogram {
 	return h
 }
 
-// Reset zeroes every registered metric, keeping the registrations (and
-// histogram bucket layouts). Concurrent writers may land increments
-// around the reset; it is meant for tests and operator resets between
-// measurement windows, not as a synchronization point.
-func (r *Registry) Reset() {
-	if r == nil {
-		return
-	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	for _, c := range r.counters {
-		c.v.Store(0)
-	}
-	for _, g := range r.gauges {
-		g.bits.Store(0)
-	}
-	for _, h := range r.hists {
-		h.reset()
-	}
-}
-
 // Counter is a monotonically increasing int64. The nil counter is a
 // no-op.
 type Counter struct{ v atomic.Int64 }

@@ -166,3 +166,28 @@ func TestRenderSorted(t *testing.T) {
 		t.Fatalf("render not sorted:\n%s", out)
 	}
 }
+
+// Reset zeroes every registered metric, keeping the registrations (and
+// histogram bucket layouts). Concurrent writers may land increments
+// around the reset; it is not a synchronization point. Only tests reset
+// a registry: a binary builds one per process and never clears it.
+func (r *Registry) Reset() {
+	if r == nil {
+		return
+	}
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	for _, c := range r.counters {
+		c.v.Store(0)
+	}
+	for _, g := range r.gauges {
+		g.bits.Store(0)
+	}
+	for _, h := range r.hists {
+		for i := range h.counts {
+			h.counts[i].Store(0)
+		}
+		h.sum.Store(0)
+		h.n.Store(0)
+	}
+}

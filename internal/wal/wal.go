@@ -191,6 +191,26 @@ func listSegments(fs diskfault.FS, dir string) ([]uint64, error) {
 	return seqs, nil
 }
 
+// FirstSegment returns the sequence of the oldest segment in cfg.Dir,
+// or 0 when the log has none or the directory does not exist yet.
+// Segments are numbered from 1 and only TruncateThrough removes the
+// oldest ones, so a first segment past 1 means the log was truncated
+// behind a snapshot that its owner must still hold.
+func FirstSegment(cfg Config) (uint64, error) {
+	cfg = cfg.withDefaults()
+	seqs, err := listSegments(cfg.FS, cfg.Dir)
+	if err != nil {
+		if _, serr := cfg.FS.Stat(cfg.Dir); serr != nil {
+			return 0, nil
+		}
+		return 0, fmt.Errorf("wal: scan dir: %w", err)
+	}
+	if len(seqs) == 0 {
+		return 0, nil
+	}
+	return seqs[0], nil
+}
+
 // Open creates (or reopens) the log for appending. Intact existing
 // segments are left untouched — Replay reads them — but a torn or
 // corrupt tail is first discarded physically (see repairTail), and
@@ -498,6 +518,10 @@ func (l *Log) TruncateThrough(sealed uint64) error {
 	}
 	return nil
 }
+
+// Config returns the configuration the log was opened with, defaults
+// filled in.
+func (l *Log) Config() Config { return l.cfg }
 
 // Close syncs and closes the log. Further appends fail with ErrClosed.
 func (l *Log) Close() error {

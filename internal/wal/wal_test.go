@@ -269,6 +269,57 @@ func TestRotateAndTruncateThrough(t *testing.T) {
 	}
 }
 
+// TestFirstSegment: a missing or empty directory has no first segment,
+// a fresh log starts at 1, and only truncation moves the first segment
+// past 1; files that are not segments (a checkpoint beside the log) do
+// not count.
+func TestFirstSegment(t *testing.T) {
+	first := func(cfg Config) uint64 {
+		t.Helper()
+		seq, err := FirstSegment(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return seq
+	}
+	dir := t.TempDir()
+	if got := first(Config{Dir: filepath.Join(dir, "never-created")}); got != 0 {
+		t.Fatalf("missing dir: first segment %d, want 0", got)
+	}
+	cfg := Config{Dir: dir}
+	if err := os.WriteFile(filepath.Join(dir, "checkpoint"), []byte("snapshot"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got := first(cfg); got != 0 {
+		t.Fatalf("no segments: first segment %d, want 0", got)
+	}
+	l, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if got := first(cfg); got != 1 {
+		t.Fatalf("fresh log: first segment %d, want 1", got)
+	}
+	sealed, err := l.Rotate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := first(cfg); got != 1 {
+		t.Fatalf("rotated log: first segment %d, want 1", got)
+	}
+	if err := l.TruncateThrough(sealed); err != nil {
+		t.Fatal(err)
+	}
+	if got := first(cfg); got != sealed+1 {
+		t.Fatalf("truncated log: first segment %d, want %d", got, sealed+1)
+	}
+	notDir := filepath.Join(dir, "checkpoint")
+	if _, err := FirstSegment(Config{Dir: notDir}); err == nil {
+		t.Fatal("a file in place of the directory scanned without error")
+	}
+}
+
 // TestSyncErrorPoisonsLog: the first fsync failure fails that append
 // and poisons the log — every later Append, AppendNoSync and Rotate is
 // refused with the same error, so acknowledged state and log contents

@@ -43,9 +43,10 @@ import (
 	"bees/internal/features"
 )
 
-// ShardRouteForwarded marks a frame already forwarded once by a
-// non-owner node; a receiver that still does not own the shard answers
-// with an error instead of forwarding again (no proxy loops).
+// ShardRouteForwarded is a ShardRoute flag bit that nodes no longer act
+// on: a node refuses a frame for a shard it does not own whatever the
+// flags say, and relays nothing. The Flags field stays in the frame so
+// its bytes do not change.
 const ShardRouteForwarded uint32 = 1 << 0
 
 // ShardRoute is one shard's slice of an upload batch, plus the block
