@@ -17,7 +17,10 @@ all: tier1
 # BENCH_pipeline.json baseline (see DESIGN.md, "Exact binary
 # matching", for the save-baseline/compare workflow).
 help:
-	@echo "make tier1      - build + gofmt gate + vet everything + full test suite (the PR gate)"
+	@echo "make tier1      - build + gofmt gate + vet everything + full test suite (the PR gate),"
+	@echo "                  including the root package's source audits: TestEveryInternalFunctionIsLinked"
+	@echo "                  (testdata/unlinked_allowlist.txt) and TestEveryConfigFieldIsVaried"
+	@echo "                  (testdata/config_allowlist.txt)"
 	@echo "make tier2      - fuzz burst, vet everything, race-detector run"
 	@echo "make fuzz       - FUZZTIME (default 10s) on each fuzz target"
 	@echo "make bench      - micro-benchmarks -> BENCH_pipeline.json"

@@ -10,7 +10,6 @@ import (
 	"bees/internal/dataset"
 	"bees/internal/energy"
 	"bees/internal/features"
-	"bees/internal/index"
 	"bees/internal/netsim"
 	"bees/internal/par"
 	"bees/internal/server"
@@ -51,9 +50,6 @@ type (
 	CoverageConfig = sim.CoverageConfig
 	// CoverageResult reports a coverage simulation.
 	CoverageResult = sim.CoverageResult
-	// IndexConfig parameterizes the server's similarity index (LSH
-	// tables, bits per key, candidate limit, re-rank radius, seed).
-	IndexConfig = index.Config
 	// Telemetry is the metrics registry servers, clients and pipelines
 	// report into; share one instance to scrape everything at once.
 	Telemetry = telemetry.Registry
@@ -120,17 +116,11 @@ func NewBEESEA() Scheme { return baseline.NewBEESEA() }
 
 // serverConfig collects functional options for NewServer.
 type serverConfig struct {
-	idx index.Config
 	tel *telemetry.Registry
 }
 
 // ServerOption customizes NewServer, mirroring NewDevice's options.
 type ServerOption func(*serverConfig)
-
-// WithIndexConfig replaces the similarity-index configuration.
-func WithIndexConfig(cfg IndexConfig) ServerOption {
-	return func(c *serverConfig) { c.idx = cfg }
-}
 
 // WithServerTelemetry attaches a metrics registry to the server, which
 // then counts index queries and uploads ("server.index.*").
@@ -141,14 +131,14 @@ func WithServerTelemetry(reg *Telemetry) ServerOption {
 // NewTelemetry creates an empty metrics registry.
 func NewTelemetry() *Telemetry { return telemetry.NewRegistry() }
 
-// NewServer creates a cloud server; with no options it is identical to
-// one with the default index configuration.
+// NewServer creates a cloud server. Every server runs the one index
+// configuration.
 func NewServer(opts ...ServerOption) *Server {
-	cfg := serverConfig{idx: index.DefaultConfig()}
+	var cfg serverConfig
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	return server.NewWithConfig(server.Config{Index: cfg.idx, Telemetry: cfg.tel})
+	return server.NewWithConfig(server.Config{Telemetry: cfg.tel})
 }
 
 // deviceConfig collects functional options for NewDevice.

@@ -22,7 +22,9 @@ import (
 // directory, and restarts it over the same directory. The restarted
 // server reports the same Stats, and a replay of the chunk's nonce gets
 // the original IDs back instead of a second copy. After the second
-// process stops, none of the first one's log segments is left.
+// process stops, none of the first one's log segments is left. The same
+// binary refuses -wal-dir in cluster mode, whose shard servers keep no
+// log, and creates nothing.
 func TestBeesdRestartKeepsState(t *testing.T) {
 	if testing.Short() {
 		t.Skip("beesd process smoke test skipped in -short mode")
@@ -37,6 +39,15 @@ func TestBeesdRestartKeepsState(t *testing.T) {
 		t.Fatalf("build beesd: %v\n%s", err, out)
 	}
 	walDir := filepath.Join(tmp, "wal")
+
+	out, err := exec.Command(bin, "-addr", "127.0.0.1:0", "-wal-dir", walDir,
+		"-cluster-self", "127.0.0.1:1", "-cluster-peers", "127.0.0.1:1").CombinedOutput()
+	if err == nil || !strings.Contains(string(out), "-wal-dir does not make cluster mode durable") {
+		t.Fatalf("beesd with -wal-dir and -cluster-peers: %v\n%s", err, out)
+	}
+	if _, err := os.Stat(walDir); !os.IsNotExist(err) {
+		t.Fatalf("refused cluster start touched the WAL directory: %v", err)
+	}
 
 	items := make([]server.UploadItem, 2)
 	for i := range items {

@@ -34,7 +34,10 @@
 // consistency & the WAL"). -wal-sync picks the durability point:
 // "record" fsyncs once per acknowledged commit, "none" leaves flushing
 // to the OS. -wal-segment-bytes sizes the log segments rotation seals.
-// Without -wal-dir the server keeps everything in memory.
+// Without -wal-dir the server keeps everything in memory. Cluster mode
+// refuses -wal-dir: the shard servers keep no log, so the flag would
+// make durable only the node's standalone server while a restarted
+// node's shards come back empty.
 //
 // A deployment that used the retired -state flag upgrades by moving its
 // snapshot file to <wal-dir>/checkpoint: the format is the same. Every
@@ -63,7 +66,10 @@
 // (ShardRoute/ShardQuery/ShardSync) for the shards it owns and refuses
 // the others: routers send each frame only to the shard's owners, from
 // the same placement table. -cluster-shards fixes the logical
-// shard count (it must agree across all nodes and routers).
+// shard count (it must agree across all nodes and routers). No shipped
+// command builds a router: cluster.Router is a library type, so beesctl
+// reaches a cluster node only through its standalone server, which is
+// independent of the node's shards.
 // -cluster-catch-up rebuilds every owned shard from a live replica at
 // startup — the replacement-node flow after a machine is swapped out.
 // See DESIGN.md, "Cluster routing & replication".
@@ -123,6 +129,9 @@ func run() error {
 	flag.Parse()
 	if *snapEvery > 0 && *walDir == "" {
 		return errors.New("-snapshot-interval needs -wal-dir")
+	}
+	if *walDir != "" && *clusterPeers != "" {
+		return errors.New("-wal-dir does not make cluster mode durable: the shard servers keep no write-ahead log, so a restarted node's shards come back empty; run cluster nodes without -wal-dir")
 	}
 	policy, err := server.ParseAdmitPolicy(*admitPolicy)
 	if err != nil {

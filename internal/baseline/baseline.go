@@ -43,19 +43,41 @@ var _ core.Scheme = Direct{}
 // Name implements core.Scheme.
 func (Direct) Name() string { return "Direct Upload" }
 
-// ProcessBatch uploads every image at full size and quality — as one
-// batched upload, so even the naive baseline pays O(1) round trips over
-// a network transport.
+// ProcessBatch uploads every image at full size and quality.
 func (Direct) ProcessBatch(dev *core.Device, srv core.ServerAPI, batch []*dataset.Image) core.BatchReport {
 	acct := core.BeginBatch(dev)
 	report := core.BatchReport{Scheme: Direct{}.Name(), Total: len(batch)}
+	uploadFullSize(dev, srv, batch, nil, nil, nil, &report)
+	acct.Finish(dev, srv, &report)
+	return report
+}
+
+// uploadFullSize is every baseline's upload: each image not marked
+// redundant goes up at full size and quality, carrying sets[i] and
+// globals[i] when those are non-nil, in one batched upload, so even the
+// naive baseline pays O(1) round trips over a network transport. Every
+// image of the batch is freed. redundant may be nil.
+func uploadFullSize(dev *core.Device, srv core.ServerAPI, batch []*dataset.Image, redundant []bool,
+	sets []*features.BinarySet, globals []features.GlobalDescriptor, report *core.BatchReport) {
 	items := make([]server.UploadItem, 0, len(batch))
-	for _, img := range batch {
+	for i, img := range batch {
+		if redundant != nil && redundant[i] {
+			img.Free()
+			continue
+		}
 		bytes := img.SizeModel().Bytes(img.Render(), 0)
 		dev.Transmit(bytes, energy.CatImageTx)
-		items = append(items, server.UploadItem{Meta: server.UploadMeta{
+		it := server.UploadItem{Meta: server.UploadMeta{
 			GroupID: img.GroupID, Lat: img.Lat, Lon: img.Lon, Bytes: bytes,
-		}})
+		}}
+		if sets != nil {
+			it.Set = sets[i]
+		}
+		if globals != nil {
+			g := globals[i]
+			it.Meta.Global = &g
+		}
+		items = append(items, it)
 		report.ImageBytes += bytes
 		report.Uploaded++
 		img.Free()
@@ -63,8 +85,6 @@ func (Direct) ProcessBatch(dev *core.Device, srv core.ServerAPI, batch []*datase
 	if len(items) > 0 {
 		srv.UploadItems(srv.NewUploadNonce(), items)
 	}
-	acct.Finish(dev, srv, &report)
-	return report
 }
 
 // SmartEye is the PCA-SIFT cross-batch elimination baseline.
@@ -183,24 +203,7 @@ func uploadSurvivors(dev *core.Device, srv core.ServerAPI, batch []*dataset.Imag
 			report.CrossEliminated++
 		}
 	}
-	items := make([]server.UploadItem, 0, len(batch))
-	for i, img := range batch {
-		if redundant[i] {
-			img.Free()
-			continue
-		}
-		bytes := img.SizeModel().Bytes(img.Render(), 0)
-		dev.Transmit(bytes, energy.CatImageTx)
-		items = append(items, server.UploadItem{Set: orbSets[i], Meta: server.UploadMeta{
-			GroupID: img.GroupID, Lat: img.Lat, Lon: img.Lon, Bytes: bytes,
-		}})
-		report.ImageBytes += bytes
-		report.Uploaded++
-		img.Free()
-	}
-	if len(items) > 0 {
-		srv.UploadItems(srv.NewUploadNonce(), items)
-	}
+	uploadFullSize(dev, srv, batch, redundant, orbSets, nil, report)
 }
 
 // NewBEES returns the full BEES pipeline as a Scheme.

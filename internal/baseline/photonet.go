@@ -5,7 +5,6 @@ import (
 	"bees/internal/dataset"
 	"bees/internal/energy"
 	"bees/internal/features"
-	"bees/internal/server"
 )
 
 // PhotoNet is an extension baseline from the paper's related work
@@ -83,26 +82,7 @@ func (p PhotoNet) ProcessBatch(dev *core.Device, srv core.ServerAPI, batch []*da
 			}
 		}
 	}
-	items := make([]server.UploadItem, 0, len(batch))
-	for i, img := range batch {
-		if redundant[i] {
-			img.Free()
-			continue
-		}
-		bytes := img.SizeModel().Bytes(img.Render(), 0)
-		dev.Transmit(bytes, energy.CatImageTx)
-		g := globals[i]
-		items = append(items, server.UploadItem{Meta: server.UploadMeta{
-			GroupID: img.GroupID, Lat: img.Lat, Lon: img.Lon,
-			Bytes: bytes, Global: &g,
-		}})
-		report.ImageBytes += bytes
-		report.Uploaded++
-		img.Free()
-	}
-	if len(items) > 0 {
-		srv.UploadItems(srv.NewUploadNonce(), items)
-	}
+	uploadFullSize(dev, srv, batch, redundant, nil, globals, &report)
 	acct.Finish(dev, srv, &report)
 	return report
 }

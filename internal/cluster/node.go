@@ -8,7 +8,6 @@ import (
 	"sync"
 
 	"bees/internal/client"
-	"bees/internal/index"
 	"bees/internal/par"
 	"bees/internal/server"
 	"bees/internal/telemetry"
@@ -24,10 +23,9 @@ type NodeConfig struct {
 	// Replication is the per-shard replica count. Default 2, clamped to
 	// the cluster size.
 	Replication int
-	// Server is the per-shard server configuration (index parameters,
-	// telemetry). Every shard replica on the node gets its own full
-	// Server built from it, so each cluster shard has its own index and
-	// its own lock.
+	// Server is the per-shard server configuration (telemetry). Every
+	// shard replica on the node gets its own full Server built from it,
+	// so each cluster shard has its own index and its own lock.
 	Server server.Config
 	// Dial opens connections to peer nodes, for shard sync. Nil means
 	// TCP to the node name.
@@ -43,9 +41,6 @@ func (c NodeConfig) withDefaults() NodeConfig {
 	}
 	if c.Replication > len(c.Table.nodes) {
 		c.Replication = len(c.Table.nodes)
-	}
-	if c.Server.Index == (index.Config{}) {
-		c.Server.Index = index.DefaultConfig()
 	}
 	return c
 }

@@ -23,11 +23,6 @@ type RouterOptions struct {
 	// Replication is the per-shard replica count. Default 2, clamped to
 	// the cluster size.
 	Replication int
-	// CandidateLimit is the per-query LSH candidate budget; it must
-	// match the nodes' index.Config.CandidateLimit for queries to be
-	// bit-identical to a single combined index. 0 selects the index
-	// default.
-	CandidateLimit int
 	// Client tunes the node-facing clients; Dial carries the transport
 	// (netsim pipes in tests, TCP in production).
 	Client client.Options
@@ -89,9 +84,6 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 	}
 	if opts.Replication > len(opts.Table.nodes) {
 		opts.Replication = len(opts.Table.nodes)
-	}
-	if opts.CandidateLimit <= 0 {
-		opts.CandidateLimit = index.DefaultConfig().CandidateLimit
 	}
 	if opts.NonceWindow <= 0 {
 		opts.NonceWindow = 4096
@@ -476,7 +468,7 @@ func (r *Router) QueryMaxBatch(sets []*features.BinarySet) ([]float64, error) {
 	if len(sets) == 0 {
 		return nil, nil
 	}
-	limit := r.opts.CandidateLimit
+	limit := index.DefaultConfig().CandidateLimit
 	resps, err := r.queryShards(sets, limit)
 	if err != nil {
 		return nil, err

@@ -217,17 +217,27 @@ func TestShardQueryRejectsDuplicateShards(t *testing.T) {
 // makes query cost independent of -cluster-shards: a node computes at
 // most Limit exact similarities per queried set, however many shards
 // the frame names. (The per-shard merge computed up to Limit per set
-// and shard.)
+// and shard.) The node probed is an instrumented n2, caught up from its
+// peers.
 func TestShardQueryWorkIsIndependentOfShardCount(t *testing.T) {
 	for _, shards := range []int{8, 64} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			reg := telemetry.NewRegistry()
 			cfg := clusterConfig(3) // every node owns every shard
 			cfg.Shards = shards
-			cfg.Server.Telemetry = reg
 			tc, sets := shardQueryCluster(t, cfg)
 			defer tc.Close()
-			node := tc.Node("n2")
+			reg := telemetry.NewRegistry()
+			node, err := cluster.NewNode(cluster.NodeConfig{
+				Self: "n2", Table: tc.Table(), Replication: cfg.Replication,
+				Server: server.Config{Telemetry: reg}, Dial: tc.DialFunc(), Client: cfg.Client,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer node.Close()
+			if err := node.CatchUp(); err != nil {
+				t.Fatal(err)
+			}
 			setsCounter := reg.Counter("cluster.node.query.sets")
 			reranks := reg.Counter("cluster.node.query.reranks")
 			limit := index.DefaultConfig().CandidateLimit

@@ -28,9 +28,6 @@ type Config struct {
 	Shards int
 	// Replication is the per-shard replica count. Default 2.
 	Replication int
-	// Server configures every per-shard server (and the single-node
-	// oracle must use the same). Zero value = defaults.
-	Server server.Config
 	// Client tunes router/peer clients. Dial is overridden to the pipe
 	// network.
 	Client client.Options
@@ -99,10 +96,9 @@ func Start(cfg Config) (*Cluster, error) {
 	ropts := cfg.Client
 	ropts.Dial = c.dial
 	c.Router, err = cluster.NewRouter(cluster.RouterOptions{
-		Table:          table,
-		Replication:    cfg.Replication,
-		CandidateLimit: cfg.Server.Index.CandidateLimit,
-		Client:         ropts,
+		Table:       table,
+		Replication: cfg.Replication,
+		Client:      ropts,
 	})
 	if err != nil {
 		c.Close()
@@ -134,7 +130,6 @@ func (c *Cluster) boot(np *nodeProc) error {
 		Self:        np.name,
 		Table:       c.table,
 		Replication: c.cfg.Replication,
-		Server:      c.cfg.Server,
 		Dial:        c.dial,
 		Client:      copts,
 	})
@@ -146,7 +141,7 @@ func (c *Cluster) boot(np *nodeProc) error {
 		node.Close()
 		return err
 	}
-	tcp := server.NewTCPConfig(server.NewWithConfig(c.cfg.Server), server.TCPConfig{Cluster: node})
+	tcp := server.NewTCPConfig(server.NewDefault(), server.TCPConfig{Cluster: node})
 	tcp.Serve(ln)
 	np.node, np.tcp, np.ln, np.dead = node, tcp, ln, false
 	return nil

@@ -36,8 +36,6 @@ type Config struct {
 	// DisableInBatch turns IBRD off (ablation: cross-batch only, like
 	// SmartEye/MRC but with the rest of BEES intact).
 	DisableInBatch bool
-	// QueryResponseBytes models the per-image CBRD answer payload.
-	QueryResponseBytes int
 	// UploadWindow is AIU's in-flight upload window: images are
 	// compressed (host-parallel) and uploaded in chunks of this many, and
 	// chunk k+1's compression overlaps chunk k's transmission. Affects
@@ -59,16 +57,17 @@ type Config struct {
 // DefaultConfig returns the pipeline settings used in the evaluation.
 func DefaultConfig() Config {
 	return Config{
-		Adaptive:           true,
-		Extraction:         features.DefaultConfig(),
-		HammingMax:         features.DefaultHammingMax,
-		GraphDescriptors:   100,
-		SSMM:               submod.DefaultOptions(),
-		QualityProportion:  QualityProportion,
-		QueryResponseBytes: 16,
-		UploadWindow:       16,
+		Adaptive:          true,
+		Extraction:        features.DefaultConfig(),
+		HammingMax:        features.DefaultHammingMax,
+		GraphDescriptors:  100,
+		QualityProportion: QualityProportion,
+		UploadWindow:      16,
 	}
 }
+
+// queryResponseBytes models the per-image CBRD answer payload.
+const queryResponseBytes = 16
 
 // Pipeline is the BEES scheme.
 type Pipeline struct {
@@ -161,7 +160,7 @@ func (p *Pipeline) ProcessBatch(dev *Device, srv ServerAPI, batch []*dataset.Ima
 		survivors = append(survivors, i)
 	}
 	span.End()
-	respBytes := p.cfg.QueryResponseBytes * len(batch)
+	respBytes := queryResponseBytes * len(batch)
 	report.FeedbackBytes += respBytes
 	dev.Receive(respBytes, energy.CatRx)
 	tel.Counter("pipeline.eliminated.cross").Add(int64(report.CrossEliminated))

@@ -43,10 +43,8 @@ func RunAblationBudget(seed int64, batchSize int, dupCounts []int) []AblationBud
 				g.SetWeight(a, b, features.JaccardPrepared(sets[a], sets[b], features.DefaultHammingMax))
 			}
 		}
-		adaptive := submod.Summarize(g, 0.019, submod.DefaultOptions())
-		fixedOpts := submod.DefaultOptions()
-		fixedOpts.FixedBudget = fixedBudget
-		fixed := submod.Summarize(g, 0.019, fixedOpts)
+		adaptive := submod.Summarize(g, 0.019, submod.Options{})
+		fixed := submod.Summarize(g, 0.019, submod.Options{FixedBudget: fixedBudget})
 		rows = append(rows, AblationBudgetRow{
 			Batch:       batchSize,
 			TrueUnique:  batchSize - dups,

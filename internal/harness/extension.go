@@ -35,20 +35,23 @@ type DetectionRow struct {
 
 // DetectionOptions parameterizes the study.
 type DetectionOptions struct {
-	Seed       int64
 	BatchSize  int
 	InBatchDup int
-	CrossRatio float64
 	BitrateBps float64
 }
+
+// The study's workload: one seed, with 40% of the batch's scenes
+// already on the server.
+const (
+	detectionSeed       = 131
+	detectionCrossRatio = 0.4
+)
 
 // DefaultDetectionOptions returns a laptop-scale configuration.
 func DefaultDetectionOptions() DetectionOptions {
 	return DetectionOptions{
-		Seed:       131,
 		BatchSize:  40,
 		InBatchDup: 6,
-		CrossRatio: 0.4,
 		BitrateBps: 256000,
 	}
 }
@@ -69,7 +72,7 @@ func RunExtensionDetection(opts DetectionOptions) []DetectionRow {
 	extractCfg := features.DefaultConfig()
 	rows := make([]DetectionRow, 0, len(schemes))
 	for _, scheme := range schemes {
-		d := dataset.NewDisasterBatch(opts.Seed, opts.BatchSize, opts.InBatchDup, opts.CrossRatio)
+		d := dataset.NewDisasterBatch(detectionSeed, opts.BatchSize, opts.InBatchDup, detectionCrossRatio)
 		srv := server.NewDefault()
 		for _, tw := range d.ServerTwins {
 			g := features.ExtractGlobal(tw.Render())

@@ -1,11 +1,12 @@
 package imagelib
 
-// Downsample resizes r to w×h using area averaging. It is the primitive
-// behind both AFE bitmap compression (shrinking the in-memory bitmap
-// before feature extraction) and AIU resolution compression (shrinking the
-// uploaded image). Area averaging is used because it is what camera
-// pipelines do when scaling down and it keeps descriptor statistics stable.
-// Upscaling requests fall back to bilinear interpolation.
+// Downsample resizes r to w×h using area averaging, in floating point.
+// Area averaging is used because it is what camera pipelines do when
+// scaling down and it keeps descriptor statistics stable. Upscaling
+// requests fall back to bilinear interpolation. Shipped code downscales
+// with the integer kernel DownsampleInto, which equals it byte for byte;
+// Downsample is that kernel's oracle, and the upscale path of
+// CompressBitmap.
 func Downsample(r *Raster, w, h int) *Raster {
 	if w <= 0 || h <= 0 {
 		panic("imagelib: Downsample to non-positive size")
@@ -41,22 +42,27 @@ func Downsample(r *Raster, w, h int) *Raster {
 // CompressBitmap applies a compression proportion c in [0, 1) as defined
 // in the paper: c is the fractional decrement in the length and width of
 // the bitmap, so the result is ((1-c)·W)×((1-c)·H). c <= 0 returns a copy.
+// It equals Downsample to that size, by the integer area-average kernel
+// of DownsampleInto.
 func CompressBitmap(r *Raster, c float64) *Raster {
 	if c <= 0 {
 		return r.Clone()
 	}
-	if c >= 0.99 {
-		c = 0.99
+	w, h := compressedSize(r, c)
+	if w > r.W || h > r.H {
+		return Downsample(r, w, h)
 	}
-	w := int(float64(r.W)*(1-c) + 0.5)
-	h := int(float64(r.H)*(1-c) + 0.5)
-	if w < 8 {
-		w = 8
-	}
-	if h < 8 {
-		h = 8
-	}
-	return Downsample(r, w, h)
+	out := &Raster{}
+	DownsampleInto(out, nil, r, NewIntegral(r), w, h, &Spans{})
+	return out
+}
+
+// compressedSize is the size CompressBitmap shrinks r to at proportion
+// c > 0: c is capped at 0.99 and each side kept at least 8 pixels, so a
+// raster under 8 pixels on a side is scaled up.
+func compressedSize(r *Raster, c float64) (w, h int) {
+	c = min(c, 0.99)
+	return max(int(float64(r.W)*(1-c)+0.5), 8), max(int(float64(r.H)*(1-c)+0.5), 8)
 }
 
 func resizeBilinear(r *Raster, w, h int) *Raster {

@@ -278,17 +278,7 @@ func (s *Scratch) CompressBitmap(r *Raster, c float64) *Raster {
 		copy(s.out.Pix, r.Pix)
 		return &s.out
 	}
-	if c >= 0.99 {
-		c = 0.99
-	}
-	w := int(float64(r.W)*(1-c) + 0.5)
-	h := int(float64(r.H)*(1-c) + 0.5)
-	if w < 8 {
-		w = 8
-	}
-	if h < 8 {
-		h = 8
-	}
+	w, h := compressedSize(r, c)
 	if w > r.W || h > r.H {
 		return Downsample(r, w, h)
 	}

@@ -112,19 +112,43 @@ func TestBoxBlurIntoMatchesBoxBlur(t *testing.T) {
 	}
 }
 
+// compressRef is the float reference for both CompressBitmap paths: the
+// proportion's size rule spelled out, then Downsample.
+func compressRef(r *Raster, c float64) *Raster {
+	if c <= 0 {
+		return r.Clone()
+	}
+	if c >= 0.99 {
+		c = 0.99
+	}
+	w := int(float64(r.W)*(1-c) + 0.5)
+	h := int(float64(r.H)*(1-c) + 0.5)
+	if w < 8 {
+		w = 8
+	}
+	if h < 8 {
+		h = 8
+	}
+	return Downsample(r, w, h)
+}
+
 func TestScratchCompressBitmapMatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(303))
 	var s Scratch
 	cs := []float64{-0.5, 0, 0.1, 0.35, 0.72, 0.99, 1.3}
 	for _, r := range shapeSequence(rng) {
 		for _, c := range cs {
-			rastersEqual(t, "Scratch.CompressBitmap", s.CompressBitmap(r, c), CompressBitmap(r, c))
+			want := compressRef(r, c)
+			rastersEqual(t, "Scratch.CompressBitmap", s.CompressBitmap(r, c), want)
+			rastersEqual(t, "CompressBitmap", CompressBitmap(r, c), want)
 		}
 	}
 	// Sub-8px source forces the upscale-clamp fallback path.
 	tiny := noiseRaster(rng, 5, 6)
 	for _, c := range cs {
-		rastersEqual(t, "Scratch.CompressBitmap tiny", s.CompressBitmap(tiny, c), CompressBitmap(tiny, c))
+		want := compressRef(tiny, c)
+		rastersEqual(t, "Scratch.CompressBitmap tiny", s.CompressBitmap(tiny, c), want)
+		rastersEqual(t, "CompressBitmap tiny", CompressBitmap(tiny, c), want)
 	}
 }
 

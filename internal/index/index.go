@@ -67,9 +67,12 @@ type Config struct {
 	HammingMax int
 	// CandidateLimit caps the number of images re-ranked exactly.
 	CandidateLimit int
-	// Seed drives the bit sampling.
-	Seed int64
 }
+
+// lshSeed drives the bit sampling. It is one constant, so every index
+// with the same Tables and BitsPerKey samples the same bits, and a
+// cluster node's shard indexes vote on one hash of a query.
+const lshSeed = 0x1d5
 
 // DefaultConfig returns LSH parameters tuned for 256-bit descriptors with
 // a match radius around DefaultHammingMax: similar descriptors collide in
@@ -80,7 +83,6 @@ func DefaultConfig() Config {
 		BitsPerKey:     16,
 		HammingMax:     features.DefaultHammingMax,
 		CandidateLimit: 24,
-		Seed:           0x1d5,
 	}
 }
 
@@ -126,7 +128,7 @@ func New(cfg Config) *Index {
 		heads:  make([]int32, cfg.Tables<<cfg.BitsPerKey),
 		used:   1,
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := rand.New(rand.NewSource(lshSeed))
 	for t := 0; t < cfg.Tables; t++ {
 		sel := rng.Perm(256)[:cfg.BitsPerKey]
 		sort.Ints(sel)
@@ -350,8 +352,8 @@ func (s *scratch) release() {
 
 // CandidatesAcross is QueryCandidates over the union of several indexes
 // that partition one ID space (a cluster node's shard indexes). The set
-// is hashed once, so every index must share Tables, BitsPerKey and Seed;
-// a mismatch panics rather than return wrong votes. Votes are ranked once
+// is hashed once, so every index must share Tables and BitsPerKey; a
+// mismatch panics rather than return wrong votes. Votes are ranked once
 // by (votes desc, ID asc) and truncated to limit, and only the survivors
 // are scored exactly, each against its owning index. The result equals
 // QueryCandidates on one index holding all the entries, at a cost of at
@@ -362,7 +364,7 @@ func CandidatesAcross(idxs []*Index, set *features.BinarySet, limit int) []Candi
 	}
 	lsh := idxs[0].cfg
 	for _, x := range idxs[1:] {
-		if c := x.cfg; c.Tables != lsh.Tables || c.BitsPerKey != lsh.BitsPerKey || c.Seed != lsh.Seed {
+		if c := x.cfg; c.Tables != lsh.Tables || c.BitsPerKey != lsh.BitsPerKey {
 			panic(fmt.Sprintf("index: CandidatesAcross over mismatched LSH parameters %+v and %+v", lsh, c))
 		}
 	}

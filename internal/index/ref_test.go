@@ -65,7 +65,7 @@ func newIndexRef(cfg Config, shards int) *indexRef {
 		}
 		idx.shards[s] = sh
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := rand.New(rand.NewSource(lshSeed))
 	for t := 0; t < cfg.Tables; t++ {
 		sel := rng.Perm(256)[:cfg.BitsPerKey]
 		sort.Ints(sel)

@@ -47,11 +47,8 @@ type UploadItem struct {
 	Meta UploadMeta
 }
 
-// Config configures a Server beyond the index parameters.
+// Config configures a Server. Every server runs index.DefaultConfig().
 type Config struct {
-	// Index is the similarity-index configuration. The zero value
-	// selects index.DefaultConfig().
-	Index index.Config
 	// Telemetry receives the server's index counters (queries, uploads).
 	// Nil disables instrumentation.
 	Telemetry *telemetry.Registry
@@ -99,18 +96,10 @@ type Server struct {
 	prevSealed uint64
 }
 
-// New creates a server with the given index configuration.
-func New(cfg index.Config) *Server {
-	return NewWithConfig(Config{Index: cfg})
-}
-
 // NewWithConfig creates a server with full configuration.
 func NewWithConfig(cfg Config) *Server {
-	if cfg.Index == (index.Config{}) {
-		cfg.Index = index.DefaultConfig()
-	}
 	return &Server{
-		idx:    index.New(cfg.Index),
+		idx:    index.New(index.DefaultConfig()),
 		tel:    cfg.Telemetry,
 		blocks: blockstore.NewStore(blockstore.Config{Telemetry: cfg.Telemetry}),
 		dedup:  newUploadDedup(4096),
@@ -156,8 +145,8 @@ func (s *Server) logRecord(rec []byte, sync bool) error {
 	return nil
 }
 
-// NewDefault creates a server with the default index configuration.
-func NewDefault() *Server { return New(index.DefaultConfig()) }
+// NewDefault creates a server without telemetry.
+func NewDefault() *Server { return NewWithConfig(Config{}) }
 
 // QueryTopK returns the K most similar stored images.
 func (s *Server) QueryTopK(set *features.BinarySet, k int) []index.Result {

@@ -30,6 +30,45 @@ import (
 	"bees/internal/telemetry"
 )
 
+// The city every scenario runs in.
+const (
+	// meanCapturePeriod is the mean time between captures for a device
+	// with demand factor 1. Each device captures at
+	// factor/meanCapturePeriod, where factor is Pareto(paretoAlpha)
+	// distributed and capped at maxDemandFactor, so a few devices
+	// produce most of the offered load (alpha 1.2: heavy-tailed, mean 6).
+	meanCapturePeriod = 30 * time.Second
+	paretoAlpha       = 1.2
+	maxDemandFactor   = 100
+
+	// chunkBytes is the median upload chunk size; sizes are lognormal
+	// around it with sigma chunkSigma.
+	chunkBytes = 24000
+	chunkSigma = 0.5
+
+	// cells is the number of distinct scene cells in the city. Each
+	// device draws from its homeCells home cells with probability
+	// locality, else uniformly. A chunk's submodular gain is the
+	// diminishing novelty of its cell for that device, 1/(1+priorVisits),
+	// the same shape as the SSMM marginal-gain ranking the pipeline
+	// stamps into upload metadata.
+	cells     = 4096
+	homeCells = 4
+	locality  = 0.85
+
+	// Per-device Gilbert-Elliott uplink (see netsim.GilbertLink): good
+	// 512 Kbps, bad 32 Kbps, p(G→B) 0.1, p(B→G) 0.3.
+	goodBps    = 512000
+	badBps     = 32000
+	pGoodToBad = 0.1
+	pBadToGood = 0.3
+
+	// deviceQueue bounds each device's local send queue; a capture that
+	// finds it full is dropped on-device (counted, never offered to the
+	// server).
+	deviceQueue = 32
+)
+
 // ScenarioConfig parameterizes a city-scale run. The zero value of every
 // field selects the documented default, so ScenarioConfig{Seed: 1} is a
 // complete 1000-device scenario.
@@ -40,45 +79,6 @@ type ScenarioConfig struct {
 	// Duration is how long devices keep capturing; in-flight work drains
 	// to completion afterwards so every chunk is accounted. Default 10m.
 	Duration time.Duration
-
-	// MeanCapturePeriod is the mean time between captures for a device
-	// with demand factor 1. Default 30s.
-	MeanCapturePeriod time.Duration
-	// ParetoAlpha is the tail index of the per-device demand factor —
-	// each device captures at factor/MeanCapturePeriod where factor is
-	// Pareto(alpha)-distributed, so a few devices produce most of the
-	// offered load. Default 1.2 (heavy-tailed; mean 6).
-	ParetoAlpha float64
-	// MaxDemandFactor caps the Pareto draw. Default 100.
-	MaxDemandFactor float64
-
-	// ChunkBytes is the median upload chunk size; sizes are lognormal
-	// around it with ChunkSigma. Defaults 24000 and 0.5.
-	ChunkBytes int
-	ChunkSigma float64
-
-	// Cells is the number of distinct scene cells in the city. Each
-	// device draws from its HomeCells home cells with probability
-	// Locality, else uniformly — a chunk's submodular gain is the
-	// diminishing novelty of its cell for that device, 1/(1+priorVisits),
-	// the same shape as the SSMM marginal-gain ranking the pipeline
-	// stamps into upload metadata. Defaults 4096, 4, 0.85.
-	Cells     int
-	HomeCells int
-	Locality  float64
-
-	// Per-device Gilbert-Elliott uplink parameters (see
-	// netsim.GilbertLink). Defaults: good 512 Kbps, bad 32 Kbps,
-	// p(G→B) 0.1, p(B→G) 0.3.
-	GoodBps    float64
-	BadBps     float64
-	PGoodToBad float64
-	PBadToGood float64
-
-	// DeviceQueue bounds each device's local send queue; a capture that
-	// finds it full is dropped on-device (counted, never offered to the
-	// server). Default 32.
-	DeviceQueue int
 
 	// ServiceBps is the rate at which the server works through admitted
 	// upload bytes (index + store throughput). Default 8 Mbps.
@@ -100,45 +100,6 @@ func (c ScenarioConfig) withDefaults() ScenarioConfig {
 	}
 	if c.Duration <= 0 {
 		c.Duration = 10 * time.Minute
-	}
-	if c.MeanCapturePeriod <= 0 {
-		c.MeanCapturePeriod = 30 * time.Second
-	}
-	if c.ParetoAlpha <= 0 {
-		c.ParetoAlpha = 1.2
-	}
-	if c.MaxDemandFactor <= 0 {
-		c.MaxDemandFactor = 100
-	}
-	if c.ChunkBytes <= 0 {
-		c.ChunkBytes = 24000
-	}
-	if c.ChunkSigma <= 0 {
-		c.ChunkSigma = 0.5
-	}
-	if c.Cells <= 0 {
-		c.Cells = 4096
-	}
-	if c.HomeCells <= 0 {
-		c.HomeCells = 4
-	}
-	if c.Locality <= 0 || c.Locality > 1 {
-		c.Locality = 0.85
-	}
-	if c.GoodBps <= 0 {
-		c.GoodBps = 512000
-	}
-	if c.BadBps <= 0 {
-		c.BadBps = 32000
-	}
-	if c.PGoodToBad <= 0 {
-		c.PGoodToBad = 0.1
-	}
-	if c.PBadToGood <= 0 {
-		c.PBadToGood = 0.3
-	}
-	if c.DeviceQueue <= 0 {
-		c.DeviceQueue = 32
 	}
 	if c.ServiceBps <= 0 {
 		c.ServiceBps = 8e6
@@ -316,18 +277,18 @@ func RunScenario(cfg ScenarioConfig) *ScenarioReport {
 	}
 	for i := 0; i < cfg.Devices; i++ {
 		rng := rand.New(rand.NewSource(cfg.Seed + int64(i)*1_000_003 + 17))
-		factor := math.Pow(1-rng.Float64(), -1/cfg.ParetoAlpha)
-		if factor > cfg.MaxDemandFactor {
-			factor = cfg.MaxDemandFactor
+		factor := math.Pow(1-rng.Float64(), -1/paretoAlpha)
+		if factor > maxDemandFactor {
+			factor = maxDemandFactor
 		}
-		home := make([]int, cfg.HomeCells)
+		home := make([]int, homeCells)
 		for h := range home {
-			home[h] = rng.Intn(cfg.Cells)
+			home[h] = rng.Intn(cells)
 		}
 		d := &scenarioDevice{
 			rng:       rng,
-			link:      netsim.NewGilbertLink(cfg.GoodBps, cfg.BadBps, cfg.PGoodToBad, cfg.PBadToGood, cfg.Seed^(int64(i)+0x5bd1e995)),
-			period:    time.Duration(float64(cfg.MeanCapturePeriod) / factor),
+			link:      netsim.NewGilbertLink(goodBps, badBps, pGoodToBad, pBadToGood, cfg.Seed^(int64(i)+0x5bd1e995)),
+			period:    time.Duration(float64(meanCapturePeriod) / factor),
 			homeCells: home,
 			visits:    make(map[int]int),
 		}
@@ -371,12 +332,12 @@ func (s *scenarioState) capture(dev int) {
 	cr := &s.clients[dev]
 
 	cell := d.homeCells[d.rng.Intn(len(d.homeCells))]
-	if d.rng.Float64() >= s.cfg.Locality {
-		cell = d.rng.Intn(s.cfg.Cells)
+	if d.rng.Float64() >= locality {
+		cell = d.rng.Intn(cells)
 	}
 	gain := 1.0 / float64(1+d.visits[cell])
 	d.visits[cell]++
-	bytes := int(float64(s.cfg.ChunkBytes) * math.Exp(s.cfg.ChunkSigma*d.rng.NormFloat64()))
+	bytes := int(float64(chunkBytes) * math.Exp(chunkSigma*d.rng.NormFloat64()))
 	if bytes < 512 {
 		bytes = 512
 	}
@@ -385,7 +346,7 @@ func (s *scenarioState) capture(dev int) {
 	s.cellsSeen[cell] = struct{}{}
 	s.tel.Counter("sim.scenario.captured").Inc()
 
-	if len(d.queue) >= s.cfg.DeviceQueue {
+	if len(d.queue) >= deviceQueue {
 		cr.DeviceDropped++
 		s.tel.Counter("sim.scenario.device_dropped").Inc()
 	} else {

@@ -30,8 +30,6 @@ type LifetimeConfig struct {
 	// BatteryJ scales the battery so scaled-down workloads still span
 	// multiple groups; 0 uses the paper's default battery.
 	BatteryJ float64
-	// Model overrides the cost model; zero value uses the default.
-	Model *energy.CostModel
 }
 
 // DefaultLifetimeConfig returns the paper's Fig. 9 parameters.
@@ -117,15 +115,11 @@ func RunLifetime(scheme core.Scheme, cfg LifetimeConfig) LifetimeResult {
 	if cfg.BitrateBps <= 0 {
 		cfg.BitrateBps = 256000
 	}
-	model := energy.DefaultModel()
-	if cfg.Model != nil {
-		model = *cfg.Model
-	}
 	battery := energy.NewDefaultBattery()
 	if cfg.BatteryJ > 0 {
 		battery = energy.NewBattery(cfg.BatteryJ)
 	}
-	dev := core.NewDevice(battery, netsim.NewLink(cfg.BitrateBps), model)
+	dev := core.NewDevice(battery, netsim.NewLink(cfg.BitrateBps), energy.DefaultModel())
 	srv := server.NewDefault()
 	w := newLifetimeWorkload(cfg)
 

@@ -39,9 +39,8 @@ func BenchmarkPartition(b *testing.B) {
 func BenchmarkSummarize(b *testing.B) {
 	rng := rand.New(rand.NewSource(902))
 	g := clusteredGraph(rng, 10, 10)
-	opts := DefaultOptions()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Summarize(g, 0.02, opts)
+		Summarize(g, 0.02, Options{})
 	}
 }

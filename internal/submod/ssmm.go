@@ -6,25 +6,12 @@ package submod
 // b, and greedily maximizes the coverage+diversity objective subject to
 // |S| ≤ b.
 
-// Options configures a summarization run.
+// Options configures a summarization run. The zero value is BEES's.
 type Options struct {
-	// LambdaCov and LambdaDiv weight the coverage and diversity
-	// component functions. Defaults (1, 1) follow the paper's
-	// equal-importance framing.
-	LambdaCov float64
-	LambdaDiv float64
 	// FixedBudget, when positive, overrides SSMM's adaptive budget —
 	// this is the prior-work behaviour (user-assigned budget) kept for
 	// the ablation comparison.
 	FixedBudget int
-	// UseLazyGreedy selects the accelerated maximizer (identical
-	// results, fewer gain evaluations).
-	UseLazyGreedy bool
-}
-
-// DefaultOptions returns the SSMM parameters used by BEES.
-func DefaultOptions() Options {
-	return Options{LambdaCov: 1, LambdaDiv: 1, UseLazyGreedy: true}
 }
 
 // Result reports a summarization.
@@ -50,22 +37,15 @@ func Summarize(g *Graph, tw float64, opts Options) Result {
 	if g.N == 0 {
 		return Result{}
 	}
-	if opts.LambdaCov == 0 && opts.LambdaDiv == 0 {
-		opts.LambdaCov, opts.LambdaDiv = 1, 1
-	}
 	labels := g.Partition(tw)
 	clusters := Components(labels)
 	budget := len(clusters)
 	if opts.FixedBudget > 0 {
 		budget = opts.FixedBudget
 	}
-	obj := NewObjective(g, clusters, opts.LambdaCov, opts.LambdaDiv)
-	var selected []int
-	if opts.UseLazyGreedy {
-		selected = LazyGreedy(obj, budget)
-	} else {
-		selected = Greedy(obj, budget)
-	}
+	// Unit weights: the paper weighs coverage and diversity equally.
+	obj := NewObjective(g, clusters, 1, 1)
+	selected := LazyGreedy(obj, budget)
 	// Replay the selection to recover each element's marginal gain at
 	// pick time (O(b·n), cheap next to the selection itself). The sum of
 	// gains telescopes to F(Selected).

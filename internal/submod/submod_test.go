@@ -295,7 +295,7 @@ func TestBruteForcePanicsOnLargeGraph(t *testing.T) {
 func TestSummarizeClusteredBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(78))
 	g := clusteredGraph(rng, 4, 5) // 20 images in 4 similarity clusters
-	res := Summarize(g, 0.02, DefaultOptions())
+	res := Summarize(g, 0.02, Options{})
 	if res.Budget != 4 {
 		t.Fatalf("budget = %d, want 4 (number of clusters)", res.Budget)
 	}
@@ -314,7 +314,7 @@ func TestSummarizeClusteredBatch(t *testing.T) {
 
 func TestSummarizeNoSimilarityKeepsAll(t *testing.T) {
 	g := NewGraph(10) // no edges above any positive threshold
-	res := Summarize(g, 0.02, DefaultOptions())
+	res := Summarize(g, 0.02, Options{})
 	if res.Budget != 10 || len(res.Selected) != 10 {
 		t.Fatalf("dissimilar batch should keep everything: budget=%d selected=%d",
 			res.Budget, len(res.Selected))
@@ -322,7 +322,7 @@ func TestSummarizeNoSimilarityKeepsAll(t *testing.T) {
 }
 
 func TestSummarizeEmptyGraph(t *testing.T) {
-	res := Summarize(NewGraph(0), 0.02, DefaultOptions())
+	res := Summarize(NewGraph(0), 0.02, Options{})
 	if len(res.Selected) != 0 || res.Budget != 0 {
 		t.Fatalf("empty graph summarize: %+v", res)
 	}
@@ -331,9 +331,7 @@ func TestSummarizeEmptyGraph(t *testing.T) {
 func TestSummarizeFixedBudgetOverride(t *testing.T) {
 	rng := rand.New(rand.NewSource(79))
 	g := clusteredGraph(rng, 4, 5)
-	opts := DefaultOptions()
-	opts.FixedBudget = 2
-	res := Summarize(g, 0.02, opts)
+	res := Summarize(g, 0.02, Options{FixedBudget: 2})
 	if res.Budget != 2 || len(res.Selected) != 2 {
 		t.Fatalf("fixed budget ignored: %+v", res)
 	}
@@ -342,8 +340,8 @@ func TestSummarizeFixedBudgetOverride(t *testing.T) {
 func TestSummarizeThresholdControlsBudget(t *testing.T) {
 	rng := rand.New(rand.NewSource(80))
 	g := clusteredGraph(rng, 3, 4)
-	low := Summarize(g, 0.001, DefaultOptions())
-	high := Summarize(g, 0.9, DefaultOptions())
+	low := Summarize(g, 0.001, Options{})
+	high := Summarize(g, 0.9, Options{})
 	if low.Budget > high.Budget {
 		t.Fatalf("budget should grow with threshold: %d vs %d", low.Budget, high.Budget)
 	}
@@ -352,8 +350,8 @@ func TestSummarizeThresholdControlsBudget(t *testing.T) {
 func TestSummarizeSelectionDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(81))
 	g := clusteredGraph(rng, 4, 5)
-	a := Summarize(g, 0.02, DefaultOptions())
-	b := Summarize(g, 0.02, DefaultOptions())
+	a := Summarize(g, 0.02, Options{})
+	b := Summarize(g, 0.02, Options{})
 	if len(a.Selected) != len(b.Selected) {
 		t.Fatal("nondeterministic selection size")
 	}
@@ -364,19 +362,10 @@ func TestSummarizeSelectionDeterministic(t *testing.T) {
 	}
 }
 
-func TestSummarizeZeroLambdasRepaired(t *testing.T) {
-	rng := rand.New(rand.NewSource(82))
-	g := clusteredGraph(rng, 2, 3)
-	res := Summarize(g, 0.02, Options{UseLazyGreedy: true})
-	if len(res.Selected) == 0 {
-		t.Fatal("zero-value lambdas should be repaired to defaults")
-	}
-}
-
 func TestSummarizeClustersPartitionBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
 	g := clusteredGraph(rng, 3, 4)
-	res := Summarize(g, 0.02, DefaultOptions())
+	res := Summarize(g, 0.02, Options{})
 	var all []int
 	for _, c := range res.Clusters {
 		all = append(all, c...)
