@@ -264,18 +264,11 @@ func (c *Client) dial() (net.Conn, error) {
 func (c *Client) Metrics() Metrics {
 	return Metrics{
 		Retries:      c.retries.Value(),
-		Redials:      max64(c.dials.Value()-1, 0),
+		Redials:      max(c.dials.Value()-1, 0),
 		BreakerState: c.breaker.State(),
 		BreakerTrips: c.opts.Telemetry.Counter("client.breaker.trips").Value(),
 		BusyHolds:    c.busyHolds.Value(),
 	}
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // serverError marks a failure the server itself reported: the transport

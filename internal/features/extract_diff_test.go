@@ -33,7 +33,7 @@ func gradientRaster(w, h int) *imagelib.Raster {
 	r := imagelib.NewRaster(w, h)
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
-			v := (x*255)/maxInt(w-1, 1) + (y*127)/maxInt(h-1, 1)
+			v := (x*255)/max(w-1, 1) + (y*127)/max(h-1, 1)
 			if x > w/2 {
 				v += 60
 			}
@@ -50,13 +50,6 @@ func gradientRaster(w, h int) *imagelib.Raster {
 		}
 	}
 	return r
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // deviceRasters returns the first n (at most 16) extraction inputs of

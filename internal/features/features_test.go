@@ -534,10 +534,3 @@ func TestDescriptorsStableUnderMildNoise(t *testing.T) {
 		t.Fatalf("only %.0f%% of descriptors survived mild noise", 100*frac)
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

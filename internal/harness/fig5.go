@@ -112,10 +112,3 @@ func Fig5Table(points []Fig5Point, quality bool) *Table {
 	}
 	return t
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -86,10 +86,3 @@ func resizeBilinear(r *Raster, w, h int) *Raster {
 	}
 	return out
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -1,6 +1,7 @@
 package index
 
 import (
+	"slices"
 	"testing"
 
 	"bees/internal/features"
@@ -93,4 +94,57 @@ func BenchmarkQueryMaxBatch(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		idx.QueryMaxBatch(batch)
 	}
+}
+
+// warmCorpus is the benchmark workload's warm index: 64 extracted scenes,
+// each under 6 IDs, 384 entries in all.
+func warmCorpus(b *testing.B) (*testCorpus, []*Entry) {
+	c := newCorpus(b, 64, 905)
+	entries := make([]*Entry, 6*len(c.sets))
+	for i := range entries {
+		entries[i] = &Entry{ID: ImageID(i), Set: c.sets[i%len(c.sets)], GroupID: int64(i)}
+	}
+	return c, entries
+}
+
+// BenchmarkQueryMaxWarm measures one query frame on a warm index: one
+// 8-set QueryMaxBatch over the 384-entry warm corpus, inserted one entry
+// at a time as a seeded server does, so the arena is re-laid at every
+// doubling and its newest postings are still scattered.
+func BenchmarkQueryMaxWarm(b *testing.B) {
+	c, entries := warmCorpus(b)
+	idx := New(DefaultConfig())
+	for _, e := range entries {
+		idx.Add(e)
+	}
+	batch := make([]*features.BinarySet, 8)
+	for i := range batch {
+		batch[i] = c.variantSet(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		idx.QueryMaxBatch(batch)
+	}
+}
+
+// BenchmarkRelayout measures the relayout stall on the warm corpus with
+// every posting scattered: the entries are linked without the trigger,
+// and each run restores that arena before re-laying it.
+func BenchmarkRelayout(b *testing.B) {
+	_, entries := warmCorpus(b)
+	idx := New(DefaultConfig())
+	for _, e := range entries {
+		idx.link(e, idx.prepare(e))
+	}
+	heads, arena := slices.Clone(idx.heads), idx.arena
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		copy(idx.heads, heads)
+		idx.arena = arena
+		b.StartTimer()
+		idx.relayout()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(idx.used-1), "ns/posting")
 }

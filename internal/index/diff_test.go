@@ -87,15 +87,26 @@ func TestExhaustiveMaxMatchesReference(t *testing.T) {
 
 // TestFlatMatchesRefDifferential drives the flat index and the striped
 // reference through the same random interleaving of Add, AddBatch,
-// re-adds and queries, with the IDs split over several indexes, and
-// requires identical answers from CandidatesAcross (IDs, votes, float
-// bits), QueryTopK and QueryMaxBatch, and QueryMax's (ID, similarity)
-// equal to the reference's QueryTopK(q, 1). Re-adds run only against a
+// re-adds, relayouts and queries, with the IDs split over several
+// indexes, and requires identical answers from CandidatesAcross (IDs,
+// votes, float bits), QueryTopK and QueryMaxBatch, and QueryMax's (ID,
+// similarity) equal to the reference's QueryTopK(q, 1). Re-adds run only against a
 // one-stripe reference: a re-add skips a bucket whose newest posting is
 // already the ID, and "newest" is per stripe in the reference, so its
-// own answers then depend on the stripe count.
+// own answers then depend on the stripe count. Relayouts come both from
+// direct calls at random steps and from inserts; a third of the runs
+// start with wide, a random set large enough that its one insert crosses
+// the relayout floor, and part, 300 of its descriptors, is a query that
+// wide's entries answer.
 func TestFlatMatchesRefDifferential(t *testing.T) {
 	c := newCorpus(t, 5, 0xd1f5)
+	wide := &features.BinarySet{Descriptors: make([]features.Descriptor, 4500)}
+	wrng := rand.New(rand.NewSource(0x1a1d))
+	for i := range wide.Descriptors {
+		for w := range wide.Descriptors[i] {
+			wide.Descriptors[i][w] = wrng.Uint64()
+		}
+	}
 	sets := append(slices.Clone(c.sets), &features.BinarySet{}) // indexed, never voted for
 	// Two queries repeat bucket keys far more than ORB sets do, so the
 	// flat index's once-per-bucket multiplicity walk meets the
@@ -106,13 +117,16 @@ func TestFlatMatchesRefDifferential(t *testing.T) {
 	for i := range forty.Descriptors {
 		forty.Descriptors[i] = c.sets[3].Descriptors[0]
 	}
-	queries := []*features.BinarySet{c.variantSet(0), c.sets[2], {}, twice, forty}
+	part := &features.BinarySet{Descriptors: wide.Descriptors[:300]}
+	queries := []*features.BinarySet{c.variantSet(0), c.sets[2], {}, twice, forty, part}
+	triggered := 0 // steps whose inserts alone re-laid an index
 	cfg := DefaultConfig()
 	cfg.CandidateLimit = 8 // few exact re-ranks per QueryTopK
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		stripes := []int{1, 3, 8}[rng.Intn(3)]
 		parts := 1 + rng.Intn(3)
+		wideFirst := rng.Intn(3) == 0
 		flat, ref := make([]*Index, parts), make([]*indexRef, parts)
 		for p := range flat {
 			flat[p], ref[p] = New(cfg), newIndexRef(cfg, stripes)
@@ -167,6 +181,10 @@ func TestFlatMatchesRefDifferential(t *testing.T) {
 				n = 1 + rng.Intn(4)
 			}
 			perIndex := make([][]*Entry, parts)
+			laid := make([]int32, parts)
+			for p := range flat {
+				laid[p] = flat[p].laid
+			}
 			for k := 0; k < n; k++ {
 				id := len(home)
 				if stripes == 1 && id > 0 && rng.Intn(3) == 0 {
@@ -175,6 +193,9 @@ func TestFlatMatchesRefDifferential(t *testing.T) {
 					home = append(home, rng.Intn(parts))
 				}
 				set, group := sets[rng.Intn(len(sets))], rng.Int63n(5)
+				if id == 0 && wideFirst {
+					set = wide
+				}
 				p := home[id]
 				ref[p].Add(&Entry{ID: ImageID(id), Set: set, GroupID: group})
 				e := &Entry{ID: ImageID(id), Set: set, GroupID: group}
@@ -189,6 +210,14 @@ func TestFlatMatchesRefDifferential(t *testing.T) {
 					flat[p].AddBatch(es)
 				}
 			}
+			for p := range flat {
+				if flat[p].laid != laid[p] {
+					triggered++
+				}
+			}
+			if rng.Intn(4) == 0 {
+				flat[rng.Intn(parts)].relayout()
+			}
 			if step%6 == 5 && !compare() {
 				return false
 			}
@@ -198,6 +227,10 @@ func TestFlatMatchesRefDifferential(t *testing.T) {
 	if err := quick.Check(check, &quick.Config{MaxCount: 24}); err != nil {
 		t.Fatal(err)
 	}
+	if triggered == 0 {
+		t.Fatal("no insert crossed a relayout threshold: the trigger went unexercised")
+	}
+	t.Logf("%d insert steps triggered a relayout", triggered)
 }
 
 // best is a QueryMax answer reduced to what QueryTopK(q, 1) also says:

@@ -5,13 +5,24 @@
 //
 // The index is one flat structure behind one RWMutex. Each table has a
 // dense bucket directory of 2^BitsPerKey list heads, and every table's
-// postings share one append-only arena of (slot, next) cells that grows
-// in fixed-size chunks, so growth never copies under the lock. Entries
-// sit in a slot-ordered slice; a query hashes its set once, sorts the
-// keys, and walks each distinct bucket once, adding the key's
-// multiplicity to a dense per-slot vote array. AddBatch links a whole
-// batch in one write-lock section, so a query sees all of a commit's
-// images or none.
+// postings share one arena of (slot, next) cells that grows in
+// fixed-size chunks, so growth never copies. Entries sit in a
+// slot-ordered slice; a query hashes its set once, sorts the keys, and
+// walks each distinct bucket once, adding the key's multiplicity to a
+// dense per-slot vote array. AddBatch links a whole batch in one
+// write-lock section, so a query sees all of a commit's images or none.
+//
+// Linking scatters a list over every image's block of cells, so once the
+// posting count has doubled since the last time, AddBatch re-lays the
+// arena under the write lock: each list, in list order, becomes one
+// contiguous run, the runs in ascending bucket order, and a query's
+// sorted keys then read memory forward. The lists keep their slots and
+// order, so answers are unchanged. The doubling bounds the copying at
+// ≤ 1 extra copy per posting, amortized, but each copy stalls writers
+// and readers alike. On a 2-CPU box it costs ≈ 16 ns a posting when the
+// arena is fully scattered: ≈ 6 ms at 384 images (374k postings), and at
+// that rate ≈ 160 ms at 10k images and ≈ 1.6 s at 100k. Sealed,
+// background-merged segments would remove that stall.
 //
 // QueryMax, the CBRD query, needs one maximum rather than every
 // candidate's similarity: it scores the vote-ranked candidates against
@@ -90,7 +101,8 @@ func DefaultConfig() Config {
 // next older posting (0 ends it). int32 links cap the arena at 2^31 cells.
 type posting struct{ slot, next int32 }
 
-// chunkBits sizes an arena chunk: 2^14 postings, 128 KiB.
+// chunkBits sizes an arena chunk: 2^14 postings, 128 KiB. It is also the
+// relayout floor: an arena of fewer postings is never re-laid.
 const chunkBits = 14
 
 // Index is a thread-safe similarity index over descriptor sets.
@@ -108,6 +120,7 @@ type Index struct {
 	heads []int32
 	arena [][]posting
 	used  int32 // next free posting
+	laid  int32 // postings at the last relayout
 }
 
 // New creates an empty index with the given configuration.
@@ -149,25 +162,19 @@ func (x *Index) Len() int {
 	return len(x.entries)
 }
 
-// Add inserts an image. Re-adding an existing ID keeps its slot and
-// replaces its metadata but keeps old hash buckets pointing at it, so
-// callers should use fresh IDs (the server layer guarantees this).
-func (x *Index) Add(e *Entry) {
-	if e == nil || e.Set == nil {
-		return
-	}
-	buckets := x.prepare(e)
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	x.link(e, buckets)
-}
+// Add inserts an image: AddBatch of one entry. Re-adding an existing ID
+// keeps its slot and replaces its metadata but keeps old hash buckets
+// pointing at it, so callers should use fresh IDs (the server layer
+// guarantees this).
+func (x *Index) Add(e *Entry) { x.AddBatch([]*Entry{e}) }
 
 // AddBatch inserts entries as one unit: their sets are prepared and
 // hashed in parallel outside the lock, then every posting is linked in
 // one write-lock section, so a concurrent query sees all of the batch or
 // none of it. The result equals Adding the entries one by one in order;
 // nil entries and entries without a set are skipped. The entries must
-// be distinct values.
+// be distinct values. An insert that doubles the posting count since the
+// last relayout re-lays the arena before the lock is released.
 func (x *Index) AddBatch(entries []*Entry) {
 	buckets := make([][]uint32, len(entries))
 	par.Do(len(entries), func(i int) {
@@ -181,6 +188,9 @@ func (x *Index) AddBatch(entries []*Entry) {
 		if e != nil && e.Set != nil {
 			x.link(e, buckets[i])
 		}
+	}
+	if n := x.used - 1; n >= 1<<chunkBits && n/2 >= x.laid {
+		x.relayout()
 	}
 }
 
@@ -218,6 +228,33 @@ func (x *Index) link(e *Entry, buckets []uint32) {
 		x.heads[b] = x.used
 		x.used++
 	}
+}
+
+// relayout copies every bucket's list, in list order, into a fresh arena
+// of as many chunks: the buckets in ascending order, each list one
+// contiguous run with next = p+1, its head at the run's start. Every
+// posting is reachable from exactly one head, so the runs fill cells 1
+// to used-1. Callers hold x.mu for writing.
+func (x *Index) relayout() {
+	old := x.arena
+	x.arena = make([][]posting, len(old))
+	for i := range x.arena {
+		x.arena[i] = make([]posting, 1<<chunkBits)
+	}
+	q := int32(1)
+	for b, head := range x.heads {
+		if head == 0 {
+			continue
+		}
+		x.heads[b] = q
+		for p := head; p != 0; q++ {
+			c := old[p>>chunkBits][p&(1<<chunkBits-1)]
+			*x.at(q) = posting{slot: c.slot, next: q + 1}
+			p = c.next
+		}
+		x.at(q - 1).next = 0
+	}
+	x.laid = x.used - 1
 }
 
 // QueryMax returns the indexed image with the highest Equation-2

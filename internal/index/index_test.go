@@ -2,6 +2,7 @@ package index
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -208,14 +209,19 @@ func TestEntryMetadataPreserved(t *testing.T) {
 
 // TestConcurrentAddQuery runs Add and AddBatch beside QueryMax and
 // QueryMaxBatch; the queries share pooled scratch (sorted keys, votes)
-// across goroutines, which -race checks. Once quiescent, the max-only
-// path must still answer as QueryTopK(q, 1).
+// across goroutines, which -race checks. The corpus goes in four times
+// under distinct IDs, about 80k postings, so the inserts re-lay the arena
+// at 16k, 32k and 64k while readers walk it. Once quiescent, the
+// max-only path must still answer as QueryTopK(q, 1), and the candidates
+// as the reference index built one entry at a time.
 func TestConcurrentAddQuery(t *testing.T) {
 	c := newCorpus(t, 20, 68)
 	idx := New(DefaultConfig())
-	entry := func(i int) *Entry { return &Entry{ID: ImageID(i), Set: c.sets[i], GroupID: int64(i)} }
+	const n = 80
+	entry := func(i int) *Entry { return &Entry{ID: ImageID(i), Set: c.sets[i%len(c.sets)], GroupID: int64(i)} }
 	var wg sync.WaitGroup
-	for i := 0; i < 20; i += 2 {
+	for i := 0; i < n; i += 2 {
+		q := i % len(c.sets)
 		wg.Add(4)
 		go func(i int) {
 			defer wg.Done()
@@ -225,18 +231,21 @@ func TestConcurrentAddQuery(t *testing.T) {
 			defer wg.Done()
 			idx.AddBatch([]*Entry{entry(i + 1)})
 		}(i)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			idx.QueryMax(c.sets[i])
-		}(i)
-		go func(i int) {
+			idx.QueryMax(c.sets[q])
+		}()
+		go func() {
 			defer wg.Done()
-			idx.QueryMaxBatch(c.sets[i : i+2])
-		}(i)
+			idx.QueryMaxBatch(c.sets[q : q+2])
+		}()
 	}
 	wg.Wait()
-	if idx.Len() != 20 {
-		t.Fatalf("after concurrent adds Len = %d, want 20", idx.Len())
+	if idx.Len() != n {
+		t.Fatalf("after concurrent adds Len = %d, want %d", idx.Len(), n)
+	}
+	if idx.laid < 4<<chunkBits {
+		t.Fatalf("last relayout at %d postings: the inserts stopped re-laying before 64k", idx.laid)
 	}
 	sims := idx.QueryMaxBatch(c.sets)
 	for i, q := range c.sets {
@@ -244,6 +253,122 @@ func TestConcurrentAddQuery(t *testing.T) {
 		if got, want := maxOf(e, sim), topOne(idx.QueryTopK(q, 1)); !sameBits(got, want) || sim != sims[i] {
 			t.Fatalf("set %d: QueryMax %+v, QueryMaxBatch %v, QueryTopK(q, 1) %+v", i, got, sims[i], want)
 		}
+	}
+	// Fresh-ID answers do not depend on insert order, so the reference
+	// built one entry at a time must agree.
+	ref := newIndexRef(DefaultConfig(), 1)
+	for i := 0; i < n; i++ {
+		ref.Add(entry(i))
+	}
+	for i, q := range c.sets {
+		if got, want := idx.QueryCandidates(q, n), ref.QueryCandidates(q, n); !sameBits(got, want) {
+			t.Fatalf("set %d candidates:\n got %+v\nwant %+v", i, got, want)
+		}
+	}
+}
+
+// lists returns every bucket's posting slots, newest first, and checks
+// that each posting is linked from exactly one list. A walk longer than
+// the arena fails at once: a list that loops would otherwise grow
+// without end.
+func lists(t *testing.T, x *Index) [][]int32 {
+	t.Helper()
+	out := make([][]int32, len(x.heads))
+	n := 0
+	for b, head := range x.heads {
+		for p := head; p != 0; p = x.at(p).next {
+			if n++; n >= int(x.used) {
+				t.Fatalf("bucket %d: the lists hold more than the arena's %d postings", b, x.used-1)
+			}
+			out[b] = append(out[b], x.at(p).slot)
+		}
+	}
+	if n != int(x.used-1) {
+		t.Fatalf("lists hold %d postings, the arena %d", n, x.used-1)
+	}
+	return out
+}
+
+// TestRelayoutKeepsLists pins what a relayout may change: only where the
+// cells sit. Every bucket's slot list is the same, in order, before and
+// after; each list is then one run of consecutive cells, the runs in
+// ascending bucket order from cell 1; and inserts past the floor keep the
+// arena within one doubling of its last relayout.
+func TestRelayoutKeepsLists(t *testing.T) {
+	c := newCorpus(t, 12, 72)
+	idx := New(DefaultConfig())
+	for i := 0; i < 40; i++ {
+		idx.AddBatch([]*Entry{{ID: ImageID(i), Set: c.sets[i%len(c.sets)]}})
+		if n := idx.used - 1; n >= 1<<chunkBits && n > 2*idx.laid {
+			t.Fatalf("after insert %d: %d postings, last relayout at %d", i, n, idx.laid)
+		}
+	}
+	if idx.laid == 0 {
+		t.Fatalf("%d postings and no relayout", idx.used-1)
+	}
+	before := lists(t, idx)
+	idx.relayout()
+	if got := lists(t, idx); !slices.EqualFunc(got, before, slices.Equal[[]int32]) {
+		t.Fatal("relayout changed a bucket's list")
+	}
+	if idx.laid != idx.used-1 {
+		t.Fatalf("relayout recorded %d postings, the arena holds %d", idx.laid, idx.used-1)
+	}
+	next := int32(1)
+	for b, head := range idx.heads {
+		if head == 0 {
+			continue
+		}
+		if head != next {
+			t.Fatalf("bucket %d's run starts at cell %d, want %d", b, head, next)
+		}
+		for p := head; p != 0; p = idx.at(p).next {
+			if p != next {
+				t.Fatalf("bucket %d's run jumps to cell %d, want %d", b, p, next)
+			}
+			next++
+		}
+	}
+}
+
+// TestReAddAfterRelayout pins the re-add rule on a re-laid arena: a
+// re-added ID skips exactly the buckets whose newest posting is already
+// its own, and is pushed on every other bucket of its set. Entry 2 holds
+// half of entry 0's descriptors, so re-adding 0 does both; re-adding 2,
+// the newest entry, pushes nothing.
+func TestReAddAfterRelayout(t *testing.T) {
+	c := newCorpus(t, 2, 73)
+	half := &features.BinarySet{Descriptors: c.sets[0].Descriptors[:c.sets[0].Len()/2]}
+	sets := []*features.BinarySet{c.sets[0], c.sets[1], half}
+	idx := New(DefaultConfig())
+	newest := map[uint32]int{} // bucket → the last ID linked into it
+	add := func(id int) {
+		idx.Add(&Entry{ID: ImageID(id), Set: sets[id]})
+		for _, b := range idx.prepare(&Entry{Set: sets[id]}) {
+			newest[b] = id
+		}
+	}
+	for id := range sets {
+		add(id)
+	}
+	for _, id := range []int{2, 0} {
+		idx.relayout()
+		buckets := idx.prepare(&Entry{Set: sets[id]})
+		want := 0
+		for _, b := range buckets {
+			if newest[b] != id {
+				want++
+			}
+		}
+		if id == 2 && want != 0 || id == 0 && (want == 0 || want == len(buckets)) {
+			t.Fatalf("re-adding %d should push %d of its %d buckets", id, want, len(buckets))
+		}
+		used := idx.used
+		add(id)
+		if got := int(idx.used - used); got != want {
+			t.Fatalf("re-adding %d pushed %d postings, want %d", id, got, want)
+		}
+		lists(t, idx)
 	}
 }
 

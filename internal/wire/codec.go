@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"slices"
 
 	"bees/internal/blockstore"
 	"bees/internal/features"
@@ -255,9 +256,14 @@ func (r *Reader) bitmap() []bool {
 }
 
 // appendBlocks and blocks carry a u32-counted list of (hash, u32 length,
-// data) blocks. Decoded data aliases the payload.
+// data) blocks. Decoded data aliases the payload. appendBlocks grows b
+// once to the list's encoded size, so a BlockPut frame is one allocation.
 func appendBlocks(b []byte, blocks []Block) []byte {
-	b = le.AppendUint32(b, uint32(len(blocks)))
+	n := 4
+	for i := range blocks {
+		n += minBlockBytes + len(blocks[i].Data)
+	}
+	b = le.AppendUint32(slices.Grow(b, n), uint32(len(blocks)))
 	for i := range blocks {
 		b = append(b, blocks[i].Hash[:]...)
 		b = le.AppendUint32(b, uint32(len(blocks[i].Data)))

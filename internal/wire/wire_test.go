@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"bees/internal/blockstore"
 	"bees/internal/features"
 )
 
@@ -219,6 +220,25 @@ func TestOversizedCountSmallFrame(t *testing.T) {
 	// count-sized preallocation would be ~32 GB and billions of allocs.
 	if allocs > 20 {
 		t.Fatalf("decoder made %v allocations for a 4-byte payload", allocs)
+	}
+}
+
+// TestEncodeBlockPutAllocatesOnce pins the block list's single grow: a
+// BlockPut payload is sized before it is written, so encoding it is one
+// allocation however many blocks it carries.
+func TestEncodeBlockPutAllocatesOnce(t *testing.T) {
+	msg := &BlockPut{}
+	for i := 0; i < 7; i++ {
+		data := bytes.Repeat([]byte{byte(i)}, 1000+i*4096)
+		msg.Blocks = append(msg.Blocks, Block{Hash: blockstore.HashBlock(data), Data: data})
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, _, err := encode(msg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 1 {
+		t.Fatalf("encoding a 7-block BlockPut made %v allocations, want 1", allocs)
 	}
 }
 
